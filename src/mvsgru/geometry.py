@@ -40,6 +40,9 @@ class CameraView:
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
         if self.k.shape != (3, 3) or self.r.shape != (3, 3):
             raise ConfigError("K and R must be 3x3")
+        # NaN fails no comparison below, so test finiteness first
+        if not all(np.isfinite(v).all() for v in (self.k, self.r, self.t, self.d_min, self.d_max)):
+            raise ConfigError("camera K, R, t and depth range must be finite")
         if not (0 < self.d_min < self.d_max):
             raise ConfigError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
         if abs(self.k[1, 0]) > 1e-9 or abs(self.k[2, 0]) > 1e-9 or abs(self.k[2, 1]) > 1e-9:

@@ -3,7 +3,8 @@
 The numeric side is an independent oracle: central differences with step
 h = 1e-5 evaluated in the float64 mode, compared against taped gradients at
 relative tolerance 1e-4.  ``run_suite`` drives one named check over many
-random instances; the CLI and the acceptance tests both call it.
+random instances; the ``gradcheck`` CLI command and the tier-1 sweep
+``tests/test_tensor.py::TestOpGradcheckSweep`` both call it.
 
 Two practical policies keep the oracle honest but usable:
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ShapeError
 from .geometry import CameraView, RelativePose, scale_intrinsics, warp_points
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_sample, concat
+from .tensor import Tensor, bilinear_resize, bilinear_sample, concat
 
 GROUPS = 8
 
@@ -113,7 +113,6 @@ class AggregationUnet(Module):
         self.out.bias.data[:] = 0.0
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .tensor import bilinear_resize
         h, w = x.shape[1], x.shape[2]
         s0 = self.c0(x).leaky_relu()
         s1 = self.d1(s0).leaky_relu()

@@ -28,6 +28,18 @@ from .geometry import CameraView, load_cam_text, save_cam_text
 # image / depth file formats
 
 
+def _header_ints(path, offset: int, fields, count: int, what: str,
+                 lo: int = 1) -> list[int]:
+    """Parse ``count`` integer header fields, each >= lo, or raise FileFormatError."""
+    try:
+        vals = [int(v) for v in fields]
+    except ValueError:
+        vals = []
+    if len(vals) != count or min(vals) < lo:
+        raise FileFormatError(path, offset, f"bad {what}")
+    return vals
+
+
 def save_pfm(path, depth: np.ndarray) -> None:
     """Single-channel little-endian PFM; rows stored bottom-up."""
     h, w = depth.shape
@@ -48,11 +60,13 @@ def load_pfm(path) -> np.ndarray:
         scale_end = raw.index(b"\n", dims_end + 1)
     except ValueError:
         raise FileFormatError(path, len(raw), "truncated PFM header") from None
-    parts = raw[3:dims_end].split()
-    if len(parts) != 2:
-        raise FileFormatError(path, 3, "bad PFM dimension line")
-    w, h = int(parts[0]), int(parts[1])
-    scale = float(raw[dims_end + 1:scale_end])
+    w, h = _header_ints(path, 3, raw[3:dims_end].split(), 2, "PFM dimension line")
+    try:
+        scale = float(raw[dims_end + 1:scale_end])
+    except ValueError:
+        raise FileFormatError(path, dims_end + 1, "bad PFM scale line") from None
+    if not np.isfinite(scale):
+        raise FileFormatError(path, dims_end + 1, f"bad PFM scale {scale}")
     if scale >= 0:
         raise FileFormatError(path, dims_end + 1,
                               "big-endian PFM not supported")
@@ -86,7 +100,9 @@ def load_ppm(path) -> np.ndarray:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
         if raw[pos:pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
+            pos = raw.find(b"\n", pos) + 1
+            if pos == 0:
+                raise FileFormatError(path, len(raw), "truncated PPM header")
             continue
         end = pos
         while end < len(raw) and not raw[end:end + 1].isspace():
@@ -96,7 +112,7 @@ def load_ppm(path) -> np.ndarray:
         fields.append(raw[pos:end])
         pos = end
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(v) for v in fields)
+    w, h, maxval = _header_ints(path, 2, fields, 3, "PPM header")
     if maxval != 255:
         raise FileFormatError(path, 2, f"unsupported maxval {maxval}")
     need = w * h * 3
@@ -140,14 +156,14 @@ def load_scene(root) -> Scene:
     pair_path = os.path.join(root, "pair.txt")
     with open(pair_path) as f:
         lines = [ln.split() for ln in f if ln.strip()]
-    if not lines or len(lines[0]) != 1:
-        raise FileFormatError(pair_path, 0, "bad pair.txt header")
-    count = int(lines[0][0])
+    (count,) = _header_ints(pair_path, 0, lines[0] if lines else [], 1, "pair.txt header")
     pairs: list[list[int]] = [[] for _ in range(count)]
     for ln in lines[1:]:
-        ref, n = int(ln[0]), int(ln[1])
-        srcs = [int(v) for v in ln[2:]]
-        if len(srcs) != n or not all(0 <= s < count for s in srcs):
+        if len(ln) < 2:
+            raise FileFormatError(pair_path, 0, "short pair line")
+        ref, n, *srcs = _header_ints(pair_path, 0, ln, len(ln), "pair line", lo=0)
+        if (not 0 <= ref < count or len(srcs) != n
+                or not all(0 <= s < count for s in srcs)):
             raise FileFormatError(pair_path, 0,
                                   f"bad pair line for view {ref}")
         pairs[ref] = srcs

@@ -12,6 +12,13 @@ Design notes
   cast to it; see :func:`set_default_dtype` / :class:`using_dtype`.
 * Everything is single-threaded numpy, so identical inputs and seeds give
   bitwise-identical results.
+* Every resampling op (``take_depth``, ``gather2d``, ``bilinear_sample``,
+  ``bilinear_resize``) is a linear map given by an interpolation matrix S
+  built from constant indices: forward applies S, backward applies S.T.
+  Point gathers and bilinear sampling build a ``scipy.sparse`` CSR matrix
+  with ``_interp_matrix`` (1 or 4 entries per row); its products sum
+  repeated indices, so no backward needs a scatter-add.  The separable
+  resize uses two small dense per-axis matrices.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractError, ShapeError
 
@@ -539,8 +547,24 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gathers
+# resampling: gathers, bilinear sampling, resizing
 # ---------------------------------------------------------------------------
+
+
+def _interp_matrix(cols: np.ndarray, weights: np.ndarray, n_src: int) -> sp.csr_matrix:
+    """Sparse interpolation matrix S [N, n_src] with K entries per row.
+
+    Row i holds ``weights[i, k]`` at column ``cols[i, k]`` (both [N, K]).
+    Products sum repeated columns, so ``S @ F.T`` gathers from a [C, n_src]
+    source and ``S.T @ G.T`` scatter-adds a [C, N] gradient back onto it.
+    """
+    n, k = cols.shape
+    if cols.size and (cols.min() < 0 or cols.max() >= n_src):
+        raise ContractError(f"interpolation index outside [0, {n_src})")
+    # scipy checks and narrows int64 indices on every build; hand it int32
+    itype = np.int32 if max(n_src, n * k) < 2**31 else np.int64
+    return sp.csr_matrix((weights.ravel(), cols.ravel().astype(itype),
+                          np.arange(0, n * k + 1, k, dtype=itype)), shape=(n, n_src))
 
 
 def take_depth(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -548,16 +572,13 @@ def take_depth(a: Tensor, idx: np.ndarray) -> Tensor:
     a = _wrap(a)
     if a.ndim != 3 or idx.ndim != 3 or idx.shape[1:] != a.shape[1:]:
         raise ShapeError(f"take_depth: bad shapes {a.shape} / {idx.shape}")
-    idx = idx.astype(np.int64)
-    out = Tensor(np.take_along_axis(a.data, idx, axis=0))
-    _, h, w = a.shape
+    plane = a.shape[1] * a.shape[2]
+    cols = idx.astype(np.int64).reshape(-1, plane) * plane + np.arange(plane)
+    s = _interp_matrix(cols.reshape(-1, 1), np.ones(cols.size, a.dtype), a.size)
+    out = Tensor((s @ a.data.reshape(-1)).reshape(idx.shape))
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        iy = np.arange(h)[None, :, None]
-        ix = np.arange(w)[None, None, :]
-        np.add.at(ga, (idx, iy, ix), g)
-        _accum(a, ga)
+        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape))
 
     return _record(out, (a,), bw)
 
@@ -567,21 +588,19 @@ def gather2d(a: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"gather2d needs a 2-D tensor, got {a.shape}")
+    h, w = a.shape
     iy = iy.astype(np.int64)
     ix = ix.astype(np.int64)
-    out = Tensor(a.data[iy, ix])
+    if iy.size and (iy.min() < 0 or iy.max() >= h or ix.min() < 0 or ix.max() >= w):
+        raise ContractError(f"gather2d index outside {h}x{w}")
+    cols = (iy * w + ix).reshape(-1, 1)
+    s = _interp_matrix(cols, np.ones(cols.size, a.dtype), a.size)
+    out = Tensor((s @ a.data.reshape(-1)).reshape(iy.shape))
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (iy, ix), g)
-        _accum(a, ga)
+        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape))
 
     return _record(out, (a,), bw)
-
-
-# ---------------------------------------------------------------------------
-# bilinear sampling / resizing
-# ---------------------------------------------------------------------------
 
 
 def bilinear_sample(grid: Tensor, x, y, mode: str = "zero") -> tuple[Tensor, np.ndarray]:
@@ -616,67 +635,53 @@ def bilinear_sample(grid: Tensor, x, y, mode: str = "zero") -> tuple[Tensor, np.
 
     inside = (xf >= 0) & (xf <= w - 1) & (yf >= 0) & (yf <= h - 1)
     valid = np.ones_like(inside) if mode == "edge" else inside
+    # "zero" mode folds the validity mask into every interpolation weight
+    keep = valid.astype(grid.dtype)[:, None]
 
     xc = np.clip(xf, 0, w - 1)
     yc = np.clip(yf, 0, h - 1)
-    x0 = np.floor(xc).astype(np.int64)
-    y0 = np.floor(yc).astype(np.int64)
+    x0 = np.floor(xc)
+    y0 = np.floor(yc)
+    fx = (xc - x0)[:, None]
+    fy = (yc - y0)[:, None]
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
-
+    # corners in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1)
+    cols = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=1)
+    ex, ey = 1 - fx, 1 - fy
+    s = _interp_matrix(cols, np.hstack([ey * ex, ey * fx, fy * ex, fy * fx]) * keep, h * w)
     flat = grid.data.reshape(c, h * w)
-    i00 = y0 * w + x0
-    i01 = y0 * w + x1
-    i10 = y1 * w + x0
-    i11 = y1 * w + x1
-    t00 = flat[:, i00]
-    t01 = flat[:, i01]
-    t10 = flat[:, i10]
-    t11 = flat[:, i11]
-
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    blend = t00 * w00 + t01 * w01 + t10 * w10 + t11 * w11
-    vf = valid.astype(grid.dtype)
-    if mode == "zero":
-        blend = blend * vf
-    out = Tensor(blend.reshape((c,) + cshape))
+    out = Tensor((s @ flat.T).T.reshape((c,) + cshape))
 
     def bw(g):
         g2 = g.reshape(c, -1)
-        gm = g2 * vf if mode == "zero" else g2
         if grid.requires_grad:
-            acc = np.zeros((h * w, c), dtype=grid.dtype)
-            np.add.at(acc, i00, (gm * w00).T)
-            np.add.at(acc, i01, (gm * w01).T)
-            np.add.at(acc, i10, (gm * w10).T)
-            np.add.at(acc, i11, (gm * w11).T)
-            _accum(grid, acc.T.reshape(grid.shape))
-        if xt is not None and xt.requires_grad:
-            dx = (1 - fy) * (t01 - t00) + fy * (t11 - t10)
-            gx = (gm * dx).sum(axis=0) * (xf == xc)
-            _accum(xt, gx.reshape(cshape))
-        if yt is not None and yt.requires_grad:
-            dy = (1 - fx) * (t10 - t00) + fx * (t11 - t01)
-            gy = (gm * dy).sum(axis=0) * (yf == yc)
-            _accum(yt, gy.reshape(cshape))
+            _accum(grid, (s.T @ g2.T).T.reshape(grid.shape))
+        # d/dx and d/dy of the blend share S's indices; a clamped coordinate
+        # gets no gradient
+        for ct, cf, cc, dw in ((xt, xf, xc, (-ey, ey, -fy, fy)),
+                               (yt, yf, yc, (-ex, -fx, ex, fx))):
+            if ct is not None and ct.requires_grad:
+                dw = np.hstack(dw) * keep * (cf == cc)[:, None]
+                sd = sp.csr_matrix((dw.ravel(), s.indices, s.indptr), shape=s.shape)
+                _accum(ct, ((sd @ flat.T) * g2.T).sum(axis=1).reshape(cshape))
 
     parents = tuple(p for p in (grid, xt, yt) if p is not None)
     return _record(out, parents, bw), valid.reshape(cshape)
 
 
-def _axis_lerp(n_in: int, n_out: int, dtype):
-    """Source indices and weights for 1-D bilinear resizing (pixel centers)."""
+def _axis_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """Dense [n_out, n_in] 1-D bilinear resize matrix (pixel centers, edge clamp)."""
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     i0f = np.floor(src)
     frac = src - i0f
-    i0 = np.clip(i0f, 0, n_in - 1).astype(np.int64)
-    i1 = np.clip(i0f + 1, 0, n_in - 1).astype(np.int64)
-    return i0, i1, frac.astype(dtype)
+    rows = np.arange(n_out)
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    m[rows, np.clip(i0f, 0, n_in - 1).astype(np.int64)] = 1 - frac
+    m[rows, np.clip(i0f + 1, 0, n_in - 1).astype(np.int64)] += frac
+    return m
 
 
 def bilinear_resize(a: Tensor, size: tuple[int, int]) -> Tensor:
@@ -684,41 +689,21 @@ def bilinear_resize(a: Tensor, size: tuple[int, int]) -> Tensor:
 
     Uses the pixel-center convention (output pixel i samples input
     coordinate (i + 0.5) * H_in / H_out - 0.5) with edge clamping, so values
-    stay inside the input's convex hull.
+    stay inside the input's convex hull.  Separable: out = Ry @ a @ Rx.T.
     """
     a = _wrap(a)
     if a.ndim not in (2, 3):
         raise ShapeError(f"bilinear_resize needs [H, W] or [C, H, W], got {a.shape}")
-    squeeze = a.ndim == 2
-    data = a.data[None] if squeeze else a.data
-    _, h_in, w_in = data.shape
+    h_in, w_in = a.shape[-2:]
     h_out, w_out = int(size[0]), int(size[1])
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"bad target size {size}")
-
-    r0, r1, wr = _axis_lerp(h_in, h_out, data.dtype)
-    c0, c1, wc = _axis_lerp(w_in, w_out, data.dtype)
-
-    rows = data[:, r0, :] * (1 - wr)[None, :, None] + data[:, r1, :] * wr[None, :, None]
-    full = rows[:, :, c0] * (1 - wc)[None, None, :] + rows[:, :, c1] * wc[None, None, :]
-    out = Tensor(full[0] if squeeze else full)
+    ry = _axis_matrix(h_in, h_out, a.dtype)
+    rx = _axis_matrix(w_in, w_out, a.dtype)
+    out = Tensor(ry @ (a.data @ rx.T))
 
     def bw(g):
-        g3 = g[None] if squeeze else g
-        # undo the column lerp
-        grows = np.zeros((g3.shape[0], h_out, w_in), dtype=g3.dtype)
-        gm = np.moveaxis(g3, 2, 0)
-        acc = np.zeros((w_in,) + gm.shape[1:], dtype=g3.dtype)
-        np.add.at(acc, c0, gm * (1 - wc)[:, None, None])
-        np.add.at(acc, c1, gm * wc[:, None, None])
-        grows = np.moveaxis(acc, 0, 2)
-        # undo the row lerp
-        gm = np.moveaxis(grows, 1, 0)
-        acc = np.zeros((h_in,) + gm.shape[1:], dtype=g3.dtype)
-        np.add.at(acc, r0, gm * (1 - wr)[:, None, None])
-        np.add.at(acc, r1, gm * wr[:, None, None])
-        ga = np.moveaxis(acc, 0, 1)
-        _accum(a, ga[0] if squeeze else ga)
+        _accum(a, ry.T @ (g @ rx))
 
     return _record(out, (a,), bw)
 

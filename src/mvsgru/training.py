@@ -342,6 +342,8 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
                     log(f"step {step} epoch {epoch} "
                         f"loss {float(bd.total.data):.4f} "
                         f"({time.monotonic() - t0:.0f}s)")
+            if pending:  # a trailing partial batch still gets its update
+                opt.step()
             save_checkpoint(ckpt_path, params)
     return model
 

@@ -1,5 +1,7 @@
 """Cameras, warping, inverse-depth parameterization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,19 @@ class TestPose:
             make_view(r=np.eye(3) * 1.1)
         with pytest.raises(ConfigError):
             make_view(d_min=5.0, d_max=2.0)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("k", (0, 0), np.nan), ("k", (0, 2), np.inf), ("r", (1, 1), np.nan),
+        ("t", 0, np.inf), ("t", 2, np.nan), ("d_min", None, np.nan),
+        ("d_max", None, np.inf), ("d_max", None, np.nan)])
+    def test_non_finite_camera_rejected(self, field, index, value):
+        v = make_view()
+        bad = value
+        if index is not None:
+            bad = getattr(v, field).copy()
+            bad[index] = value
+        with pytest.raises(ConfigError, match="finite"):
+            dataclasses.replace(v, **{field: bad})
 
 
 class TestWarp:

@@ -145,6 +145,44 @@ class TestSceneRoundtrip:
             load_scene(tmp_path / "s")
 
 
+
+_PIX = bytes(12)  # payload of a 2x2 PPM (and 3 of the 4 floats of a 2x2 PFM)
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("pfm", b"Pf\nx 2\n-1.0\n" + bytes(16)),
+    ("pfm", b"Pf\n2\n-1.0\n" + bytes(16)),
+    ("pfm", b"Pf\n2 -2\n-1.0\n" + bytes(16)),
+    ("pfm", b"Pf\n2 2\nabc\n" + bytes(16)),
+    ("pfm", b"Pf\n2 2\nnan\n" + bytes(16)),
+    ("ppm", b"P6\nx 2\n255\n" + _PIX),
+    ("ppm", b"P6\n2 y\n255\n" + _PIX),
+    ("ppm", b"P6\n2 2\nmax\n" + _PIX),
+    ("ppm", b"P6\n0 2\n255\n" + _PIX),
+    ("ppm", b"P6\n# comment that never ends"),
+    ("pair", b"3\n0 x 1 2\n"),
+    ("pair", b"3\n0\n"),
+    ("pair", b"3\n7 0\n"),
+    ("pair", b"3\n-1 0\n"),
+    ("pair", b"three\n"),
+], ids=["pfm-dims-word", "pfm-dims-one", "pfm-dims-negative", "pfm-scale-word",
+        "pfm-scale-nan", "ppm-width", "ppm-height", "ppm-maxval", "ppm-zero-width",
+        "ppm-open-comment", "pair-word-count", "pair-no-count", "pair-ref-range",
+        "pair-ref-negative", "pair-header"])
+def test_malformed_header_raises_file_format_error(tmp_path, kind, content):
+    if kind == "pair":
+        save_scene(synth_scene(SynthSpec(seed=9, views=3, size=16, quads=1)),
+                   tmp_path / "s")
+        (tmp_path / "s" / "pair.txt").write_bytes(content)
+        with pytest.raises(FileFormatError):
+            load_scene(tmp_path / "s")
+        return
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(content)
+    with pytest.raises(FileFormatError):
+        (load_pfm if kind == "pfm" else load_ppm)(path)
+
+
 class TestSynth:
     def test_same_seed_is_bitwise_identical(self):
         spec = SynthSpec(seed=17, views=3, size=16, quads=2)

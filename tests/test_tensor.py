@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ContractError, FileFormatError, ShapeError, TrainStepError
-from mvsgru.gradcheck import check_gradients
+from mvsgru.gradcheck import check_gradients, run_suite
 from mvsgru.nn import Conv2d, Module, load_checkpoint, save_checkpoint
 from mvsgru.optim import Adam
 from mvsgru.tensor import Tape, Tensor, backward
@@ -223,6 +223,130 @@ class TestBilinear:
         assert np.allclose(out, 3.25, atol=1e-6)
 
 
+
+def sample_ref(grid, x, y, mode):
+    """One bilinear sample and its corner weights, straight from the definition.
+
+    Returns (value [C], [(row, col, weight), ...], dvalue/dx [C], dvalue/dy [C]).
+    """
+    c, h, w = grid.shape
+    if mode == "zero" and not (0 <= x <= w - 1 and 0 <= y <= h - 1):
+        return np.zeros(c), [], np.zeros(c), np.zeros(c)
+    xc, yc = min(max(x, 0.0), w - 1.0), min(max(y, 0.0), h - 1.0)
+    x0, y0 = int(np.floor(xc)), int(np.floor(yc))
+    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+    fx, fy = xc - x0, yc - y0
+    corners = [(y0, x0, (1 - fy) * (1 - fx)), (y0, x1, (1 - fy) * fx),
+               (y1, x0, fy * (1 - fx)), (y1, x1, fy * fx)]
+    value = sum(wt * grid[:, r, q] for r, q, wt in corners)
+    dx = (1 - fy) * (grid[:, y0, x1] - grid[:, y0, x0]) + fy * (grid[:, y1, x1] - grid[:, y1, x0])
+    dy = (1 - fx) * (grid[:, y1, x0] - grid[:, y0, x0]) + fx * (grid[:, y1, x1] - grid[:, y0, x1])
+    # a clamped coordinate does not move the sample
+    return value, corners, dx * (x == xc), dy * (y == yc)
+
+
+class TestResamplingAgainstLoops:
+    """Forward and backward of the resampling ops against per-sample loops.
+
+    Covers what random gradchecks rarely hit: many samples on one texel,
+    samples exactly on the right/bottom border (x1 == x0, y1 == y0) and
+    out-of-range samples.
+    """
+
+    C, H, W = 3, 5, 6
+
+    def coords(self, rng):
+        same = rng.uniform(0.0, 1.0, (2, 12)) + np.array([[2.0], [1.0]])  # one texel
+        pts = [(2.5, 1.5)] * 4 + list(zip(*same))                            # exact repeats too
+        pts += [(self.W - 1.0, 2.3), (1.7, self.H - 1.0), (self.W - 1.0, self.H - 1.0),
+                (0.0, 0.0), (self.W - 1.0, 0.0)]                             # borders
+        pts += [(-0.5, 2.0), (self.W - 0.75, 1.0), (1.0, -1e-3), (3.0, self.H + 2.0),
+                (-4.0, -4.0)]                                                # out of range
+        xs, ys = (np.array(v, dtype=np.float64) for v in zip(*pts))
+        return xs, ys
+
+    @pytest.mark.parametrize("mode", ["zero", "edge"])
+    def test_sample_and_gradients_match_loops(self, rng, mode):
+        T.set_default_dtype(np.float64)
+        grid = rng.standard_normal((self.C, self.H, self.W))
+        xs, ys = self.coords(rng)
+        wts = rng.standard_normal((self.C, xs.size))
+        g, x, y = Tensor(grid, requires_grad=True), Tensor(xs, requires_grad=True), \
+            Tensor(ys, requires_grad=True)
+        with Tape() as tape:
+            out, valid = T.bilinear_sample(g, x, y, mode=mode)
+            loss = (out * wts).sum()
+        backward(tape, loss)
+
+        ggrid = np.zeros_like(grid)
+        for n in range(xs.size):
+            value, corners, dx, dy = sample_ref(grid, xs[n], ys[n], mode)
+            assert np.allclose(out.data[:, n], value, atol=1e-12)
+            assert np.isclose(x.grad[n], wts[:, n] @ dx, atol=1e-12)
+            assert np.isclose(y.grad[n], wts[:, n] @ dy, atol=1e-12)
+            for r, q, wt in corners:
+                ggrid[:, r, q] += wt * wts[:, n]
+            assert valid[n] == (mode == "edge" or bool(corners))
+        assert np.allclose(g.grad, ggrid, atol=1e-12)
+
+    def test_out_of_range_gives_zero_output_and_gradient(self, rng):
+        grid = rng.standard_normal((self.C, self.H, self.W)) + 3.0
+        xs = np.array([-0.5, self.W - 0.9, 2.0, 2.0])
+        ys = np.array([1.0, 1.0, -0.01, self.H - 0.99])
+        g, x, y = (Tensor(v, requires_grad=True) for v in (grid, xs, ys))
+        with Tape() as tape:
+            out, valid = T.bilinear_sample(g, x, y)
+            loss = out.sum()
+        backward(tape, loss)
+        assert not valid.any()
+        assert np.all(out.data == 0.0)
+        assert np.all(g.grad == 0.0)
+        assert np.all(x.grad == 0.0) and np.all(y.grad == 0.0)
+
+    def test_take_depth_clipped_repeats_match_loops(self, rng):
+        # predict_depth's window at the ends of the depth range: the argmax
+        # sits on sample 0 or D-1 and the clipped window repeats it
+        T.set_default_dtype(np.float64)
+        d, h, w, radius = 6, 3, 4, 2
+        prob = rng.random((d, h, w))
+        best = rng.choice([0, 1, d - 2, d - 1], size=(h, w))
+        idx = np.clip(best[None] + np.arange(-radius, radius + 1)[:, None, None], 0, d - 1)
+        wts = rng.standard_normal(idx.shape)
+        a = Tensor(prob, requires_grad=True)
+        with Tape() as tape:
+            out = T.take_depth(a, idx)
+            loss = (out * wts).sum()
+        backward(tape, loss)
+        ga = np.zeros_like(prob)
+        for m, i, j in np.ndindex(*idx.shape):
+            assert out.data[m, i, j] == prob[idx[m, i, j], i, j]
+            ga[idx[m, i, j], i, j] += wts[m, i, j]
+        assert np.allclose(a.grad, ga, atol=1e-12)
+
+    def test_gather2d_clipped_repeats_match_loops(self, rng):
+        T.set_default_dtype(np.float64)
+        a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        ys, xs = np.meshgrid(np.arange(4), np.arange(5), indexing="ij")
+        iy, ix = np.clip(ys + 1, 0, 3), np.clip(xs - 1, 0, 4)
+        wts = rng.standard_normal(iy.shape)
+        with Tape() as tape:
+            out = T.gather2d(a, iy, ix)
+            loss = (out * wts).sum()
+        backward(tape, loss)
+        ga = np.zeros((4, 5))
+        for i, j in np.ndindex(*iy.shape):
+            assert out.data[i, j] == a.data[iy[i, j], ix[i, j]]
+            ga[iy[i, j], ix[i, j]] += wts[i, j]
+        assert np.allclose(a.grad, ga, atol=1e-12)
+
+    def test_gather_indices_out_of_range_rejected(self, rng):
+        a = Tensor(rng.random((3, 2, 2)))
+        with pytest.raises(ContractError):
+            T.take_depth(a, np.full((1, 2, 2), 3))
+        with pytest.raises(ContractError):
+            T.gather2d(Tensor(rng.random((2, 2))), np.array([0, -1]), np.array([0, 0]))
+
+
 class TestTape:
     def test_chain_rule_by_hand(self):
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
@@ -419,7 +543,7 @@ class TestModule:
 
 
 class TestGradientSpotChecks:
-    """Cheap per-op smoke checks; the exhaustive sweep lives in acceptance."""
+    """Cheap per-op smoke checks; the exhaustive sweep is TestOpGradcheckSweep."""
 
     def test_conv_gradients(self, rng):
         w = rng.standard_normal((2, 4, 4))
@@ -447,3 +571,12 @@ class TestGradientSpotChecks:
 
         err = check_gradients(f, [rng.standard_normal((2, 5, 6)), xs, ys])
         assert err < 1e-4
+
+
+class TestOpGradcheckSweep:
+    def test_every_core_op_passes_ten_instances(self):
+        """The exhaustive finite-difference sweep over every core op."""
+        reports = run_suite(instances=10, include_model_ops=False)
+        assert reports
+        failed = [(r.name, r.max_rel_err) for r in reports if not r.passed]
+        assert not failed, failed

@@ -7,6 +7,7 @@ from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, EmptySampleError
 from mvsgru.estimator import DepthEstimator, EstimatorConfig, RunResult
 from mvsgru.geometry import normalize_inv
+from mvsgru.optim import Adam
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import Tape, Tensor, backward
 from mvsgru.training import (TrainConfig, load_train_config, loss_class,
@@ -294,6 +295,16 @@ class TestTrainLoop:
         a = (tmp_path / "a" / "model.ckpt").read_bytes()
         b = (tmp_path / "b" / "model.ckpt").read_bytes()
         assert a == b
+
+    def test_trailing_partial_batch_is_applied(self, tmp_path, monkeypatch):
+        # 3 samples at batch 2: one full batch plus one partial batch per epoch
+        steps = []
+        real_step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(1) or real_step(opt))
+        scene = synth_scene(SynthSpec(seed=21, views=3, size=16, quads=1))
+        cfg = self.make_cfg()
+        train([scene], cfg, tmp_path)
+        assert len(steps) == 2 * cfg.epochs
 
     def test_rejects_empty_scene_list(self, tmp_path):
         with pytest.raises(ConfigError):
