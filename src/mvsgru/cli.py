@@ -12,7 +12,6 @@ artifacts), 2 runtime failure (numerical trouble, failed checks).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -111,16 +110,21 @@ def _cmd_infer(args) -> int:
 
 
 def _write_prob_csv(path, prob: np.ndarray, inv_grid: np.ndarray) -> None:
-    """Quarter-resolution per-sample probabilities, one row per (pixel, j)."""
+    """Quarter-resolution per-sample probabilities, one row per (pixel, j).
+
+    Rows run over y, then x, then j, as CSV lines ending in CRLF.  One
+    image row's lines share a template that fixes x, j and the inverse
+    depth; y is spliced in and one ``%`` call formats its probabilities.
+    """
     d, h, w = prob.shape
+    inv = [f"{v:.8g}" for v in inv_grid]
+    row = "".join(f"{x},{{y}},{j},{inv[j]},%.8g\r\n"
+                  for x in range(w) for j in range(d))
     with open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["x", "y", "j", "inverse_depth_j", "probability"])
+        f.write("x,y,j,inverse_depth_j,probability\r\n")
         for y in range(h):
-            for x in range(w):
-                for j in range(d):
-                    out.writerow([x, y, j, f"{inv_grid[j]:.8g}",
-                                  f"{prob[j, y, x]:.8g}"])
+            f.write(row.replace("{y}", str(y))
+                    % tuple(prob[:, y, :].T.ravel().tolist()))
 
 
 def _cmd_fuse(args) -> int:

@@ -16,7 +16,7 @@ from .errors import ConfigError, ShapeError
 from .features import FeatureExtractor, FeaturePyramid
 from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
                        relative_pose, sample_inverse_uniform, scale_intrinsics)
-from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate,
+from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
                        multiscale_similarity, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
 from .tensor import Tensor, bilinear_resize, concat, take_depth
@@ -81,7 +81,7 @@ def predict_depth(prob: Tensor, inv_grid: np.ndarray,
 class InitState:
     h0: Tensor
     s_init: Tensor               # [D1, H/8, W/8]
-    weights_up: list[Tensor]     # per source, [1, H/4, W/4]
+    weights_up: Tensor           # [S, H/4, W/4], one map per source
     inv_grid_init: np.ndarray    # [D1]
     d_init: Tensor               # [H/4, W/4]
     d_init_coarse: Tensor        # [H/8, W/8]
@@ -136,23 +136,17 @@ class DepthEstimator(Module):
         h8, w8 = f3.shape[1], f3.shape[2]
         h4, w4 = h8 * 2, w8 * 2
         depths = sample_inverse_uniform(ref.d_min, ref.d_max, cfg.init_hyps)
-        hyp_vol = np.broadcast_to(depths[:, None, None],
-                                  (cfg.init_hyps, h8, w8))
-        ys, xs = np.meshgrid(np.arange(h8, dtype=np.float64),
-                             np.arange(w8, dtype=np.float64), indexing="ij")
+        hyp_vol = np.broadcast_to(depths[:, None, None], (cfg.init_hyps, h8, w8))
+        ys, xs = np.mgrid[:h8, :w8].astype(np.float64)
         k_ref = scale_intrinsics(ref.k, 3)
-        sims, weights, weights_up = [], [], []
-        for src_pyr, src in zip(pyramids[1:], views[1:]):
-            pose = relative_pose(ref, src)
-            sim, valid = warp_and_correlate(
-                f3, src_pyr.f3, xs, ys, hyp_vol, k_ref,
-                scale_intrinsics(src.k, 3), pose, cfg.groups)
-            w, _ = view_weight(self.vw_cnn, sim, valid)
-            sims.append(sim)
-            weights.append(w.reshape((1, 1, h8, w8)))
-            weights_up.append(bilinear_resize(w, (h4, w4)))
-        merged = integrate(sims, weights)
-        merged = merged.reshape((cfg.groups * cfg.init_hyps, h8, w8))
+        # one source at a time: all S*D1 planes of 64 channels at once would
+        # double the peak memory of a 256 px run (correlation, view-weight CNN)
+        swept = [warp_and_correlate(f3, p.f3, xs, ys, hyp_vol, k_ref,
+                                    scale_intrinsics(v.k, 3), relative_pose(ref, v),
+                                    cfg.groups) for p, v in zip(pyramids[1:], views[1:])]
+        w = concat([view_weight(self.vw_cnn, sim, valid)[0] for sim, valid in swept], 0)
+        merged = integrate(concat([sim for sim, _ in swept], 1), w).reshape(
+            (cfg.groups * cfg.init_hyps, h8, w8))
         s_init = self.init_unet(merged) * self.init_gain
         pre = self.h0b(self.h0a(s_init).leaky_relu())
         h0 = bilinear_resize(pre, (h4, w4)).tanh()
@@ -160,7 +154,7 @@ class DepthEstimator(Module):
         p_init = s_init.softmax(0)
         d_coarse = 1.0 / (p_init * inv_init[:, None, None]).sum(0)
         d_init = bilinear_resize(d_coarse, (h4, w4))
-        return InitState(h0, s_init, weights_up, inv_init, d_init, d_coarse)
+        return InitState(h0, s_init, bilinear_resize(w, (h4, w4)), inv_init, d_init, d_coarse)
 
     def generate_hypotheses(self, d_prev: Tensor, d_min: float,
                             d_max: float) -> list[Tensor]:
@@ -169,9 +163,7 @@ class DepthEstimator(Module):
         N_l samples spaced evenly over [eta - R_l, eta + R_l] in normalized
         inverse depth, clamped to [0, 1], then mapped back to depth.
         """
-        eta = normalize_inv(d_prev, d_min, d_max)
-        h4, w4 = eta.shape
-        eta = eta.reshape((1, h4, w4))
+        eta = normalize_inv(d_prev, d_min, d_max).reshape((1,) + d_prev.shape)
         out = []
         for radius, count in zip(self.cfg.radii, self.cfg.counts):
             offs = np.linspace(-radius, radius, count)
@@ -197,7 +189,10 @@ class DepthEstimator(Module):
         pyramids = [self.fpn.extract(v.image) for v in views]
         init = self.initialize(pyramids, views)
         inv2 = inverse_grid(ref.d_min, ref.d_max, cfg.prob_samples)
-        poses = [relative_pose(ref, src) for src in views[1:]]
+        # from here on the sources live only as one stacked copy per level
+        levels, ref_f2 = lookup_levels(pyramids, views), pyramids[0].f2
+        del pyramids
+        weight_sum = init.weights_up.sum(0)
         res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max,
                         inv_grid=inv2)
         h = init.h0
@@ -213,17 +208,14 @@ class DepthEstimator(Module):
 
         readout(h)
         for _ in range(k):
-            hyps = self.generate_hypotheses(res.depths[-1], ref.d_min,
-                                            ref.d_max)
-            s_bar = multiscale_similarity(pyramids, views, poses, hyps,
-                                          init.weights_up, self.level_unets,
-                                          cfg.groups)
+            hyps = self.generate_hypotheses(res.depths[-1], ref.d_min, ref.d_max)
+            s_bar = multiscale_similarity(levels, hyps, init.weights_up, weight_sum,
+                                          self.level_unets, cfg.groups)
             eta_prev = normalize_inv(res.depths[-1], ref.d_min, ref.d_max)
             x_in = concat([eta_prev.reshape((1, h4, w4)), s_bar], 0)
             h = gru_update(self.gru, h, x_in)
             readout(h)
         if upsample:
-            res.d_up = self.upsampler.upsample_depth(res.depths[-1],
-                                                     pyramids[0].f2)
+            res.d_up = self.upsampler.upsample_depth(res.depths[-1], ref_f2)
             res.conf_up = bilinear_resize(res.confs[-1], (h4 * 4, w4 * 4))
         return res

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_resize
+from .tensor import Tensor, bilinear_resize, concat
 
 LEVEL_CHANNELS = (16, 32, 64)
 NORM_GROUPS = 8
@@ -48,6 +48,12 @@ class FeaturePyramid:
 
     def level(self, l: int) -> Tensor:
         return (self.f1, self.f2, self.f3)[l - 1]
+
+
+def stack_pyramids(pyramids: list[FeaturePyramid]) -> FeaturePyramid:
+    """One pyramid whose levels stack the views' maps as [V, C, H, W]."""
+    return FeaturePyramid(*(concat([p.level(l).reshape((1,) + p.level(l).shape)
+                                    for p in pyramids], 0) for l in (1, 2, 3)))
 
 
 class FeatureExtractor(Module):

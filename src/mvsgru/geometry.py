@@ -78,60 +78,67 @@ def relative_pose(ref: CameraView, src: CameraView) -> RelativePose:
     return RelativePose(r=r, t=src.t - r @ ref.t)
 
 
+def relative_poses(ref: CameraView, srcs: list[CameraView]) -> RelativePose:
+    """Poses from ref to each source, stacked: r [S, 3, 3], t [S, 3]."""
+    r = np.stack([s.r for s in srcs]) @ ref.r.T
+    return RelativePose(r=r, t=np.stack([s.t for s in srcs]) - r @ ref.t)
+
+
 def scale_intrinsics(k: np.ndarray, level: int) -> np.ndarray:
     """Intrinsics for a 2^level downsampled image, pixel-center convention.
 
     Focal lengths scale by s = 1/2^level; principal point maps through
     c' = (c + 0.5) * s - 0.5 so pixel centers stay aligned.  level 0 returns
-    K unchanged.
+    K unchanged.  k may be one [3, 3] matrix or a stack [..., 3, 3].
     """
     if level == 0:
         return np.array(k, dtype=np.float64)
     s = 1.0 / (1 << level)
     out = np.array(k, dtype=np.float64)
-    out[0, 0] *= s
-    out[1, 1] *= s
-    out[0, 1] *= s
-    out[0, 2] = (out[0, 2] + 0.5) * s - 0.5
-    out[1, 2] = (out[1, 2] + 0.5) * s - 0.5
+    out[..., 0, 0] *= s
+    out[..., 1, 1] *= s
+    out[..., 0, 1] *= s
+    out[..., 0, 2] = (out[..., 0, 2] + 0.5) * s - 0.5
+    out[..., 1, 2] = (out[..., 1, 2] + 0.5) * s - 0.5
     return out
 
 
 def warp_points(x: np.ndarray, y: np.ndarray, depth, k_ref: np.ndarray,
                 k_src: np.ndarray, pose: RelativePose):
-    """Warp reference pixels into a source view at given depths.
+    """Warp reference pixels into one or several source views at given depths.
 
     Args:
         x, y: pixel coordinates in the reference image, arrays of shape [P].
         depth: depths along the reference rays; Tensor or ndarray whose last
             axis is P (leading axes broadcast, e.g. [D, P] hypotheses).
-        k_ref, k_src: intrinsics of the two views at the working resolution.
-        pose: relative pose from reference to source.
+        k_ref: reference intrinsics at the working resolution.
+        k_src, pose: one source's intrinsics [3, 3] and relative pose, or S
+            sources stacked (k_src [S, 3, 3], pose from ``relative_poses``);
+            the stacked form puts a leading S axis on every output.
 
     Returns:
         (u, v, z, valid): source pixel coordinates and camera-frame depth,
         same type as ``depth``; ``valid`` is a bool ndarray flagging points
         that land in front of the source camera.  Differentiable in depth.
     """
-    a = k_src @ pose.r @ np.linalg.inv(k_ref)
-    b = k_src @ pose.t  # [3]
+    a = k_src @ pose.r @ np.linalg.inv(k_ref)           # [(S,) 3, 3]
+    b = (k_src @ pose.t[..., None])[..., 0]             # [(S,) 3]
     p_h = np.stack([x, y, np.ones_like(x)]).astype(np.float64)
-    base = a @ p_h  # [3, P]
+    base = a @ p_h                                      # [(S,) 3, P]
+    lead = base.shape[:-2]
+    extra = (1,) * (np.ndim(depth.data if isinstance(depth, Tensor) else depth) - 1)
+    # per row: source view axes, then the depth's broadcast axes, then P
+    rows = [base[..., i, :].reshape(lead + extra + (base.shape[-1],)) for i in range(3)]
+    offs = [b[..., i].reshape(lead + extra + (1,)) for i in range(3)]
 
     if isinstance(depth, Tensor):
-        extra = (1,) * (depth.ndim - 1)
-        hx = depth * base[0].reshape(extra + base[0].shape) + float(b[0])
-        hy = depth * base[1].reshape(extra + base[1].shape) + float(b[1])
-        hz = depth * base[2].reshape(extra + base[2].shape) + float(b[2])
+        hx, hy, hz = (depth * r + o for r, o in zip(rows, offs))
         valid = hz.data > _ZEYE
         z_safe = where(valid, hz, np.ones_like(hz.data))
         return hx / z_safe, hy / z_safe, hz, valid
 
     d = np.asarray(depth, dtype=np.float64)
-    extra = (1,) * (d.ndim - 1)
-    hx = d * base[0].reshape(extra + base[0].shape) + b[0]
-    hy = d * base[1].reshape(extra + base[1].shape) + b[1]
-    hz = d * base[2].reshape(extra + base[2].shape) + b[2]
+    hx, hy, hz = (d * r + o for r, o in zip(rows, offs))
     valid = hz > _ZEYE
     z_safe = np.where(valid, hz, 1.0)
     return hx / z_safe, hy / z_safe, hz, valid

@@ -247,6 +247,23 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     simple("bilinear_sample.edge", lambda: check_gradients(samp_edge, [rnd(3, 6, 7), sx, sy]))
 
+    # two stacked grids, coordinates [2, n]: the second grid's samples sit
+    # right next to the first grid's block of the interpolation matrix; one
+    # point per grid is masked out
+    bx = np.stack([sx, sx[::-1]])
+    by = np.stack([sy, sy[::-1]])
+    by[0, 1] = 5.0 + 0.5  # half a row below grid 0's last row
+    bmask = np.ones(bx.shape, dtype=bool)
+    bmask[:, 2] = False
+    w12 = rnd(3, 2, n_pts)
+    for mode in ("zero", "edge"):
+        def samp_batch(grid, xs, ys, mode=mode):
+            out, _ = T.bilinear_sample(grid, xs, ys, mode=mode, mask=bmask)
+            return _wsum(out, w12)
+
+        simple(f"bilinear_sample.batched.{mode}", lambda f=samp_batch: check_gradients(
+            f, [rnd(2, 3, 6, 7), bx, by]))
+
     w10 = rnd(2, 6, 8)
     simple("bilinear_resize.up", lambda: check_gradients(
         lambda a: _wsum(T.bilinear_resize(a, (6, 8)), w10), [rnd(2, 3, 4)]))
@@ -272,7 +289,8 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
         [rnd(2, 5, 4, 4), rnd(3, 5, 3, 3) * 0.4, rnd(3) * 0.1]))
 
     # geometry: warping differentiable in depth
-    from .geometry import CameraView, relative_pose, warp_points, normalize_inv, denormalize_inv
+    from .geometry import (CameraView, denormalize_inv, normalize_inv, relative_pose,
+                           relative_poses, warp_points)
 
     k = np.array([[20.0, 0.0, 7.5], [0.0, 20.0, 7.5], [0.0, 0.0, 1.0]])
     ang = 0.15
@@ -293,6 +311,18 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     simple("warp_points.depth", lambda: check_gradients(
         warp_fwd, [rng.uniform(2.5, 5.5, (2, 6))]))
+
+    # two sources stacked: outputs [2, D, P]
+    src2 = CameraView(k, r_src.T, np.array([-0.2, 0.1, 0.05]), 2.0, 6.0, img)
+    poses = relative_poses(ref, [src, src2])
+    wws = rnd(3, 2, 2, 6)
+
+    def warp_stacked(d):
+        u, v, z, _ = warp_points(px, py, d, ref.k, np.stack([k, k]), poses)
+        return _wsum(u, wws[0]) + _wsum(v, wws[1]) + _wsum(z, wws[2])
+
+    simple("warp_points.stacked", lambda: check_gradients(
+        warp_stacked, [rng.uniform(2.5, 5.5, (2, 6))]))
 
     weta = rnd(4, 3)
     simple("normalize_inv", lambda: check_gradients(
@@ -336,12 +366,11 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     wint = rnd(4, 3, 2, 5)
 
-    def integ(s1, s2, w1v, w2v):
-        return _wsum(integrate([s1, s2], [w1v.sigmoid(), w2v.sigmoid()]), wint)
+    def integ(sim, wv):
+        return _wsum(integrate(sim, wv.sigmoid()), wint)
 
     checks["integrate"] = lambda: check_gradients(
-        integ, [rnd(4, 3, 2, 5), rnd(4, 3, 2, 5), rnd(1, 1, 2, 5),
-                rnd(1, 1, 2, 5)], max_coords=_MODEL_COORDS)
+        integ, [rnd(4, 6, 2, 5), rnd(2, 2, 5)], max_coords=_MODEL_COORDS)
 
     with using_dtype(np.float64):
         unet = AggregationUnet(6, 3, np.random.default_rng(7))

@@ -3,6 +3,12 @@
 Covers group-wise correlation of warped features, pixel-wise view weights,
 weighted multi-view integration, per-level neighborhood aggregation and the
 assembly of the multi-scale similarity stack consumed by the update GRU.
+
+The S source views are stacked: features [S, C, H, W], warped by one
+``bilinear_sample`` call into [C, S, D, P], and similarity volumes
+[G, S*D, ...], each source's D hypotheses in turn.  The warp and the
+correlation flatten the spatial axes to P = H*W because a Tensor has at
+most four axes.  View weights are [S, H, W]; ``integrate`` sums S away.
 """
 
 from __future__ import annotations
@@ -10,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import CameraView, RelativePose, scale_intrinsics, warp_points
+from .features import FeaturePyramid, stack_pyramids
+from .geometry import (CameraView, RelativePose, relative_poses, scale_intrinsics,
+                       warp_points)
 from .nn import Conv2d, Module
 from .tensor import Tensor, bilinear_resize, bilinear_sample, concat
 
@@ -20,6 +28,7 @@ GROUPS = 8
 def group_correlation(f0: Tensor, fi: Tensor, groups: int = GROUPS) -> Tensor:
     """Group-wise dot products, scaled by groups/C.
 
+    That is the mean over each group's channels of the per-channel products.
     f0: [C, *spatial] reference features.
     fi: [C, D, *spatial] warped source features for D hypotheses.
     Returns [groups, D, *spatial].
@@ -29,16 +38,12 @@ def group_correlation(f0: Tensor, fi: Tensor, groups: int = GROUPS) -> Tensor:
         raise ShapeError(f"channel mismatch: {c} vs {fi.shape[0]}")
     if c % groups:
         raise ShapeError(f"{c} channels not divisible into {groups} groups")
-    cg = c // groups
-    scale = groups / c
-    parts = []
-    for g in range(groups):
-        a = f0[g * cg:(g + 1) * cg]
-        b = fi[g * cg:(g + 1) * cg]
-        a = a.reshape((cg, 1) + tuple(f0.shape[1:]))
-        s = (a * b).sum(0) * scale
-        parts.append(s.reshape((1,) + tuple(s.shape)))
-    return concat(parts, 0)
+    spatial = tuple(f0.shape[1:])
+    if tuple(fi.shape[2:]) != spatial:
+        raise ShapeError(f"spatial mismatch: {spatial} vs {fi.shape[2:]}")
+    cg, d, p = c // groups, fi.shape[1], int(np.prod(spatial))
+    prod = f0.reshape((groups, cg, 1, p)) * fi.reshape((groups, cg, d, p))
+    return prod.mean(1).reshape((groups, d) + spatial)
 
 
 class ViewWeightCNN(Module):
@@ -70,20 +75,22 @@ def view_weight(cnn: ViewWeightCNN, s: Tensor,
     return w, p
 
 
-def integrate(sims: list[Tensor], weights: list[Tensor]) -> Tensor:
-    """Weighted average of per-source similarities.
+def integrate(sim: Tensor, weights: Tensor, total: Tensor | None = None) -> Tensor:
+    """Weighted average over the source axis of a stacked similarity volume.
 
-    Weights broadcast over group and hypothesis axes; they are strictly
-    positive by construction (softmax maxima), so the denominator is safe.
+    sim: [G, S*D, H, W]; weights: [S, H, W], broadcast over the group and
+    hypothesis axes; total: ``weights.sum(0)``, if the caller already has
+    it.  The weights are strictly positive by construction (softmax maxima),
+    so the denominator is safe.  Returns [G, D, H, W].
     """
-    if not sims or len(sims) != len(weights):
-        raise ShapeError("need one weight per similarity volume")
-    num = sims[0] * weights[0]
-    den = weights[0]
-    for s, w in zip(sims[1:], weights[1:]):
-        num = num + s * w
-        den = den + w
-    return num / den
+    g, sd, h, w = sim.shape
+    n_src = weights.shape[0]
+    if weights.ndim != 3 or tuple(weights.shape[1:]) != (h, w) or sd % n_src:
+        raise ShapeError(f"weights {weights.shape} do not fit similarity {sim.shape}")
+    d, p = sd // n_src, h * w
+    num = (sim.reshape((g, n_src, d, p)) * weights.reshape((1, n_src, 1, p))).sum(1)
+    total = weights.sum(0) if total is None else total
+    return (num / total.reshape((1, 1, p))).reshape((g, d, h, w))
 
 
 class AggregationUnet(Module):
@@ -132,12 +139,30 @@ def level_coords(l: int, h4: int, w4: int,
     Quarter-res pixel (x, y) maps to (x/2^(l-2), y/2^(l-2)), clamped to the
     level rectangle so level-3 lookups at the bottom/right edges stay inside.
     """
-    ys, xs = np.meshgrid(np.arange(h4, dtype=np.float64),
-                         np.arange(w4, dtype=np.float64), indexing="ij")
-    scale = 2.0 ** (2 - l)
-    xl = np.clip(xs * scale, 0.0, w_l - 1.0)
-    yl = np.clip(ys * scale, 0.0, h_l - 1.0)
-    return xl, yl
+    ys, xs = np.mgrid[:h4, :w4] * 2.0 ** (2 - l)
+    return np.clip(xs, 0.0, w_l - 1.0), np.clip(ys, 0.0, h_l - 1.0)
+
+
+def lookup_levels(pyramids: list[FeaturePyramid],
+                  views: list[CameraView]) -> list[tuple]:
+    """What every GRU iteration's lookup at levels 1..3 shares, per level:
+    reference features [C, H/4, W/4] at the level positions (xl, yl) of the
+    1/4-res grid, the sources' features stacked [S, C, H_l, W_l], xl, yl,
+    level intrinsics of the reference and of the sources [S, 3, 3], and the
+    poses.  pyramids and views list the reference first.
+    """
+    ref, src = pyramids[0], stack_pyramids(pyramids[1:])
+    h4, w4 = ref.f2.shape[1], ref.f2.shape[2]
+    k_src, pose = np.stack([v.k for v in views[1:]]), relative_poses(views[0], views[1:])
+    levels = []
+    for l in (1, 2, 3):
+        f_ref = ref.level(l)
+        xl, yl = level_coords(l, h4, w4, f_ref.shape[1], f_ref.shape[2])
+        if l != 2:  # level 2 is the 1/4-res grid itself
+            f_ref, _ = bilinear_sample(f_ref, xl, yl, mode="edge")
+        levels.append((f_ref, src.level(l), xl, yl, scale_intrinsics(views[0].k, l),
+                       scale_intrinsics(k_src, l), pose))
+    return levels
 
 
 def warp_and_correlate(f_ref_at_p: Tensor, f_src: Tensor, xl: np.ndarray,
@@ -145,57 +170,38 @@ def warp_and_correlate(f_ref_at_p: Tensor, f_src: Tensor, xl: np.ndarray,
                        k_ref_l: np.ndarray, k_src_l: np.ndarray,
                        pose: RelativePose,
                        groups: int = GROUPS) -> tuple[Tensor, np.ndarray]:
-    """Similarity of one source view against reference features.
+    """Similarity of S stacked source views against reference features.
 
-    f_ref_at_p: [C, H, W] reference features already sampled at the level
-    positions.  depths: [D, H, W] hypothesis depths per pixel.  Returns the
-    masked similarity [G, D, H, W] and the validity mask [D, H, W].
+    f_ref_at_p: [C, H, W] reference features at the level positions (xl,
+    yl).  f_src, k_src_l, pose: S sources stacked ([S, C, H_l, W_l],
+    [S, 3, 3], ``relative_poses``), or one without the S axis.  depths:
+    [D, H, W] hypotheses shared by all sources.  Returns the similarity
+    [G, S*D, H, W], 0 where the point left the source image or fell behind
+    its camera, and that validity mask [S*D, H, W].
     """
     d, h, w = depths.shape
-    flat = depths.reshape((d, h * w))
-    u, v, _, valid = warp_points(xl.reshape(-1), yl.reshape(-1), flat,
-                                 k_ref_l, k_src_l, pose)
-    if isinstance(u, Tensor):
-        u = u.reshape((d, h, w))
-        v = v.reshape((d, h, w))
-    else:
-        u = u.reshape(d, h, w)
-        v = v.reshape(d, h, w)
-    valid = valid.reshape(d, h, w)
-    warped, inside = bilinear_sample(f_src, u, v, mode="zero")
-    valid = valid & inside
-    sim = group_correlation(f_ref_at_p, warped, groups)
-    return sim * valid.astype(sim.dtype), valid
+    u, v, _, front = warp_points(xl.reshape(-1), yl.reshape(-1),
+                                 depths.reshape((d, h * w)), k_ref_l, k_src_l, pose)
+    # [C, (S,) D, P]; invalid points sample 0, so their similarity is 0 too
+    warped, valid = bilinear_sample(f_src, u, v, mode="zero", mask=front)
+    sd = valid.size // (h * w)
+    sim = group_correlation(f_ref_at_p, warped.reshape((warped.shape[0], sd, h, w)),
+                            groups)
+    return sim, valid.reshape(sd, h, w)
 
 
-def multiscale_similarity(pyramids: list, views: list[CameraView],
-                          poses: list[RelativePose], hyps_by_level: list[Tensor],
-                          weights_up: list[Tensor], unets: list[Module],
-                          groups: int = GROUPS) -> Tensor:
+def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], weights: Tensor,
+                          weight_sum: Tensor, unets: list[Module], groups: int = GROUPS) -> Tensor:
     """Assemble the per-iteration similarity stack at 1/4 resolution.
 
-    pyramids[0]/views[0] belong to the reference view; poses, weights_up
-    align with pyramids[1:].  hyps_by_level holds [N_l, H/4, W/4] hypothesis
-    depths for levels 1..3.  Output: [N1+N2+N3, H/4, W/4].
-    """
-    ref_pyr = pyramids[0]
-    h4, w4 = ref_pyr.f2.shape[1], ref_pyr.f2.shape[2]
-    out_levels = []
-    for l, hyps in zip((1, 2, 3), hyps_by_level):
-        f_ref = ref_pyr.level(l)
-        h_l, w_l = f_ref.shape[1], f_ref.shape[2]
-        xl, yl = level_coords(l, h4, w4, h_l, w_l)
-        f_ref_p, _ = bilinear_sample(f_ref, xl, yl, mode="edge")
-        k_ref_l = scale_intrinsics(views[0].k, l)
-        sims = []
-        for i, (pyr, pose) in enumerate(zip(pyramids[1:], poses)):
-            k_src_l = scale_intrinsics(views[i + 1].k, l)
-            sim, _ = warp_and_correlate(f_ref_p, pyr.level(l), xl, yl, hyps,
-                                        k_ref_l, k_src_l, pose, groups)
-            sims.append(sim)
-        ws = [w.reshape((1, 1, h4, w4)) for w in weights_up]
-        merged = integrate(sims, ws)
-        n_l = hyps.shape[0]
-        merged = merged.reshape((groups * n_l, h4, w4))
-        out_levels.append(unets[l - 1](merged))
-    return concat(out_levels, 0)
+    levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] depths
+    for levels 1..3; weights: [S, H/4, W/4] and weight_sum their sum over S.
+    Output: [N1+N2+N3, H/4, W/4]."""
+    out = []
+    for (f_ref, f_src, xl, yl, k_ref, k_src, pose), hyps, unet in zip(
+            levels, hyps_by_level, unets):
+        sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps, k_ref, k_src,
+                                    pose, groups)
+        merged = integrate(sim, weights, weight_sum)
+        out.append(unet(merged.reshape((-1,) + tuple(hyps.shape[1:]))))
+    return concat(out, 0)

@@ -449,8 +449,17 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    n = a.size if axis is None else a.shape[_check_axis(axis, a.ndim)]
-    return mul(tsum(a, axis, keepdims), 1.0 / n)
+    if axis is not None:
+        axis = _check_axis(axis, a.ndim)
+    scale = 1.0 / (a.size if axis is None else a.shape[axis])
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims) * scale)
+
+    def bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g * scale, a.data.shape))
+
+    return _record(out, (a,), bw)
 
 
 def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -603,39 +612,50 @@ def gather2d(a: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def bilinear_sample(grid: Tensor, x, y, mode: str = "zero") -> tuple[Tensor, np.ndarray]:
-    """Sample a [C, H, W] grid at fractional coordinates.
+def bilinear_sample(grid: Tensor, x, y, mode: str = "zero",
+                    mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Sample a [C, H, W] grid, or a batch [B, C, H, W] of grids, at
+    fractional coordinates.
 
     Args:
-        grid: feature map, [C, H, W].
-        x, y: coordinates in pixel units, Tensor or ndarray of equal shape.
-            Differentiable in both the grid and (if Tensors) the coordinates.
+        grid: feature map, [C, H, W], or B maps stacked as [B, C, H, W].
+        x, y: coordinates in pixel units, Tensor or ndarray of equal shape;
+            with a batched grid their leading axis is B and entry b samples
+            map b.  Differentiable in both the grid and (if Tensors) the
+            coordinates.
         mode: "zero" returns 0 outside [0, W-1] x [0, H-1] and flags those
             points invalid; "edge" clamps to the border and everything is
             valid.
+        mask: optional bool array of the coordinates' shape; a point where
+            it is False is invalid in either mode: it samples 0 and passes
+            no gradient.
 
     Returns:
         (samples [C, *coord_shape], valid bool mask [*coord_shape]).
     """
     grid = _wrap(grid)
-    if grid.ndim != 3:
-        raise ShapeError(f"bilinear_sample needs [C, H, W], got {grid.shape}")
+    if grid.ndim not in (3, 4):
+        raise ShapeError(f"bilinear_sample needs [C, H, W] or [B, C, H, W], got {grid.shape}")
     if mode not in ("zero", "edge"):
         raise ContractError(f"unknown sampling mode {mode!r}")
-    c, h, w = grid.shape
+    b, c, h, w = grid.shape if grid.ndim == 4 else (1,) + grid.shape
     xt = x if isinstance(x, Tensor) else None
     yt = y if isinstance(y, Tensor) else None
     xd = np.asarray(x.data if xt is not None else x, dtype=grid.dtype)
     yd = np.asarray(y.data if yt is not None else y, dtype=grid.dtype)
     if xd.shape != yd.shape:
         raise ShapeError(f"coordinate shapes differ: {xd.shape} vs {yd.shape}")
+    if grid.ndim == 4 and xd.shape[:1] != (b,):
+        raise ShapeError(f"{b} grids but coordinates of shape {xd.shape}")
     cshape = xd.shape
     xf = xd.ravel()
     yf = yd.ravel()
 
     inside = (xf >= 0) & (xf <= w - 1) & (yf >= 0) & (yf <= h - 1)
     valid = np.ones_like(inside) if mode == "edge" else inside
-    # "zero" mode folds the validity mask into every interpolation weight
+    if mask is not None:
+        valid = valid & np.asarray(mask).ravel()
+    # an invalid point has all its interpolation weights zeroed
     keep = valid.astype(grid.dtype)[:, None]
 
     xc = np.clip(xf, 0, w - 1)
@@ -648,25 +668,33 @@ def bilinear_sample(grid: Tensor, x, y, mode: str = "zero") -> tuple[Tensor, np.
     y0 = y0.astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    # corners in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1)
+    # corners in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1); grid b's
+    # texels are columns b*H*W .. (b+1)*H*W - 1 of one interpolation matrix
     cols = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=1)
+    if b > 1:
+        cols += np.repeat(np.arange(b) * (h * w), xf.size // b)[:, None]
     ex, ey = 1 - fx, 1 - fy
-    s = _interp_matrix(cols, np.hstack([ey * ex, ey * fx, fy * ex, fy * fx]) * keep, h * w)
-    flat = grid.data.reshape(c, h * w)
-    out = Tensor((s @ flat.T).T.reshape((c,) + cshape))
+    s = _interp_matrix(cols, np.hstack([ey * ex, ey * fx, fy * ex, fy * fx]) * keep, b * h * w)
+
+    def texels():  # the source texel-major, [B*H*W, C]; not kept for backward
+        return np.moveaxis(grid.data.reshape(b, c, h * w), 1, 2).reshape(b * h * w, c)
+
+    out = Tensor((s @ texels()).T.reshape((c,) + cshape))
 
     def bw(g):
         g2 = g.reshape(c, -1)
         if grid.requires_grad:
-            _accum(grid, (s.T @ g2.T).T.reshape(grid.shape))
+            gs = (s.T @ g2.T).reshape(b, h * w, c)
+            _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape))
         # d/dx and d/dy of the blend share S's indices; a clamped coordinate
         # gets no gradient
+        flat = texels() if any(t is not None and t.requires_grad for t in (xt, yt)) else None
         for ct, cf, cc, dw in ((xt, xf, xc, (-ey, ey, -fy, fy)),
                                (yt, yf, yc, (-ex, -fx, ex, fx))):
             if ct is not None and ct.requires_grad:
                 dw = np.hstack(dw) * keep * (cf == cc)[:, None]
                 sd = sp.csr_matrix((dw.ravel(), s.indices, s.indptr), shape=s.shape)
-                _accum(ct, ((sd @ flat.T) * g2.T).sum(axis=1).reshape(cshape))
+                _accum(ct, ((sd @ flat) * g2.T).sum(axis=1).reshape(cshape))
 
     parents = tuple(p for p in (grid, xt, yt) if p is not None)
     return _record(out, parents, bw), valid.reshape(cshape)

@@ -253,13 +253,17 @@ def loss_full(run: RunResult, gt: GroundTruth, cfg: TrainConfig,
 def sample_loss(model: DepthEstimator, views: list[CameraView], ref_idx: int,
                 src_idxs: list[int], cfg: TrainConfig,
                 warmup: bool = False) -> LossBreakdown:
-    """Forward pass + loss for one reference view of one scene."""
+    """Forward pass + loss for one reference view of one scene.
+
+    Raises EmptySampleError before the forward pass if the reference view
+    has no valid ground truth.
+    """
     ordered = [views[ref_idx]] + [views[i] for i in src_idxs]
     ref = ordered[0]
     if ref.gt_depth is None:
         raise EmptySampleError("reference view has no ground truth")
-    run = model.run(ordered, iters=cfg.iters)
     gt = make_gt(ref.gt_depth, ref.d_min, ref.d_max, cfg.d2)
+    run = model.run(ordered, iters=cfg.iters)
     return loss_full(run, gt, cfg, warmup)
 
 
@@ -283,7 +287,9 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
 
     Writes metrics.csv, the final checkpoint (model.ckpt) and the config
     actually used (model.cfg) into out_dir.  Deterministic for a fixed
-    config and scene list.
+    config and scene list.  A sample whose reference view has no valid
+    ground truth is skipped without a metrics row; each epoch's skip count
+    goes to ``log``.
     """
     if not scenes:
         raise ConfigError("no training scenes")
@@ -307,7 +313,7 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
             opt.lr = cfg.lr_at(epoch)
             warmup = epoch <= cfg.warmup_epochs
             order = rng.permutation(len(samples))
-            pending = 0
+            pending = skipped = 0
             for idx in order:
                 si, ri = samples[idx]
                 scene = scenes[si]
@@ -319,9 +325,13 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
                 views = scale_views(scene.views, s)
                 if pending == 0:
                     opt.zero_grad()
-                with Tape() as tape:
-                    bd = sample_loss(model, views, ri, src_idxs, cfg, warmup)
-                    loss = bd.total / cfg.batch
+                try:
+                    with Tape() as tape:
+                        bd = sample_loss(model, views, ri, src_idxs, cfg, warmup)
+                        loss = bd.total / cfg.batch
+                except EmptySampleError:
+                    skipped += 1
+                    continue
                 if not np.isfinite(loss.data):
                     save_checkpoint(ckpt_path, params)
                     raise TrainStepError(
@@ -344,6 +354,9 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
                         f"({time.monotonic() - t0:.0f}s)")
             if pending:  # a trailing partial batch still gets its update
                 opt.step()
+            if log is not None:
+                log(f"epoch {epoch}: skipped {skipped} samples with no "
+                    f"valid ground truth")
             save_checkpoint(ckpt_path, params)
     return model
 

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: exit codes, artifacts, and format contracts."""
 
+import csv
+import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mvsgru.cli import main
+from mvsgru.cli import _write_prob_csv, main
 from mvsgru.fusion import read_ply
 from mvsgru.scenes import load_pfm, load_scene
 from mvsgru.training import TrainConfig, save_train_config
@@ -141,6 +145,25 @@ class TestInferCommand:
         total = sum(float(ln.split(",")[4]) for ln in lines[1:257])
         assert total == pytest.approx(1.0, abs=1e-4)
 
+    def test_probability_csv_bytes_match_row_loop(self, tmp_path):
+        # the rows csv.writer wrote one (pixel, j) at a time
+        rng = np.random.default_rng(5)
+        prob = (rng.random((5, 3, 4)) ** 3).astype(np.float32)
+        prob[0, 0, :4] = [0.0, 1e-30, 1.0, 0.1]
+        prob[1, 2, 3] = -0.0
+        inv_grid = np.linspace(0.1, 1.0, 5) / 3.0
+        want = io.StringIO(newline="")
+        rows = csv.writer(want)
+        rows.writerow(["x", "y", "j", "inverse_depth_j", "probability"])
+        for y in range(3):
+            for x in range(4):
+                for j in range(5):
+                    rows.writerow([x, y, j, f"{inv_grid[j]:.8g}",
+                                   f"{prob[j, y, x]:.8g}"])
+        path = tmp_path / "prob.csv"
+        _write_prob_csv(path, prob, inv_grid)
+        assert path.read_bytes() == want.getvalue().encode()
+
     def test_out_of_range_ref_is_validation_error(self, scene_dir, trained,
                                                   tmp_path, capsys):
         code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
@@ -207,3 +230,13 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "ok" in out
         assert "FAIL" not in out
+
+    def test_runs_as_python_module(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "mvsgru", "gradcheck",
+                               "--instances", "1"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "FAIL" not in done.stdout

@@ -215,9 +215,8 @@ class TestEstimatorRuns:
         assert init.h0.shape == (32, 4, 4)
         assert (np.abs(init.h0.data) < 1.0).all()
         assert init.s_init.shape == (32, 2, 2)
-        for w in init.weights_up:
-            assert w.shape == (1, 4, 4)
-            assert (w.data > 0).all()
+        assert init.weights_up.shape == (len(self.scene.views) - 1, 4, 4)
+        assert (init.weights_up.data > 0).all()
 
     def test_rejects_single_view(self):
         with pytest.raises(ConfigError):

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ShapeError
-from mvsgru.geometry import relative_pose
+from mvsgru.features import FeaturePyramid
+from mvsgru.geometry import (relative_pose, relative_poses, scale_intrinsics,
+                             warp_points)
 from mvsgru.matching import (AggregationUnet, ViewWeightCNN, group_correlation,
-                             integrate, level_coords, view_weight,
+                             integrate, level_coords, lookup_levels,
+                             multiscale_similarity, view_weight,
                              warp_and_correlate)
 from mvsgru.tensor import Tensor
 
@@ -113,32 +116,39 @@ class TestViewWeight:
 class TestIntegrate:
     def test_single_source_passthrough(self, rng):
         s = Tensor(rng.standard_normal((8, 4, 3, 3)))
-        w = Tensor(rng.random((1, 1, 3, 3)) + 0.1)
-        out = integrate([s], [w])
+        w = Tensor(rng.random((1, 3, 3)) + 0.1)
+        out = integrate(s, w)
         assert np.allclose(out.data, s.data, atol=1e-6)
 
     def test_weight_scale_invariance(self, rng):
         T.set_default_dtype(np.float64)
-        sims = [Tensor(rng.standard_normal((8, 4, 3, 3))) for _ in range(3)]
-        ws = [Tensor(rng.random((1, 1, 3, 3)) + 0.1) for _ in range(3)]
+        sims = Tensor(rng.standard_normal((8, 3 * 4, 3, 3)))
+        ws = Tensor(rng.random((3, 3, 3)) + 0.1)
         base = integrate(sims, ws).data
-        scaled = integrate(sims, [w * 7.5 for w in ws]).data
+        scaled = integrate(sims, ws * 7.5).data
         assert np.allclose(base, scaled, atol=1e-12)
 
     def test_matches_weighted_mean(self, rng):
         T.set_default_dtype(np.float64)
         sims = [rng.standard_normal((2, 3, 2, 2)) for _ in range(2)]
-        ws = [rng.random((1, 1, 2, 2)) + 0.1 for _ in range(2)]
-        got = integrate([Tensor(s) for s in sims],
-                        [Tensor(w) for w in ws]).data
+        ws = [rng.random((1, 2, 2)) + 0.1 for _ in range(2)]
+        got = integrate(Tensor(np.concatenate(sims, 1)),
+                        Tensor(np.concatenate(ws, 0))).data
         want = (sims[0] * ws[0] + sims[1] * ws[1]) / (ws[0] + ws[1])
         assert np.allclose(got, want, atol=1e-12)
+        total = Tensor(ws[0][0] + ws[1][0])
+        got_total = integrate(Tensor(np.concatenate(sims, 1)),
+                              Tensor(np.concatenate(ws, 0)), total).data
+        assert np.allclose(got_total, want, atol=1e-12)
 
     def test_rejects_mismatched_lists(self, rng):
+        # 3 hypotheses do not split over 2 sources; weights of the wrong size
         with pytest.raises(ShapeError):
-            integrate([], [])
+            integrate(Tensor(rng.random((2, 3, 2, 2))),
+                      Tensor(rng.random((2, 2, 2))))
         with pytest.raises(ShapeError):
-            integrate([Tensor(rng.random((2, 2, 2, 2)))], [])
+            integrate(Tensor(rng.random((2, 4, 2, 2))),
+                      Tensor(rng.random((2, 3, 2))))
 
 
 class TestLevelCoords:
@@ -174,12 +184,12 @@ class TestWarpAndCorrelate:
     def test_identity_pose_recovers_self_correlation(self, rng):
         T.set_default_dtype(np.float64)
         view = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-        pose = relative_pose(view, view)
         feats = Tensor(rng.standard_normal((8, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
         depths = np.full((3, 8, 8), 4.0)
-        sim, valid = warp_and_correlate(feats, feats, xl, yl, depths,
-                                        view.k, view.k, pose, groups=4)
+        sim, valid = warp_and_correlate(feats, feats.reshape((1, 8, 8, 8)), xl,
+                                        yl, depths, view.k, view.k[None],
+                                        relative_poses(view, [view]), groups=4)
         # border pixels may round a hair outside and get masked; the
         # interior must all survive and match the direct self-correlation
         assert valid[:, 1:-1, 1:-1].all()
@@ -192,14 +202,63 @@ class TestWarpAndCorrelate:
         # source looks the other way, every warp lands outside
         ref = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         src = make_view(8, 10.0, (100.0, 0.0, 0.0), (200.0, 0.0, 0.0))
-        pose = relative_pose(ref, src)
         feats = Tensor(rng.standard_normal((8, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
         depths = np.full((2, 8, 8), 4.0)
-        sim, valid = warp_and_correlate(feats, feats, xl, yl, depths,
-                                        ref.k, src.k, pose, groups=4)
+        sim, valid = warp_and_correlate(feats, feats.reshape((1, 8, 8, 8)), xl,
+                                        yl, depths, ref.k, src.k[None],
+                                        relative_poses(ref, [src]), groups=4)
         assert not valid.any()
         assert np.allclose(sim.data, 0.0)
+
+
+class TestMultiscaleSimilarity:
+    def test_matches_per_source_loop(self, rng):
+        T.set_default_dtype(np.float64)
+        size, counts = 32, (4, 4, 2)
+        ref = make_view(size, 30.0, (0.0, 0.0, 0.0), (0.0, 0.0, 5.0))
+        srcs = [make_view(size, 30.0, (0.4, 0.0, 0.0), (0.0, 0.0, 5.0)),
+                make_view(size, 30.0, (-0.3, 0.2, 0.1), (0.0, 0.0, 5.0))]
+
+        def pyramid():
+            return FeaturePyramid(*(Tensor(rng.standard_normal((c, size >> l, size >> l)))
+                                    for l, c in zip((1, 2, 3), (16, 32, 64))))
+
+        ref_pyr, src_pyrs = pyramid(), [pyramid() for _ in srcs]
+        h4 = size // 4
+        hyps = [Tensor(rng.uniform(2.0, 8.0, (n, h4, h4))) for n in counts]
+        weights = Tensor(rng.random((len(srcs), h4, h4)) + 0.1)
+        unets = [AggregationUnet(8 * n, n, np.random.default_rng(n))
+                 for n in counts]
+        for u in unets:  # a non-zero head, so the unit's output mixes pixels
+            u.out.weight.data[:] = rng.standard_normal(u.out.weight.shape) * 0.1
+
+        levels = lookup_levels([ref_pyr] + src_pyrs, [ref] + srcs)
+        got = multiscale_similarity(levels, hyps, weights, weights.sum(0),
+                                    unets).data
+
+        want = []
+        for l, hyp, unet in zip((1, 2, 3), hyps, unets):
+            n = hyp.shape[0]
+            f_ref = ref_pyr.level(l)
+            xl, yl = level_coords(l, h4, h4, f_ref.shape[1], f_ref.shape[2])
+            f_ref_p, _ = T.bilinear_sample(f_ref, xl, yl, mode="edge")
+            num = np.zeros((8, n, h4, h4))
+            for i, (src, pyr) in enumerate(zip(srcs, src_pyrs)):
+                u, v, _, front = warp_points(
+                    xl.ravel(), yl.ravel(), hyp.data.reshape(n, -1),
+                    scale_intrinsics(ref.k, l), scale_intrinsics(src.k, l),
+                    relative_pose(ref, src))
+                warped, inside = T.bilinear_sample(pyr.level(l), u, v)
+                mask = (front & inside).reshape(n, h4, h4)
+                sim = group_correlation_oracle(
+                    f_ref_p.data, warped.data.reshape(-1, n, h4, h4), 8) * mask
+                num += sim * weights.data[i]
+            merged = num / weights.data.sum(0)
+            want.append(unet(Tensor(merged.reshape(8 * n, h4, h4))).data)
+        want = np.concatenate(want)
+        assert got.shape == (sum(counts), h4, h4)
+        assert np.abs(got - want).max() < 1e-5
 
 
 class TestAggregationUnet:

@@ -303,6 +303,85 @@ class TestResamplingAgainstLoops:
         assert np.all(g.grad == 0.0)
         assert np.all(x.grad == 0.0) and np.all(y.grad == 0.0)
 
+    @pytest.mark.parametrize("mode", ["zero", "edge"])
+    def test_batched_grid_matches_separate_calls(self, rng, mode):
+        T.set_default_dtype(np.float64)
+        b = 3
+        grids = rng.standard_normal((b, self.C, self.H, self.W))
+        xs, ys = self.coords(rng)
+        # every grid sees the same edge cases, in a different order
+        bx = np.stack([np.roll(xs, k) for k in range(b)])
+        by = np.stack([np.roll(ys, k) for k in range(b)])
+        wts = rng.standard_normal((self.C, b, xs.size))
+        g, x, y = (Tensor(v, requires_grad=True) for v in (grids, bx, by))
+        with Tape() as tape:
+            out, valid = T.bilinear_sample(g, x, y, mode=mode)
+            loss = (out * wts).sum()
+        backward(tape, loss)
+        assert out.shape == (self.C, b, xs.size)
+        for k in range(b):
+            gk, xk, yk = (Tensor(v, requires_grad=True)
+                          for v in (grids[k], bx[k], by[k]))
+            with Tape() as tape:
+                outk, validk = T.bilinear_sample(gk, xk, yk, mode=mode)
+                lossk = (outk * wts[:, k]).sum()
+            backward(tape, lossk)
+            assert np.allclose(out.data[:, k], outk.data, atol=1e-12)
+            assert np.array_equal(valid[k], validk)
+            assert np.allclose(g.grad[k], gk.grad, atol=1e-12)
+            assert np.allclose(x.grad[k], xk.grad, atol=1e-12)
+            assert np.allclose(y.grad[k], yk.grad, atol=1e-12)
+
+    def test_batched_zero_mode_does_not_read_the_next_grid(self, rng):
+        # grid 0's texels end where grid 1's first row begins in the
+        # interpolation matrix; samples just below grid 0's last row must
+        # read 0 and pass no gradient to either grid
+        grids = rng.standard_normal((2, self.C, self.H, self.W)) + 3.0
+        xs = np.array([[2.0, 2.5, 0.0], [1.0, 1.5, 4.0]])
+        ys = np.array([[self.H - 1 + 1e-3, self.H - 0.5, self.H - 1.0],
+                       [0.0, 0.5, 0.25]])
+        g, x, y = (Tensor(v, requires_grad=True) for v in (grids, xs, ys))
+        with Tape() as tape:
+            out, valid = T.bilinear_sample(g, x, y)
+            loss = out.sum()
+        backward(tape, loss)
+        assert valid.tolist() == [[False, False, True], [True, True, True]]
+        assert np.all(out.data[:, 0, :2] == 0.0)
+        assert np.allclose(out.data[:, 0, 2], grids[0, :, -1, 0])
+        assert np.all(x.grad[0, :2] == 0.0) and np.all(y.grad[0, :2] == 0.0)
+        # grid 0 gets gradient only at the one valid sample's texel
+        want = np.zeros_like(grids[0])
+        want[:, -1, 0] = 1.0
+        assert np.array_equal(g.grad[0], want)
+        with pytest.raises(ShapeError):
+            T.bilinear_sample(g, xs[:1], ys[:1])
+
+    @pytest.mark.parametrize("mode", ["zero", "edge"])
+    def test_masked_points_are_invalid(self, rng, mode):
+        T.set_default_dtype(np.float64)
+        grid = rng.standard_normal((self.C, self.H, self.W)) + 3.0
+        xs, ys = self.coords(rng)
+        mask = rng.random(xs.shape) > 0.4
+        wts = rng.standard_normal((self.C, xs.size))
+
+        def run(m, loss_wts):
+            g, x, y = (Tensor(v, requires_grad=True) for v in (grid, xs, ys))
+            with Tape() as tape:
+                out, valid = T.bilinear_sample(g, x, y, mode=mode, mask=m)
+                loss = (out * loss_wts).sum()
+            backward(tape, loss)
+            return out.data, valid, [g.grad, x.grad, y.grad]
+
+        out, valid, grads = run(mask, wts)
+        # unmasked, with a loss that leaves the masked points out
+        out_all, valid_all, grads_all = run(None, wts * mask)
+        assert np.array_equal(valid, valid_all & mask)
+        assert np.all(out[:, ~mask] == 0.0)
+        assert np.array_equal(out[:, mask], out_all[:, mask])
+        assert np.all(grads[1][~mask] == 0.0) and np.all(grads[2][~mask] == 0.0)
+        for got, want in zip(grads, grads_all):
+            assert np.allclose(got, want, atol=1e-12)
+
     def test_take_depth_clipped_repeats_match_loops(self, rng):
         # predict_depth's window at the ends of the depth range: the argmax
         # sits on sample 0 or D-1 and the clipped window repeats it

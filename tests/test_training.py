@@ -306,6 +306,16 @@ class TestTrainLoop:
         train([scene], cfg, tmp_path)
         assert len(steps) == 2 * cfg.epochs
 
+    def test_view_without_ground_truth_is_skipped(self, tmp_path):
+        scene = synth_scene(SynthSpec(seed=21, views=3, size=16, quads=1))
+        scene.views[1].gt_depth = np.full_like(scene.views[1].gt_depth, np.nan)
+        logged = []
+        train([scene], self.make_cfg(), tmp_path, log=logged.append)
+        assert (tmp_path / "model.ckpt").exists()
+        lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 2 * 2  # header + epochs * usable samples
+        assert sum("skipped 1 samples" in m for m in logged) == 2
+
     def test_rejects_empty_scene_list(self, tmp_path):
         with pytest.raises(ConfigError):
             train([], self.make_cfg(), tmp_path)
