@@ -16,8 +16,7 @@ from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import no_grad
 from mvsgru.training import TrainConfig
 
-model = DepthEstimator(TrainConfig().estimator_config(),
-                       np.random.default_rng(7))
+model = DepthEstimator(TrainConfig(), np.random.default_rng(7))
 
 
 def volume_errors(views):
@@ -31,7 +30,11 @@ def volume_errors(views):
     best = init.s_init.data.argmax(axis=0)
     eta_wta = normalize_inv(1.0 / init.inv_grid_init[best],
                             ref.d_min, ref.d_max)
-    eta_exp = normalize_inv(init.d_init_coarse.data, ref.d_min, ref.d_max)
+    # the coarse expectation that d_init upsamples, in numpy
+    p_init = np.exp(init.s_init.data - init.s_init.data.max(axis=0))
+    p_init /= p_init.sum(axis=0)
+    d_coarse = 1.0 / (p_init * init.inv_grid_init[:, None, None]).sum(axis=0)
+    eta_exp = normalize_inv(d_coarse, ref.d_min, ref.d_max)
 
     # shuffled source images destroy the ranking, so the score is really
     # measuring photoconsistency and not some fixed bias
@@ -60,7 +63,7 @@ for seed in (41, 42, 43, 44):
           f"expectation {rows[-1][1]:.4f}  shuffled-src {rows[-1][2]:.4f}")
 
 wta, exp_, bad = np.array(rows).mean(axis=0)
-d1 = model.cfg.init_hyps
+d1 = model.cfg.d1
 print(f"\n32-hypothesis sweep, spacing {1.0 / (d1 - 1):.4f} in eta; "
       "means over 4 scenes:")
 print(f"  untrained argmax        |err| {wta:.4f}")

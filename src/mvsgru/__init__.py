@@ -3,7 +3,7 @@
 from .errors import (ConfigError, ContractError, EmptySampleError,
                      FileFormatError, MvsError, SceneGenerationError,
                      ShapeError, TrainStepError)
-from .estimator import DepthEstimator, EstimatorConfig
+from .estimator import DepthEstimator
 from .fusion import FuseConfig, PointCloud, fuse, read_ply, write_ply
 from .geometry import CameraView
 from .scenes import Scene, SynthSpec, load_scene, save_scene, synth_scene
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CameraView", "ConfigError", "ContractError", "DepthEstimator",
-    "EmptySampleError", "EstimatorConfig", "FileFormatError", "FuseConfig",
+    "EmptySampleError", "FileFormatError", "FuseConfig",
     "MvsError", "PointCloud", "Scene", "SceneGenerationError", "ShapeError",
     "SynthSpec", "Tensor", "TrainConfig", "TrainStepError", "fuse",
     "load_scene", "read_ply", "save_scene", "synth_scene", "train",

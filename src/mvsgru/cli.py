@@ -77,7 +77,7 @@ def _load_model(args) -> tuple[DepthEstimator, TrainConfig]:
         sibling = os.path.join(os.path.dirname(args.checkpoint), "model.cfg")
         cfg = load_train_config(sibling) if os.path.exists(sibling) \
             else TrainConfig()
-    model = DepthEstimator(cfg.estimator_config(), np.random.default_rng(0))
+    model = DepthEstimator(cfg, np.random.default_rng(0))
     model.load_state(load_checkpoint(args.checkpoint))
     return model, cfg
 

@@ -9,6 +9,7 @@ out with an argmax-windowed expectation over inverse depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,17 +23,10 @@ from .nn import Conv2d, Module
 from .tensor import Tensor, bilinear_resize, concat, take_depth
 from .upsample import ConvexUpsampler
 
+if TYPE_CHECKING:  # training imports this module
+    from .training import TrainConfig
 
-@dataclass
-class EstimatorConfig:
-    iters: int = 4
-    init_hyps: int = 32
-    prob_samples: int = 256
-    readout_radius: int = 4
-    groups: int = GROUPS
-    radii: tuple[float, ...] = (2.0 ** -7, 2.0 ** -5, 2.0 ** -3)
-    counts: tuple[int, ...] = (4, 4, 2)
-    hidden: int = 32
+HIDDEN = 32  # GRU hidden-state channels
 
 
 class GruCell(Module):
@@ -84,7 +78,6 @@ class InitState:
     weights_up: Tensor           # [S, H/4, W/4], one map per source
     inv_grid_init: np.ndarray    # [D1]
     d_init: Tensor               # [H/4, W/4]
-    d_init_coarse: Tensor        # [H/8, W/8]
 
 
 @dataclass
@@ -103,7 +96,7 @@ class RunResult:
 
 
 class DepthEstimator(Module):
-    def __init__(self, cfg: EstimatorConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         if cfg.iters < 0:
             raise ConfigError("iteration count must be >= 0")
         if len(cfg.radii) != 3 or len(cfg.counts) != 3:
@@ -112,19 +105,17 @@ class DepthEstimator(Module):
             raise ConfigError("search radii must grow with the level")
         self.cfg = cfg
         self.fpn = FeatureExtractor(rng)
-        self.vw_cnn = ViewWeightCNN(cfg.groups, rng)
-        self.init_unet = AggregationUnet(cfg.groups * cfg.init_hyps,
-                                         cfg.init_hyps, rng)
+        self.vw_cnn = ViewWeightCNN(GROUPS, rng)
+        self.init_unet = AggregationUnet(GROUPS * cfg.d1, cfg.d1, rng)
         # correlation logits live in [-1, 1]; the gain sharpens their
         # softmax so the coarse expectation tracks the argmax from the start
         self.init_gain = Tensor(np.full((), 8.0), requires_grad=True)
-        self.h0a = Conv2d(cfg.init_hyps, cfg.hidden, 3, rng)
-        self.h0b = Conv2d(cfg.hidden, cfg.hidden, 3, rng)
-        self.level_unets = [AggregationUnet(cfg.groups * n, n, rng)
-                            for n in cfg.counts]
-        self.gru = GruCell(cfg.hidden, 1 + sum(cfg.counts), rng)
-        self.prob_head = Conv2d(cfg.hidden, cfg.prob_samples, 3, rng)
-        self.conf_head = Conv2d(cfg.hidden, 1, 3, rng)
+        self.h0a = Conv2d(cfg.d1, HIDDEN, 3, rng)
+        self.h0b = Conv2d(HIDDEN, HIDDEN, 3, rng)
+        self.level_unets = [AggregationUnet(GROUPS * n, n, rng) for n in cfg.counts]
+        self.gru = GruCell(HIDDEN, 1 + sum(cfg.counts), rng)
+        self.prob_head = Conv2d(HIDDEN, cfg.d2, 3, rng)
+        self.conf_head = Conv2d(HIDDEN, 1, 3, rng)
         self.upsampler = ConvexUpsampler(32, rng)
 
     def initialize(self, pyramids: list[FeaturePyramid],
@@ -135,35 +126,36 @@ class DepthEstimator(Module):
         f3 = pyramids[0].f3
         h8, w8 = f3.shape[1], f3.shape[2]
         h4, w4 = h8 * 2, w8 * 2
-        depths = sample_inverse_uniform(ref.d_min, ref.d_max, cfg.init_hyps)
-        hyp_vol = np.broadcast_to(depths[:, None, None], (cfg.init_hyps, h8, w8))
+        depths = sample_inverse_uniform(ref.d_min, ref.d_max, cfg.d1)
+        hyp_vol = np.broadcast_to(depths[:, None, None], (cfg.d1, h8, w8))
         ys, xs = np.mgrid[:h8, :w8].astype(np.float64)
         k_ref = scale_intrinsics(ref.k, 3)
         # one source at a time: all S*D1 planes of 64 channels at once would
         # double the peak memory of a 256 px run (correlation, view-weight CNN)
         swept = [warp_and_correlate(f3, p.f3, xs, ys, hyp_vol, k_ref,
-                                    scale_intrinsics(v.k, 3), relative_pose(ref, v),
-                                    cfg.groups) for p, v in zip(pyramids[1:], views[1:])]
+                                    scale_intrinsics(v.k, 3), relative_pose(ref, v))
+                 for p, v in zip(pyramids[1:], views[1:])]
         w = concat([view_weight(self.vw_cnn, sim, valid)[0] for sim, valid in swept], 0)
         merged = integrate(concat([sim for sim, _ in swept], 1), w).reshape(
-            (cfg.groups * cfg.init_hyps, h8, w8))
+            (GROUPS * cfg.d1, h8, w8))
         s_init = self.init_unet(merged) * self.init_gain
         pre = self.h0b(self.h0a(s_init).leaky_relu())
         h0 = bilinear_resize(pre, (h4, w4)).tanh()
-        inv_init = inverse_grid(ref.d_min, ref.d_max, cfg.init_hyps)
+        inv_init = inverse_grid(ref.d_min, ref.d_max, cfg.d1)
         p_init = s_init.softmax(0)
         d_coarse = 1.0 / (p_init * inv_init[:, None, None]).sum(0)
         d_init = bilinear_resize(d_coarse, (h4, w4))
-        return InitState(h0, s_init, bilinear_resize(w, (h4, w4)), inv_init, d_init, d_coarse)
+        return InitState(h0, s_init, bilinear_resize(w, (h4, w4)), inv_init, d_init)
 
-    def generate_hypotheses(self, d_prev: Tensor, d_min: float,
+    def generate_hypotheses(self, eta_prev: Tensor, d_min: float,
                             d_max: float) -> list[Tensor]:
         """Per-level hypothesis sets around the previous estimate.
 
-        N_l samples spaced evenly over [eta - R_l, eta + R_l] in normalized
-        inverse depth, clamped to [0, 1], then mapped back to depth.
+        eta_prev is the previous depth in normalized inverse depth, [H, W].
+        N_l samples spaced evenly over [eta - R_l, eta + R_l], clamped to
+        [0, 1], then mapped back to depth.
         """
-        eta = normalize_inv(d_prev, d_min, d_max).reshape((1,) + d_prev.shape)
+        eta = eta_prev.reshape((1,) + eta_prev.shape)
         out = []
         for radius, count in zip(self.cfg.radii, self.cfg.counts):
             offs = np.linspace(-radius, radius, count)
@@ -188,7 +180,7 @@ class DepthEstimator(Module):
         ref = views[0]
         pyramids = [self.fpn.extract(v.image) for v in views]
         init = self.initialize(pyramids, views)
-        inv2 = inverse_grid(ref.d_min, ref.d_max, cfg.prob_samples)
+        inv2 = inverse_grid(ref.d_min, ref.d_max, cfg.d2)
         # from here on the sources live only as one stacked copy per level
         levels, ref_f2 = lookup_levels(pyramids, views), pyramids[0].f2
         del pyramids
@@ -208,10 +200,10 @@ class DepthEstimator(Module):
 
         readout(h)
         for _ in range(k):
-            hyps = self.generate_hypotheses(res.depths[-1], ref.d_min, ref.d_max)
-            s_bar = multiscale_similarity(levels, hyps, init.weights_up, weight_sum,
-                                          self.level_unets, cfg.groups)
             eta_prev = normalize_inv(res.depths[-1], ref.d_min, ref.d_max)
+            hyps = self.generate_hypotheses(eta_prev, ref.d_min, ref.d_max)
+            s_bar = multiscale_similarity(levels, hyps, init.weights_up, weight_sum,
+                                          self.level_unets)
             x_in = concat([eta_prev.reshape((1, h4, w4)), s_bar], 0)
             h = gru_update(self.gru, h, x_in)
             readout(h)

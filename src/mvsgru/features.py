@@ -93,17 +93,3 @@ class FeatureExtractor(Module):
                               group_normalize(self.out2(m2)),
                               group_normalize(self.out3(m3)))
 
-
-def pad_to_multiple8(image: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
-    """Edge-pad an [3,H,W] array so H and W are multiples of 8.
-
-    Returns the padded array and the original (H, W) so outputs can be
-    cropped back.
-    """
-    h, w = image.shape[-2], image.shape[-1]
-    ph = (-h) % 8
-    pw = (-w) % 8
-    if ph == 0 and pw == 0:
-        return image, (h, w)
-    pad = [(0, 0)] * (image.ndim - 2) + [(0, ph), (0, pw)]
-    return np.pad(image, pad, mode="edge"), (h, w)

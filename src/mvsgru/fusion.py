@@ -179,7 +179,10 @@ def read_ply(path) -> PointCloud:
     props = []
     for ln in lines[2:]:
         if ln.startswith(b"element vertex "):
-            count = int(ln.split()[-1])
+            try:
+                count = int(ln.split()[-1])
+            except ValueError:
+                raise FileFormatError(path, raw.index(ln), f"bad vertex count {ln!r}") from None
         elif ln.startswith(b"element "):
             raise FileFormatError(path, raw.index(ln),
                                   f"unsupported element {ln!r}")

@@ -51,18 +51,12 @@ class CameraView:
             raise ConfigError("K needs positive focal lengths and K[2,2] == 1")
         if np.abs(self.r @ self.r.T - np.eye(3)).max() > 1e-6 or np.linalg.det(self.r) < 0:
             raise ConfigError("R must be a rotation (orthonormal, det +1)")
-
-    @property
-    def height(self) -> int:
-        return self.image.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.image.shape[2]
-
-    def center(self) -> np.ndarray:
-        """Camera center in world coordinates."""
-        return -self.r.T @ self.t
+        shape = np.shape(self.image)
+        if len(shape) != 3 or shape[0] != 3:
+            raise ConfigError(f"image must be [3, H, W], got shape {shape}")
+        if self.gt_depth is not None and np.shape(self.gt_depth) != shape[1:]:
+            raise ConfigError(f"gt_depth shape {np.shape(self.gt_depth)} does not "
+                              f"match the {shape[1]}x{shape[2]} image")
 
 
 @dataclass
@@ -144,21 +138,6 @@ def warp_points(x: np.ndarray, y: np.ndarray, depth, k_ref: np.ndarray,
     return hx / z_safe, hy / z_safe, hz, valid
 
 
-def warp_pixel(p: tuple[float, float], d, k_ref: np.ndarray, k_src: np.ndarray,
-               pose: RelativePose):
-    """Single-pixel convenience wrapper around warp_points.
-
-    Returns (u, v, z, behind) where behind is True if the point falls behind
-    the source camera (z <= ~0); (u, v) are unreliable in that case.
-    """
-    x = np.array([float(p[0])])
-    y = np.array([float(p[1])])
-    u, v, z, valid = warp_points(x, y, d, k_ref, k_src, pose)
-    if isinstance(u, Tensor):
-        return u, v, z, not bool(valid.reshape(-1)[0])
-    return float(u[0]), float(v[0]), float(z[0]), not bool(valid[0])
-
-
 # ---------------------------------------------------------------------------
 # inverse-depth parameterization
 # ---------------------------------------------------------------------------
@@ -180,8 +159,8 @@ def normalize_inv(d, d_min: float, d_max: float):
     """Map depth to [0, 1] linearly in inverse depth (0 at d_max, 1 at d_min).
 
     Works on Tensors (differentiable, no clamping: model predictions stay in
-    range by construction) and on ndarrays/floats (clamped to [0, 1]; use
-    in_depth_range for the out-of-range flag).
+    range by construction) and on ndarrays/floats (promoted to float64 and
+    clamped to [0, 1]).
     """
     span = 1.0 / d_min - 1.0 / d_max
     if isinstance(d, Tensor):
@@ -191,18 +170,8 @@ def normalize_inv(d, d_min: float, d_max: float):
 
 
 def denormalize_inv(eta, d_min: float, d_max: float):
-    """Inverse of normalize_inv."""
-    span = 1.0 / d_min - 1.0 / d_max
-    if isinstance(eta, Tensor):
-        return 1.0 / (eta * span + 1.0 / d_max)
-    return 1.0 / (np.asarray(eta, dtype=np.float64) * span + 1.0 / d_max)
-
-
-def in_depth_range(d: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
-    """Mask of depths inside [d_min, d_max]; NaN and non-positive are outside."""
-    d = np.asarray(d)
-    with np.errstate(invalid="ignore"):
-        return np.isfinite(d) & (d >= d_min) & (d <= d_max)
+    """Inverse of normalize_inv; one expression for Tensors, ndarrays and floats."""
+    return 1.0 / (eta * (1.0 / d_min - 1.0 / d_max) + 1.0 / d_max)
 
 
 # ---------------------------------------------------------------------------

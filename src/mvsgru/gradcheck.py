@@ -36,27 +36,6 @@ ABS_TOL = 1e-8  # per unit of |f|; central differences cannot resolve below this
 _FLOOR = 1e-6  # treat gradients this small as zero when forming relative error
 
 
-def numeric_gradient(f: Callable[[list[np.ndarray]], float],
-                     arrays: list[np.ndarray], h: float = H_STEP) -> list[np.ndarray]:
-    """Central differences of a scalar function, coordinate by coordinate."""
-    grads = []
-    work = [a.copy() for a in arrays]
-    for i, a in enumerate(work):
-        g = np.zeros_like(a)
-        flat = a.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            hi = f(work)
-            flat[j] = orig - h
-            lo = f(work)
-            flat[j] = orig
-            gflat[j] = (hi - lo) / (2 * h)
-        grads.append(g)
-    return grads
-
-
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _FLOOR)
     return float((np.abs(analytic - numeric) / denom).max())
@@ -486,24 +465,23 @@ def check_full_loss(size: int = 16, iters: int = 1, seed: int = 3,
     differences on sampled coordinates of every parameter tensor (plus all of
     the smallest ones).  Returns the max relative error.
     """
-    from .estimator import DepthEstimator, EstimatorConfig
+    from .estimator import DepthEstimator
     from .scenes import SynthSpec, synth_scene
     from .training import TrainConfig, sample_loss
 
     rng = np.random.default_rng(seed)
     with using_dtype(np.float64):
         scene = synth_scene(SynthSpec(seed=seed, views=2, size=size, quads=1))
-        cfg = EstimatorConfig(iters=iters)
-        tcfg = TrainConfig(iters=iters, views=2)
+        cfg = TrainConfig(iters=iters, views=2)
         model = DepthEstimator(cfg, np.random.default_rng(seed + 1))
         params = model.parameters()
 
         def loss_value() -> float:
             with T.no_grad():
-                return sample_loss(model, scene.views, 0, [1], tcfg, warmup=False).total.item()
+                return sample_loss(model, scene.views, 0, [1], cfg, warmup=False).total.item()
 
         with Tape() as tape:
-            breakdown = sample_loss(model, scene.views, 0, [1], tcfg, warmup=False)
+            breakdown = sample_loss(model, scene.views, 0, [1], cfg, warmup=False)
         backward(tape, breakdown.total)
 
         abs_tol = ABS_TOL * max(1.0, abs(breakdown.total.item()))

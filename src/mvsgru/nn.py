@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -33,10 +34,6 @@ class Module:
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.grad = None
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.astype(np.float32) for name, p in self.named_parameters()}
@@ -130,12 +127,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", need(2, "name length"))
-        name = need(name_len, "name").decode("utf-8")
+        try:
+            name = need(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError(path, off - name_len, "parameter name is not UTF-8") from None
         (rank,) = struct.unpack("<B", need(1, "rank"))
         shape = struct.unpack(f"<{rank}I", need(4 * rank, "extents"))
-        n = int(np.prod(shape)) if rank else 1
+        n = math.prod(shape)  # exact: numpy's int64 product can wrap to a negative size
         payload = need(4 * n, f"payload of {name}")
-        params[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        try:
+            params[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        except ValueError:  # a zero extent beside extents numpy cannot address
+            raise FileFormatError(path, off, f"bad extents {shape} for {name}") from None
     if off != len(blob):
         raise FileFormatError(path, off, "trailing bytes after last parameter")
     return params

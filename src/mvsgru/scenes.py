@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ContractError, FileFormatError, SceneGenerationError
-from .fusion import PointCloud
+from .fusion import PointCloud, backproject
 from .geometry import CameraView, load_cam_text, save_cam_text
 
 # ---------------------------------------------------------------------------
@@ -154,10 +154,12 @@ def save_scene(scene: Scene, root) -> None:
 def load_scene(root) -> Scene:
     root = str(root)
     pair_path = os.path.join(root, "pair.txt")
-    with open(pair_path) as f:
+    with open(pair_path, "rb") as f:  # bytes: _header_ints parses them, no decoding
         lines = [ln.split() for ln in f if ln.strip()]
     (count,) = _header_ints(pair_path, 0, lines[0] if lines else [], 1, "pair.txt header")
-    pairs: list[list[int]] = [[] for _ in range(count)]
+    # a dict until the views load: a corrupt count fails at the first
+    # missing camera instead of allocating a list that long
+    pairs: dict[int, list[int]] = {}
     for ln in lines[1:]:
         if len(ln) < 2:
             raise FileFormatError(pair_path, 0, "short pair line")
@@ -177,7 +179,7 @@ def load_scene(root) -> Scene:
         depth_path = os.path.join(root, "depths_gt", f"{i:04d}.pfm")
         gt = load_pfm(depth_path) if os.path.exists(depth_path) else None
         views.append(CameraView(k, r, t, d_min, d_max, image, gt, f"{i:04d}"))
-    return Scene(views, pairs)
+    return Scene(views, [pairs.get(i, []) for i in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +364,17 @@ def synth_scene(spec: SynthSpec) -> Scene:
 
 def build_gt_cloud(scene: Scene, stride: int = 1) -> PointCloud:
     """Back-project every valid GT pixel into a world-space point cloud."""
-    xyz, rgb = [], []
+    parts = []
     for v in scene.views:
         if v.gt_depth is None:
             continue
-        gt = v.gt_depth[::stride, ::stride]
-        img = v.image[:, ::stride, ::stride]
-        h, w = gt.shape
-        ys, xs = np.meshgrid(np.arange(h, dtype=np.float64) * stride,
-                             np.arange(w, dtype=np.float64) * stride,
-                             indexing="ij")
-        ok = np.isfinite(gt) & (gt > 0)
-        pix = np.stack([xs[ok], ys[ok], np.ones(ok.sum())])
-        cam = np.linalg.inv(v.k) @ pix * gt[ok]
-        world = v.r.T @ (cam - v.t[:, None])
-        xyz.append(world.T)
-        rgb.append(np.clip(np.rint(img[:, ok] * 255), 0, 255).T)
-    if not xyz:
+        mask = np.zeros(v.gt_depth.shape, dtype=bool)
+        mask[::stride, ::stride] = True
+        parts.append(backproject(v, v.gt_depth, mask))
+    if not parts:
         raise ContractError("scene has no ground-truth depth")
-    return PointCloud(np.concatenate(xyz).astype(np.float32),
-                      np.concatenate(rgb).astype(np.uint8))
+    return PointCloud(np.concatenate([xyz for xyz, _ in parts]),
+                      np.concatenate([rgb for _, rgb in parts]))
 
 
 def evaluate(pc: PointCloud, gt_pc: PointCloud,

@@ -156,13 +156,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (no copy)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
@@ -479,12 +472,6 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         _accum(a, gz)
 
     return _record(out, (a,), bw)
-
-
-def argmax(a: Tensor, axis: int) -> np.ndarray:
-    """Index of the maximum (ties resolve to the lowest index). Not differentiable."""
-    a = _wrap(a)
-    return np.argmax(a.data, axis=_check_axis(axis, a.ndim))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, EmptySampleError, TrainStepError
-from .estimator import DepthEstimator, EstimatorConfig, RunResult
+from .estimator import DepthEstimator, RunResult
 from .geometry import CameraView, normalize_inv
 from .nn import save_checkpoint
 from .optim import Adam
@@ -53,12 +53,9 @@ class TrainConfig:
     def beta(self) -> float:
         return float(self.d2)
 
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(iters=self.iters, init_hyps=self.d1,
-                               prob_samples=self.d2,
-                               readout_radius=self.readout_radius,
-                               radii=tuple(self.radii),
-                               counts=tuple(self.counts))
+    def estimator_config(self) -> TrainConfig:
+        # DepthEstimator takes this config itself; bench/workloads.py still calls this
+        return self
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-indexed epoch."""
@@ -79,11 +76,15 @@ def save_train_config(cfg: TrainConfig, path) -> None:
 
 
 def load_train_config(path) -> TrainConfig:
+    """Parse key=value lines; any malformed line raises ConfigError at path:line."""
     known = {f.name for f in fields(TrainConfig)}
     kwargs = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#")[0].strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8").split("#")[0].strip()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line:
                 continue
             if "=" not in line:
@@ -91,12 +92,15 @@ def load_train_config(path) -> TrainConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _TUPLE_FIELDS:
-                cast = _TUPLE_FIELDS[key]
-                kwargs[key] = tuple(cast(v) for v in val.split(",") if v)
-            else:
-                # scalar fields carry their type in the dataclass default
-                kwargs[key] = type(getattr(TrainConfig, key))(val)
+            try:
+                if key in _TUPLE_FIELDS:
+                    cast = _TUPLE_FIELDS[key]
+                    kwargs[key] = tuple(cast(v) for v in val.split(",") if v)
+                else:
+                    # scalar fields carry their type in the dataclass default
+                    kwargs[key] = type(getattr(TrainConfig, key))(val)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return TrainConfig(**kwargs)
 
 
@@ -294,8 +298,7 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
     if not scenes:
         raise ConfigError("no training scenes")
     os.makedirs(str(out_dir), exist_ok=True)
-    model = DepthEstimator(cfg.estimator_config(),
-                           np.random.default_rng(cfg.seed))
+    model = DepthEstimator(cfg, np.random.default_rng(cfg.seed))
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -365,8 +368,7 @@ def mean_eta_errors(model: DepthEstimator, views: list[CameraView],
                     iters: int) -> np.ndarray:
     """Per-iteration mean |eta - eta_gt| over valid pixels (inference)."""
     ref = views[0]
-    gt = make_gt(ref.gt_depth, ref.d_min, ref.d_max,
-                 model.cfg.prob_samples)
+    gt = make_gt(ref.gt_depth, ref.d_min, ref.d_max, model.cfg.d2)
     with T.no_grad():
         run = model.run(views, iters=iters, upsample=False)
     errs = []

@@ -1,8 +1,9 @@
-"""Learned 4x depth upsampling and bilinear confidence upsampling.
+"""Learned 4x depth upsampling.
 
 Each full-resolution pixel is a convex combination of the 9 nearest coarse
 neighbors; the combination weights come from a small CNN over the reference
-features and a softmax across the neighbor axis.
+features and a softmax across the neighbor axis.  The confidence map needs
+no learned weights: ``DepthEstimator.run`` resizes it bilinearly.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_resize, concat, gather2d
+from .tensor import Tensor, concat, gather2d
 
 FACTOR = 4
 NEIGHBORS = 9
@@ -50,7 +51,3 @@ class ConvexUpsampler(Module):
         fine = fine.reshape((FACTOR, FACTOR, h, w))
         fine = fine.transpose((2, 0, 3, 1))
         return fine.reshape((FACTOR * h, FACTOR * w))
-
-    def upsample_confidence(self, conf: Tensor) -> Tensor:
-        h, w = conf.shape
-        return bilinear_resize(conf, (FACTOR * h, FACTOR * w))

@@ -48,13 +48,23 @@ class TestExitCodes:
     def test_missing_required_flag_is_validation_error(self, capsys):
         assert main(["synth"]) == 1
 
-    def test_bad_config_file_is_validation_error(self, tmp_path, capsys):
+    def test_bad_config_file_is_validation_error(self, scene_dir, tmp_path,
+                                                 capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("no equals sign here\n")
-        code = main(["train", "--scenes", str(tmp_path), "--out",
+        code = main(["train", "--scenes", str(scene_dir), "--out",
                      str(tmp_path / "o"), "--config", str(bad)])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert "bad.cfg:1: expected key=value" in capsys.readouterr().err
+
+    def test_bad_config_value_is_validation_error(self, scene_dir, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("iters=1\nepochs=abc\n")
+        code = main(["train", "--scenes", str(scene_dir), "--out",
+                     str(tmp_path / "o"), "--config", str(bad)])
+        assert code == 1
+        assert "bad.cfg:2: " in capsys.readouterr().err
 
     def test_degenerate_scene_spec_is_validation_error(self, tmp_path,
                                                        capsys):

@@ -5,11 +5,11 @@ import pytest
 
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, ShapeError
-from mvsgru.estimator import (DepthEstimator, EstimatorConfig, GruCell,
-                              gru_update, predict_depth)
+from mvsgru.estimator import DepthEstimator, GruCell, gru_update, predict_depth
 from mvsgru.geometry import inverse_grid, normalize_inv
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import Tensor
+from mvsgru.training import TrainConfig
 
 
 def sigmoid(x):
@@ -146,16 +146,12 @@ class TestPredictDepth:
 
 class TestHypothesisGeneration:
     def setup_method(self):
-        self.model = DepthEstimator(EstimatorConfig(),
-                                    np.random.default_rng(0))
+        self.model = DepthEstimator(TrainConfig(), np.random.default_rng(0))
 
     def test_offsets_in_normalized_inverse_depth(self):
         T.set_default_dtype(np.float64)
         d_min, d_max = 2.0, 8.0
-        # depth whose normalized inverse depth is exactly 0.5
-        inv_mid = 0.5 * (1.0 / d_min + 1.0 / d_max)
-        d_prev = Tensor(np.full((2, 2), 1.0 / inv_mid))
-        hyps = self.model.generate_hypotheses(d_prev, d_min, d_max)
+        hyps = self.model.generate_hypotheses(Tensor(np.full((2, 2), 0.5)), d_min, d_max)
         for hyp, radius, count in zip(hyps, (2.0 ** -7, 2.0 ** -5, 2.0 ** -3),
                                       (4, 4, 2)):
             assert hyp.shape == (count, 2, 2)
@@ -165,8 +161,7 @@ class TestHypothesisGeneration:
 
     def test_clipped_at_the_range_edge(self):
         d_min, d_max = 2.0, 8.0
-        d_prev = Tensor(np.full((2, 2), d_max))  # eta = 0
-        hyps = self.model.generate_hypotheses(d_prev, d_min, d_max)
+        hyps = self.model.generate_hypotheses(Tensor(np.zeros((2, 2))), d_min, d_max)  # d_max
         for hyp in hyps:
             assert (hyp.data <= d_max + 1e-9).all()
             assert (hyp.data >= d_min - 1e-9).all()
@@ -178,7 +173,7 @@ class TestHypothesisGeneration:
 class TestEstimatorRuns:
     def setup_method(self):
         self.scene = synth_scene(SynthSpec(seed=5, views=3, size=16, quads=1))
-        self.model = DepthEstimator(EstimatorConfig(iters=2),
+        self.model = DepthEstimator(TrainConfig(iters=2),
                                     np.random.default_rng(1))
 
     def test_run_shapes_and_invariants(self):
@@ -223,8 +218,8 @@ class TestEstimatorRuns:
             self.model.run(self.scene.views[:1])
 
     def test_same_seed_same_run(self):
-        a = DepthEstimator(EstimatorConfig(iters=1), np.random.default_rng(9))
-        b = DepthEstimator(EstimatorConfig(iters=1), np.random.default_rng(9))
+        a = DepthEstimator(TrainConfig(iters=1), np.random.default_rng(9))
+        b = DepthEstimator(TrainConfig(iters=1), np.random.default_rng(9))
         ra = a.run(self.scene.views, iters=1)
         rb = b.run(self.scene.views, iters=1)
         assert ra.d_up.data.tobytes() == rb.d_up.data.tobytes()
@@ -233,14 +228,14 @@ class TestEstimatorRuns:
 class TestConfigValidation:
     def test_negative_iterations(self):
         with pytest.raises(ConfigError):
-            DepthEstimator(EstimatorConfig(iters=-1), np.random.default_rng(0))
+            DepthEstimator(TrainConfig(iters=-1), np.random.default_rng(0))
 
     def test_wrong_level_count(self):
         with pytest.raises(ConfigError):
-            DepthEstimator(EstimatorConfig(radii=(0.1, 0.2)),
+            DepthEstimator(TrainConfig(radii=(0.1, 0.2)),
                            np.random.default_rng(0))
 
     def test_non_increasing_radii(self):
         with pytest.raises(ConfigError):
-            DepthEstimator(EstimatorConfig(radii=(0.2, 0.1, 0.3)),
+            DepthEstimator(TrainConfig(radii=(0.2, 0.1, 0.3)),
                            np.random.default_rng(0))

@@ -5,8 +5,7 @@ import pytest
 
 from mvsgru import tensor as T
 from mvsgru.errors import ShapeError
-from mvsgru.features import (LEVEL_CHANNELS, FeatureExtractor,
-                             group_normalize, pad_to_multiple8)
+from mvsgru.features import LEVEL_CHANNELS, FeatureExtractor, group_normalize
 from mvsgru.tensor import Tape, Tensor, backward
 
 
@@ -176,20 +175,3 @@ class TestDeterminism:
         assert a.f2.data.tobytes() == b.f2.data.tobytes()
         assert a.f3.data.tobytes() == b.f3.data.tobytes()
 
-
-class TestPadding:
-    def test_pads_up_to_multiple(self, rng):
-        img = rng.random((3, 50, 70))
-        padded, (h, w) = pad_to_multiple8(img)
-        assert padded.shape == (3, 56, 72)
-        assert (h, w) == (50, 70)
-        assert np.array_equal(padded[:, :50, :70], img)
-        # edge mode replicates the last row/column
-        assert np.array_equal(padded[:, 55, :70], img[:, 49, :])
-        assert np.array_equal(padded[:, :50, 71], img[:, :, 69])
-
-    def test_multiple_of_8_is_untouched(self, rng):
-        img = rng.random((3, 16, 24))
-        padded, size = pad_to_multiple8(img)
-        assert padded is img
-        assert size == (16, 24)

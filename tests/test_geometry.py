@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError
-from mvsgru.geometry import (CameraView, RelativePose, denormalize_inv, in_depth_range,
-                             inverse_grid, load_cam_text, normalize_inv, relative_pose,
+from mvsgru.geometry import (CameraView, RelativePose, denormalize_inv, inverse_grid,
+                             load_cam_text, normalize_inv, relative_pose,
                              sample_inverse_uniform, save_cam_text, scale_intrinsics,
-                             warp_pixel, warp_points)
+                             warp_points)
 from mvsgru.tensor import Tensor
 
 
@@ -64,6 +64,18 @@ class TestPose:
         x_ref = r1 @ x_world + t1
         assert np.allclose(pose.r @ x_ref + pose.t, r2 @ x_world + t2, atol=1e-10)
 
+    @pytest.mark.parametrize("image_shape, gt_shape", [
+        ((16, 16), None), ((1, 16, 16), None), ((16, 16, 3), None),
+        ((3, 32, 32), (16, 16)), ((3, 16, 16), (16, 15)), ((3, 16, 16), (1, 16, 16))])
+    def test_image_and_depth_shapes_checked(self, image_shape, gt_shape):
+        v = make_view()
+        gt = None if gt_shape is None else np.ones(gt_shape, np.float32)
+        with pytest.raises(ConfigError, match="image|gt_depth"):
+            dataclasses.replace(v, image=np.zeros(image_shape, np.float32), gt_depth=gt)
+        ok = dataclasses.replace(v, image=np.zeros((3, 8, 24), np.float32),
+                                 gt_depth=np.ones((8, 24), np.float32))
+        assert ok.gt_depth.shape == (8, 24)
+
     def test_bad_rotation_rejected(self):
         with pytest.raises(ConfigError):
             make_view(r=np.eye(3) * 1.1)
@@ -92,10 +104,10 @@ class TestWarp:
         for _ in range(100):
             p = rng.uniform(0, 15, 2)
             d = rng.uniform(2.0, 6.0)
-            u, v, z, behind = warp_pixel(p, d, ref.k, src.k, pose)
+            u, v, z, valid = warp_points(p[:1], p[1:], np.array([d]), ref.k, src.k, pose)
             uo, vo, zo = warp_oracle(p, d, ref.k, src.k, pose.r, pose.t)
-            assert not behind
-            assert abs(u - uo) < 1e-9 and abs(v - vo) < 1e-9 and abs(z - zo) < 1e-9
+            assert valid.shape == (1,) and valid[0]
+            assert abs(u[0] - uo) < 1e-9 and abs(v[0] - vo) < 1e-9 and abs(z[0] - zo) < 1e-9
 
     def test_identity_warp_fixes_pixels(self, rng):
         v = make_view(r=rot_y(0.3), t=np.array([0.2, -0.1, 0.4]))
@@ -114,8 +126,13 @@ class TestWarp:
         # source looking the opposite way: points end up behind it
         src = make_view(r=rot_y(np.pi), t=np.array([0.0, 0.0, 1.0]), d_min=0.1, d_max=100.0)
         pose = relative_pose(ref, src)
-        _, _, _, behind = warp_pixel((7.5, 7.5), 5.0, ref.k, src.k, pose)
-        assert behind
+        # the source sits at z = 1 facing -z: depth 0.5 is in front of it, 5 behind
+        x = np.array([7.5, 2.0, 13.0])
+        u, v, z, valid = warp_points(x, x[::-1], np.array([0.5, 5.0, 5.0]),
+                                     ref.k, src.k, pose)
+        assert list(valid) == [True, False, False]
+        assert z[0] > 0 and (z[1:] < 0).all()
+        assert np.isfinite(u).all() and np.isfinite(v).all()
 
     def test_tensor_depth_path_matches_numpy(self, rng):
         ref = make_view()
@@ -172,8 +189,6 @@ class TestInverseDepth:
         d = np.array([1.0, 3.0, 9.0, np.nan, -2.0])
         eta = normalize_inv(d, 2.0, 6.0)
         assert eta[0] == 1.0 and eta[2] == 0.0
-        flags = in_depth_range(d, 2.0, 6.0)
-        assert list(flags) == [False, True, False, False, False]
 
     def test_tensor_path_no_clamp(self):
         with T.using_dtype(np.float64):

@@ -5,7 +5,7 @@ import pytest
 
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, EmptySampleError
-from mvsgru.estimator import DepthEstimator, EstimatorConfig, RunResult
+from mvsgru.estimator import DepthEstimator, RunResult
 from mvsgru.geometry import normalize_inv
 from mvsgru.optim import Adam
 from mvsgru.scenes import SynthSpec, synth_scene
@@ -168,7 +168,7 @@ class TestLossFull:
         T.set_default_dtype(np.float64)
         scene = synth_scene(SynthSpec(seed=7, views=3, size=16, quads=1))
         cfg = TrainConfig(iters=iters, views=3)
-        model = DepthEstimator(cfg.estimator_config(), np.random.default_rng(2))
+        model = DepthEstimator(cfg, np.random.default_rng(2))
         bd = sample_loss(model, scene.views, 0, [1, 2], cfg, warmup=False)
         a = cfg.alpha
         want = bd.initial.data * a ** (iters + 1) + bd.upsample.data
@@ -182,7 +182,7 @@ class TestLossFull:
         T.set_default_dtype(np.float64)
         scene = synth_scene(SynthSpec(seed=7, views=3, size=16, quads=1))
         cfg = TrainConfig(iters=1, views=3)
-        model = DepthEstimator(cfg.estimator_config(), np.random.default_rng(2))
+        model = DepthEstimator(cfg, np.random.default_rng(2))
         bd = sample_loss(model, scene.views, 0, [1, 2], cfg, warmup=True)
         a = cfg.alpha
         want = bd.initial.data * a ** 2 + bd.upsample.data
@@ -195,7 +195,7 @@ class TestLossFull:
     def test_warmup_gradient_skips_confidence_head(self):
         scene = synth_scene(SynthSpec(seed=7, views=3, size=16, quads=1))
         cfg = TrainConfig(iters=1, views=3)
-        model = DepthEstimator(cfg.estimator_config(), np.random.default_rng(2))
+        model = DepthEstimator(cfg, np.random.default_rng(2))
         with Tape() as tape:
             bd = sample_loss(model, scene.views, 0, [1, 2], cfg, warmup=True)
         backward(tape, bd.total)
@@ -209,7 +209,7 @@ class TestLossFull:
         T.set_default_dtype(np.float64)
         scene = synth_scene(SynthSpec(seed=11, views=3, size=16, quads=1))
         cfg = TrainConfig(iters=1, views=3)
-        model = DepthEstimator(cfg.estimator_config(), np.random.default_rng(4))
+        model = DepthEstimator(cfg, np.random.default_rng(4))
         base = sample_loss(model, scene.views, 0, [1, 2], cfg)
         scaled = sample_loss(model, scale_views(scene.views, s), 0, [1, 2], cfg)
         # rounding in d*s feeds the warp, so agreement is close but not exact
@@ -220,7 +220,7 @@ class TestLossFull:
         views = scale_views(scene.views, 1.0)
         views[0].gt_depth = None
         cfg = TrainConfig(iters=0, views=2)
-        model = DepthEstimator(cfg.estimator_config(), np.random.default_rng(2))
+        model = DepthEstimator(cfg, np.random.default_rng(2))
         with pytest.raises(EmptySampleError):
             sample_loss(model, views, 0, [1], cfg)
 
@@ -257,6 +257,17 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_text("just some words\n")
         with pytest.raises(ConfigError):
+            load_train_config(path)
+
+    @pytest.mark.parametrize("content, line", [
+        (b"epochs=abc\n", 1), (b"iters=2\nlr=fast\n", 2), (b"radii=0.1,x\n", 1),
+        (b"counts=4,4.5,2\n", 1), (b"iters=2\n# caf\xe9\n", 2), (b"\xff\xfe=1\n", 1)],
+        ids=["int-word", "float-word", "tuple-word", "tuple-float-for-int",
+             "latin1-comment", "binary-key"])
+    def test_bad_value_or_encoding_names_the_line(self, tmp_path, content, line):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"c.cfg:{line}: "):
             load_train_config(path)
 
 
@@ -323,7 +334,7 @@ class TestTrainLoop:
     def test_mean_eta_errors_shape(self):
         scene = synth_scene(SynthSpec(seed=21, views=3, size=16, quads=1))
         cfg = TrainConfig(iters=2, views=2)
-        model = DepthEstimator(cfg.estimator_config(), np.random.default_rng(0))
+        model = DepthEstimator(cfg, np.random.default_rng(0))
         errs = mean_eta_errors(model, scene.views, iters=2)
         assert errs.shape == (3,)
         assert np.isfinite(errs).all()

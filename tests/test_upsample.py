@@ -1,11 +1,16 @@
-"""Convex depth upsampling: replication, convexity, loop oracle."""
+"""Convex depth upsampling and the bilinear confidence resize."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mvsgru import tensor as T
 from mvsgru.errors import ShapeError
+from mvsgru.estimator import DepthEstimator
+from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import Tensor
+from mvsgru.training import TrainConfig
 from mvsgru.upsample import FACTOR, NEIGHBORS, ConvexUpsampler
 
 
@@ -103,16 +108,19 @@ class TestUpsampleDepth:
 
 
 class TestUpsampleConfidence:
-    def test_matches_bilinear_probes(self, rng):
+    def test_matches_bilinear_probes(self):
         T.set_default_dtype(np.float64)
-        ups = ConvexUpsampler(6, rng)
-        conf = rng.random((4, 6))
-        up = ups.upsample_confidence(Tensor(conf)).data
-        assert up.shape == (16, 24)
+        scene = synth_scene(SynthSpec(seed=5, views=2, size=16, quads=1))
+        # a 16 x 32 view gives a non-square 4 x 8 confidence map
+        views = [replace(v, image=np.concatenate([v.image, v.image], 2), gt_depth=None)
+                 for v in scene.views]
+        res = DepthEstimator(TrainConfig(iters=1), np.random.default_rng(2)).run(views)
+        conf, up = res.confs[-1].data, res.conf_up.data
+        assert conf.shape == (4, 8) and up.shape == (16, 32)
         probe_rng = np.random.default_rng(17)
         for _ in range(25):
             i = int(probe_rng.integers(0, 16))
-            j = int(probe_rng.integers(0, 24))
+            j = int(probe_rng.integers(0, 32))
             y = (i + 0.5) / FACTOR - 0.5
             x = (j + 0.5) / FACTOR - 0.5
             assert np.allclose(up[i, j], bilinear_probe(conf, y, x), atol=1e-12)
