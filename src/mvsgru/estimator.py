@@ -60,7 +60,9 @@ def predict_depth(prob: Tensor, inv_grid: np.ndarray,
     probabilities renormalized inside it.
     """
     d = prob.shape[0]
-    x_best = np.argmax(prob.data, axis=0)
+    # argmax over axis 0 copies its input; the bool mask of maxima is 4-8x
+    # smaller than the volume, and its first True is the lowest-index maximum
+    x_best = np.argmax(prob.data == prob.data.max(0), axis=0)
     offsets = np.arange(-radius, radius + 1)
     idx = x_best[None] + offsets[:, None, None]
     inside = (idx >= 0) & (idx < d)

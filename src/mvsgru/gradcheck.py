@@ -266,6 +266,24 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     simple("conv2d.batched", lambda: check_gradients(
         lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1), wc4),
         [rnd(2, 5, 4, 4), rnd(3, 5, 3, 3) * 0.4, rnd(3) * 0.1]))
+    # odd, non-square input at stride 2: the last row and column of taps
+    # fall off the image with padding and are dropped without it
+    wc5 = rnd(4, 4, 3)
+    simple("conv2d.s2.odd", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc5),
+        [rnd(3, 7, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
+    wc6 = rnd(4, 3, 2)
+    simple("conv2d.s2.nopad", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 0), wc6),
+        [rnd(3, 7, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
+
+    wgd = rnd(2, 3, 5)
+    simple("group_dot", lambda: check_gradients(
+        lambda f0, fi: _wsum(T.group_dot(f0, fi, 2), wgd), [rnd(4, 5), rnd(4, 3, 5)]))
+    # fi as bilinear_sample leaves it: a [C, D, P] view of a [D, P, C] array
+    simple("group_dot.texel_major", lambda: check_gradients(
+        lambda f0, fi: _wsum(T.group_dot(f0, fi, 2), wgd),
+        [rnd(4, 5), np.moveaxis(rnd(3, 5, 4), -1, 0)]))
 
     # geometry: warping differentiable in depth
     from .geometry import (CameraView, denormalize_inv, normalize_inv, relative_pose,

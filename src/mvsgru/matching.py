@@ -20,7 +20,7 @@ from .features import FeaturePyramid, stack_pyramids
 from .geometry import (CameraView, RelativePose, relative_poses, scale_intrinsics,
                        warp_points)
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_resize, bilinear_sample, concat
+from .tensor import Tensor, bilinear_resize, bilinear_sample, concat, group_dot
 
 GROUPS = 8
 
@@ -41,9 +41,9 @@ def group_correlation(f0: Tensor, fi: Tensor, groups: int = GROUPS) -> Tensor:
     spatial = tuple(f0.shape[1:])
     if tuple(fi.shape[2:]) != spatial:
         raise ShapeError(f"spatial mismatch: {spatial} vs {fi.shape[2:]}")
-    cg, d, p = c // groups, fi.shape[1], int(np.prod(spatial))
-    prod = f0.reshape((groups, cg, 1, p)) * fi.reshape((groups, cg, d, p))
-    return prod.mean(1).reshape((groups, d) + spatial)
+    d, p = fi.shape[1], int(np.prod(spatial))
+    sim = group_dot(f0.reshape((c, p)), fi.reshape((c, d, p)), groups)
+    return sim.reshape((groups, d) + spatial)
 
 
 class ViewWeightCNN(Module):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContractError, FileFormatError, SceneGenerationError
+from .errors import ConfigError, ContractError, FileFormatError, SceneGenerationError
 from .fusion import PointCloud, backproject
 from .geometry import CameraView, load_cam_text, save_cam_text
 
@@ -175,10 +175,22 @@ def load_scene(root) -> Scene:
         if not os.path.exists(cam_path):
             raise FileFormatError(cam_path, 0, f"missing camera for view {i}")
         k, r, t, d_min, d_max = load_cam_text(cam_path)
-        image = load_ppm(os.path.join(root, "images", f"{i:04d}.ppm"))
+        image_path = os.path.join(root, "images", f"{i:04d}.ppm")
+        image = load_ppm(image_path)
         depth_path = os.path.join(root, "depths_gt", f"{i:04d}.pfm")
         gt = load_pfm(depth_path) if os.path.exists(depth_path) else None
-        views.append(CameraView(k, r, t, d_min, d_max, image, gt, f"{i:04d}"))
+        try:
+            views.append(CameraView(k, r, t, d_min, d_max, image, gt, f"{i:04d}"))
+        except ConfigError as e:
+            # blame the file the rejected value came from
+            shape = np.shape(image)
+            if len(shape) != 3 or shape[0] != 3:
+                bad = image_path
+            elif gt is not None and np.shape(gt) != shape[1:]:
+                bad = depth_path
+            else:
+                bad = cam_path
+            raise FileFormatError(bad, 0, f"view {i}: {e}") from None
     return Scene(views, [pairs.get(i, []) for i in range(count)])
 
 

@@ -19,6 +19,16 @@ Design notes
   with ``_interp_matrix`` (1 or 4 entries per row); its products sum
   repeated indices, so no backward needs a scatter-add.  The separable
   resize uses two small dense per-axis matrices.
+* Kernels compute in the layout their input already has.
+  ``bilinear_sample`` returns its samples texel-major: a [C, ...] view of a
+  [N, C] product.  ``group_dot`` moves C last, which is free on such a view,
+  multiplies in [D, P, C] order and reduces each channel group with one
+  matmul.  The result is the same for a contiguous [C, D, P] input.
+  ``conv2d`` builds its im2col matrix straight from the unpadded input.  For
+  each kernel tap, a pair of (output slice, input slice) per axis covers just
+  the outputs that read inside the image; only the border rows and columns
+  that would read padding are zeroed.  Backward scatters into a channel-major
+  [C_in, B, H, W] buffer, the layout the im2col gradient already has.
 """
 
 from __future__ import annotations
@@ -477,9 +487,10 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 def softmax(a: Tensor, axis: int) -> Tensor:
     a = _wrap(a)
     axis = _check_axis(axis, a.ndim)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    # one buffer: shift, exponentiate and normalize in place
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
@@ -728,6 +739,21 @@ def bilinear_resize(a: Tensor, size: tuple[int, int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _tap_slices(n_in: int, n_out: int, tap: int, stride: int,
+                padding: int) -> tuple[slice, slice]:
+    """(output slice, input slice) of one kernel tap along one axis.
+
+    Output o reads input o*stride + tap - padding.  The slices cover just
+    the outputs whose input lies in [0, n_in); the others read padding.
+    """
+    off = tap - padding
+    lo = max(0, -(off // stride))
+    hi = min(n_out - 1, (n_in - 1 - off) // stride)
+    if hi < lo:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo, hi + 1), slice(lo * stride + off, hi * stride + off + 1, stride)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding.
@@ -766,25 +792,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {k} does not fit input {h}x{w} with padding {padding}")
 
-    if padding:
-        xp = np.zeros((b_n, c_in, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = xd
-    else:
-        xp = xd
-
+    # im2col straight from the input, channel-major: tap (i, j) copies the
+    # outputs whose input texel lies inside the image
+    ys = [_tap_slices(h, h_out, i, stride, padding) for i in range(k)]
+    xs = [_tap_slices(w, w_out, j, stride, padding) for j in range(k)]
+    xc = xd.transpose(1, 0, 2, 3)
     cols = np.empty((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
-    for i in range(k):
-        for j in range(k):
-            patch = xp[:, :, i:i + stride * (h_out - 1) + 1:stride,
-                       j:j + stride * (w_out - 1) + 1:stride]
-            cols[:, i, j] = patch.transpose(1, 0, 2, 3)
+    for i, (oy, iy) in enumerate(ys):
+        for j, (ox, ix) in enumerate(xs):
+            cols[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
+    # the rest reads padding: the border rows of each tap row and the border
+    # columns of each tap column, zeroed in at most 4k calls
+    for i, (oy, _) in enumerate(ys):
+        if oy.start > 0:
+            cols[:, i, :, :, :oy.start] = 0
+        if oy.stop < h_out:
+            cols[:, i, :, :, oy.stop:] = 0
+    for j, (ox, _) in enumerate(xs):
+        if ox.start > 0:
+            cols[:, :, j, :, :, :ox.start] = 0
+        if ox.stop < w_out:
+            cols[:, :, j, :, :, ox.stop:] = 0
     cols2 = cols.reshape(c_in * k * k, b_n * h_out * w_out)
     wmat = weight.data.reshape(c_out, c_in * k * k)
     res = wmat @ cols2
-    res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     if bias is not None:
         bias = _wrap(bias)
-        res = res + bias.data[None, :, None, None]
+        res += bias.data[:, None]
+    res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     out = Tensor(res[0] if squeeze else res)
 
     def bw(g):
@@ -795,18 +830,52 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if weight.requires_grad:
             _accum(weight, (gmat @ cols2.T).reshape(weight.shape))
         if x.requires_grad:
+            # col2im into a channel-major buffer, the layout dcols has
             dcols = (wmat.T @ gmat).reshape(c_in, k, k, b_n, h_out, w_out)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + stride * (h_out - 1) + 1:stride,
-                        j:j + stride * (w_out - 1) + 1:stride] += \
-                        dcols[:, i, j].transpose(1, 0, 2, 3)
-            gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
-            _accum(x, gx[0] if squeeze else gx)
+            gx = np.zeros((c_in, b_n, h, w), dtype=xd.dtype)
+            for i, (oy, iy) in enumerate(ys):
+                for j, (ox, ix) in enumerate(xs):
+                    gx[:, :, iy, ix] += dcols[:, i, j, :, oy, ox]
+            _accum(x, gx[:, 0] if squeeze else gx.transpose(1, 0, 2, 3))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _record(out, parents, bw)
+
+
+# ---------------------------------------------------------------------------
+# group correlation
+# ---------------------------------------------------------------------------
+
+
+def group_dot(f0: Tensor, fi: Tensor, groups: int) -> Tensor:
+    """Group-wise mean of channel products: out[g, d, p] is the mean over
+    group g's C/groups channels of f0[c, p] * fi[c, d, p].
+
+    f0: [C, P]; fi: [C, D, P]; returns [groups, D, P].  Works texel-major
+    ([D, P, C]), the layout ``bilinear_sample`` produces fi in, and sums each
+    group's channels with one matmul against a [C, groups] averaging matrix.
+    """
+    f0, fi = _wrap(f0), _wrap(fi)
+    if f0.ndim != 2 or fi.ndim != 3 or fi.shape[::2] != f0.shape:
+        raise ShapeError(f"group_dot needs [C, P] and [C, D, P], got {f0.shape} / {fi.shape}")
+    c, d, p = fi.shape
+    if groups < 1 or c % groups:
+        raise ShapeError(f"{c} channels not divisible into {groups} groups")
+    # [C, groups]: channel c contributes groups/C to its group c // (C/groups)
+    avg = np.repeat(np.eye(groups, dtype=fi.dtype), c // groups, axis=0) * (groups / c)
+    f0t = np.ascontiguousarray(f0.data.T)
+    a = np.moveaxis(fi.data, 0, -1)
+    prod = np.multiply(a, f0t, order="C").reshape(d * p, c)
+    out = Tensor((avg.T @ prod.T).reshape(groups, d, p))
+
+    def bw(g):
+        gp = (g.reshape(groups, d * p).T @ avg.T).reshape(d, p, c)
+        if fi.requires_grad:
+            _accum(fi, np.moveaxis(gp * f0t, -1, 0))
+        if f0.requires_grad:
+            _accum(f0, np.einsum("dpc,dpc->cp", gp, a))
+
+    return _record(out, (f0, fi), bw)
 
 
 # ---------------------------------------------------------------------------

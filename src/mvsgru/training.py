@@ -297,6 +297,8 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
     """
     if not scenes:
         raise ConfigError("no training scenes")
+    if cfg.batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {cfg.batch}")
     os.makedirs(str(out_dir), exist_ok=True)
     model = DepthEstimator(cfg, np.random.default_rng(cfg.seed))
     params = model.parameters()

@@ -66,6 +66,15 @@ class TestExitCodes:
         assert code == 1
         assert "bad.cfg:2: " in capsys.readouterr().err
 
+    def test_zero_batch_is_validation_error(self, scene_dir, tmp_path,
+                                            capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--scenes", str(scene_dir), "--out", str(out),
+                     "--batch", "0", "--epochs", "1", "--iters", "1"])
+        assert code == 1
+        assert "batch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_scene_spec_is_validation_error(self, tmp_path,
                                                        capsys):
         code = main(["synth", "--out", str(tmp_path), "--size", "12"])

@@ -107,6 +107,20 @@ class TestPredictDepth:
         _, x = predict_depth(Tensor(p), inv, radius=1)
         assert x[0, 0] == 3
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_argmax_matches_numpy_with_planted_ties(self, rng, dtype):
+        T.set_default_dtype(dtype)
+        p = rng.random((32, 6, 7)).astype(dtype)
+        # copy each pixel's maximum to two random depths: exact ties
+        top = p.max(0)
+        for _ in range(2):
+            np.put_along_axis(p, rng.integers(0, 32, (1, 6, 7)), top[None], axis=0)
+        p[:, 0, 0] = 1.0  # every depth tied
+        p /= p.sum(0)
+        _, x = predict_depth(Tensor(p), inverse_grid(1.0, 9.0, 32), radius=2)
+        assert np.array_equal(x, np.argmax(p, axis=0))
+        assert x[0, 0] == 0
+
     def test_window_truncated_at_the_low_edge(self, rng):
         T.set_default_dtype(np.float64)
         inv = inverse_grid(2.0, 6.0, 8)

@@ -81,6 +81,18 @@ class TestGroupCorrelation:
                  + 2.0 * group_correlation(Tensor(f0b), Tensor(fi), 4).data)
         assert np.allclose(left, right, atol=1e-12)
 
+    def test_layout_of_the_warped_features_does_not_matter(self, rng):
+        # bilinear_sample leaves its samples texel-major: a [C, D, H, W]
+        # view of a [D*H*W, C] product
+        grid = Tensor(rng.standard_normal((16, 6, 7)))
+        xs, ys = rng.uniform(0, 6, (3, 4, 5)), rng.uniform(0, 5, (3, 4, 5))
+        warped, _ = T.bilinear_sample(grid, xs, ys)
+        assert not warped.data.flags.c_contiguous
+        f0 = Tensor(rng.standard_normal((16, 4, 5)))
+        got = group_correlation(f0, warped, 8).data
+        want = group_correlation(f0, Tensor(np.ascontiguousarray(warped.data)), 8).data
+        assert np.abs(got - want).max() < 1e-6
+
     def test_rejects_channel_mismatch_and_bad_groups(self, rng):
         with pytest.raises(ShapeError):
             group_correlation(Tensor(rng.random((8, 2, 2))),

@@ -144,6 +144,33 @@ class TestSceneRoundtrip:
         with pytest.raises(FileFormatError, match="pair line"):
             load_scene(tmp_path / "s")
 
+    def test_depth_of_the_wrong_size_names_its_file(self, tmp_path):
+        scene = synth_scene(SynthSpec(seed=9, views=2, size=16, quads=1))
+        save_scene(scene, tmp_path / "s")
+        save_pfm(tmp_path / "s" / "depths_gt" / "0000.pfm", np.ones((8, 8), np.float32))
+        with pytest.raises(FileFormatError, match="depths_gt/0000.pfm") as err:
+            load_scene(tmp_path / "s")
+        assert "(8, 8)" in str(err.value)
+
+    def test_non_finite_camera_names_its_file(self, tmp_path):
+        scene = synth_scene(SynthSpec(seed=9, views=2, size=16, quads=1))
+        save_scene(scene, tmp_path / "s")
+        cam = tmp_path / "s" / "cams" / "0001_cam.txt"
+        words = cam.read_text().split()
+        words[1] = "nan"  # first extrinsic entry: R[0, 0]
+        cam.write_text(" ".join(words) + "\n")
+        with pytest.raises(FileFormatError, match="cams/0001_cam.txt") as err:
+            load_scene(tmp_path / "s")
+        assert "finite" in str(err.value)
+
+    def test_image_of_the_wrong_shape_names_its_file(self, tmp_path, monkeypatch):
+        # load_ppm always returns [3, H, W]; a loader that did not would be caught
+        scene = synth_scene(SynthSpec(seed=9, views=2, size=16, quads=1))
+        save_scene(scene, tmp_path / "s")
+        monkeypatch.setattr("mvsgru.scenes.load_ppm", lambda path: load_ppm(path)[:1])
+        with pytest.raises(FileFormatError, match="images/0000.ppm"):
+            load_scene(tmp_path / "s")
+
 
 
 _PIX = bytes(12)  # payload of a 2x2 PPM (and 3 of the 4 floats of a 2x2 PFM)

@@ -123,25 +123,44 @@ class TestReductions:
         assert np.allclose(Tensor(x).mean().data, x.mean(), atol=1e-6)
 
 
+# square inputs with "same" padding (k-1)//2: (c_in, c_out, size, k, stride)
+_SAME_PAD_CONVS = [(1, 1, 5, 3, 1), (3, 4, 6, 3, 1), (8, 8, 8, 3, 2),
+                   (4, 2, 7, 5, 1), (2, 3, 8, 1, 1), (3, 5, 8, 3, 2)]
+
+
 class TestConv:
-    @pytest.mark.parametrize("c_in,c_out,size,k,stride", [
-        (1, 1, 5, 3, 1),
-        (3, 4, 6, 3, 1),
-        (8, 8, 8, 3, 2),
-        (4, 2, 7, 5, 1),
-        (2, 3, 8, 1, 1),
-        (3, 5, 8, 3, 2),
+    @pytest.mark.parametrize("c_in,c_out,hw,k,stride,pad", [
+        pytest.param(ci, co, (n, n), k, st, (k - 1) // 2, id=f"{ci}-{co}-{n}-{k}-{st}")
+        for ci, co, n, k, st in _SAME_PAD_CONVS] + [
+        # non-square and odd: at stride 2 the last tap row/column reads padding
+        pytest.param(3, 4, (7, 5), 3, 2, 1, id="3-4-7x5-3-2"),
+        pytest.param(2, 3, (9, 6), 3, 1, 1, id="2-3-9x6-3-1"),
+        pytest.param(2, 2, (6, 9), 5, 2, 2, id="2-2-6x9-5-2"),
+        # no padding: every tap stays inside the image
+        pytest.param(3, 2, (7, 5), 3, 2, 0, id="3-2-7x5-3-2-pad0"),
+        pytest.param(2, 3, (6, 9), 5, 1, 0, id="2-3-6x9-5-1-pad0"),
+        # one row: the top and bottom taps fall entirely on padding
+        pytest.param(2, 2, (1, 4), 3, 1, 1, id="2-2-1x4-3-1"),
     ])
-    def test_matches_nested_loop_oracle(self, rng, c_in, c_out, size, k, stride):
+    def test_matches_nested_loop_oracle(self, rng, c_in, c_out, hw, k, stride, pad):
         T.set_default_dtype(np.float64)
-        x = rng.standard_normal((c_in, size, size))
+        x = rng.standard_normal((c_in,) + hw)
         w = rng.standard_normal((c_out, c_in, k, k))
         b = rng.standard_normal(c_out)
-        pad = (k - 1) // 2
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
         want = conv2d_oracle(x, w, b, stride, pad)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_batched_stride_two_matches_oracle(self, rng, pad):
+        T.set_default_dtype(np.float64)
+        x = rng.standard_normal((3, 2, 7, 5))
+        w = rng.standard_normal((4, 2, 3, 3))
+        b = rng.standard_normal(4)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), 2, pad).data
+        for i in range(3):
+            assert np.abs(got[i] - conv2d_oracle(x[i], w, b, 2, pad)).max() < 1e-6
 
     def test_batched_matches_per_item(self, rng):
         T.set_default_dtype(np.float64)

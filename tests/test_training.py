@@ -331,6 +331,14 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train([], self.make_cfg(), tmp_path)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_rejects_batch_below_one_before_writing(self, tmp_path, batch):
+        scene = synth_scene(SynthSpec(seed=21, views=3, size=16, quads=1))
+        cfg = TrainConfig(iters=1, views=2, epochs=1, batch=batch)
+        with pytest.raises(ConfigError, match="batch"):
+            train([scene], cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_mean_eta_errors_shape(self):
         scene = synth_scene(SynthSpec(seed=21, views=3, size=16, quads=1))
         cfg = TrainConfig(iters=2, views=2)
