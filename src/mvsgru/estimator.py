@@ -186,7 +186,6 @@ class DepthEstimator(Module):
         # from here on the sources live only as one stacked copy per level
         levels, ref_f2 = lookup_levels(pyramids, views), pyramids[0].f2
         del pyramids
-        weight_sum = init.weights_up.sum(0)
         res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max,
                         inv_grid=inv2)
         h = init.h0
@@ -204,8 +203,7 @@ class DepthEstimator(Module):
         for _ in range(k):
             eta_prev = normalize_inv(res.depths[-1], ref.d_min, ref.d_max)
             hyps = self.generate_hypotheses(eta_prev, ref.d_min, ref.d_max)
-            s_bar = multiscale_similarity(levels, hyps, init.weights_up, weight_sum,
-                                          self.level_unets)
+            s_bar = multiscale_similarity(levels, hyps, init.weights_up, self.level_unets)
             x_in = concat([eta_prev.reshape((1, h4, w4)), s_bar], 0)
             h = gru_update(self.gru, h, x_in)
             readout(h)

@@ -31,7 +31,7 @@ def group_normalize(f: Tensor, groups: int = NORM_GROUPS,
         raise ShapeError(f"{c} channels not divisible into {groups} groups")
     cg = c // groups
     g = f.reshape((groups, cg, h, w))
-    ms = (g * g).sum(1, keepdims=True) / cg + eps
+    ms = (g * g).mean(1, keepdims=True) + eps
     inv_rms = (ms.log() * -0.5).exp()
     return (g * inv_rms).reshape((c, h, w))
 

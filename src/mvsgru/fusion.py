@@ -1,6 +1,8 @@
 """Depth-map filtering and fusion into colored point clouds.
 
 Pure numpy: runs on finished depth/confidence maps, no gradients involved.
+Every pinhole projection goes through the ndarray path of
+``geometry.warp_points``, the same projection the matching volume uses.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError
-from .geometry import CameraView, relative_pose
+from .geometry import CameraView, relative_pose, warp_points
 
 PLY_DTYPE = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
                       ("red", "u1"), ("green", "u1"), ("blue", "u1")])
@@ -60,42 +62,27 @@ def geometric_filter(ref: CameraView, ref_depth: np.ndarray,
     A pixel is consistent with a source view when projecting it there,
     reading the source depth (nearest neighbor) and projecting that point
     back lands within ``delta`` pixels and ``eps`` relative depth of the
-    original estimate.  Returns (mask of pixels with >= n_geo votes, votes).
+    original estimate.  Both projections are ``geometry.warp_points``.
+    Returns (mask of pixels with >= n_geo votes, votes).
     """
     h, w = ref_depth.shape
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
-    d0 = ref_depth.astype(np.float64)
+    xs, ys = xs.ravel(), ys.ravel()
+    d0 = ref_depth.astype(np.float64).ravel()
     base_ok = np.isfinite(d0) & (d0 > 0)
     d0_safe = np.where(base_ok, d0, 1.0)
-    pix = np.stack([xs.ravel(), ys.ravel(), np.ones(h * w)])
-    ref_k_inv = np.linalg.inv(ref.k)
-    rays = ref_k_inv @ pix                             # [3, P], z == 1
-    votes = np.zeros((h, w), dtype=np.int64)
+    votes = np.zeros(h * w, dtype=np.int64)
     for src, sd in zip(srcs, src_depths):
-        pose = relative_pose(ref, src)
-        x_src = pose.r @ (rays * d0_safe.ravel()) + pose.t[:, None]
-        z = x_src[2]
-        front = z > 0
-        z_safe = np.where(front, z, 1.0)
-        proj = src.k @ x_src
-        u = proj[0] / z_safe
-        v = proj[1] / z_safe
+        u, v, _, front = warp_points(xs, ys, d0_safe, ref.k, src.k, relative_pose(ref, src))
         d_src, ok = _lookup_nn(sd, u, v)
         # back-project the continuous source pixel with the looked-up depth
-        src_rays = np.linalg.inv(src.k) @ np.stack([u, v, np.ones(h * w)])
-        x_back = pose.r.T @ (src_rays * d_src - pose.t[:, None])
-        zb = x_back[2]
-        back_ok = zb > 0
-        zb_safe = np.where(back_ok, zb, 1.0)
-        reproj = ref.k @ x_back
-        du = reproj[0] / zb_safe - xs.ravel()
-        dv = reproj[1] / zb_safe - ys.ravel()
-        pix_err = np.sqrt(du * du + dv * dv)
-        depth_err = np.abs(zb - d0.ravel()) / d0_safe.ravel()
-        good = (base_ok.ravel() & front & ok & back_ok
-                & (pix_err < delta) & (depth_err < eps))
-        votes += good.reshape(h, w)
+        ub, vb, zb, back_ok = warp_points(u, v, d_src, src.k, ref.k, relative_pose(src, ref))
+        pix_err = np.hypot(ub - xs, vb - ys)
+        depth_err = np.abs(zb - d0) / d0_safe
+        votes += (base_ok & front & ok & back_ok
+                  & (pix_err < delta) & (depth_err < eps))
+    votes = votes.reshape(h, w)
     return votes >= n_geo, votes
 
 

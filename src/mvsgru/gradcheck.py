@@ -5,6 +5,8 @@ h = 1e-5 evaluated in the float64 mode, compared against taped gradients at
 relative tolerance 1e-4.  ``run_suite`` drives one named check over many
 random instances; the ``gradcheck`` CLI command and the tier-1 sweep
 ``tests/test_tensor.py::TestOpGradcheckSweep`` both call it.
+``check_full_loss`` runs the whole training loss through the same
+``check_gradients``, with the model's parameters as its inputs.
 
 Two practical policies keep the oracle honest but usable:
 
@@ -478,54 +480,26 @@ def check_full_loss(size: int = 16, iters: int = 1, seed: int = 3,
                     coords_per_param: int = 4) -> float:
     """Central-difference check of the complete training loss.
 
-    Builds a 2-view synthetic sample at ``size`` x ``size``, computes the full
-    staged loss, and compares taped parameter gradients against central
-    differences on sampled coordinates of every parameter tensor (plus all of
-    the smallest ones).  Returns the max relative error.
+    Builds a 2-view synthetic sample at ``size`` x ``size`` and runs one
+    ``check_gradients`` over every parameter tensor of the model, substituted
+    through ``_substitute_params`` as the module checks do: each tensor with
+    more than ``coords_per_param`` entries checks that many sampled
+    coordinates, the smaller ones all of theirs.  Returns the max relative
+    error.
     """
     from .estimator import DepthEstimator
     from .scenes import SynthSpec, synth_scene
     from .training import TrainConfig, sample_loss
 
-    rng = np.random.default_rng(seed)
     with using_dtype(np.float64):
         scene = synth_scene(SynthSpec(seed=seed, views=2, size=size, quads=1))
         cfg = TrainConfig(iters=iters, views=2)
         model = DepthEstimator(cfg, np.random.default_rng(seed + 1))
         params = model.parameters()
 
-        def loss_value() -> float:
-            with T.no_grad():
-                return sample_loss(model, scene.views, 0, [1], cfg, warmup=False).total.item()
+    def loss(*tensors):
+        _substitute_params(model, list(params), tensors)
+        return sample_loss(model, scene.views, 0, [1], cfg, warmup=False).total
 
-        with Tape() as tape:
-            breakdown = sample_loss(model, scene.views, 0, [1], cfg, warmup=False)
-        backward(tape, breakdown.total)
-
-        abs_tol = ABS_TOL * max(1.0, abs(breakdown.total.item()))
-        worst = 0.0
-        for name, p in params.items():
-            flat = p.data.reshape(-1)
-            gflat = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-            if flat.size <= coords_per_param:
-                picks = np.arange(flat.size)
-            else:
-                picks = rng.choice(flat.size, size=coords_per_param, replace=False)
-            for j in picks:
-                orig = flat[j]
-                err = np.inf
-                for step in (H_STEP, H_STEP / 16, H_STEP / 256):
-                    flat[j] = orig + step
-                    hi = loss_value()
-                    flat[j] = orig - step
-                    lo = loss_value()
-                    flat[j] = orig
-                    num = (hi - lo) / (2 * step)
-                    if abs(gflat[j] - num) < abs_tol:
-                        err = 0.0
-                        break
-                    err = min(err, rel_error(np.array(gflat[j]), np.array(num)))
-                    if err < REL_TOL:
-                        break
-                worst = max(worst, err)
-    return worst
+    return check_gradients(loss, [p.data for p in params.values()],
+                           max_coords=coords_per_param)

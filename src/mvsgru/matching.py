@@ -75,22 +75,21 @@ def view_weight(cnn: ViewWeightCNN, s: Tensor,
     return w, p
 
 
-def integrate(sim: Tensor, weights: Tensor, total: Tensor | None = None) -> Tensor:
+def integrate(sim: Tensor, weights: Tensor) -> Tensor:
     """Weighted average over the source axis of a stacked similarity volume.
 
-    sim: [G, S*D, H, W]; weights: [S, H, W], broadcast over the group and
-    hypothesis axes; total: ``weights.sum(0)``, if the caller already has
-    it.  The weights are strictly positive by construction (softmax maxima),
-    so the denominator is safe.  Returns [G, D, H, W].
+    sim: [G, S*D, H, W]; weights: [S, H, W], normalized over S here and
+    broadcast over the group and hypothesis axes.  The weights are strictly
+    positive by construction (softmax maxima), so their sum is safe to
+    divide by.  Returns [G, D, H, W].
     """
     g, sd, h, w = sim.shape
     n_src = weights.shape[0]
     if weights.ndim != 3 or tuple(weights.shape[1:]) != (h, w) or sd % n_src:
         raise ShapeError(f"weights {weights.shape} do not fit similarity {sim.shape}")
     d, p = sd // n_src, h * w
-    num = (sim.reshape((g, n_src, d, p)) * weights.reshape((1, n_src, 1, p))).sum(1)
-    total = weights.sum(0) if total is None else total
-    return (num / total.reshape((1, 1, p))).reshape((g, d, h, w))
+    share = (weights / weights.sum(0, keepdims=True)).reshape((1, n_src, 1, p))
+    return (sim.reshape((g, n_src, d, p)) * share).sum(1).reshape((g, d, h, w))
 
 
 class AggregationUnet(Module):
@@ -191,17 +190,17 @@ def warp_and_correlate(f_ref_at_p: Tensor, f_src: Tensor, xl: np.ndarray,
 
 
 def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], weights: Tensor,
-                          weight_sum: Tensor, unets: list[Module], groups: int = GROUPS) -> Tensor:
+                          unets: list[Module], groups: int = GROUPS) -> Tensor:
     """Assemble the per-iteration similarity stack at 1/4 resolution.
 
     levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] depths
-    for levels 1..3; weights: [S, H/4, W/4] and weight_sum their sum over S.
+    for levels 1..3; weights: [S, H/4, W/4] view weights.
     Output: [N1+N2+N3, H/4, W/4]."""
     out = []
     for (f_ref, f_src, xl, yl, k_ref, k_src, pose), hyps, unet in zip(
             levels, hyps_by_level, unets):
         sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps, k_ref, k_src,
                                     pose, groups)
-        merged = integrate(sim, weights, weight_sum)
+        merged = integrate(sim, weights)
         out.append(unet(merged.reshape((-1,) + tuple(hyps.shape[1:]))))
     return concat(out, 0)

@@ -59,12 +59,12 @@ def kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.
 
 
 class Conv2d(Module):
-    """Conv layer with learned weight/bias; same-size padding by default."""
+    """Conv layer with learned weight/bias and same-size padding (k - 1) // 2."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, padding: int | None = None):
+                 stride: int = 1):
         self.stride = stride
-        self.padding = (k - 1) // 2 if padding is None else padding
+        self.padding = (k - 1) // 2
         self.weight = Tensor(kaiming_conv(rng, c_out, c_in, k), requires_grad=True)
         # uniform rather than zero bias keeps pre-activations off the exact
         # leaky-relu corner when a receptive field is entirely masked out

@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 from .errors import ContractError, ShapeError
 
@@ -128,9 +129,9 @@ class Tensor:
     the same shape as ``data``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype.type is not _DEFAULT_DTYPE:
             arr = arr.astype(_DEFAULT_DTYPE)
@@ -141,7 +142,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.name = name
 
     # -- introspection -----------------------------------------------------
 
@@ -360,18 +360,9 @@ def absval(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(_stable_sigmoid(a.data))
+    out = Tensor(expit(a.data))
 
     def bw(g):
         _accum(a, g * out.data * (1.0 - out.data))

@@ -38,7 +38,6 @@ class TrainConfig:
     counts: tuple[int, ...] = (4, 4, 2)
     alpha: float = 0.8
     gamma: float = 0.002
-    tau: float = 0.3
     lr: float = 1e-3
     lr_halve_epochs: tuple[int, ...] = (4, 8, 12)
     epochs: int = 16
@@ -64,6 +63,9 @@ class TrainConfig:
 
 
 _TUPLE_FIELDS = {"radii": float, "counts": int, "lr_halve_epochs": int}
+# keys that older model.cfg files carry and nothing reads any more; the
+# fusion threshold is FuseConfig.tau
+_RETIRED_KEYS = {"tau"}
 
 
 def save_train_config(cfg: TrainConfig, path) -> None:
@@ -90,6 +92,8 @@ def load_train_config(path) -> TrainConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in _RETIRED_KEYS:
+                continue
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
@@ -149,14 +153,18 @@ def make_gt(depth: np.ndarray, d_min: float, d_max: float,
 # loss terms
 
 
-def loss_class(prob: Tensor, x_gt: np.ndarray, valid: np.ndarray) -> Tensor:
-    """Cross entropy against the one-hot nearest-sample encoding."""
-    n = int(valid.sum())
+def _masked_mean(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
+    """``scale`` times the mean of x over the pixels of mask; 0 for an empty mask."""
+    n = int(mask.sum())
     if n == 0:
         return Tensor(np.zeros(()))
+    return (x * mask.astype(x.dtype)).sum() * (scale / n)
+
+
+def loss_class(prob: Tensor, x_gt: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Cross entropy against the one-hot nearest-sample encoding."""
     p_gt = T.take_depth(prob, x_gt[None]).reshape(x_gt.shape)
-    nll = -(p_gt.clip(LOG_EPS, None).log())
-    return (nll * valid.astype(prob.dtype)).sum() / n
+    return _masked_mean(p_gt.clip(LOG_EPS, None).log(), valid, -1.0)
 
 
 def loss_regress(eta_k: Tensor, x_k: np.ndarray, eta_gt: np.ndarray,
@@ -167,33 +175,18 @@ def loss_regress(eta_k: Tensor, x_k: np.ndarray, eta_gt: np.ndarray,
     Pixels whose argmax strayed more than ``radius`` samples from the target
     index are excluded entirely; with nothing left the loss is 0.
     """
-    gate = valid & (np.abs(x_gt - x_k) <= radius)
-    n = int(gate.sum())
-    if n == 0:
-        return Tensor(np.zeros(()))
-    err = (eta_k - eta_gt).abs() * gate.astype(eta_k.dtype)
-    return err.sum() * (beta / n)
+    return eta_mae(eta_k, eta_gt, valid & (np.abs(x_gt - x_k) <= radius), beta)
 
 
 def loss_conf(conf: Tensor, target: np.ndarray, valid: np.ndarray) -> Tensor:
-    """Binary cross entropy against the near-ground-truth indicator."""
-    n = int(valid.sum())
-    if n == 0:
-        return Tensor(np.zeros(()))
-    t = target.astype(conf.dtype)
-    pos = conf.clip(LOG_EPS, None).log() * t
-    neg = (1.0 - conf).clip(LOG_EPS, None).log() * (1.0 - t)
-    bce = -(pos + neg)
-    return (bce * valid.astype(conf.dtype)).sum() / n
+    """Binary cross entropy against the boolean near-ground-truth indicator."""
+    p_target = T.where(target, conf, 1.0 - conf)
+    return _masked_mean(p_target.clip(LOG_EPS, None).log(), valid, -1.0)
 
 
 def eta_mae(eta: Tensor, eta_gt: np.ndarray, valid: np.ndarray,
             beta: float) -> Tensor:
-    n = int(valid.sum())
-    if n == 0:
-        return Tensor(np.zeros(()))
-    err = (eta - eta_gt).abs() * valid.astype(eta.dtype)
-    return err.sum() * (beta / n)
+    return _masked_mean((eta - eta_gt).abs(), valid, beta)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import Conv2d, Module
-from .tensor import Tensor, concat, gather2d
+from .tensor import Tensor, gather2d
 
 FACTOR = 4
 NEIGHBORS = 9
@@ -39,13 +39,11 @@ class ConvexUpsampler(Module):
         h, w = depth.shape
         weights = self.mask(feat)
         ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        shifted = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                iy = np.clip(ys + dy, 0, h - 1)
-                ix = np.clip(xs + dx, 0, w - 1)
-                shifted.append(gather2d(depth, iy, ix).reshape((1, 1, h, w)))
-        neighborhood = concat(shifted, 0)
+        # neighbor k sits at row offset k // 3 - 1 and column offset k % 3 - 1
+        dy, dx = (o[:, None, None] - 1 for o in np.divmod(np.arange(NEIGHBORS), 3))
+        iy = np.clip(ys + dy, 0, h - 1)
+        ix = np.clip(xs + dx, 0, w - 1)
+        neighborhood = gather2d(depth, iy, ix).reshape((NEIGHBORS, 1, h, w))
         fine = (weights * neighborhood).sum(0)
         # [16, H, W] -> subpixel rows/cols interleaved into [4H, 4W]
         fine = fine.reshape((FACTOR, FACTOR, h, w))

@@ -94,6 +94,47 @@ class TestGeometricFilter:
         assert mask.mean() > 0.7
         assert mask[8:24, 8:24].mean() > 0.9
 
+    def test_matches_per_pixel_loop_oracle(self):
+        # noisy depths and NaN holes in one source map; the oracle goes
+        # through world coordinates pixel by pixel
+        scene = synth_scene(SynthSpec(seed=7, views=4, size=32, quads=2))
+        rng = np.random.default_rng(3)
+        depths = [v.gt_depth * (1 + 0.004 * rng.standard_normal(v.gt_depth.shape))
+                  for v in scene.views]
+        depths[2] = np.where(rng.random((32, 32)) < 0.05, np.nan, depths[2])
+        ref, srcs = scene.views[0], scene.views[1:]
+        delta, eps = 1.0, 0.01
+        _, votes = geometric_filter(ref, depths[0], srcs, depths[1:], delta, eps)
+
+        def project(view, world):
+            cam = view.r @ world + view.t
+            return (view.k @ cam)[:2] / cam[2], cam[2]
+
+        def unproject(view, x, y, d):
+            cam = np.linalg.inv(view.k) @ np.array([x, y, 1.0]) * d
+            return view.r.T @ (cam - view.t)
+
+        want = np.zeros((32, 32), dtype=np.int64)
+        for y in range(32):
+            for x in range(32):
+                d0 = depths[0][y, x]
+                if not (np.isfinite(d0) and d0 > 0):
+                    continue
+                for src, sd in zip(srcs, depths[1:]):
+                    (u, v), z = project(src, unproject(ref, x, y, d0))
+                    ui, vi = int(np.rint(u)), int(np.rint(v))
+                    if z <= 0 or not (0 <= ui < 32 and 0 <= vi < 32):
+                        continue
+                    d_src = sd[vi, ui]
+                    if not (np.isfinite(d_src) and d_src > 0):
+                        continue
+                    (ub, vb), zb = project(ref, unproject(src, u, v, d_src))
+                    if (zb > 0 and np.hypot(ub - x, vb - y) < delta
+                            and abs(zb - d0) / d0 < eps):
+                        want[y, x] += 1
+        assert set(np.unique(want)) == {0, 1, 2, 3}
+        assert np.array_equal(votes, want)
+
 
 class TestBackproject:
     def test_matches_pinhole_formula(self):

@@ -148,10 +148,6 @@ class TestIntegrate:
                         Tensor(np.concatenate(ws, 0))).data
         want = (sims[0] * ws[0] + sims[1] * ws[1]) / (ws[0] + ws[1])
         assert np.allclose(got, want, atol=1e-12)
-        total = Tensor(ws[0][0] + ws[1][0])
-        got_total = integrate(Tensor(np.concatenate(sims, 1)),
-                              Tensor(np.concatenate(ws, 0)), total).data
-        assert np.allclose(got_total, want, atol=1e-12)
 
     def test_rejects_mismatched_lists(self, rng):
         # 3 hypotheses do not split over 2 sources; weights of the wrong size
@@ -246,8 +242,7 @@ class TestMultiscaleSimilarity:
             u.out.weight.data[:] = rng.standard_normal(u.out.weight.shape) * 0.1
 
         levels = lookup_levels([ref_pyr] + src_pyrs, [ref] + srcs)
-        got = multiscale_similarity(levels, hyps, weights, weights.sum(0),
-                                    unets).data
+        got = multiscale_similarity(levels, hyps, weights, unets).data
 
         want = []
         for l, hyp, unet in zip((1, 2, 3), hyps, unets):

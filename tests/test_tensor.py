@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ContractError, FileFormatError, ShapeError, TrainStepError
-from mvsgru.gradcheck import check_gradients, run_suite
+from mvsgru.gradcheck import check_full_loss, check_gradients, run_suite
 from mvsgru.nn import Conv2d, Module, load_checkpoint, save_checkpoint
 from mvsgru.optim import Adam
 from mvsgru.tensor import Tape, Tensor, backward
@@ -674,3 +674,18 @@ class TestOpGradcheckSweep:
         assert reports
         failed = [(r.name, r.max_rel_err) for r in reports if not r.passed]
         assert not failed, failed
+
+
+class TestFullLossGradcheck:
+    """The whole training loss against central differences on its parameters."""
+
+    def test_passes(self):
+        assert check_full_loss() < 1e-3
+
+    def test_catches_a_wrong_tanh_backward(self, monkeypatch):
+        def tanh_missing_square(a):
+            out = Tensor(np.tanh(a.data))
+            return T._record(out, (a,), lambda g: T._accum(a, g * (1.0 - out.data)))
+
+        monkeypatch.setattr(T, "tanh", tanh_missing_square)
+        assert check_full_loss() > 1e-3

@@ -1,5 +1,7 @@
 """Losses, ground-truth prep, config files, and the training loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,12 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\niters=2   # trailing\n")
         assert load_train_config(path).iters == 2
+
+    def test_config_written_before_tau_was_dropped_still_loads(self):
+        # artifacts/model.cfg carries tau=0.3, a key TrainConfig no longer has
+        path = Path(__file__).resolve().parents[1] / "artifacts" / "model.cfg"
+        assert "tau=0.3" in path.read_text().split()
+        assert load_train_config(path) == TrainConfig()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
