@@ -23,8 +23,8 @@ from .estimator import DepthEstimator
 from .fusion import (FuseConfig, fuse, read_ply, write_ply, write_pgm)
 from .gradcheck import check_full_loss, run_suite
 from .nn import load_checkpoint
-from .scenes import (Scene, SynthSpec, build_gt_cloud, evaluate, load_pfm,
-                     load_scene, save_pfm, save_scene, synth_scene)
+from .scenes import (SynthSpec, build_gt_cloud, evaluate, load_pfm, load_scene,
+                     save_pfm, save_scene, synth_scene)
 from .tensor import no_grad
 from .training import TrainConfig, load_train_config, train
 
@@ -229,10 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scene", required=True)
     s.add_argument("--depths", required=True, help="directory from infer")
     s.add_argument("--out", required=True, help="output .ply path")
-    s.add_argument("--tau", type=float, default=0.3)
-    s.add_argument("--delta", type=float, default=1.0)
-    s.add_argument("--eps", type=float, default=0.01)
-    s.add_argument("--ngeo", type=int, default=3)
+    s.add_argument("--tau", type=float, default=FuseConfig.tau)
+    s.add_argument("--delta", type=float, default=FuseConfig.delta)
+    s.add_argument("--eps", type=float, default=FuseConfig.eps)
+    s.add_argument("--ngeo", type=int, default=FuseConfig.n_geo)
     s.add_argument("--no-conf", action="store_true",
                    help="skip the confidence filter")
     s.add_argument("--masks", help="directory for acceptance masks (PGM)")

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .features import FeatureExtractor, FeaturePyramid
+from .features import LEVEL_CHANNELS, FeatureExtractor, FeaturePyramid
 from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
                        relative_pose, sample_inverse_uniform, scale_intrinsics)
 from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
@@ -107,7 +107,7 @@ class DepthEstimator(Module):
             raise ConfigError("search radii must grow with the level")
         self.cfg = cfg
         self.fpn = FeatureExtractor(rng)
-        self.vw_cnn = ViewWeightCNN(GROUPS, rng)
+        self.vw_cnn = ViewWeightCNN(rng)
         self.init_unet = AggregationUnet(GROUPS * cfg.d1, cfg.d1, rng)
         # correlation logits live in [-1, 1]; the gain sharpens their
         # softmax so the coarse expectation tracks the argmax from the start
@@ -118,7 +118,7 @@ class DepthEstimator(Module):
         self.gru = GruCell(HIDDEN, 1 + sum(cfg.counts), rng)
         self.prob_head = Conv2d(HIDDEN, cfg.d2, 3, rng)
         self.conf_head = Conv2d(HIDDEN, 1, 3, rng)
-        self.upsampler = ConvexUpsampler(32, rng)
+        self.upsampler = ConvexUpsampler(LEVEL_CHANNELS[1], rng)
 
     def initialize(self, pyramids: list[FeaturePyramid],
                    views: list[CameraView]) -> InitState:

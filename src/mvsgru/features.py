@@ -15,10 +15,10 @@ from .tensor import Tensor, bilinear_resize, concat
 
 LEVEL_CHANNELS = (16, 32, 64)
 NORM_GROUPS = 8
+NORM_EPS = 1e-8
 
 
-def group_normalize(f: Tensor, groups: int = NORM_GROUPS,
-                    eps: float = 1e-8) -> Tensor:
+def group_normalize(f: Tensor) -> Tensor:
     """Scale each group of channels to unit root-mean-square.
 
     Grouped dot products of two normalized maps then land in [-1, 1], so
@@ -27,11 +27,10 @@ def group_normalize(f: Tensor, groups: int = NORM_GROUPS,
     tape only carries elementary transcendentals.
     """
     c, h, w = f.shape
-    if c % groups:
-        raise ShapeError(f"{c} channels not divisible into {groups} groups")
-    cg = c // groups
-    g = f.reshape((groups, cg, h, w))
-    ms = (g * g).mean(1, keepdims=True) + eps
+    if c % NORM_GROUPS:
+        raise ShapeError(f"{c} channels not divisible into {NORM_GROUPS} groups")
+    g = f.reshape((NORM_GROUPS, c // NORM_GROUPS, h, w))
+    ms = (g * g).mean(1, keepdims=True) + NORM_EPS
     inv_rms = (ms.log() * -0.5).exp()
     return (g * inv_rms).reshape((c, h, w))
 

@@ -35,10 +35,6 @@ class FuseConfig:
     n_geo: int = 3
 
 
-def confidence_filter(conf: np.ndarray, tau: float = 0.3) -> np.ndarray:
-    return conf >= tau
-
-
 def _lookup_nn(depth: np.ndarray, u: np.ndarray,
                v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-pixel depth lookup; returns (depth, in-bounds-and-valid)."""
@@ -55,15 +51,14 @@ def _lookup_nn(depth: np.ndarray, u: np.ndarray,
 
 def geometric_filter(ref: CameraView, ref_depth: np.ndarray,
                      srcs: list[CameraView], src_depths: list[np.ndarray],
-                     delta: float = 1.0, eps: float = 0.01,
-                     n_geo: int = 3) -> tuple[np.ndarray, np.ndarray]:
+                     cfg: FuseConfig) -> tuple[np.ndarray, np.ndarray]:
     """Cross-view consistency votes for every reference pixel.
 
     A pixel is consistent with a source view when projecting it there,
     reading the source depth (nearest neighbor) and projecting that point
-    back lands within ``delta`` pixels and ``eps`` relative depth of the
-    original estimate.  Both projections are ``geometry.warp_points``.
-    Returns (mask of pixels with >= n_geo votes, votes).
+    back lands within ``cfg.delta`` pixels and ``cfg.eps`` relative depth of
+    the original estimate.  Both projections are ``geometry.warp_points``.
+    Returns (mask of pixels with >= ``cfg.n_geo`` votes, votes).
     """
     h, w = ref_depth.shape
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
@@ -81,9 +76,9 @@ def geometric_filter(ref: CameraView, ref_depth: np.ndarray,
         pix_err = np.hypot(ub - xs, vb - ys)
         depth_err = np.abs(zb - d0) / d0_safe
         votes += (base_ok & front & ok & back_ok
-                  & (pix_err < delta) & (depth_err < eps))
+                  & (pix_err < cfg.delta) & (depth_err < cfg.eps))
     votes = votes.reshape(h, w)
-    return votes >= n_geo, votes
+    return votes >= cfg.n_geo, votes
 
 
 def backproject(view: CameraView, depth: np.ndarray,
@@ -111,13 +106,10 @@ def fuse(views: list[CameraView], depths: list[np.ndarray],
     xyz_parts, rgb_parts, masks = [], [], []
     for i, view in enumerate(views):
         others = [j for j in range(len(views)) if j != i]
-        geo, _ = geometric_filter(view, depths[i],
-                                  [views[j] for j in others],
-                                  [depths[j] for j in others],
-                                  cfg.delta, cfg.eps, cfg.n_geo)
-        mask = geo
+        mask, _ = geometric_filter(view, depths[i], [views[j] for j in others],
+                                   [depths[j] for j in others], cfg)
         if confs is not None:
-            mask = mask & confidence_filter(confs[i], cfg.tau)
+            mask = mask & (confs[i] >= cfg.tau)
         masks.append(mask)
         pts, rgb = backproject(view, depths[i], mask)
         xyz_parts.append(pts)

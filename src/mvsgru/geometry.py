@@ -7,7 +7,7 @@ K[2, 2] = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,19 +187,21 @@ def denormalize_inv(eta, d_min: float, d_max: float):
 #
 # d_interval and d_count are carried for compatibility and ignored on read.
 
+CAM_D_COUNT = 256
 
-def save_cam_text(path, view: CameraView, d2: int = 256) -> None:
+
+def save_cam_text(path, view: CameraView) -> None:
     ext = np.eye(4)
     ext[:3, :3] = view.r
     ext[:3, 3] = view.t
-    interval = (view.d_max - view.d_min) / max(d2 - 1, 1)
+    interval = (view.d_max - view.d_min) / (CAM_D_COUNT - 1)
     lines = ["extrinsic"]
     lines += [" ".join(f"{v:.12g}" for v in row) for row in ext]
     lines.append("")
     lines.append("intrinsic")
     lines += [" ".join(f"{v:.12g}" for v in row) for row in view.k]
     lines.append("")
-    lines.append(f"{view.d_min:.12g} {interval:.12g} {d2} {view.d_max:.12g}")
+    lines.append(f"{view.d_min:.12g} {interval:.12g} {CAM_D_COUNT} {view.d_max:.12g}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -55,8 +55,7 @@ def _coord_fd(f, work: list[np.ndarray], i: int, j: int, h: float) -> float:
 
 
 def check_gradients(forward: Callable[..., Tensor],
-                    arrays: list[np.ndarray], h: float = H_STEP,
-                    max_coords: int | None = None) -> float:
+                    arrays: list[np.ndarray], max_coords: int | None = None) -> float:
     """Max relative error between taped and central-difference gradients.
 
     ``forward`` maps input Tensors to a scalar Tensor.  Evaluation happens in
@@ -69,7 +68,7 @@ def check_gradients(forward: Callable[..., Tensor],
     straddles a kink (leaky-relu corner, argmax tie) stops straddling.  A
     coordinate where analytic and numeric agree within ``ABS_TOL * |f|``
     passes outright: the difference quotient carries rounding noise of about
-    ``eps * |f| / (2 h)``, so gradients near zero cannot be resolved any
+    ``eps * |f| / (2 H_STEP)``, so gradients near zero cannot be resolved any
     tighter than that no matter the step.
     """
     with using_dtype(np.float64):
@@ -96,7 +95,7 @@ def check_gradients(forward: Callable[..., Tensor],
                 coords = range(gflat.size)
             for j in coords:
                 err = np.inf
-                for step in (h, h / 16, h / 256):
+                for step in (H_STEP, H_STEP / 16, H_STEP / 256):
                     num = _coord_fd(f, work, i, j, step)
                     if abs(gflat[j] - num) < abs_tol:
                         err = 0.0
@@ -159,7 +158,7 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     simple("sigmoid", lambda: check_gradients(lambda a: _wsum(a.sigmoid(), w1), [rnd(3, 4)]))
     simple("tanh", lambda: check_gradients(lambda a: _wsum(a.tanh(), w1), [rnd(3, 4)]))
     simple("leaky_relu", lambda: check_gradients(
-        lambda a: _wsum(a.leaky_relu(0.01), w1), [_away_from(rnd(3, 4), [0.0], 0.05)]))
+        lambda a: _wsum(a.leaky_relu(), w1), [_away_from(rnd(3, 4), [0.0], 0.05)]))
     simple("clip", lambda: check_gradients(
         lambda a: _wsum(a.clip(-0.8, 0.8), w1), [_away_from(rnd(3, 4), [-0.8, 0.8], 0.05)]))
 
@@ -349,7 +348,7 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     """Gradient checks for the composite network operations."""
     from .estimator import GruCell, gru_update, predict_depth
     from .geometry import inverse_grid, normalize_inv
-    from .matching import AggregationUnet, group_correlation, integrate
+    from .matching import GROUPS, AggregationUnet, group_correlation, integrate
     from .training import loss_class, loss_conf, loss_regress
     from .upsample import ConvexUpsampler
 
@@ -358,10 +357,10 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     checks: dict[str, Callable[[], float]] = {}
 
-    wgc = rnd(4, 3, 6)
+    wgc = rnd(GROUPS, 3, 6)
     checks["group_correlation"] = lambda: check_gradients(
-        lambda f0, fi: _wsum(group_correlation(f0, fi, 4), wgc),
-        [rnd(8, 6), rnd(8, 3, 6)], max_coords=_MODEL_COORDS)
+        lambda f0, fi: _wsum(group_correlation(f0, fi), wgc),
+        [rnd(16, 6), rnd(16, 3, 6)], max_coords=_MODEL_COORDS)
 
     wint = rnd(4, 3, 2, 5)
 
@@ -476,25 +475,31 @@ def run_suite(instances: int = 20, seed: int = 0,
     return reports
 
 
-def check_full_loss(size: int = 16, iters: int = 1, seed: int = 3,
-                    coords_per_param: int = 4) -> float:
+FULL_LOSS_SIZE = 16
+FULL_LOSS_ITERS = 1
+FULL_LOSS_SEED = 3
+FULL_LOSS_COORDS = 4
+
+
+def check_full_loss() -> float:
     """Central-difference check of the complete training loss.
 
-    Builds a 2-view synthetic sample at ``size`` x ``size`` and runs one
-    ``check_gradients`` over every parameter tensor of the model, substituted
-    through ``_substitute_params`` as the module checks do: each tensor with
-    more than ``coords_per_param`` entries checks that many sampled
-    coordinates, the smaller ones all of theirs.  Returns the max relative
-    error.
+    Builds a 2-view synthetic sample at ``FULL_LOSS_SIZE`` px with
+    ``FULL_LOSS_ITERS`` GRU updates and runs one ``check_gradients`` over
+    every parameter tensor of the model, substituted through
+    ``_substitute_params`` as the module checks do: each tensor with more
+    than ``FULL_LOSS_COORDS`` entries checks that many sampled coordinates,
+    the smaller ones all of theirs.  Returns the max relative error.
     """
     from .estimator import DepthEstimator
     from .scenes import SynthSpec, synth_scene
     from .training import TrainConfig, sample_loss
 
     with using_dtype(np.float64):
-        scene = synth_scene(SynthSpec(seed=seed, views=2, size=size, quads=1))
-        cfg = TrainConfig(iters=iters, views=2)
-        model = DepthEstimator(cfg, np.random.default_rng(seed + 1))
+        scene = synth_scene(SynthSpec(seed=FULL_LOSS_SEED, views=2, size=FULL_LOSS_SIZE,
+                                      quads=1))
+        cfg = TrainConfig(iters=FULL_LOSS_ITERS, views=2)
+        model = DepthEstimator(cfg, np.random.default_rng(FULL_LOSS_SEED + 1))
         params = model.parameters()
 
     def loss(*tensors):
@@ -502,4 +507,4 @@ def check_full_loss(size: int = 16, iters: int = 1, seed: int = 3,
         return sample_loss(model, scene.views, 0, [1], cfg, warmup=False).total
 
     return check_gradients(loss, [p.data for p in params.values()],
-                           max_coords=coords_per_param)
+                           max_coords=FULL_LOSS_COORDS)

@@ -25,32 +25,30 @@ from .tensor import Tensor, bilinear_resize, bilinear_sample, concat, group_dot
 GROUPS = 8
 
 
-def group_correlation(f0: Tensor, fi: Tensor, groups: int = GROUPS) -> Tensor:
-    """Group-wise dot products, scaled by groups/C.
+def group_correlation(f0: Tensor, fi: Tensor) -> Tensor:
+    """Group-wise dot products over the GROUPS channel groups, scaled by GROUPS/C.
 
     That is the mean over each group's channels of the per-channel products.
     f0: [C, *spatial] reference features.
     fi: [C, D, *spatial] warped source features for D hypotheses.
-    Returns [groups, D, *spatial].
+    Returns [GROUPS, D, *spatial].
     """
     c = f0.shape[0]
     if fi.shape[0] != c:
         raise ShapeError(f"channel mismatch: {c} vs {fi.shape[0]}")
-    if c % groups:
-        raise ShapeError(f"{c} channels not divisible into {groups} groups")
     spatial = tuple(f0.shape[1:])
     if tuple(fi.shape[2:]) != spatial:
         raise ShapeError(f"spatial mismatch: {spatial} vs {fi.shape[2:]}")
     d, p = fi.shape[1], int(np.prod(spatial))
-    sim = group_dot(f0.reshape((c, p)), fi.reshape((c, d, p)), groups)
-    return sim.reshape((groups, d) + spatial)
+    sim = group_dot(f0.reshape((c, p)), fi.reshape((c, d, p)), GROUPS)
+    return sim.reshape((GROUPS, d) + spatial)
 
 
 class ViewWeightCNN(Module):
     """Reduces the G similarity channels to a single visibility logit."""
 
-    def __init__(self, groups: int, rng: np.random.Generator):
-        self.conv1 = Conv2d(groups, 16, 3, rng)
+    def __init__(self, rng: np.random.Generator):
+        self.conv1 = Conv2d(GROUPS, 16, 3, rng)
         self.conv2 = Conv2d(16, 1, 3, rng)
 
     def logits(self, s: Tensor) -> Tensor:
@@ -137,6 +135,10 @@ def level_coords(l: int, h4: int, w4: int,
 
     Quarter-res pixel (x, y) maps to (x/2^(l-2), y/2^(l-2)), clamped to the
     level rectangle so level-3 lookups at the bottom/right edges stay inside.
+    With the pixel-centre intrinsics of ``scale_intrinsics`` these positions
+    do not cast one ray per quarter-res pixel: in full-res pixels the
+    level-1 ray lies 1 px before and the level-3 ray 2 px after the level-2
+    ray (4x + 1.5) along each axis.
     """
     ys, xs = np.mgrid[:h4, :w4] * 2.0 ** (2 - l)
     return np.clip(xs, 0.0, w_l - 1.0), np.clip(ys, 0.0, h_l - 1.0)
@@ -167,8 +169,7 @@ def lookup_levels(pyramids: list[FeaturePyramid],
 def warp_and_correlate(f_ref_at_p: Tensor, f_src: Tensor, xl: np.ndarray,
                        yl: np.ndarray, depths: Tensor | np.ndarray,
                        k_ref_l: np.ndarray, k_src_l: np.ndarray,
-                       pose: RelativePose,
-                       groups: int = GROUPS) -> tuple[Tensor, np.ndarray]:
+                       pose: RelativePose) -> tuple[Tensor, np.ndarray]:
     """Similarity of S stacked source views against reference features.
 
     f_ref_at_p: [C, H, W] reference features at the level positions (xl,
@@ -184,13 +185,12 @@ def warp_and_correlate(f_ref_at_p: Tensor, f_src: Tensor, xl: np.ndarray,
     # [C, (S,) D, P]; invalid points sample 0, so their similarity is 0 too
     warped, valid = bilinear_sample(f_src, u, v, mode="zero", mask=front)
     sd = valid.size // (h * w)
-    sim = group_correlation(f_ref_at_p, warped.reshape((warped.shape[0], sd, h, w)),
-                            groups)
+    sim = group_correlation(f_ref_at_p, warped.reshape((warped.shape[0], sd, h, w)))
     return sim, valid.reshape(sd, h, w)
 
 
 def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], weights: Tensor,
-                          unets: list[Module], groups: int = GROUPS) -> Tensor:
+                          unets: list[Module]) -> Tensor:
     """Assemble the per-iteration similarity stack at 1/4 resolution.
 
     levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] depths
@@ -199,8 +199,7 @@ def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], weig
     out = []
     for (f_ref, f_src, xl, yl, k_ref, k_src, pose), hyps, unet in zip(
             levels, hyps_by_level, unets):
-        sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps, k_ref, k_src,
-                                    pose, groups)
+        sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps, k_ref, k_src, pose)
         merged = integrate(sim, weights)
         out.append(unet(merged.reshape((-1,) + tuple(hyps.shape[1:]))))
     return concat(out, 0)

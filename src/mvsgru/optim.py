@@ -19,14 +19,15 @@ class AdamState:
     step: int = 0
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state = AdamState()
 
     def zero_grad(self) -> None:
@@ -47,8 +48,8 @@ class Adam:
             grads[name] = g
         st = self.state
         st.step += 1
-        bc1 = 1.0 - self.beta1 ** st.step
-        bc2 = 1.0 - self.beta2 ** st.step
+        bc1 = 1.0 - BETA1 ** st.step
+        bc2 = 1.0 - BETA2 ** st.step
         for name, p in self.params.items():
             g = grads[name]
             if name not in st.m:
@@ -56,10 +57,10 @@ class Adam:
                 st.v[name] = np.zeros_like(p.data)
             m = st.m[name]
             v = st.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.data.dtype)

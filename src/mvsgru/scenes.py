@@ -205,18 +205,18 @@ class SynthSpec:
     size: int = 64
     quads: int = 3
     background: bool = True
-    arc: float = 0.64           # total angular camera spread, radians
-    radius: float = 3.8         # camera distance from the scene center
-    y_jitter: float = 0.2
-    # focal length and the texture band are paired so that the coarsest
-    # octaves stay resolvable after 8x downsampling while the finest give
-    # the sub-pixel gradients the refinement steps need
-    focal_per_px: float = 1.9   # focal length = focal_per_px * size
-    freq: tuple[float, float] = (2.0, 24.0)
-    noise: float = 0.01
-    margin: float = 0.05        # depth-range margin around the true extent
 
 
+ARC = 0.64                # total angular camera spread, radians
+CAM_RADIUS = 3.8          # camera distance from the scene center
+Y_JITTER = 0.2
+# focal length and the texture band are paired so that the coarsest
+# octaves stay resolvable after 8x downsampling while the finest give
+# the sub-pixel gradients the refinement steps need
+FOCAL_PER_PX = 1.9        # focal length = FOCAL_PER_PX * size
+FREQ_BAND = (2.0, 24.0)
+IMAGE_NOISE = 0.01
+DEPTH_MARGIN = 0.05       # depth-range margin around the true extent
 N_WAVES = 24
 
 
@@ -238,22 +238,21 @@ class _Surface:
         return self.base[:, None] + self.amps @ raw      # [3, P]
 
 
-def _make_surface(rng: np.random.Generator, p0, n, e1, e2, bounded,
-                  freq) -> _Surface:
+def _make_surface(rng: np.random.Generator, p0, n, e1, e2, bounded) -> _Surface:
     """Paint the plane with a broadband sum of random directional waves.
 
     A single low-frequency wave matches many depths almost equally along an
     epipolar line, so the texture mixes N_WAVES waves with frequencies drawn
-    log-uniformly across the band and amplitudes falling off as 1/sqrt(f);
+    log-uniformly across FREQ_BAND and amplitudes falling off as 1/sqrt(f);
     the result is locally unique at every scale the matcher looks at.
     """
     base = rng.uniform(0.35, 0.65, 3)
-    omega = np.exp(rng.uniform(np.log(freq[0]), np.log(freq[1]), N_WAVES))
+    omega = np.exp(rng.uniform(np.log(FREQ_BAND[0]), np.log(FREQ_BAND[1]), N_WAVES))
     theta = rng.uniform(0.0, 2 * np.pi, N_WAVES)
     phase = rng.uniform(0.0, 2 * np.pi, N_WAVES)
     waves = np.stack([omega * np.cos(theta), omega * np.sin(theta), phase],
                      axis=1)
-    amps = rng.uniform(-1.0, 1.0, (3, N_WAVES)) / np.sqrt(omega / freq[0])
+    amps = rng.uniform(-1.0, 1.0, (3, N_WAVES)) / np.sqrt(omega / FREQ_BAND[0])
     # bound the 2.5-sigma excursion rather than the worst case; rare
     # overshoots saturate in the final clip and read as glossy highlights
     room = np.minimum(base - 0.05, 0.95 - base)
@@ -295,7 +294,7 @@ def synth_scene(spec: SynthSpec) -> Scene:
         n /= np.linalg.norm(n)
         p0 = np.array([0.0, 0.0, rng.uniform(1.0, 1.5)])
         e1, e2 = _plane_axes(rng, n)
-        surfaces.append(_make_surface(rng, p0, n, e1, e2, False, spec.freq))
+        surfaces.append(_make_surface(rng, p0, n, e1, e2, False))
     for _ in range(spec.quads):
         alpha = rng.uniform(0.0, 0.5)
         beta = rng.uniform(0.0, 2 * np.pi)
@@ -306,10 +305,10 @@ def synth_scene(spec: SynthSpec) -> Scene:
         e1, e2 = _plane_axes(rng, n)
         e1 = e1 * rng.uniform(0.5, 0.9)
         e2 = e2 * rng.uniform(0.5, 0.9)
-        surfaces.append(_make_surface(rng, p0, n, e1, e2, True, spec.freq))
+        surfaces.append(_make_surface(rng, p0, n, e1, e2, True))
 
     size = spec.size
-    f = spec.focal_per_px * size
+    f = FOCAL_PER_PX * size
     cc = (size - 1) / 2.0
     k = np.array([[f, 0.0, cc], [0.0, f, cc], [0.0, 0.0, 1.0]])
     k_inv = np.linalg.inv(k)
@@ -318,14 +317,14 @@ def synth_scene(spec: SynthSpec) -> Scene:
     rays_cam = np.stack([xs.ravel(), ys.ravel(), np.ones(size * size)])
     rays_cam = k_inv @ rays_cam                          # z component == 1
 
-    angles = (np.linspace(-0.5, 0.5, spec.views) * spec.arc
+    angles = (np.linspace(-0.5, 0.5, spec.views) * ARC
               if spec.views > 1 else np.zeros(1))
     views: list[CameraView] = []
     centers = []
     for i in range(spec.views):
-        center = spec.radius * np.array([np.sin(angles[i]),
+        center = CAM_RADIUS * np.array([np.sin(angles[i]),
                                          0.0, -np.cos(angles[i])])
-        center[1] += rng.uniform(-spec.y_jitter, spec.y_jitter)
+        center[1] += rng.uniform(-Y_JITTER, Y_JITTER)
         target = rng.uniform(-0.1, 0.1, 3)
         r = _look_at(center, target)
         t = -r @ center
@@ -352,11 +351,11 @@ def synth_scene(spec: SynthSpec) -> Scene:
         if not np.isfinite(depth).all():
             raise SceneGenerationError(
                 f"view {i} of seed {spec.seed} sees empty space")
-        img = color + rng.normal(0.0, spec.noise, color.shape)
+        img = color + rng.normal(0.0, IMAGE_NOISE, color.shape)
         img = np.clip(img, 0.0, 1.0).astype(np.float32)
         gt = depth.reshape(size, size).astype(np.float32)
-        d_lo = float(gt.min()) * (1.0 - spec.margin)
-        d_hi = float(gt.max()) * (1.0 + spec.margin)
+        d_lo = float(gt.min()) * (1.0 - DEPTH_MARGIN)
+        d_hi = float(gt.max()) * (1.0 + DEPTH_MARGIN)
         views.append(CameraView(k, r, t, d_lo, d_hi,
                                 img.reshape(3, size, size), gt, f"{i:04d}"))
         centers.append(center)

@@ -46,6 +46,7 @@ _TAPES: list["Tape"] = []
 _GRAD_ENABLED = [True]
 
 _FLOAT_TYPES = (np.float32, np.float64)
+LEAKY_SLOPE = 0.01
 
 
 def set_default_dtype(dtype) -> None:
@@ -217,8 +218,8 @@ class Tensor:
     def tanh(self):
         return tanh(self)
 
-    def leaky_relu(self, slope: float = 0.01):
-        return leaky_relu(self, slope)
+    def leaky_relu(self):
+        return leaky_relu(self)
 
     def clip(self, lo=None, hi=None):
         return clip(self, lo, hi)
@@ -380,12 +381,12 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.where(a.data > 0, a.data, slope * a.data))
+    out = Tensor(np.where(a.data > 0, a.data, LEAKY_SLOPE * a.data))
 
     def bw(g):
-        _accum(a, g * np.where(a.data > 0, 1.0, slope))
+        _accum(a, g * np.where(a.data > 0, 1.0, LEAKY_SLOPE))
 
     return _record(out, (a,), bw)
 
@@ -431,12 +432,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _record(out, (a,), bw)
 
@@ -874,23 +872,15 @@ def group_dot(f0: Tensor, fi: Tensor, groups: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse-replay the tape from a scalar loss.
 
-    Fills ``.grad`` on every tensor reached and returns the gradients of the
-    requires-grad leaves (tensors that are inputs but never outputs on this
-    tape).  Parameters not touched by the loss simply do not appear.
+    Fills ``.grad`` on every tensor reached; tensors the loss does not
+    depend on keep ``grad`` as it was.
     """
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    produced = {id(out) for out, _, _ in tape.entries}
     for out, _, fn in reversed(tape.entries):
         if out.grad is not None:
             fn(out.grad)
-    leaves: dict[Tensor, np.ndarray] = {}
-    for _, parents, _ in tape.entries:
-        for p in parents:
-            if p.requires_grad and id(p) not in produced and p.grad is not None:
-                leaves[p] = p.grad
-    return leaves

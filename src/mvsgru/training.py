@@ -124,8 +124,7 @@ class GroundTruth:
     n_valid: int
 
 
-def make_gt(depth: np.ndarray, d_min: float, d_max: float,
-            d2: int = 256) -> GroundTruth:
+def make_gt(depth: np.ndarray, d_min: float, d_max: float, d2: int) -> GroundTruth:
     """Prepare full- and quarter-resolution targets from one GT depth map.
 
     Invalid pixels are NaN or <= 0.  The quarter map uses nearest-neighbor
@@ -168,8 +167,8 @@ def loss_class(prob: Tensor, x_gt: np.ndarray, valid: np.ndarray) -> Tensor:
 
 
 def loss_regress(eta_k: Tensor, x_k: np.ndarray, eta_gt: np.ndarray,
-                 x_gt: np.ndarray, valid: np.ndarray, radius: int = 4,
-                 beta: float = 256.0) -> Tensor:
+                 x_gt: np.ndarray, valid: np.ndarray, radius: int,
+                 beta: float) -> Tensor:
     """Gated L1 in normalized inverse depth.
 
     Pixels whose argmax strayed more than ``radius`` samples from the target

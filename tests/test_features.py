@@ -80,41 +80,41 @@ class TestShapes:
 class TestGroupNormalize:
     def test_unit_rms_per_group(self, rng):
         T.set_default_dtype(np.float64)
-        f = group_normalize(Tensor(rng.normal(0, 3.0, (16, 5, 7))), groups=4)
-        sq = (f.data ** 2).reshape(4, 4, 5, 7).mean(axis=1)
+        f = group_normalize(Tensor(rng.normal(0, 3.0, (32, 5, 7))))
+        sq = (f.data ** 2).reshape(8, 4, 5, 7).mean(axis=1)
         assert np.allclose(sq, 1.0, atol=1e-6)
 
     def test_grouped_dots_bounded(self, rng):
         T.set_default_dtype(np.float64)
-        a = group_normalize(Tensor(rng.normal(0, 1, (16, 4, 4))), groups=4)
-        b = group_normalize(Tensor(rng.normal(0, 1, (16, 4, 4))), groups=4)
-        dots = (a.data * b.data).reshape(4, 4, 4, 4).sum(axis=1) / 4
+        a = group_normalize(Tensor(rng.normal(0, 1, (32, 4, 4))))
+        b = group_normalize(Tensor(rng.normal(0, 1, (32, 4, 4))))
+        dots = (a.data * b.data).reshape(8, 4, 4, 4).sum(axis=1) / 4
         assert np.abs(dots).max() <= 1.0 + 1e-9
 
     def test_zero_group_stays_zero(self):
-        f = np.zeros((8, 3, 3))
-        f[4:] = 1.0
-        out = group_normalize(Tensor(f), groups=2)
-        assert np.allclose(out.data[:4], 0.0)
-        assert np.allclose(out.data[4:], 1.0, atol=1e-6)
+        f = np.zeros((16, 3, 3))
+        f[8:] = 1.0
+        out = group_normalize(Tensor(f))
+        assert np.allclose(out.data[:8], 0.0)
+        assert np.allclose(out.data[8:], 1.0, atol=1e-6)
 
     def test_rejects_indivisible_channels(self, rng):
         with pytest.raises(ShapeError):
-            group_normalize(Tensor(rng.normal(0, 1, (6, 2, 2))), groups=4)
+            group_normalize(Tensor(rng.normal(0, 1, (12, 2, 2))))
 
     def test_gradient_matches_finite_differences(self, rng):
         T.set_default_dtype(np.float64)
-        x = Tensor(rng.normal(0, 1, (4, 2, 2)), requires_grad=True)
-        w = rng.normal(0, 1, (4, 2, 2))
+        x = Tensor(rng.normal(0, 1, (16, 2, 2)), requires_grad=True)
+        w = rng.normal(0, 1, (16, 2, 2))
         with Tape() as tape:
-            loss = (group_normalize(x, groups=2) * w).sum()
+            loss = (group_normalize(x) * w).sum()
         backward(tape, loss)
         h = 1e-6
-        for idx in [(0, 0, 0), (1, 1, 1), (3, 0, 1)]:
+        for idx in [(0, 0, 0), (1, 1, 1), (3, 0, 1), (15, 1, 0)]:
             xp = x.data.copy(); xp[idx] += h
             xm = x.data.copy(); xm[idx] -= h
-            fd = (((group_normalize(Tensor(xp), 2) * w).data.sum()
-                   - (group_normalize(Tensor(xm), 2) * w).data.sum())
+            fd = (((group_normalize(Tensor(xp)) * w).data.sum()
+                   - (group_normalize(Tensor(xm)) * w).data.sum())
                   / (2 * h))
             assert abs(x.grad[idx] - fd) < 1e-7 * max(1.0, abs(fd))
 

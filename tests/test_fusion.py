@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mvsgru.errors import FileFormatError
-from mvsgru.fusion import (FuseConfig, PointCloud, backproject,
-                           confidence_filter, fuse, geometric_filter,
-                           read_ply, write_pgm, write_ply)
+from mvsgru.fusion import (FuseConfig, PointCloud, backproject, fuse,
+                           geometric_filter, read_ply, write_pgm, write_ply)
 from mvsgru.geometry import CameraView
 from mvsgru.scenes import SynthSpec, synth_scene
 
@@ -24,23 +23,27 @@ def plain_view(size, f, center_x=0.0, depth_value=1.0, name="v"):
 
 class TestConfidenceFilter:
     def test_threshold_is_inclusive(self):
-        conf = np.array([[0.3, 0.2999, 0.95, 0.0]])
-        got = confidence_filter(conf, tau=0.3)
-        assert got.tolist() == [[True, False, True, False]]
+        # two identical views agree everywhere, so with n_geo=1 only the
+        # confidence threshold decides
+        view, depth = plain_view(4, 6.0)
+        conf = np.tile([0.3, 0.2999, 0.95, 0.0], (4, 1))
+        _, masks = fuse([view, view], [depth, depth], [conf, conf],
+                        FuseConfig(tau=0.3, n_geo=1))
+        assert masks[0].tolist() == [[True, False, True, False]] * 4
 
 
 class TestGeometricFilter:
     def test_identical_views_agree_everywhere(self):
         view, depth = plain_view(16, 24.0)
         mask, votes = geometric_filter(view, depth, [view] * 3, [depth] * 3,
-                                       n_geo=3)
+                                       FuseConfig(n_geo=3))
         assert (votes == 3).all()
         assert mask.all()
 
     def test_two_percent_depth_error_loses_every_vote(self):
         view, depth = plain_view(16, 24.0)
         mask, votes = geometric_filter(view, depth * 1.02, [view] * 3,
-                                       [depth] * 3, eps=0.01, n_geo=1)
+                                       [depth] * 3, FuseConfig(eps=0.01, n_geo=1))
         assert (votes == 0).all()
         assert not mask.any()
 
@@ -49,9 +52,9 @@ class TestGeometricFilter:
         # factors are exact in binary so no boundary rounding is involved
         view, depth = plain_view(16, 24.0)
         _, near = geometric_filter(view, depth, [view],
-                                   [depth * (1 + 2.0 ** -7)], n_geo=1)
+                                   [depth * (1 + 2.0 ** -7)], FuseConfig(n_geo=1))
         _, far = geometric_filter(view, depth, [view],
-                                  [depth * (1 + 2.0 ** -6)], n_geo=1)
+                                  [depth * (1 + 2.0 ** -6)], FuseConfig(n_geo=1))
         assert (near == 1).all()
         assert (far == 0).all()
 
@@ -67,7 +70,7 @@ class TestGeometricFilter:
             src, _ = plain_view(size, f, center_x=-shift * d / f, name="s")
             srcd = np.full((size, size + shift), d * err)
             _, votes = geometric_filter(ref, depth, [src], [srcd],
-                                        delta=1.0, eps=0.01, n_geo=1)
+                                        FuseConfig(delta=1.0, eps=0.01, n_geo=1))
             assert (votes == want).all(), shift
 
     def test_votes_monotone_in_n_geo(self):
@@ -77,7 +80,7 @@ class TestGeometricFilter:
         for n in (1, 2, 3):
             mask, votes = geometric_filter(scene.views[0], depths[0],
                                            scene.views[1:], depths[1:],
-                                           n_geo=n)
+                                           FuseConfig(n_geo=n))
             assert np.array_equal(mask, votes >= n)
             if prev is not None:
                 assert not mask[~prev].any()
@@ -87,7 +90,7 @@ class TestGeometricFilter:
         scene = synth_scene(SynthSpec(seed=31, views=4, size=32, quads=2))
         depths = [v.gt_depth for v in scene.views]
         mask, _ = geometric_filter(scene.views[0], depths[0],
-                                   scene.views[1:], depths[1:], n_geo=1)
+                                   scene.views[1:], depths[1:], FuseConfig(n_geo=1))
         # pixels leaving every source frustum and occlusion boundaries lose
         # votes; the bulk of the image must keep at least one, and away from
         # the frustum edges only occluded discontinuity pixels may fail
@@ -104,7 +107,8 @@ class TestGeometricFilter:
         depths[2] = np.where(rng.random((32, 32)) < 0.05, np.nan, depths[2])
         ref, srcs = scene.views[0], scene.views[1:]
         delta, eps = 1.0, 0.01
-        _, votes = geometric_filter(ref, depths[0], srcs, depths[1:], delta, eps)
+        _, votes = geometric_filter(ref, depths[0], srcs, depths[1:],
+                                    FuseConfig(delta=delta, eps=eps))
 
         def project(view, world):
             cam = view.r @ world + view.t

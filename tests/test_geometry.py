@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError
-from mvsgru.geometry import (CameraView, RelativePose, denormalize_inv, inverse_grid,
+from mvsgru.geometry import (CameraView, denormalize_inv, inverse_grid,
                              load_cam_text, normalize_inv, relative_pose,
                              sample_inverse_uniform, save_cam_text, scale_intrinsics,
                              warp_points)

@@ -53,32 +53,32 @@ class TestGroupCorrelation:
     def test_all_ones_gives_unit_similarity(self):
         f0 = Tensor(np.ones((16, 3, 5)))
         fi = Tensor(np.ones((16, 4, 3, 5)))
-        s = group_correlation(f0, fi, 8)
+        s = group_correlation(f0, fi)
         assert s.shape == (8, 4, 3, 5)
         assert np.allclose(s.data, 1.0, atol=1e-6)
 
     def test_zero_source_gives_zero(self, rng):
         f0 = Tensor(rng.standard_normal((16, 3, 5)))
         fi = Tensor(np.zeros((16, 4, 3, 5)))
-        s = group_correlation(f0, fi, 8)
+        s = group_correlation(f0, fi)
         assert np.allclose(s.data, 0.0)
 
     def test_matches_loop_oracle(self, rng):
         T.set_default_dtype(np.float64)
-        f0 = rng.standard_normal((8, 4, 3))
-        fi = rng.standard_normal((8, 5, 4, 3))
-        s = group_correlation(Tensor(f0), Tensor(fi), 4)
-        assert np.allclose(s.data, group_correlation_oracle(f0, fi, 4),
+        f0 = rng.standard_normal((16, 4, 3))
+        fi = rng.standard_normal((16, 5, 4, 3))
+        s = group_correlation(Tensor(f0), Tensor(fi))
+        assert np.allclose(s.data, group_correlation_oracle(f0, fi, 8),
                            atol=1e-12)
 
     def test_bilinear_in_each_argument(self, rng):
         T.set_default_dtype(np.float64)
-        f0a = rng.standard_normal((8, 2, 2))
-        f0b = rng.standard_normal((8, 2, 2))
-        fi = rng.standard_normal((8, 3, 2, 2))
-        left = group_correlation(Tensor(f0a + 2.0 * f0b), Tensor(fi), 4).data
-        right = (group_correlation(Tensor(f0a), Tensor(fi), 4).data
-                 + 2.0 * group_correlation(Tensor(f0b), Tensor(fi), 4).data)
+        f0a = rng.standard_normal((16, 2, 2))
+        f0b = rng.standard_normal((16, 2, 2))
+        fi = rng.standard_normal((16, 3, 2, 2))
+        left = group_correlation(Tensor(f0a + 2.0 * f0b), Tensor(fi)).data
+        right = (group_correlation(Tensor(f0a), Tensor(fi)).data
+                 + 2.0 * group_correlation(Tensor(f0b), Tensor(fi)).data)
         assert np.allclose(left, right, atol=1e-12)
 
     def test_layout_of_the_warped_features_does_not_matter(self, rng):
@@ -89,22 +89,22 @@ class TestGroupCorrelation:
         warped, _ = T.bilinear_sample(grid, xs, ys)
         assert not warped.data.flags.c_contiguous
         f0 = Tensor(rng.standard_normal((16, 4, 5)))
-        got = group_correlation(f0, warped, 8).data
-        want = group_correlation(f0, Tensor(np.ascontiguousarray(warped.data)), 8).data
+        got = group_correlation(f0, warped).data
+        want = group_correlation(f0, Tensor(np.ascontiguousarray(warped.data))).data
         assert np.abs(got - want).max() < 1e-6
 
     def test_rejects_channel_mismatch_and_bad_groups(self, rng):
         with pytest.raises(ShapeError):
-            group_correlation(Tensor(rng.random((8, 2, 2))),
-                              Tensor(rng.random((6, 3, 2, 2))), 4)
+            group_correlation(Tensor(rng.random((16, 2, 2))),
+                              Tensor(rng.random((8, 3, 2, 2))))
         with pytest.raises(ShapeError):
-            group_correlation(Tensor(rng.random((6, 2, 2))),
-                              Tensor(rng.random((6, 3, 2, 2))), 4)
+            group_correlation(Tensor(rng.random((12, 2, 2))),
+                              Tensor(rng.random((12, 3, 2, 2))))
 
 
 class TestViewWeight:
     def test_weight_bounds(self, rng):
-        cnn = ViewWeightCNN(8, rng)
+        cnn = ViewWeightCNN(rng)
         s = Tensor(rng.standard_normal((8, 16, 4, 4)))
         valid = np.ones((16, 4, 4), dtype=bool)
         w, p = view_weight(cnn, s, valid)
@@ -116,7 +116,7 @@ class TestViewWeight:
         assert np.allclose(p.data.sum(axis=0), 1.0, atol=1e-5)
 
     def test_fully_invalid_pixel_falls_back_to_uniform(self, rng):
-        cnn = ViewWeightCNN(8, rng)
+        cnn = ViewWeightCNN(rng)
         s = Tensor(rng.standard_normal((8, 16, 4, 4)))
         valid = np.ones((16, 4, 4), dtype=bool)
         valid[:, 1, 2] = False
@@ -192,17 +192,17 @@ class TestWarpAndCorrelate:
     def test_identity_pose_recovers_self_correlation(self, rng):
         T.set_default_dtype(np.float64)
         view = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-        feats = Tensor(rng.standard_normal((8, 8, 8)))
+        feats = Tensor(rng.standard_normal((16, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
         depths = np.full((3, 8, 8), 4.0)
-        sim, valid = warp_and_correlate(feats, feats.reshape((1, 8, 8, 8)), xl,
+        sim, valid = warp_and_correlate(feats, feats.reshape((1, 16, 8, 8)), xl,
                                         yl, depths, view.k, view.k[None],
-                                        relative_poses(view, [view]), groups=4)
+                                        relative_poses(view, [view]))
         # border pixels may round a hair outside and get masked; the
         # interior must all survive and match the direct self-correlation
         assert valid[:, 1:-1, 1:-1].all()
         want = group_correlation_oracle(feats.data,
-                                        np.repeat(feats.data[:, None], 3, 1), 4)
+                                        np.repeat(feats.data[:, None], 3, 1), 8)
         assert np.allclose(sim.data[:, valid], want[:, valid], atol=1e-9)
         assert np.allclose(sim.data[:, ~valid], 0.0)
 
@@ -210,12 +210,12 @@ class TestWarpAndCorrelate:
         # source looks the other way, every warp lands outside
         ref = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         src = make_view(8, 10.0, (100.0, 0.0, 0.0), (200.0, 0.0, 0.0))
-        feats = Tensor(rng.standard_normal((8, 8, 8)))
+        feats = Tensor(rng.standard_normal((16, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
         depths = np.full((2, 8, 8), 4.0)
-        sim, valid = warp_and_correlate(feats, feats.reshape((1, 8, 8, 8)), xl,
+        sim, valid = warp_and_correlate(feats, feats.reshape((1, 16, 8, 8)), xl,
                                         yl, depths, ref.k, src.k[None],
-                                        relative_poses(ref, [src]), groups=4)
+                                        relative_poses(ref, [src]))
         assert not valid.any()
         assert np.allclose(sim.data, 0.0)
 

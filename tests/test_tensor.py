@@ -447,10 +447,9 @@ class TestTape:
         y = Tensor(np.array([4.0, 5.0]), requires_grad=True)
         with Tape() as tape:
             out = (x * y + x).sum()
-        grads = backward(tape, out)
+        backward(tape, out)
         assert np.allclose(x.grad, [5.0, 6.0])
         assert np.allclose(y.grad, [2.0, 3.0])
-        assert set(grads) == {x, y}
 
     def test_reuse_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -490,11 +489,6 @@ class TestTape:
             a = x * 2.0
             b = a + 1.0
             _ = (b * a).sum()
-        seen = set()
-        for out, parents, _ in tape.entries:
-            for p in parents:
-                assert id(p) not in seen or True  # parents may be leaves
-            seen.add(id(out))
         # every parent that is itself an output must have appeared earlier
         produced = set()
         for out, parents, _ in tape.entries:
@@ -545,7 +539,7 @@ class TestAdam:
     def test_nan_gradient_names_parameter(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         q = Tensor(np.zeros(2), requires_grad=True)
-        opt = Adam({"good": p, "bad": q})
+        opt = Adam({"good": p, "bad": q}, lr=1e-3)
         p.grad = np.zeros(2, dtype=np.float32)
         q.grad = np.array([0.0, np.nan], dtype=np.float32)
         with pytest.raises(TrainStepError, match="bad"):
@@ -554,7 +548,7 @@ class TestAdam:
 
     def test_missing_grad_is_zero_update(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        opt = Adam({"p": p})
+        opt = Adam({"p": p}, lr=1e-3)
         opt.step()
         assert np.allclose(p.data, 1.0)
 

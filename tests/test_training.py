@@ -8,7 +8,6 @@ import pytest
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, EmptySampleError
 from mvsgru.estimator import DepthEstimator, RunResult
-from mvsgru.geometry import normalize_inv
 from mvsgru.optim import Adam
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import Tape, Tensor, backward
@@ -45,7 +44,7 @@ class TestMakeGt:
 
     def test_all_invalid_raises(self):
         with pytest.raises(EmptySampleError):
-            make_gt(np.full((4, 4), np.nan), 1.0, 4.0)
+            make_gt(np.full((4, 4), np.nan), 1.0, 4.0, d2=256)
 
     def test_nearest_sample_index_with_tie_to_lower(self):
         d_min, d_max = 1.0, 4.0
@@ -100,14 +99,15 @@ class TestLossTerms:
         x_gt = np.array([[0, 100]])
         x_k = np.array([[10, 101]])
         valid = np.ones((1, 2), dtype=bool)
-        got = loss_regress(eta_k, x_k, eta_gt, x_gt, valid, radius=4)
+        got = loss_regress(eta_k, x_k, eta_gt, x_gt, valid, radius=4, beta=256.0)
         # first pixel strayed 10 > 4 samples: only the second contributes
         assert np.allclose(got.data, 256.0 * 0.0, atol=1e-9)
 
     def test_regress_empty_gate_is_exactly_zero(self):
         eta_k = Tensor(np.array([[0.9]]))
         got = loss_regress(eta_k, np.array([[50]]), np.array([[0.1]]),
-                           np.array([[0]]), np.ones((1, 1), dtype=bool))
+                           np.array([[0]]), np.ones((1, 1), dtype=bool),
+                           radius=4, beta=256.0)
         assert got.data == 0.0
 
     def test_conf_half_costs_log_two(self):
