@@ -13,8 +13,9 @@ from mvsgru.tensor import Tensor, bilinear_sample
 
 scene = synth_scene(SynthSpec(seed=12, views=3, size=64, quads=2))
 ref = scene.views[0]
-src = scene.views[scene.sources(0, 1)[0]]
-print(f"reference {ref.name}, source {src.name}, "
+src_idx = scene.sources(0, 1)[0]
+src = scene.views[src_idx]
+print(f"reference view 0, source view {src_idx}, "
       f"depth range [{ref.d_min:.2f}, {ref.d_max:.2f}]")
 
 h, w = ref.gt_depth.shape

@@ -88,7 +88,6 @@ def _cmd_infer(args) -> int:
     iters = cfg.iters if args.iters is None else args.iters
     views = cfg.views if args.views is None else args.views
     refs = args.ref if args.ref else list(range(len(scene.views)))
-    os.makedirs(args.out, exist_ok=True)
     for ref in refs:
         if not 0 <= ref < len(scene.views):
             raise MvsError(f"reference index {ref} out of range")
@@ -96,6 +95,7 @@ def _cmd_infer(args) -> int:
         ordered = [scene.views[ref]] + [scene.views[j] for j in srcs]
         with no_grad():
             run = model.run(ordered, iters=iters)
+        os.makedirs(args.out, exist_ok=True)
         save_pfm(os.path.join(args.out, f"depth_{ref:04d}.pfm"),
                  run.d_up.data.astype(np.float32))
         save_pfm(os.path.join(args.out, f"conf_{ref:04d}.pfm"),

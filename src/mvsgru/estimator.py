@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .features import LEVEL_CHANNELS, FeatureExtractor, FeaturePyramid
 from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
-                       relative_pose, sample_inverse_uniform, scale_intrinsics)
+                       relative_poses, sample_inverse_uniform, scale_intrinsics)
 from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
                        multiscale_similarity, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
@@ -126,20 +126,24 @@ class DepthEstimator(Module):
         cfg = self.cfg
         ref = views[0]
         f3 = pyramids[0].f3
-        h8, w8 = f3.shape[1], f3.shape[2]
+        c3, h8, w8 = f3.shape
         h4, w4 = h8 * 2, w8 * 2
         depths = sample_inverse_uniform(ref.d_min, ref.d_max, cfg.d1)
-        hyp_vol = np.broadcast_to(depths[:, None, None], (cfg.d1, h8, w8))
-        ys, xs = np.mgrid[:h8, :w8].astype(np.float64)
-        k_ref = scale_intrinsics(ref.k, 3)
-        # one source at a time: all S*D1 planes of 64 channels at once would
-        # double the peak memory of a 256 px run (correlation, view-weight CNN)
-        swept = [warp_and_correlate(f3, p.f3, xs, ys, hyp_vol, k_ref,
-                                    scale_intrinsics(v.k, 3), relative_pose(ref, v))
-                 for p, v in zip(pyramids[1:], views[1:])]
-        w = concat([view_weight(self.vw_cnn, sim, valid)[0] for sim, valid in swept], 0)
-        merged = integrate(concat([sim for sim, _ in swept], 1), w).reshape(
-            (GROUPS * cfg.d1, h8, w8))
+        hyp_vol = np.broadcast_to(depths[:, None], (cfg.d1, h8 * w8))
+        ys, xs = np.mgrid[:h8, :w8].reshape(2, -1).astype(np.float64)
+        f_ref, k_ref = f3.reshape((c3, h8 * w8)), scale_intrinsics(ref.k, 3)
+        # one source at a time (S = 1): all S*D1 planes of 64 channels at once
+        # would double the peak memory of a 256 px run (correlation, view-weight CNN)
+        sims, ws = [], []
+        for p, v in zip(pyramids[1:], views[1:]):
+            sim, valid = warp_and_correlate(f_ref, p.f3.reshape((1, c3, h8, w8)), xs, ys, hyp_vol,
+                                            k_ref, scale_intrinsics(v.k[None], 3),
+                                            relative_poses(ref, [v]))
+            sims.append(sim)
+            ws.append(view_weight(self.vw_cnn, sim.reshape((GROUPS, cfg.d1, h8, w8)),
+                                  valid.reshape(cfg.d1, h8, w8))[0])
+        w = concat(ws, 0)
+        merged = integrate(concat(sims, 1), w).reshape((GROUPS * cfg.d1, h8, w8))
         s_init = self.init_unet(merged) * self.init_gain
         pre = self.h0b(self.h0a(s_init).leaky_relu())
         h0 = bilinear_resize(pre, (h4, w4)).tanh()
@@ -179,6 +183,8 @@ class DepthEstimator(Module):
         if len(views) < 2:
             raise ConfigError("need a reference and at least one source view")
         k = cfg.iters if iters is None else iters
+        if k < 0:
+            raise ConfigError(f"iteration count must be >= 0, got {k}")
         ref = views[0]
         pyramids = [self.fpn.extract(v.image) for v in views]
         init = self.initialize(pyramids, views)

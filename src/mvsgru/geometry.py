@@ -32,7 +32,6 @@ class CameraView:
     d_max: float
     image: np.ndarray
     gt_depth: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         self.k = np.asarray(self.k, dtype=np.float64)

@@ -4,11 +4,11 @@ Covers group-wise correlation of warped features, pixel-wise view weights,
 weighted multi-view integration, per-level neighborhood aggregation and the
 assembly of the multi-scale similarity stack consumed by the update GRU.
 
-The S source views are stacked: features [S, C, H, W], warped by one
-``bilinear_sample`` call into [C, S, D, P], and similarity volumes
-[G, S*D, ...], each source's D hypotheses in turn.  The warp and the
-correlation flatten the spatial axes to P = H*W because a Tensor has at
-most four axes.  View weights are [S, H, W]; ``integrate`` sums S away.
+Volumes keep the layout the warp produces, pixels flattened to P = H*W and
+last: reference features [C, P]; S stacked sources [S, C, H_l, W_l], warped
+by one ``bilinear_sample`` call to [C, S, D, P] for D hypotheses; similarity
+[G, S, D, P] with validity [S, D, P]; ``integrate`` sums S away with [S, P]
+view weights to [G, D, P].  Only the convolutions reshape to image layout.
 """
 
 from __future__ import annotations
@@ -29,19 +29,11 @@ def group_correlation(f0: Tensor, fi: Tensor) -> Tensor:
     """Group-wise dot products over the GROUPS channel groups, scaled by GROUPS/C.
 
     That is the mean over each group's channels of the per-channel products.
-    f0: [C, *spatial] reference features.
-    fi: [C, D, *spatial] warped source features for D hypotheses.
-    Returns [GROUPS, D, *spatial].
+    f0: [C, P] reference features.
+    fi: [C, ..., P] warped source features, e.g. [C, S, D, P].
+    Returns [GROUPS, ..., P].
     """
-    c = f0.shape[0]
-    if fi.shape[0] != c:
-        raise ShapeError(f"channel mismatch: {c} vs {fi.shape[0]}")
-    spatial = tuple(f0.shape[1:])
-    if tuple(fi.shape[2:]) != spatial:
-        raise ShapeError(f"spatial mismatch: {spatial} vs {fi.shape[2:]}")
-    d, p = fi.shape[1], int(np.prod(spatial))
-    sim = group_dot(f0.reshape((c, p)), fi.reshape((c, d, p)), GROUPS)
-    return sim.reshape((GROUPS, d) + spatial)
+    return group_dot(f0, fi, GROUPS)
 
 
 class ViewWeightCNN(Module):
@@ -76,18 +68,17 @@ def view_weight(cnn: ViewWeightCNN, s: Tensor,
 def integrate(sim: Tensor, weights: Tensor) -> Tensor:
     """Weighted average over the source axis of a stacked similarity volume.
 
-    sim: [G, S*D, H, W]; weights: [S, H, W], normalized over S here and
-    broadcast over the group and hypothesis axes.  The weights are strictly
-    positive by construction (softmax maxima), so their sum is safe to
-    divide by.  Returns [G, D, H, W].
+    sim: [G, S, D, P]; weights: [S, P] (an [S, H, W] map with H*W = P reads
+    the same), normalized over S here and broadcast over the group and
+    hypothesis axes.  The weights are strictly positive by construction
+    (softmax maxima), so their sum is safe to divide by.  Returns [G, D, P].
     """
-    g, sd, h, w = sim.shape
-    n_src = weights.shape[0]
-    if weights.ndim != 3 or tuple(weights.shape[1:]) != (h, w) or sd % n_src:
+    if sim.ndim != 4 or weights.shape[0] != sim.shape[1] or \
+            weights.size != sim.shape[1] * sim.shape[3]:
         raise ShapeError(f"weights {weights.shape} do not fit similarity {sim.shape}")
-    d, p = sd // n_src, h * w
-    share = (weights / weights.sum(0, keepdims=True)).reshape((1, n_src, 1, p))
-    return (sim.reshape((g, n_src, d, p)) * share).sum(1).reshape((g, d, h, w))
+    n_src, p = sim.shape[1], sim.shape[3]
+    share = (weights / weights.sum(0, keepdims=True)).reshape((n_src, 1, p))
+    return (sim * share).sum(1)
 
 
 class AggregationUnet(Module):
@@ -147,10 +138,10 @@ def level_coords(l: int, h4: int, w4: int,
 def lookup_levels(pyramids: list[FeaturePyramid],
                   views: list[CameraView]) -> list[tuple]:
     """What every GRU iteration's lookup at levels 1..3 shares, per level:
-    reference features [C, H/4, W/4] at the level positions (xl, yl) of the
-    1/4-res grid, the sources' features stacked [S, C, H_l, W_l], xl, yl,
-    level intrinsics of the reference and of the sources [S, 3, 3], and the
-    poses.  pyramids and views list the reference first.
+    reference features [C, P] at the level positions (xl, yl) [P] of the
+    P = H/4 * W/4 pixels, the sources' features stacked [S, C, H_l, W_l],
+    xl, yl, level intrinsics of the reference and of the sources [S, 3, 3],
+    and the poses.  pyramids and views list the reference first.
     """
     ref, src = pyramids[0], stack_pyramids(pyramids[1:])
     h4, w4 = ref.f2.shape[1], ref.f2.shape[2]
@@ -158,35 +149,34 @@ def lookup_levels(pyramids: list[FeaturePyramid],
     levels = []
     for l in (1, 2, 3):
         f_ref = ref.level(l)
-        xl, yl = level_coords(l, h4, w4, f_ref.shape[1], f_ref.shape[2])
-        if l != 2:  # level 2 is the 1/4-res grid itself
+        xl, yl = (c.ravel() for c in level_coords(l, h4, w4, f_ref.shape[1], f_ref.shape[2]))
+        if l == 2:  # the 1/4-res grid itself
+            f_ref = f_ref.reshape((f_ref.shape[0], h4 * w4))
+        else:
             f_ref, _ = bilinear_sample(f_ref, xl, yl, mode="edge")
         levels.append((f_ref, src.level(l), xl, yl, scale_intrinsics(views[0].k, l),
                        scale_intrinsics(k_src, l), pose))
     return levels
 
 
-def warp_and_correlate(f_ref_at_p: Tensor, f_src: Tensor, xl: np.ndarray,
-                       yl: np.ndarray, depths: Tensor | np.ndarray,
-                       k_ref_l: np.ndarray, k_src_l: np.ndarray,
+def warp_and_correlate(f_ref: Tensor, f_src: Tensor, x: np.ndarray, y: np.ndarray,
+                       depths: Tensor | np.ndarray, k_ref_l: np.ndarray, k_src_l: np.ndarray,
                        pose: RelativePose) -> tuple[Tensor, np.ndarray]:
     """Similarity of S stacked source views against reference features.
 
-    f_ref_at_p: [C, H, W] reference features at the level positions (xl,
-    yl).  f_src, k_src_l, pose: S sources stacked ([S, C, H_l, W_l],
-    [S, 3, 3], ``relative_poses``), or one without the S axis.  depths:
-    [D, H, W] hypotheses shared by all sources.  Returns the similarity
-    [G, S*D, H, W], 0 where the point left the source image or fell behind
-    its camera, and that validity mask [S*D, H, W].
+    f_ref: [C, P] reference features at the level positions (x, y), each
+    [P].  f_src, k_src_l, pose: the S sources stacked ([S, C, H_l, W_l],
+    [S, 3, 3], ``relative_poses``).  depths: [D, P] hypotheses shared by
+    all sources.  Returns the similarity [G, S, D, P], 0 where the point
+    left the source image or fell behind its camera, and that validity mask
+    [S, D, P].
     """
-    d, h, w = depths.shape
-    u, v, _, front = warp_points(xl.reshape(-1), yl.reshape(-1),
-                                 depths.reshape((d, h * w)), k_ref_l, k_src_l, pose)
-    # [C, (S,) D, P]; invalid points sample 0, so their similarity is 0 too
+    if f_src.ndim != 4:
+        raise ShapeError(f"sources must be stacked [S, C, H, W], got {f_src.shape}")
+    u, v, _, front = warp_points(x, y, depths, k_ref_l, k_src_l, pose)
+    # [C, S, D, P]; invalid points sample 0, so their similarity is 0 too
     warped, valid = bilinear_sample(f_src, u, v, mode="zero", mask=front)
-    sd = valid.size // (h * w)
-    sim = group_correlation(f_ref_at_p, warped.reshape((warped.shape[0], sd, h, w)))
-    return sim, valid.reshape(sd, h, w)
+    return group_correlation(f_ref, warped), valid
 
 
 def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], weights: Tensor,
@@ -199,7 +189,7 @@ def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], weig
     out = []
     for (f_ref, f_src, xl, yl, k_ref, k_src, pose), hyps, unet in zip(
             levels, hyps_by_level, unets):
-        sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps, k_ref, k_src, pose)
-        merged = integrate(sim, weights)
-        out.append(unet(merged.reshape((-1,) + tuple(hyps.shape[1:]))))
+        sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps.reshape((hyps.shape[0], -1)),
+                                    k_ref, k_src, pose)
+        out.append(unet(integrate(sim, weights).reshape((-1,) + hyps.shape[1:])))
     return concat(out, 0)

@@ -132,6 +132,8 @@ class Scene:
     pairs: list[list[int]] = field(default_factory=list)
 
     def sources(self, ref: int, count: int) -> list[int]:
+        if count < 0:
+            raise ConfigError(f"source count must be >= 0, got {count}")
         return self.pairs[ref][:count]
 
 
@@ -180,7 +182,7 @@ def load_scene(root) -> Scene:
         depth_path = os.path.join(root, "depths_gt", f"{i:04d}.pfm")
         gt = load_pfm(depth_path) if os.path.exists(depth_path) else None
         try:
-            views.append(CameraView(k, r, t, d_min, d_max, image, gt, f"{i:04d}"))
+            views.append(CameraView(k, r, t, d_min, d_max, image, gt))
         except ConfigError as e:
             # blame the file the rejected value came from
             shape = np.shape(image)
@@ -357,7 +359,7 @@ def synth_scene(spec: SynthSpec) -> Scene:
         d_lo = float(gt.min()) * (1.0 - DEPTH_MARGIN)
         d_hi = float(gt.max()) * (1.0 + DEPTH_MARGIN)
         views.append(CameraView(k, r, t, d_lo, d_hi,
-                                img.reshape(3, size, size), gt, f"{i:04d}"))
+                                img.reshape(3, size, size), gt))
         centers.append(center)
 
     pairs = []
@@ -375,6 +377,8 @@ def synth_scene(spec: SynthSpec) -> Scene:
 
 def build_gt_cloud(scene: Scene, stride: int = 1) -> PointCloud:
     """Back-project every valid GT pixel into a world-space point cloud."""
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     parts = []
     for v in scene.views:
         if v.gt_depth is None:

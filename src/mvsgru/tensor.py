@@ -21,9 +21,11 @@ Design notes
   resize uses two small dense per-axis matrices.
 * Kernels compute in the layout their input already has.
   ``bilinear_sample`` returns its samples texel-major: a [C, ...] view of a
-  [N, C] product.  ``group_dot`` moves C last, which is free on such a view,
-  multiplies in [D, P, C] order and reduces each channel group with one
-  matmul.  The result is the same for a contiguous [C, D, P] input.
+  [N, C] product.  Warped features are [C, S, D, P] (S sources, D
+  hypotheses, P pixels) and stay in that layout: ``group_dot`` moves C
+  last, which is free on such a view, multiplies in [S, D, P, C] order and
+  reduces each channel group with one matmul to [G, S, D, P].  The result
+  is the same for a contiguous input.
   ``conv2d`` builds its im2col matrix straight from the unpadded input.  For
   each kernel tap, a pair of (output slice, input slice) per axis covers just
   the outputs that read inside the image; only the border rows and columns
@@ -197,9 +199,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
     # -- elementwise -------------------------------------------------------
 
@@ -383,10 +382,10 @@ def tanh(a: Tensor) -> Tensor:
 
 def leaky_relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.where(a.data > 0, a.data, LEAKY_SLOPE * a.data))
+    out = Tensor(np.maximum(a.data, LEAKY_SLOPE * a.data))
 
     def bw(g):
-        _accum(a, g * np.where(a.data > 0, 1.0, LEAKY_SLOPE))
+        _accum(a, np.where(a.data > 0, g, LEAKY_SLOPE * g))
 
     return _record(out, (a,), bw)
 
@@ -837,32 +836,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def group_dot(f0: Tensor, fi: Tensor, groups: int) -> Tensor:
-    """Group-wise mean of channel products: out[g, d, p] is the mean over
-    group g's C/groups channels of f0[c, p] * fi[c, d, p].
+    """Group-wise mean of channel products: out[g, ..., p] is the mean over
+    group g's C/groups channels of f0[c, p] * fi[c, ..., p].
 
-    f0: [C, P]; fi: [C, D, P]; returns [groups, D, P].  Works texel-major
-    ([D, P, C]), the layout ``bilinear_sample`` produces fi in, and sums each
-    group's channels with one matmul against a [C, groups] averaging matrix.
+    f0: [C, P]; fi: [C, ..., P], e.g. [C, S, D, P] for S sources of D
+    hypotheses; returns [groups, ..., P].  Works texel-major ([..., P, C]),
+    the layout ``bilinear_sample`` produces fi in, and sums each group's
+    channels with one matmul against a [C, groups] averaging matrix.
     """
     f0, fi = _wrap(f0), _wrap(fi)
-    if f0.ndim != 2 or fi.ndim != 3 or fi.shape[::2] != f0.shape:
-        raise ShapeError(f"group_dot needs [C, P] and [C, D, P], got {f0.shape} / {fi.shape}")
-    c, d, p = fi.shape
+    if f0.ndim != 2 or fi.ndim < 3 or (fi.shape[0], fi.shape[-1]) != f0.shape:
+        raise ShapeError(f"group_dot needs [C, P] and [C, ..., P], got {f0.shape} / {fi.shape}")
+    c, p = f0.shape
     if groups < 1 or c % groups:
         raise ShapeError(f"{c} channels not divisible into {groups} groups")
     # [C, groups]: channel c contributes groups/C to its group c // (C/groups)
     avg = np.repeat(np.eye(groups, dtype=fi.dtype), c // groups, axis=0) * (groups / c)
     f0t = np.ascontiguousarray(f0.data.T)
     a = np.moveaxis(fi.data, 0, -1)
-    prod = np.multiply(a, f0t, order="C").reshape(d * p, c)
-    out = Tensor((avg.T @ prod.T).reshape(groups, d, p))
+    prod = np.multiply(a, f0t, order="C").reshape(-1, c)
+    out = Tensor((avg.T @ prod.T).reshape((groups,) + fi.shape[1:]))
 
     def bw(g):
-        gp = (g.reshape(groups, d * p).T @ avg.T).reshape(d, p, c)
+        gp = (g.reshape(groups, -1).T @ avg.T).reshape(a.shape)
         if fi.requires_grad:
             _accum(fi, np.moveaxis(gp * f0t, -1, 0))
         if f0.requires_grad:
-            _accum(f0, np.einsum("dpc,dpc->cp", gp, a))
+            _accum(f0, np.einsum("dpc,dpc->cp", gp.reshape(-1, p, c), a.reshape(-1, p, c)))
 
     return _record(out, (f0, fi), bw)
 

@@ -114,14 +114,11 @@ def load_train_config(path) -> TrainConfig:
 
 @dataclass
 class GroundTruth:
-    d_full: np.ndarray
     valid_full: np.ndarray
     eta_full: np.ndarray
-    d_q: np.ndarray
     valid_q: np.ndarray
     eta_q: np.ndarray
     x_gt: np.ndarray
-    n_valid: int
 
 
 def make_gt(depth: np.ndarray, d_min: float, d_max: float, d2: int) -> GroundTruth:
@@ -137,15 +134,13 @@ def make_gt(depth: np.ndarray, d_min: float, d_max: float, d2: int) -> GroundTru
     eta_full = np.where(valid_full,
                         normalize_inv(np.where(valid_full, depth, d_min),
                                       d_min, d_max), 0.0)
-    d_q = depth[1::4, 1::4]
     valid_q = valid_full[1::4, 1::4]
     eta_q = eta_full[1::4, 1::4]
     c = eta_q * (d2 - 1)
     lo = np.floor(c)
     x_gt = np.where(c - lo > 0.5, lo + 1, lo)
     x_gt = np.clip(x_gt, 0, d2 - 1).astype(np.int64)
-    return GroundTruth(depth, valid_full, eta_full, d_q, valid_q, eta_q,
-                       x_gt, int(valid_full.sum()))
+    return GroundTruth(valid_full, eta_full, valid_q, eta_q, x_gt)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +286,8 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
         raise ConfigError("no training scenes")
     if cfg.batch < 1:
         raise ConfigError(f"batch must be >= 1, got {cfg.batch}")
+    if cfg.views < 2:
+        raise ConfigError(f"views must be >= 2 (reference + sources), got {cfg.views}")
     os.makedirs(str(out_dir), exist_ok=True)
     model = DepthEstimator(cfg, np.random.default_rng(cfg.seed))
     params = model.parameters()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mvsgru.cli import _write_prob_csv, main
-from mvsgru.fusion import read_ply
+from mvsgru.fusion import PointCloud, read_ply, write_ply
 from mvsgru.scenes import load_pfm, load_scene
 from mvsgru.training import TrainConfig, save_train_config
 
@@ -73,6 +73,36 @@ class TestExitCodes:
                      "--batch", "0", "--epochs", "1", "--iters", "1"])
         assert code == 1
         assert "batch" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value,names", [
+        ("infer", "--iters", "-1", "iteration count"),
+        ("infer", "--views", "0", "source count"),
+        ("train", "--views", "0", "views"),
+        ("train", "--views", "1", "views"),
+        ("eval", "--stride", "0", "stride"),
+        ("eval", "--stride", "-1", "stride"),
+        ("gradcheck", "--instances", "0", "instance"),
+    ])
+    def test_bad_numeric_argument_is_validation_error(
+            self, command, flag, value, names, scene_dir, tmp_path, request, capsys):
+        out = tmp_path / "o"
+        scene = str(scene_dir / "scene_0000")
+        if command == "infer":
+            ckpt = request.getfixturevalue("trained") / "model.ckpt"
+            args = ["--scene", scene, "--checkpoint", str(ckpt), "--out", str(out)]
+        elif command == "train":
+            args = ["--scenes", str(scene_dir), "--out", str(out), "--epochs", "1",
+                    "--iters", "1"]
+        elif command == "eval":
+            cloud = tmp_path / "cloud.ply"
+            write_ply(PointCloud(np.zeros((1, 3), np.float32),
+                                 np.zeros((1, 3), np.uint8)), cloud)
+            args = ["--cloud", str(cloud), "--scene", scene]
+        else:
+            args = []
+        assert main([command, *args, flag, value]) == 1
+        assert names in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_scene_spec_is_validation_error(self, tmp_path,

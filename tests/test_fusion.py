@@ -10,14 +10,14 @@ from mvsgru.geometry import CameraView
 from mvsgru.scenes import SynthSpec, synth_scene
 
 
-def plain_view(size, f, center_x=0.0, depth_value=1.0, name="v"):
+def plain_view(size, f, center_x=0.0, depth_value=1.0):
     """Camera at (center_x, 0, 0) looking down +z at a flat depth map."""
     cc = (size - 1) / 2.0
     k = np.array([[f, 0.0, cc], [0.0, f, cc], [0.0, 0.0, 1.0]])
     r = np.eye(3)
     t = -r @ np.array([center_x, 0.0, 0.0])
     img = np.zeros((3, size, size), dtype=np.float32)
-    view = CameraView(k, r, t, 0.1, 10.0, img, None, name)
+    view = CameraView(k, r, t, 0.1, 10.0, img)
     return view, np.full((size, size), depth_value)
 
 
@@ -67,7 +67,7 @@ class TestGeometricFilter:
         err = 1.005
         for shift, want in ((150, 1), (250, 0)):
             ref, depth = plain_view(size, f)
-            src, _ = plain_view(size, f, center_x=-shift * d / f, name="s")
+            src, _ = plain_view(size, f, center_x=-shift * d / f)
             srcd = np.full((size, size + shift), d * err)
             _, votes = geometric_filter(ref, depth, [src], [srcd],
                                         FuseConfig(delta=1.0, eps=0.01, n_geo=1))
@@ -166,13 +166,9 @@ class TestBackproject:
 class TestFuse:
     def make_identical(self, n, size=16):
         view, depth = plain_view(size, 24.0)
-        views, depths = [], []
-        for i in range(n):
-            v = CameraView(view.k, view.r, view.t, view.d_min, view.d_max,
-                           view.image, None, f"{i}")
-            views.append(v)
-            depths.append(depth.copy())
-        return views, depths
+        views = [CameraView(view.k, view.r, view.t, view.d_min, view.d_max, view.image)
+                 for _ in range(n)]
+        return views, [depth.copy() for _ in range(n)]
 
     def test_identical_views_keep_everything(self):
         views, depths = self.make_identical(4)

@@ -51,55 +51,62 @@ def make_view(size, f, center, target):
 
 class TestGroupCorrelation:
     def test_all_ones_gives_unit_similarity(self):
-        f0 = Tensor(np.ones((16, 3, 5)))
-        fi = Tensor(np.ones((16, 4, 3, 5)))
+        f0 = Tensor(np.ones((16, 15)))
+        fi = Tensor(np.ones((16, 2, 4, 15)))
         s = group_correlation(f0, fi)
-        assert s.shape == (8, 4, 3, 5)
+        assert s.shape == (8, 2, 4, 15)
         assert np.allclose(s.data, 1.0, atol=1e-6)
 
     def test_zero_source_gives_zero(self, rng):
-        f0 = Tensor(rng.standard_normal((16, 3, 5)))
-        fi = Tensor(np.zeros((16, 4, 3, 5)))
+        f0 = Tensor(rng.standard_normal((16, 15)))
+        fi = Tensor(np.zeros((16, 2, 4, 15)))
         s = group_correlation(f0, fi)
         assert np.allclose(s.data, 0.0)
 
     def test_matches_loop_oracle(self, rng):
+        # two sources of five hypotheses each, checked as 10 hypotheses
         T.set_default_dtype(np.float64)
-        f0 = rng.standard_normal((16, 4, 3))
-        fi = rng.standard_normal((16, 5, 4, 3))
+        f0 = rng.standard_normal((16, 12))
+        fi = rng.standard_normal((16, 2, 5, 12))
         s = group_correlation(Tensor(f0), Tensor(fi))
-        assert np.allclose(s.data, group_correlation_oracle(f0, fi, 8),
+        assert s.shape == (8, 2, 5, 12)
+        assert np.allclose(s.data.reshape(8, 10, 12),
+                           group_correlation_oracle(f0, fi.reshape(16, 10, 12), 8),
                            atol=1e-12)
 
     def test_bilinear_in_each_argument(self, rng):
         T.set_default_dtype(np.float64)
-        f0a = rng.standard_normal((16, 2, 2))
-        f0b = rng.standard_normal((16, 2, 2))
-        fi = rng.standard_normal((16, 3, 2, 2))
+        f0a = rng.standard_normal((16, 4))
+        f0b = rng.standard_normal((16, 4))
+        fi = rng.standard_normal((16, 2, 3, 4))
         left = group_correlation(Tensor(f0a + 2.0 * f0b), Tensor(fi)).data
         right = (group_correlation(Tensor(f0a), Tensor(fi)).data
                  + 2.0 * group_correlation(Tensor(f0b), Tensor(fi)).data)
         assert np.allclose(left, right, atol=1e-12)
 
     def test_layout_of_the_warped_features_does_not_matter(self, rng):
-        # bilinear_sample leaves its samples texel-major: a [C, D, H, W]
-        # view of a [D*H*W, C] product
-        grid = Tensor(rng.standard_normal((16, 6, 7)))
-        xs, ys = rng.uniform(0, 6, (3, 4, 5)), rng.uniform(0, 5, (3, 4, 5))
+        # bilinear_sample leaves its samples texel-major: for two stacked
+        # grids, a [C, S, D, P] view of a [S*D*P, C] product
+        grid = Tensor(rng.standard_normal((2, 16, 6, 7)))
+        xs, ys = rng.uniform(0, 6, (2, 3, 20)), rng.uniform(0, 5, (2, 3, 20))
         warped, _ = T.bilinear_sample(grid, xs, ys)
+        assert warped.shape == (16, 2, 3, 20)
         assert not warped.data.flags.c_contiguous
-        f0 = Tensor(rng.standard_normal((16, 4, 5)))
+        f0 = Tensor(rng.standard_normal((16, 20)))
         got = group_correlation(f0, warped).data
         want = group_correlation(f0, Tensor(np.ascontiguousarray(warped.data))).data
         assert np.abs(got - want).max() < 1e-6
 
     def test_rejects_channel_mismatch_and_bad_groups(self, rng):
         with pytest.raises(ShapeError):
-            group_correlation(Tensor(rng.random((16, 2, 2))),
-                              Tensor(rng.random((8, 3, 2, 2))))
+            group_correlation(Tensor(rng.random((16, 4))),
+                              Tensor(rng.random((8, 3, 4))))
         with pytest.raises(ShapeError):
-            group_correlation(Tensor(rng.random((12, 2, 2))),
-                              Tensor(rng.random((12, 3, 2, 2))))
+            group_correlation(Tensor(rng.random((12, 4))),
+                              Tensor(rng.random((12, 3, 4))))
+        with pytest.raises(ShapeError):  # pixel counts differ
+            group_correlation(Tensor(rng.random((16, 4))),
+                              Tensor(rng.random((16, 3, 5))))
 
 
 class TestViewWeight:
@@ -127,36 +134,36 @@ class TestViewWeight:
 
 class TestIntegrate:
     def test_single_source_passthrough(self, rng):
-        s = Tensor(rng.standard_normal((8, 4, 3, 3)))
-        w = Tensor(rng.random((1, 3, 3)) + 0.1)
+        s = Tensor(rng.standard_normal((8, 1, 4, 9)))
+        w = Tensor(rng.random((1, 9)) + 0.1)
         out = integrate(s, w)
-        assert np.allclose(out.data, s.data, atol=1e-6)
+        assert out.shape == (8, 4, 9)
+        assert np.allclose(out.data, s.data[:, 0], atol=1e-6)
 
     def test_weight_scale_invariance(self, rng):
         T.set_default_dtype(np.float64)
-        sims = Tensor(rng.standard_normal((8, 3 * 4, 3, 3)))
-        ws = Tensor(rng.random((3, 3, 3)) + 0.1)
+        sims = Tensor(rng.standard_normal((8, 3, 4, 9)))
+        ws = Tensor(rng.random((3, 9)) + 0.1)
         base = integrate(sims, ws).data
         scaled = integrate(sims, ws * 7.5).data
         assert np.allclose(base, scaled, atol=1e-12)
 
     def test_matches_weighted_mean(self, rng):
         T.set_default_dtype(np.float64)
-        sims = [rng.standard_normal((2, 3, 2, 2)) for _ in range(2)]
-        ws = [rng.random((1, 2, 2)) + 0.1 for _ in range(2)]
-        got = integrate(Tensor(np.concatenate(sims, 1)),
-                        Tensor(np.concatenate(ws, 0))).data
+        sims = [rng.standard_normal((2, 3, 4)) for _ in range(2)]
+        ws = [rng.random(4) + 0.1 for _ in range(2)]
+        got = integrate(Tensor(np.stack(sims, 1)), Tensor(np.stack(ws, 0))).data
         want = (sims[0] * ws[0] + sims[1] * ws[1]) / (ws[0] + ws[1])
         assert np.allclose(got, want, atol=1e-12)
 
     def test_rejects_mismatched_lists(self, rng):
-        # 3 hypotheses do not split over 2 sources; weights of the wrong size
+        # weights for 3 sources against 2; weights over 3 pixels against 4
         with pytest.raises(ShapeError):
-            integrate(Tensor(rng.random((2, 3, 2, 2))),
-                      Tensor(rng.random((2, 2, 2))))
+            integrate(Tensor(rng.random((2, 2, 3, 4))),
+                      Tensor(rng.random((3, 4))))
         with pytest.raises(ShapeError):
-            integrate(Tensor(rng.random((2, 4, 2, 2))),
-                      Tensor(rng.random((2, 3, 2))))
+            integrate(Tensor(rng.random((2, 2, 3, 4))),
+                      Tensor(rng.random((2, 3))))
 
 
 class TestLevelCoords:
@@ -194,10 +201,13 @@ class TestWarpAndCorrelate:
         view = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         feats = Tensor(rng.standard_normal((16, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
-        depths = np.full((3, 8, 8), 4.0)
-        sim, valid = warp_and_correlate(feats, feats.reshape((1, 16, 8, 8)), xl,
-                                        yl, depths, view.k, view.k[None],
+        depths = np.full((3, 64), 4.0)
+        sim, valid = warp_and_correlate(feats.reshape((16, 64)),
+                                        feats.reshape((1, 16, 8, 8)), xl.ravel(),
+                                        yl.ravel(), depths, view.k, view.k[None],
                                         relative_poses(view, [view]))
+        assert sim.shape == (8, 1, 3, 64) and valid.shape == (1, 3, 64)
+        sim, valid = Tensor(sim.data.reshape(8, 3, 8, 8)), valid.reshape(3, 8, 8)
         # border pixels may round a hair outside and get masked; the
         # interior must all survive and match the direct self-correlation
         assert valid[:, 1:-1, 1:-1].all()
@@ -212,12 +222,23 @@ class TestWarpAndCorrelate:
         src = make_view(8, 10.0, (100.0, 0.0, 0.0), (200.0, 0.0, 0.0))
         feats = Tensor(rng.standard_normal((16, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
-        depths = np.full((2, 8, 8), 4.0)
-        sim, valid = warp_and_correlate(feats, feats.reshape((1, 16, 8, 8)), xl,
-                                        yl, depths, ref.k, src.k[None],
+        depths = np.full((2, 64), 4.0)
+        sim, valid = warp_and_correlate(feats.reshape((16, 64)),
+                                        feats.reshape((1, 16, 8, 8)), xl.ravel(),
+                                        yl.ravel(), depths, ref.k, src.k[None],
                                         relative_poses(ref, [src]))
+        assert sim.shape == (8, 1, 2, 64) and valid.shape == (1, 2, 64)
         assert not valid.any()
         assert np.allclose(sim.data, 0.0)
+
+    def test_rejects_unstacked_sources(self, rng):
+        view = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        feats = Tensor(rng.standard_normal((16, 8, 8)))
+        xl, yl = level_coords(2, 8, 8, 8, 8)
+        with pytest.raises(ShapeError):
+            warp_and_correlate(feats.reshape((16, 64)), feats, xl.ravel(), yl.ravel(),
+                               np.full((2, 64), 4.0), view.k, view.k,
+                               relative_pose(view, view))
 
 
 class TestMultiscaleSimilarity:

@@ -1,5 +1,6 @@
 """Losses, ground-truth prep, config files, and the training loop."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,9 @@ class TestMakeGt:
     def test_quarter_phase_picks_pixel_centers(self, rng):
         depth = rng.random((8, 8)) + 1.0
         gt = make_gt(depth, 1.0, 3.0, d2=16)
-        assert gt.d_q.shape == (2, 2)
-        assert np.array_equal(gt.d_q, depth[1::4, 1::4])
+        assert gt.eta_q.shape == (2, 2)
+        assert np.array_equal(gt.eta_q, gt.eta_full[1::4, 1::4])
+        assert np.allclose(depth_for_eta(gt.eta_q, 1.0, 3.0), depth[1::4, 1::4])
 
     def test_invalid_pixels_are_masked(self):
         depth = np.full((4, 4), 2.0)
@@ -39,7 +41,7 @@ class TestMakeGt:
         assert not gt.valid_full[0, 0]
         assert not gt.valid_full[1, 1]
         assert not gt.valid_full[2, 2]
-        assert gt.n_valid == 13
+        assert gt.valid_full.sum() == 13
         assert gt.eta_full[0, 0] == 0.0
 
     def test_all_invalid_raises(self):
@@ -225,6 +227,39 @@ class TestLossFull:
         model = DepthEstimator(cfg, np.random.default_rng(2))
         with pytest.raises(EmptySampleError):
             sample_loss(model, views, 0, [1], cfg)
+
+
+@pytest.fixture(scope="module")
+def fixed_sample():
+    """The 64 px sample the tape counts are quoted on: reference 0, sources 1 and 2."""
+    return synth_scene(SynthSpec(seed=5, views=5, size=64))
+
+
+def train_step(scene) -> Tape:
+    cfg = TrainConfig()
+    model = DepthEstimator(cfg, np.random.default_rng(3))
+    with Tape() as tape:
+        bd = sample_loss(model, scene.views, 0, [1, 2], cfg)
+    backward(tape, bd.total)
+    return tape
+
+
+class TestTrainStep:
+    def test_tape_entry_budget(self, fixed_sample):
+        # 1021 entries when the budget was set
+        assert len(train_step(fixed_sample)) <= 1030
+
+    def test_float32_step_passes_float32_gradients(self, fixed_sample, monkeypatch):
+        accum, wrong = T._accum, []
+
+        def checked(t, g):
+            if np.asarray(g).dtype != np.float32:
+                wrong.append(sys._getframe(1).f_code.co_qualname)
+            accum(t, g)
+
+        monkeypatch.setattr(T, "_accum", checked)
+        train_step(fixed_sample)
+        assert wrong == []
 
 
 class TestSchedule:
