@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import MvsError, TrainStepError
+from .errors import ConfigError, MvsError, TrainStepError
 from .estimator import DepthEstimator
 from .fusion import (FuseConfig, fuse, read_ply, write_ply, write_pgm)
 from .gradcheck import check_full_loss, run_suite
@@ -131,8 +131,10 @@ def _cmd_fuse(args) -> int:
     scene = load_scene(args.scene)
     depths, confs = [], []
     for i in range(len(scene.views)):
-        depths.append(load_pfm(os.path.join(args.depths,
-                                            f"depth_{i:04d}.pfm")))
+        depth_path = os.path.join(args.depths, f"depth_{i:04d}.pfm")
+        if not os.path.exists(depth_path):
+            raise ConfigError(f"missing depth map {depth_path}")
+        depths.append(load_pfm(depth_path))
         conf_path = os.path.join(args.depths, f"conf_{i:04d}.pfm")
         if not args.no_conf and os.path.exists(conf_path):
             confs.append(load_pfm(conf_path))

@@ -278,6 +278,24 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     simple("conv2d.s2.nopad", lambda: check_gradients(
         lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 0), wc6),
         [rnd(3, 7, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
+    # the entries above take conv2d's im2col path; these narrow ones pass
+    # 2·C_out·H·W <= C_in·H'·W' and take the output side
+    wc7 = rnd(1, 5, 6)
+    simple("conv2d.narrow", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1), wc7),
+        [rnd(8, 5, 6), rnd(1, 8, 3, 3) * 0.5, rnd(1) * 0.1]))
+    wc8 = rnd(2, 2, 4, 4)
+    simple("conv2d.narrow.batched", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1), wc8),
+        [rnd(2, 8, 4, 4), rnd(2, 8, 3, 3) * 0.4, rnd(2) * 0.1]))
+    wc9 = rnd(2, 4, 3)
+    simple("conv2d.narrow.s2", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc9),
+        [rnd(16, 7, 5), rnd(2, 16, 3, 3) * 0.3, rnd(2) * 0.1]))
+    wc10 = rnd(3, 5, 5)
+    simple("conv2d.narrow.k1", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 0), wc10),
+        [rnd(8, 5, 5), rnd(3, 8, 1, 1) * 0.5, rnd(3) * 0.1]))
 
     wgd = rnd(2, 2, 3, 5)
     simple("group_dot", lambda: check_gradients(

@@ -400,6 +400,8 @@ def evaluate(pc: PointCloud, gt_pc: PointCloud,
     outliers beyond 10x the threshold; completeness averages GT-to-
     reconstruction distances with no cap.
     """
+    if not threshold > 0:
+        raise ConfigError(f"threshold must be > 0, got {threshold}")
     if pc.xyz.shape[0] == 0 or gt_pc.xyz.shape[0] == 0:
         raise ContractError("cannot evaluate an empty point cloud")
     d_acc, _ = cKDTree(gt_pc.xyz).query(pc.xyz)

@@ -26,11 +26,11 @@ Design notes
   last, which is free on such a view, multiplies in [S, D, P, C] order and
   reduces each channel group with one matmul to [G, S, D, P].  The result
   is the same for a contiguous input.
-  ``conv2d`` builds its im2col matrix straight from the unpadded input.  For
-  each kernel tap, a pair of (output slice, input slice) per axis covers just
-  the outputs that read inside the image; only the border rows and columns
-  that would read padding are zeroed.  Backward scatters into a channel-major
-  [C_in, B, H, W] buffer, the layout the im2col gradient already has.
+  ``conv2d`` never pads its input.  For each kernel tap, a pair of (output
+  slice, input slice) per axis covers just the outputs that read inside the
+  image.  It buffers whichever side of the convolution is cheaper: an im2col
+  matrix of the input for wide outputs, or the per-tap products at every
+  input texel for narrow ones (see its docstring).
 """
 
 from __future__ import annotations
@@ -757,9 +757,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Returns:
         [C_out, H', W'] or [B, C_out, H', W'] matching the input rank, with
         H' = (H + 2*padding - k) // stride + 1.
+
+    Two paths compute the same sums; each buffers one side of the layer.
+
+    * Input side (im2col): copy the k² shifted input windows into a
+      [k²·C_in, B·H'·W'] matrix and run one GEMM with the [C_out, k²·C_in]
+      weights.  Backward multiplies the same matrix for the weight gradient
+      and scatters the column gradient back onto the input.
+    * Output side: run one GEMM ``[k²·C_out, C_in] @ [C_in, H·W]`` per
+      batch item on the input as it is, giving every tap's products at
+      every input texel, then add the k² shifted slices into the output.
+      Backward gathers those slices of the output gradient into dZ, then
+      takes ``dW = dZ @ xᵀ`` and ``dx = W_tapᵀ @ dZ``.
+
+    The output side runs when ``2·C_out·H·W <= C_in·H'·W'``: its
+    [k²·C_out, B·H·W] buffer is at most half the im2col one.  The factor 2
+    pays for the output side's read-modify-write adds of k² slices, which
+    cost more per element than im2col's plain copies: with equal buffers
+    (C_out = C_in at stride 1) its forward is 1.2-1.3x slower.  Comparing
+    the input grid with the output grid accounts for the stride.
     """
     x = _wrap(x)
     weight = _wrap(weight)
+    if bias is not None:
+        bias = _wrap(bias)
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
         raise ShapeError(f"weight must be [C_out, C_in, k, k], got {weight.shape}")
     k = weight.shape[2]
@@ -780,52 +801,79 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {k} does not fit input {h}x{w} with padding {padding}")
 
-    # im2col straight from the input, channel-major: tap (i, j) copies the
-    # outputs whose input texel lies inside the image
+    # tap (i, j) joins the outputs ys[i][0] x xs[j][0] with the input texels
+    # ys[i][1] x xs[j][1]; every other output of that tap reads padding
     ys = [_tap_slices(h, h_out, i, stride, padding) for i in range(k)]
     xs = [_tap_slices(w, w_out, j, stride, padding) for j in range(k)]
-    xc = xd.transpose(1, 0, 2, 3)
-    cols = np.empty((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
-    for i, (oy, iy) in enumerate(ys):
-        for j, (ox, ix) in enumerate(xs):
+    taps = [(i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
+            for j, (ox, ix) in enumerate(xs)]
+
+    if 2 * c_out * h * w <= c_in * h_out * w_out:
+        # output side: every tap of every output channel at every input texel
+        # in one GEMM, z[b, i, j] = W[:, :, i, j] @ x[b], then the k² shifted
+        # slices of z summed into the output
+        xmat = xd.reshape(b_n, c_in, h * w)
+        wtap = weight.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+        z = (wtap @ xmat).reshape(b_n, k, k, c_out, h, w)
+        res = np.zeros((b_n, c_out, h_out, w_out), dtype=z.dtype)
+        for i, j, oy, ox, iy, ix in taps:
+            res[:, :, oy, ox] += z[:, i, j, :, iy, ix]
+
+        def bw(g):
+            g4 = g[None] if squeeze else g
+            if bias is not None and bias.requires_grad:
+                _accum(bias, g4.sum(axis=(0, 2, 3)))
+            # dz gathers g at the texels each tap read; padding reads get 0
+            dz = np.zeros((b_n, k, k, c_out, h, w), dtype=xd.dtype)
+            for i, j, oy, ox, iy, ix in taps:
+                dz[:, i, j, :, iy, ix] = g4[:, :, oy, ox]
+            dz = dz.reshape(b_n, k * k * c_out, h * w)
+            if weight.requires_grad:
+                dw = (dz @ xmat.transpose(0, 2, 1)).sum(axis=0)
+                _accum(weight, dw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
+            if x.requires_grad:
+                _accum(x, (wtap.T @ dz).reshape(x.shape))
+    else:
+        # input side: im2col straight from the input, channel-major; tap
+        # (i, j) copies the outputs whose input texel lies inside the image
+        xc = xd.transpose(1, 0, 2, 3)
+        cols = np.empty((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
+        for i, j, oy, ox, iy, ix in taps:
             cols[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
-    # the rest reads padding: the border rows of each tap row and the border
-    # columns of each tap column, zeroed in at most 4k calls
-    for i, (oy, _) in enumerate(ys):
-        if oy.start > 0:
-            cols[:, i, :, :, :oy.start] = 0
-        if oy.stop < h_out:
-            cols[:, i, :, :, oy.stop:] = 0
-    for j, (ox, _) in enumerate(xs):
-        if ox.start > 0:
-            cols[:, :, j, :, :, :ox.start] = 0
-        if ox.stop < w_out:
-            cols[:, :, j, :, :, ox.stop:] = 0
-    cols2 = cols.reshape(c_in * k * k, b_n * h_out * w_out)
-    wmat = weight.data.reshape(c_out, c_in * k * k)
-    res = wmat @ cols2
-    if bias is not None:
-        bias = _wrap(bias)
-        res += bias.data[:, None]
-    res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
-    out = Tensor(res[0] if squeeze else res)
+        # the rest reads padding: the border rows of each tap row and the
+        # border columns of each tap column, zeroed in at most 4k calls
+        for i, (oy, _) in enumerate(ys):
+            if oy.start > 0:
+                cols[:, i, :, :, :oy.start] = 0
+            if oy.stop < h_out:
+                cols[:, i, :, :, oy.stop:] = 0
+        for j, (ox, _) in enumerate(xs):
+            if ox.start > 0:
+                cols[:, :, j, :, :, :ox.start] = 0
+            if ox.stop < w_out:
+                cols[:, :, j, :, :, ox.stop:] = 0
+        cols2 = cols.reshape(c_in * k * k, b_n * h_out * w_out)
+        wmat = weight.data.reshape(c_out, c_in * k * k)
+        res = (wmat @ cols2).reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
 
-    def bw(g):
-        g4 = g[None] if squeeze else g
-        gmat = g4.transpose(1, 0, 2, 3).reshape(c_out, b_n * h_out * w_out)
-        if bias is not None and bias.requires_grad:
-            _accum(bias, gmat.sum(axis=1))
-        if weight.requires_grad:
-            _accum(weight, (gmat @ cols2.T).reshape(weight.shape))
-        if x.requires_grad:
-            # col2im into a channel-major buffer, the layout dcols has
-            dcols = (wmat.T @ gmat).reshape(c_in, k, k, b_n, h_out, w_out)
-            gx = np.zeros((c_in, b_n, h, w), dtype=xd.dtype)
-            for i, (oy, iy) in enumerate(ys):
-                for j, (ox, ix) in enumerate(xs):
+        def bw(g):
+            g4 = g[None] if squeeze else g
+            gmat = g4.transpose(1, 0, 2, 3).reshape(c_out, b_n * h_out * w_out)
+            if bias is not None and bias.requires_grad:
+                _accum(bias, gmat.sum(axis=1))
+            if weight.requires_grad:
+                _accum(weight, (gmat @ cols2.T).reshape(weight.shape))
+            if x.requires_grad:
+                # col2im into a channel-major buffer, the layout dcols has
+                dcols = (wmat.T @ gmat).reshape(c_in, k, k, b_n, h_out, w_out)
+                gx = np.zeros((c_in, b_n, h, w), dtype=xd.dtype)
+                for i, j, oy, ox, iy, ix in taps:
                     gx[:, :, iy, ix] += dcols[:, i, j, :, oy, ox]
-            _accum(x, gx[:, 0] if squeeze else gx.transpose(1, 0, 2, 3))
+                _accum(x, gx[:, 0] if squeeze else gx.transpose(1, 0, 2, 3))
 
+    if bias is not None:
+        res += bias.data[:, None, None]
+    out = Tensor(res[0] if squeeze else res)
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _record(out, parents, bw)
 

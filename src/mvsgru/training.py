@@ -284,6 +284,8 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
     """
     if not scenes:
         raise ConfigError("no training scenes")
+    if cfg.epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     if cfg.batch < 1:
         raise ConfigError(f"batch must be >= 1, got {cfg.batch}")
     if cfg.views < 2:

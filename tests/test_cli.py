@@ -80,8 +80,11 @@ class TestExitCodes:
         ("infer", "--views", "0", "source count"),
         ("train", "--views", "0", "views"),
         ("train", "--views", "1", "views"),
+        ("train", "--epochs", "0", "epochs"),
         ("eval", "--stride", "0", "stride"),
         ("eval", "--stride", "-1", "stride"),
+        ("eval", "--threshold", "0", "threshold"),
+        ("eval", "--threshold", "-1", "threshold"),
         ("gradcheck", "--instances", "0", "instance"),
     ])
     def test_bad_numeric_argument_is_validation_error(
@@ -255,6 +258,15 @@ class TestFuseAndEval:
         # the ~0.12 unit point spacing of a 16x16 image
         assert acc < 1e-6
         assert comp < 0.15
+
+    def test_missing_depth_map_is_validation_error(self, scene_dir, tmp_path,
+                                                  capsys):
+        cloud = tmp_path / "cloud.ply"
+        code = main(["fuse", "--scene", str(scene_dir / "scene_0000"),
+                     "--depths", str(tmp_path), "--out", str(cloud)])
+        assert code == 1
+        assert "depth_0000.pfm" in capsys.readouterr().err
+        assert not cloud.exists()
 
     def test_empty_cloud_eval_is_runtime_error(self, scene_dir, trained,
                                                tmp_path, capsys):

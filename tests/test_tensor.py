@@ -1,5 +1,7 @@
 """Tensor engine: forward oracles, tape mechanics, Adam, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,8 @@ class TestReductions:
 
 
 # square inputs with "same" padding (k-1)//2: (c_in, c_out, size, k, stride)
+# conv2d takes the output side when 2·C_out·H·W <= C_in·H'·W', else im2col;
+# of these, only 4-2-7-5-1 takes the output side
 _SAME_PAD_CONVS = [(1, 1, 5, 3, 1), (3, 4, 6, 3, 1), (8, 8, 8, 3, 2),
                    (4, 2, 7, 5, 1), (2, 3, 8, 1, 1), (3, 5, 8, 3, 2)]
 
@@ -132,15 +136,23 @@ class TestConv:
     @pytest.mark.parametrize("c_in,c_out,hw,k,stride,pad", [
         pytest.param(ci, co, (n, n), k, st, (k - 1) // 2, id=f"{ci}-{co}-{n}-{k}-{st}")
         for ci, co, n, k, st in _SAME_PAD_CONVS] + [
-        # non-square and odd: at stride 2 the last tap row/column reads padding
+        # non-square and odd: at stride 2 the last tap row/column reads
+        # padding (all three im2col)
         pytest.param(3, 4, (7, 5), 3, 2, 1, id="3-4-7x5-3-2"),
         pytest.param(2, 3, (9, 6), 3, 1, 1, id="2-3-9x6-3-1"),
         pytest.param(2, 2, (6, 9), 5, 2, 2, id="2-2-6x9-5-2"),
-        # no padding: every tap stays inside the image
+        # no padding: every tap stays inside the image (both im2col)
         pytest.param(3, 2, (7, 5), 3, 2, 0, id="3-2-7x5-3-2-pad0"),
         pytest.param(2, 3, (6, 9), 5, 1, 0, id="2-3-6x9-5-1-pad0"),
-        # one row: the top and bottom taps fall entirely on padding
+        # one row: the top and bottom taps fall entirely on padding (im2col)
         pytest.param(2, 2, (1, 4), 3, 1, 1, id="2-2-1x4-3-1"),
+        # narrow outputs; the comment names the path each case takes
+        pytest.param(8, 1, (6, 7), 3, 1, 1, id="8-1-6x7-3-1"),  # output side
+        pytest.param(12, 3, (7, 5), 3, 2, 0, id="12-3-7x5-3-2-pad0"),  # im2col: 210 > 72
+        pytest.param(12, 1, (7, 5), 3, 2, 0, id="12-1-7x5-3-2-pad0"),  # output side: 70 <= 72
+        pytest.param(9, 1, (6, 9), 5, 1, 0, id="9-1-6x9-5-1-pad0"),  # im2col: 108 > 90
+        pytest.param(12, 1, (6, 9), 5, 1, 0, id="12-1-6x9-5-1-pad0"),  # output side: 108 <= 120
+        pytest.param(6, 2, (1, 4), 3, 1, 1, id="6-2-1x4-3-1"),  # output side
     ])
     def test_matches_nested_loop_oracle(self, rng, c_in, c_out, hw, k, stride, pad):
         T.set_default_dtype(np.float64)
@@ -171,6 +183,25 @@ class TestConv:
         for i in range(3):
             one = T.conv2d(Tensor(x[i]), Tensor(w), Tensor(b), 1, 1).data
             assert np.allclose(full[i], one, atol=1e-12)
+
+    def test_narrow_conv_buffers_its_output_side(self, rng):
+        # the view-weight CNN's 16 -> 1 conv over 32 hypotheses: an im2col
+        # buffer would hold 16·9·32·32·32 floats, 18.9 MB
+        x = Tensor(rng.standard_normal((32, 16, 32, 32)), requires_grad=True)
+        w = Tensor(rng.standard_normal((1, 16, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(1), requires_grad=True)
+        assert x.dtype == np.float32
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = T.conv2d(x, w, b, 1, 1).sum()
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            backward(tape, loss)
+            total_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 6e6
+        assert total_peak < 12e6
 
     def test_shape_errors(self, rng):
         x = Tensor(rng.standard_normal((3, 5, 5)))
