@@ -6,7 +6,8 @@ into a point cloud, score a cloud against ground truth, and audit the
 operator gradients.
 
 Exit codes: 0 success, 1 bad input (arguments, config files, malformed
-artifacts), 2 runtime failure (numerical trouble, failed checks).
+artifacts, missing input paths), 2 runtime failure (numerical trouble,
+failed checks).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, MvsError, TrainStepError
+from .errors import MvsError, TrainStepError
 from .estimator import DepthEstimator
 from .fusion import (FuseConfig, fuse, read_ply, write_ply, write_pgm)
 from .gradcheck import check_full_loss, run_suite
@@ -128,18 +129,15 @@ def _write_prob_csv(path, prob: np.ndarray, inv_grid: np.ndarray) -> None:
 
 
 def _cmd_fuse(args) -> int:
+    cfg = FuseConfig(tau=args.tau, delta=args.delta, eps=args.eps,
+                     n_geo=args.ngeo)
     scene = load_scene(args.scene)
     depths, confs = [], []
     for i in range(len(scene.views)):
-        depth_path = os.path.join(args.depths, f"depth_{i:04d}.pfm")
-        if not os.path.exists(depth_path):
-            raise ConfigError(f"missing depth map {depth_path}")
-        depths.append(load_pfm(depth_path))
+        depths.append(load_pfm(os.path.join(args.depths, f"depth_{i:04d}.pfm")))
         conf_path = os.path.join(args.depths, f"conf_{i:04d}.pfm")
         if not args.no_conf and os.path.exists(conf_path):
             confs.append(load_pfm(conf_path))
-    cfg = FuseConfig(tau=args.tau, delta=args.delta, eps=args.eps,
-                     n_geo=args.ngeo)
     use_confs = confs if len(confs) == len(depths) else None
     cloud, masks = fuse(scene.views, depths, use_confs, cfg)
     write_ply(cloud, args.out)
@@ -270,6 +268,9 @@ def main(argv=None) -> int:
         return 2
     except MvsError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (FileNotFoundError, NotADirectoryError) as e:
+        print(f"error: {e.strerror.lower()}: {e.filename}", file=sys.stderr)
         return 1
     except Exception as e:  # pragma: no cover - last-resort exit mapping
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

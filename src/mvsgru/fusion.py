@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 from .geometry import CameraView, relative_pose, warp_points
 
 PLY_DTYPE = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
@@ -33,6 +33,17 @@ class FuseConfig:
     delta: float = 1.0
     eps: float = 0.01
     n_geo: int = 3
+
+    def __post_init__(self):
+        # written so that NaN fails every check
+        if not self.delta > 0:
+            raise ConfigError(f"delta must be > 0, got {self.delta}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not self.n_geo >= 0:
+            raise ConfigError(f"n_geo must be >= 0, got {self.n_geo}")
+        if not 0 <= self.tau <= 1:
+            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
 
 
 def _lookup_nn(depth: np.ndarray, u: np.ndarray,

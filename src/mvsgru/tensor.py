@@ -3,8 +3,12 @@
 Design notes
 ------------
 * A ``Tape`` records operations in execution order (which is automatically a
-  topological order); ``backward(tape, loss)`` replays it in reverse.  Ops
-  record themselves on the innermost active tape iff any input requires
+  topological order); ``backward(tape, loss)`` replays it once, in reverse,
+  and consumes it: each entry is dropped once its closure has run, and its
+  output's ``grad`` is reset to None, so intermediate gradients and the
+  buffers their closures hold are freed as the replay goes.  Only tensors
+  no entry produced (parameters, inputs) keep a ``grad``.  Ops record
+  themselves on the innermost active tape iff any input requires
   gradients.  With no tape active, ops are forward-only, which is what
   inference wants.
 * Numeric precision is a process-global mode: float32 for speed, float64 for
@@ -98,13 +102,16 @@ class Tape:
 
     Each entry is ``(out, parents, backward_fn)`` where ``backward_fn(g)``
     accumulates gradients into the parents.  Entries are appended in
-    execution order, so every op appears after all of its parents.
+    execution order, so every op appears after all of its parents.  A tape
+    can be replayed once: ``backward`` pops its entries and leaves it empty
+    and marked ``replayed``.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "replayed")
 
     def __init__(self):
         self.entries: list[tuple["Tensor", tuple["Tensor", ...], Callable]] = []
+        self.replayed = False
 
     def record(self, out: "Tensor", parents: tuple["Tensor", ...], fn: Callable) -> None:
         self.entries.append((out, parents, fn))
@@ -271,8 +278,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: g may be shared with another parent, a view of out.grad,
+        # or a read-only broadcast view
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def _check_axis(axis: int, ndim: int) -> int:
@@ -921,14 +931,23 @@ def group_dot(f0: Tensor, fi: Tensor, groups: int) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse-replay the tape from a scalar loss.
+    """Reverse-replay the tape from a scalar loss, consuming it.
 
-    Fills ``.grad`` on every tensor reached; tensors the loss does not
-    depend on keep ``grad`` as it was.
+    Accumulates ``.grad`` into every tensor reached that no entry produced
+    (parameters and inputs); tensors the loss does not depend on keep
+    ``grad`` as it was.  Each entry is popped as it runs and its output ends
+    with ``grad = None``, so the tape is left empty and a second replay
+    raises ``ContractError``.
     """
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    if tape.replayed:
+        raise ContractError("tape was already replayed; record a new one")
+    tape.replayed = True
     loss.grad = np.ones_like(loss.data)
-    for out, _, fn in reversed(tape.entries):
+    entries = tape.entries
+    while entries:
+        out, _, fn = entries.pop()
         if out.grad is not None:
             fn(out.grad)
+            out.grad = None

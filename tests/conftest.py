@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,3 +16,26 @@ def _reset_dtype():
     """Tests that flip the global numeric mode must not leak it."""
     yield
     T.set_default_dtype(np.float32)
+
+
+@pytest.fixture
+def step_peaks():
+    """Traced peaks of one taped step: ``run(forward) -> (forward, step)``.
+
+    ``forward()`` is recorded on a fresh tape and must return the scalar
+    loss, which is then back-propagated.  Both peaks are tracemalloc bytes
+    since the step began: after the forward, and over forward + backward.
+    """
+    def run(forward):
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                loss = forward()
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            T.backward(tape, loss)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return forward_peak, step_peak
+
+    return run

@@ -11,7 +11,7 @@ import pytest
 
 from mvsgru.cli import _write_prob_csv, main
 from mvsgru.fusion import PointCloud, read_ply, write_ply
-from mvsgru.scenes import load_pfm, load_scene
+from mvsgru.scenes import load_pfm, load_scene, save_pfm
 from mvsgru.training import TrainConfig, save_train_config
 
 
@@ -86,12 +86,25 @@ class TestExitCodes:
         ("eval", "--threshold", "0", "threshold"),
         ("eval", "--threshold", "-1", "threshold"),
         ("gradcheck", "--instances", "0", "instance"),
+        ("fuse", "--delta", "-1", "delta"),
+        ("fuse", "--delta", "0", "delta"),
+        ("fuse", "--eps", "-1", "eps"),
+        ("fuse", "--ngeo", "-1", "n_geo"),
+        ("fuse", "--tau", "1.5", "tau"),
+        ("fuse", "--tau", "-0.1", "tau"),
     ])
     def test_bad_numeric_argument_is_validation_error(
             self, command, flag, value, names, scene_dir, tmp_path, request, capsys):
         out = tmp_path / "o"
         scene = str(scene_dir / "scene_0000")
-        if command == "infer":
+        if command == "fuse":
+            # ground-truth depth maps: with a valid flag this fuse succeeds
+            depths = tmp_path / "depths"
+            depths.mkdir()
+            for i, view in enumerate(load_scene(scene).views):
+                save_pfm(depths / f"depth_{i:04d}.pfm", view.gt_depth)
+            args = ["--scene", scene, "--depths", str(depths), "--out", str(out)]
+        elif command == "infer":
             ckpt = request.getfixturevalue("trained") / "model.ckpt"
             args = ["--scene", scene, "--checkpoint", str(ckpt), "--out", str(out)]
         elif command == "train":
@@ -113,13 +126,33 @@ class TestExitCodes:
         code = main(["synth", "--out", str(tmp_path), "--size", "12"])
         assert code == 1
 
-    def test_missing_checkpoint_is_validation_error(self, scene_dir,
-                                                    tmp_path, capsys):
-        code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
-                     "--checkpoint", str(tmp_path / "nope.ckpt"),
-                     "--out", str(tmp_path / "o")])
-        assert code in (1, 2)
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("command,flag,missing", [
+        ("infer", "--checkpoint", "nope.ckpt"),
+        ("infer", "--config", "nope.cfg"),
+        ("train", "--config", "nope.cfg"),
+        ("train", "--scenes", "nope"),
+        ("fuse", "--scene", "nope"),
+        ("eval", "--cloud", "nope.ply"),
+    ], ids=["infer-checkpoint", "infer-config", "train-config", "train-scenes",
+            "fuse-scene", "eval-cloud"])
+    def test_missing_input_path_is_validation_error(
+            self, command, flag, missing, scene_dir, trained, tmp_path, capsys):
+        scene = str(scene_dir / "scene_0000")
+        args = {
+            "infer": {"--scene": scene, "--checkpoint": str(trained / "model.ckpt"),
+                      "--out": str(tmp_path / "o")},
+            "train": {"--scenes": scene, "--out": str(tmp_path / "o"),
+                      "--epochs": "1", "--iters": "1"},
+            "fuse": {"--scene": scene, "--depths": str(tmp_path),
+                     "--out": str(tmp_path / "o")},
+            "eval": {"--cloud": str(tmp_path / "cloud.ply"), "--scene": scene},
+        }[command]
+        path = str(tmp_path / missing)
+        args[flag] = path
+        code = main([command, *(x for kv in args.items() for x in kv)])
+        assert code == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSynth:
@@ -275,10 +308,10 @@ class TestFuseAndEval:
                      "--checkpoint", str(trained / "model.ckpt"),
                      "--out", str(maps)]) == 0
         cloud = tmp_path / "cloud.ply"
-        # tau = 1.01 cannot be reached by a sigmoid, every pixel is dropped
+        # 3 votes cannot be reached from 2 source views, every pixel is dropped
         assert main(["fuse", "--scene", str(scene_dir / "scene_0000"),
                      "--depths", str(maps), "--out", str(cloud),
-                     "--tau", "1.01"]) == 0
+                     "--ngeo", "3"]) == 0
         assert len(read_ply(cloud)) == 0
         code = main(["eval", "--cloud", str(cloud),
                      "--scene", str(scene_dir / "scene_0000")])

@@ -1,7 +1,5 @@
 """Tensor engine: forward oracles, tape mechanics, Adam, checkpoints."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,22 +182,14 @@ class TestConv:
             one = T.conv2d(Tensor(x[i]), Tensor(w), Tensor(b), 1, 1).data
             assert np.allclose(full[i], one, atol=1e-12)
 
-    def test_narrow_conv_buffers_its_output_side(self, rng):
+    def test_narrow_conv_buffers_its_output_side(self, rng, step_peaks):
         # the view-weight CNN's 16 -> 1 conv over 32 hypotheses: an im2col
         # buffer would hold 16·9·32·32·32 floats, 18.9 MB
         x = Tensor(rng.standard_normal((32, 16, 32, 32)), requires_grad=True)
         w = Tensor(rng.standard_normal((1, 16, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(1), requires_grad=True)
         assert x.dtype == np.float32
-        tracemalloc.start()
-        try:
-            with Tape() as tape:
-                loss = T.conv2d(x, w, b, 1, 1).sum()
-            forward_peak = tracemalloc.get_traced_memory()[1]
-            backward(tape, loss)
-            total_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forward_peak, total_peak = step_peaks(lambda: T.conv2d(x, w, b, 1, 1).sum())
         assert forward_peak < 6e6
         assert total_peak < 12e6
 
@@ -488,6 +478,41 @@ class TestTape:
             out = (x * x).sum()
         backward(tape, out)
         assert np.allclose(x.grad, [6.0])
+
+    def test_backward_consumes_the_tape(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = ((x * w).transpose((1, 0)).reshape(6).exp() + 1.0).mean()
+        outs = [out for out, _, _ in tape.entries]
+        backward(tape, loss)
+        assert len(tape) == 0
+        assert all(out.grad is None for out in outs)
+        assert x.grad is not None and w.grad is not None
+
+    def test_first_gradients_are_private_copies(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = (a + b).sum()
+        backward(tape, loss)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        assert np.array_equal(a.grad, [1.0, 1.0])
+        x = Tensor(np.array([5.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = (x + x).sum()
+        backward(tape, loss)
+        assert np.array_equal(x.grad, [2.0])
+
+    def test_second_replay_is_rejected(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        with Tape() as tape:
+            out = (x * x).sum()
+        backward(tape, out)
+        with pytest.raises(ContractError):
+            backward(tape, out)
+        assert np.array_equal(x.grad, [6.0])
 
     def test_recording_needs_requires_grad(self):
         x = Tensor(np.array([1.0]))
