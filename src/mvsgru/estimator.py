@@ -16,9 +16,9 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .features import LEVEL_CHANNELS, FeatureExtractor, FeaturePyramid
 from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
-                       relative_poses, sample_inverse_uniform, scale_intrinsics)
+                       relative_poses, scale_intrinsics)
 from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
-                       multiscale_similarity, view_weight, warp_and_correlate)
+                       multiscale_similarity, view_shares, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
 from .tensor import Tensor, bilinear_resize, concat, take_depth
 from .upsample import ConvexUpsampler
@@ -77,7 +77,7 @@ def predict_depth(prob: Tensor, inv_grid: np.ndarray,
 class InitState:
     h0: Tensor
     s_init: Tensor               # [D1, H/8, W/8]
-    weights_up: Tensor           # [S, H/4, W/4], one map per source
+    shares_up: Tensor            # [S, H/4 * W/4] view shares, summing to 1 over S
     inv_grid_init: np.ndarray    # [D1]
     d_init: Tensor               # [H/4, W/4]
 
@@ -88,6 +88,7 @@ class RunResult:
     d_init: Tensor
     probs: list[Tensor] = field(default_factory=list)
     depths: list[Tensor] = field(default_factory=list)
+    etas: list[Tensor] = field(default_factory=list)   # each depth as normalize_inv maps it
     indices: list[np.ndarray] = field(default_factory=list)
     confs: list[Tensor] = field(default_factory=list)
     d_up: Tensor | None = None
@@ -99,12 +100,6 @@ class RunResult:
 
 class DepthEstimator(Module):
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
-        if cfg.iters < 0:
-            raise ConfigError("iteration count must be >= 0")
-        if len(cfg.radii) != 3 or len(cfg.counts) != 3:
-            raise ConfigError("need radii and counts for exactly 3 levels")
-        if any(r2 >= r1 for r1, r2 in zip(cfg.radii[1:], cfg.radii)):
-            raise ConfigError("search radii must grow with the level")
         self.cfg = cfg
         self.fpn = FeatureExtractor(rng)
         self.vw_cnn = ViewWeightCNN(rng)
@@ -122,14 +117,18 @@ class DepthEstimator(Module):
 
     def initialize(self, pyramids: list[FeaturePyramid],
                    views: list[CameraView]) -> InitState:
-        """Coarse plane sweep at 1/8 resolution over D1 hypotheses."""
+        """Coarse plane sweep at 1/8 resolution over D1 hypotheses.
+
+        The view weights are normalized over S for the sweep and again after
+        their resize to 1/4 resolution, for every later lookup; resizing the
+        1/8 shares instead would change the values."""
         cfg = self.cfg
         ref = views[0]
         f3 = pyramids[0].f3
         c3, h8, w8 = f3.shape
         h4, w4 = h8 * 2, w8 * 2
-        depths = sample_inverse_uniform(ref.d_min, ref.d_max, cfg.d1)
-        hyp_vol = np.broadcast_to(depths[:, None], (cfg.d1, h8 * w8))
+        inv_init = inverse_grid(ref.d_min, ref.d_max, cfg.d1)
+        hyp_vol = np.broadcast_to(1.0 / inv_init[:, None], (cfg.d1, h8 * w8))
         ys, xs = np.mgrid[:h8, :w8].reshape(2, -1).astype(np.float64)
         f_ref, k_ref = f3.reshape((c3, h8 * w8)), scale_intrinsics(ref.k, 3)
         # one source at a time (S = 1): all S*D1 planes of 64 channels at once
@@ -141,17 +140,17 @@ class DepthEstimator(Module):
                                             relative_poses(ref, [v]))
             sims.append(sim)
             ws.append(view_weight(self.vw_cnn, sim.reshape((GROUPS, cfg.d1, h8, w8)),
-                                  valid.reshape(cfg.d1, h8, w8))[0])
+                                  valid.reshape(cfg.d1, h8, w8)))
         w = concat(ws, 0)
-        merged = integrate(concat(sims, 1), w).reshape((GROUPS * cfg.d1, h8, w8))
+        merged = integrate(concat(sims, 1), view_shares(w)).reshape((GROUPS * cfg.d1, h8, w8))
         s_init = self.init_unet(merged) * self.init_gain
         pre = self.h0b(self.h0a(s_init).leaky_relu())
         h0 = bilinear_resize(pre, (h4, w4)).tanh()
-        inv_init = inverse_grid(ref.d_min, ref.d_max, cfg.d1)
         p_init = s_init.softmax(0)
         d_coarse = 1.0 / (p_init * inv_init[:, None, None]).sum(0)
         d_init = bilinear_resize(d_coarse, (h4, w4))
-        return InitState(h0, s_init, bilinear_resize(w, (h4, w4)), inv_init, d_init)
+        shares_up = view_shares(bilinear_resize(w, (h4, w4)).reshape((len(ws), h4 * w4)))
+        return InitState(h0, s_init, shares_up, inv_init, d_init)
 
     def generate_hypotheses(self, eta_prev: Tensor, d_min: float,
                             d_max: float) -> list[Tensor]:
@@ -202,14 +201,15 @@ class DepthEstimator(Module):
             depth, x_best = predict_depth(prob, inv2, cfg.readout_radius)
             res.probs.append(prob)
             res.depths.append(depth)
+            res.etas.append(normalize_inv(depth, ref.d_min, ref.d_max))
             res.indices.append(x_best)
             res.confs.append(self.predict_confidence(hidden))
 
         readout(h)
         for _ in range(k):
-            eta_prev = normalize_inv(res.depths[-1], ref.d_min, ref.d_max)
+            eta_prev = res.etas[-1]
             hyps = self.generate_hypotheses(eta_prev, ref.d_min, ref.d_max)
-            s_bar = multiscale_similarity(levels, hyps, init.weights_up, self.level_unets)
+            s_bar = multiscale_similarity(levels, hyps, init.shares_up, self.level_unets)
             x_in = concat([eta_prev.reshape((1, h4, w4)), s_bar], 0)
             h = gru_update(self.gru, h, x_in)
             readout(h)

@@ -149,11 +149,6 @@ def inverse_grid(d_min: float, d_max: float, count: int) -> np.ndarray:
     return np.linspace(1.0 / d_max, 1.0 / d_min, count)
 
 
-def sample_inverse_uniform(d_min: float, d_max: float, count: int) -> np.ndarray:
-    """Depth hypotheses whose reciprocals are equidistant (increasing 1/d)."""
-    return 1.0 / inverse_grid(d_min, d_max, count)
-
-
 def normalize_inv(d, d_min: float, d_max: float):
     """Map depth to [0, 1] linearly in inverse depth (0 at d_max, 1 at d_min).
 

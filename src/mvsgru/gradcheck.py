@@ -367,7 +367,7 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     """Gradient checks for the composite network operations."""
     from .estimator import GruCell, gru_update, predict_depth
     from .geometry import inverse_grid, normalize_inv
-    from .matching import GROUPS, AggregationUnet, group_correlation, integrate
+    from .matching import GROUPS, AggregationUnet, group_correlation, integrate, view_shares
     from .training import loss_class, loss_conf, loss_regress
     from .upsample import ConvexUpsampler
 
@@ -384,7 +384,7 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     wint = rnd(4, 3, 10)
 
     def integ(sim, wv):
-        return _wsum(integrate(sim, wv.sigmoid()), wint)
+        return _wsum(integrate(sim, view_shares(wv.sigmoid())), wint)
 
     checks["integrate"] = lambda: check_gradients(
         integ, [rnd(4, 2, 3, 10), rnd(2, 10)], max_coords=_MODEL_COORDS)

@@ -7,8 +7,9 @@ assembly of the multi-scale similarity stack consumed by the update GRU.
 Volumes keep the layout the warp produces, pixels flattened to P = H*W and
 last: reference features [C, P]; S stacked sources [S, C, H_l, W_l], warped
 by one ``bilinear_sample`` call to [C, S, D, P] for D hypotheses; similarity
-[G, S, D, P] with validity [S, D, P]; ``integrate`` sums S away with [S, P]
-view weights to [G, D, P].  Only the convolutions reshape to image layout.
+[G, S, D, P] with validity [S, D, P]; ``integrate`` sums S away with the
+[S, P] view shares, which ``view_shares`` normalizes once per run and
+resolution, to [G, D, P].  Only the convolutions reshape to image layout.
 """
 
 from __future__ import annotations
@@ -51,34 +52,33 @@ class ViewWeightCNN(Module):
         return out.reshape((d,) + tuple(s.shape[2:]))
 
 
-def view_weight(cnn: ViewWeightCNN, s: Tensor,
-                valid: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Per-pixel view weight from one source's similarity volume.
+def view_weight(cnn: ViewWeightCNN, s: Tensor, valid: np.ndarray) -> Tensor:
+    """Per-pixel view weight [1, H, W] from one source's similarity volume.
 
     valid masks hypotheses whose warped sample fell outside the source
     image; their logits are forced to zero so a fully occluded pixel falls
-    back to the uniform weight 1/D.  Returns (w [1,H,W], p [D,H,W]).
+    back to the uniform weight 1/D.
     """
     logits = cnn.logits(s) * valid.astype(s.dtype)
-    p = logits.softmax(0)
-    w = p.max(0, keepdims=True)
-    return w, p
+    return logits.softmax(0).max(0, keepdims=True)
 
 
-def integrate(sim: Tensor, weights: Tensor) -> Tensor:
-    """Weighted average over the source axis of a stacked similarity volume.
+def view_shares(weights: Tensor) -> Tensor:
+    """View weights [S, ...] normalized over S; as softmax maxima they are > 0."""
+    return weights / weights.sum(0, keepdims=True)
 
-    sim: [G, S, D, P]; weights: [S, P] (an [S, H, W] map with H*W = P reads
-    the same), normalized over S here and broadcast over the group and
-    hypothesis axes.  The weights are strictly positive by construction
-    (softmax maxima), so their sum is safe to divide by.  Returns [G, D, P].
+
+def integrate(sim: Tensor, shares: Tensor) -> Tensor:
+    """Share-weighted sum over the source axis of a stacked similarity volume.
+
+    sim: [G, S, D, P]; shares: [S, P] from ``view_shares`` (an [S, H, W] map
+    with H*W = P reads the same), broadcast over the group and hypothesis
+    axes.  Returns [G, D, P].
     """
-    if sim.ndim != 4 or weights.shape[0] != sim.shape[1] or \
-            weights.size != sim.shape[1] * sim.shape[3]:
-        raise ShapeError(f"weights {weights.shape} do not fit similarity {sim.shape}")
-    n_src, p = sim.shape[1], sim.shape[3]
-    share = (weights / weights.sum(0, keepdims=True)).reshape((n_src, 1, p))
-    return (sim * share).sum(1)
+    if sim.ndim != 4 or shares.shape[0] != sim.shape[1] or \
+            shares.size != sim.shape[1] * sim.shape[3]:
+        raise ShapeError(f"shares {shares.shape} do not fit similarity {sim.shape}")
+    return (sim * shares.reshape((sim.shape[1], 1, sim.shape[3]))).sum(1)
 
 
 class AggregationUnet(Module):
@@ -179,17 +179,17 @@ def warp_and_correlate(f_ref: Tensor, f_src: Tensor, x: np.ndarray, y: np.ndarra
     return group_correlation(f_ref, warped), valid
 
 
-def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], weights: Tensor,
+def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], shares: Tensor,
                           unets: list[Module]) -> Tensor:
     """Assemble the per-iteration similarity stack at 1/4 resolution.
 
     levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] depths
-    for levels 1..3; weights: [S, H/4, W/4] view weights.
+    for levels 1..3; shares: [S, H/4 * W/4] view shares (``view_shares``).
     Output: [N1+N2+N3, H/4, W/4]."""
     out = []
     for (f_ref, f_src, xl, yl, k_ref, k_src, pose), hyps, unet in zip(
             levels, hyps_by_level, unets):
         sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps.reshape((hyps.shape[0], -1)),
                                     k_ref, k_src, pose)
-        out.append(unet(integrate(sim, weights).reshape((-1,) + hyps.shape[1:])))
+        out.append(unet(integrate(sim, shares).reshape((-1,) + hyps.shape[1:])))
     return concat(out, 0)

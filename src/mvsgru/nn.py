@@ -35,9 +35,6 @@ class Module:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: p.data.astype(np.float32) for name, p in self.named_parameters()}
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = self.parameters()
         missing = sorted(set(params) - set(state))

@@ -48,6 +48,18 @@ class TrainConfig:
     scale_hi: float = 1.25
     source_pool: int = 4        # sources are drawn from the nearest k views
 
+    def __post_init__(self):
+        # written so that NaN fails every check; views counts the reference
+        for name, low in (("iters", 0), ("views", 2), ("epochs", 1), ("batch", 1)):
+            if not getattr(self, name) >= low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if len(self.radii) != 3 or len(self.counts) != 3:
+            raise ConfigError("radii and counts need exactly 3 levels each")
+        if any(not lo < hi for lo, hi in zip(self.radii, self.radii[1:])):
+            raise ConfigError(f"radii must grow with the level, got {self.radii}")
+
     @property
     def beta(self) -> float:
         return float(self.d2)
@@ -227,7 +239,7 @@ def loss_full(run: RunResult, gt: GroundTruth, cfg: TrainConfig,
     for k in range(k_last + 1):
         weight = alpha ** (k_last - k)
         cls = loss_class(run.probs[k], gt.x_gt, gt.valid_q)
-        eta_k = normalize_inv(run.depths[k], run.d_min, run.d_max)
+        eta_k = run.etas[k]
         reg = loss_regress(eta_k, run.indices[k], gt.eta_q, gt.x_gt,
                            gt.valid_q, cfg.readout_radius, beta)
         near_gt = np.abs(gt.eta_q - eta_k.data) <= cfg.gamma
@@ -284,12 +296,6 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
     """
     if not scenes:
         raise ConfigError("no training scenes")
-    if cfg.epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
-    if cfg.batch < 1:
-        raise ConfigError(f"batch must be >= 1, got {cfg.batch}")
-    if cfg.views < 2:
-        raise ConfigError(f"views must be >= 2 (reference + sources), got {cfg.views}")
     os.makedirs(str(out_dir), exist_ok=True)
     model = DepthEstimator(cfg, np.random.default_rng(cfg.seed))
     params = model.parameters()
@@ -364,8 +370,4 @@ def mean_eta_errors(model: DepthEstimator, views: list[CameraView],
     gt = make_gt(ref.gt_depth, ref.d_min, ref.d_max, model.cfg.d2)
     with T.no_grad():
         run = model.run(views, iters=iters, upsample=False)
-    errs = []
-    for d in run.depths:
-        eta = normalize_inv(d.data, ref.d_min, ref.d_max)
-        errs.append(float(np.abs(eta - gt.eta_q)[gt.valid_q].mean()))
-    return np.array(errs)
+    return np.array([np.abs(eta.data - gt.eta_q)[gt.valid_q].mean() for eta in run.etas])

@@ -81,6 +81,10 @@ class TestExitCodes:
         ("train", "--views", "0", "views"),
         ("train", "--views", "1", "views"),
         ("train", "--epochs", "0", "epochs"),
+        ("train", "--lr", "0", "lr"),
+        ("train", "--lr", "-1", "lr"),
+        ("train", "--lr", "nan", "lr"),
+        ("train", "--iters", "-1", "iters"),
         ("eval", "--stride", "0", "stride"),
         ("eval", "--stride", "-1", "stride"),
         ("eval", "--threshold", "0", "threshold"),

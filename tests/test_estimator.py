@@ -224,8 +224,18 @@ class TestEstimatorRuns:
         assert init.h0.shape == (32, 4, 4)
         assert (np.abs(init.h0.data) < 1.0).all()
         assert init.s_init.shape == (32, 2, 2)
-        assert init.weights_up.shape == (len(self.scene.views) - 1, 4, 4)
-        assert (init.weights_up.data > 0).all()
+        assert init.shares_up.shape == (len(self.scene.views) - 1, 16)
+        assert (init.shares_up.data > 0).all()
+        assert np.allclose(init.shares_up.data.sum(0), 1.0, atol=1e-6)
+
+    def test_each_eta_is_its_depth_normalized(self):
+        T.set_default_dtype(np.float64)
+        model = DepthEstimator(TrainConfig(iters=2), np.random.default_rng(1))
+        res = model.run(self.scene.views, iters=2)
+        assert len(res.etas) == len(res.depths) == 3
+        for eta, depth in zip(res.etas, res.depths):
+            want = normalize_inv(depth, res.d_min, res.d_max)
+            assert eta.data.tobytes() == want.data.tobytes()
 
     def test_rejects_single_view(self):
         with pytest.raises(ConfigError):

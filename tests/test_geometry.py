@@ -11,7 +11,7 @@ from mvsgru import tensor as T
 from mvsgru.errors import ConfigError
 from mvsgru.geometry import (CameraView, denormalize_inv, inverse_grid,
                              load_cam_text, normalize_inv, relative_pose,
-                             sample_inverse_uniform, save_cam_text, scale_intrinsics,
+                             save_cam_text, scale_intrinsics,
                              warp_points)
 from mvsgru.tensor import Tensor
 
@@ -151,8 +151,8 @@ class TestWarp:
 
 class TestInverseDepth:
     def test_two_sample_endpoints(self):
-        d = sample_inverse_uniform(1.0, 1e6, 2)
-        assert d[0] == 1e6 and d[1] == 1.0
+        inv = inverse_grid(1.0, 1e6, 2)
+        assert inv[0] == 1e-6 and inv[1] == 1.0
 
     def test_ordering_and_spacing(self):
         inv = inverse_grid(2.0, 8.0, 33)
@@ -164,7 +164,7 @@ class TestInverseDepth:
     @settings(max_examples=60, deadline=None)
     def test_spacing_property(self, d_min, ratio, count):
         d_max = d_min * ratio
-        inv = 1.0 / sample_inverse_uniform(d_min, d_max, count)
+        inv = inverse_grid(d_min, d_max, count)
         steps = np.diff(inv)
         assert np.abs(steps - steps[0]).max() < 1e-12
 

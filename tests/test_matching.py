@@ -12,7 +12,7 @@ from mvsgru.geometry import (relative_pose, relative_poses, scale_intrinsics,
                              warp_points)
 from mvsgru.matching import (AggregationUnet, ViewWeightCNN, group_correlation,
                              integrate, level_coords, lookup_levels,
-                             multiscale_similarity, view_weight,
+                             multiscale_similarity, view_shares, view_weight,
                              warp_and_correlate)
 from mvsgru.tensor import Tensor
 
@@ -114,29 +114,25 @@ class TestViewWeight:
         cnn = ViewWeightCNN(rng)
         s = Tensor(rng.standard_normal((8, 16, 4, 4)))
         valid = np.ones((16, 4, 4), dtype=bool)
-        w, p = view_weight(cnn, s, valid)
+        w = view_weight(cnn, s, valid)
         assert w.shape == (1, 4, 4)
-        assert p.shape == (16, 4, 4)
         # a softmax maximum over D entries lies in [1/D, 1]
         assert (w.data >= 1.0 / 16 - 1e-6).all()
         assert (w.data <= 1.0 + 1e-6).all()
-        assert np.allclose(p.data.sum(axis=0), 1.0, atol=1e-5)
 
     def test_fully_invalid_pixel_falls_back_to_uniform(self, rng):
         cnn = ViewWeightCNN(rng)
         s = Tensor(rng.standard_normal((8, 16, 4, 4)))
         valid = np.ones((16, 4, 4), dtype=bool)
         valid[:, 1, 2] = False
-        w, p = view_weight(cnn, s, valid)
-        assert np.allclose(p.data[:, 1, 2], 1.0 / 16, atol=1e-6)
+        w = view_weight(cnn, s, valid)
         assert np.allclose(w.data[0, 1, 2], 1.0 / 16, atol=1e-6)
 
 
 class TestIntegrate:
     def test_single_source_passthrough(self, rng):
         s = Tensor(rng.standard_normal((8, 1, 4, 9)))
-        w = Tensor(rng.random((1, 9)) + 0.1)
-        out = integrate(s, w)
+        out = integrate(s, view_shares(Tensor(rng.random((1, 9)) + 0.1)))
         assert out.shape == (8, 4, 9)
         assert np.allclose(out.data, s.data[:, 0], atol=1e-6)
 
@@ -144,15 +140,15 @@ class TestIntegrate:
         T.set_default_dtype(np.float64)
         sims = Tensor(rng.standard_normal((8, 3, 4, 9)))
         ws = Tensor(rng.random((3, 9)) + 0.1)
-        base = integrate(sims, ws).data
-        scaled = integrate(sims, ws * 7.5).data
+        base = integrate(sims, view_shares(ws)).data
+        scaled = integrate(sims, view_shares(ws * 7.5)).data
         assert np.allclose(base, scaled, atol=1e-12)
 
     def test_matches_weighted_mean(self, rng):
         T.set_default_dtype(np.float64)
         sims = [rng.standard_normal((2, 3, 4)) for _ in range(2)]
         ws = [rng.random(4) + 0.1 for _ in range(2)]
-        got = integrate(Tensor(np.stack(sims, 1)), Tensor(np.stack(ws, 0))).data
+        got = integrate(Tensor(np.stack(sims, 1)), view_shares(Tensor(np.stack(ws, 0)))).data
         want = (sims[0] * ws[0] + sims[1] * ws[1]) / (ws[0] + ws[1])
         assert np.allclose(got, want, atol=1e-12)
 
@@ -263,7 +259,7 @@ class TestMultiscaleSimilarity:
             u.out.weight.data[:] = rng.standard_normal(u.out.weight.shape) * 0.1
 
         levels = lookup_levels([ref_pyr] + src_pyrs, [ref] + srcs)
-        got = multiscale_similarity(levels, hyps, weights, unets).data
+        got = multiscale_similarity(levels, hyps, view_shares(weights), unets).data
 
         want = []
         for l, hyp, unet in zip((1, 2, 3), hyps, unets):

@@ -673,7 +673,7 @@ class TestModule:
 
     def test_load_state_shape_mismatch(self, rng):
         net = Conv2d(2, 3, 3, rng)
-        state = net.state()
+        state = {name: p.data for name, p in net.parameters().items()}
         state["weight"] = np.zeros((1, 2, 3, 3), dtype=np.float32)
         with pytest.raises(ShapeError):
             net.load_state(state)
