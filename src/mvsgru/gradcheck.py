@@ -222,12 +222,6 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     simple("bilinear_sample", lambda: check_gradients(samp, [rnd(3, 6, 7), sx, sy]))
 
-    def samp_edge(grid, xs, ys):
-        out, _ = T.bilinear_sample(grid, xs, ys, mode="edge")
-        return _wsum(out, w9)
-
-    simple("bilinear_sample.edge", lambda: check_gradients(samp_edge, [rnd(3, 6, 7), sx, sy]))
-
     # two stacked grids, coordinates [2, n]: the second grid's samples sit
     # right next to the first grid's block of the interpolation matrix; one
     # point per grid is masked out
@@ -237,13 +231,13 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     bmask = np.ones(bx.shape, dtype=bool)
     bmask[:, 2] = False
     w12 = rnd(3, 2, n_pts)
-    for mode in ("zero", "edge"):
-        def samp_batch(grid, xs, ys, mode=mode):
-            out, _ = T.bilinear_sample(grid, xs, ys, mode=mode, mask=bmask)
-            return _wsum(out, w12)
 
-        simple(f"bilinear_sample.batched.{mode}", lambda f=samp_batch: check_gradients(
-            f, [rnd(2, 3, 6, 7), bx, by]))
+    def samp_batch(grid, xs, ys):
+        out, _ = T.bilinear_sample(grid, xs, ys, mask=bmask)
+        return _wsum(out, w12)
+
+    simple("bilinear_sample.batched", lambda: check_gradients(
+        samp_batch, [rnd(2, 3, 6, 7), bx, by]))
 
     w10 = rnd(2, 6, 8)
     simple("bilinear_resize.up", lambda: check_gradients(
@@ -278,7 +272,11 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     simple("conv2d.s2.nopad", lambda: check_gradients(
         lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 0), wc6),
         [rnd(3, 7, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
-    # the entries above take conv2d's im2col path; these narrow ones pass
+    wc11 = rnd(2, 4, 3, 3)
+    simple("conv2d.s2.batched", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc11),
+        [rnd(2, 3, 6, 6), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
+    # the entries above take conv2d's im2col path forward; these narrow ones pass
     # 2·C_out·H·W <= C_in·H'·W' and take the output side
     wc7 = rnd(1, 5, 6)
     simple("conv2d.narrow", lambda: check_gradients(

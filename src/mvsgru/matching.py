@@ -153,7 +153,7 @@ def lookup_levels(pyramids: list[FeaturePyramid],
         if l == 2:  # the 1/4-res grid itself
             f_ref = f_ref.reshape((f_ref.shape[0], h4 * w4))
         else:
-            f_ref, _ = bilinear_sample(f_ref, xl, yl, mode="edge")
+            f_ref, _ = bilinear_sample(f_ref, xl, yl)
         levels.append((f_ref, src.level(l), xl, yl, scale_intrinsics(views[0].k, l),
                        scale_intrinsics(k_src, l), pose))
     return levels
@@ -175,7 +175,7 @@ def warp_and_correlate(f_ref: Tensor, f_src: Tensor, x: np.ndarray, y: np.ndarra
         raise ShapeError(f"sources must be stacked [S, C, H, W], got {f_src.shape}")
     u, v, _, front = warp_points(x, y, depths, k_ref_l, k_src_l, pose)
     # [C, S, D, P]; invalid points sample 0, so their similarity is 0 too
-    warped, valid = bilinear_sample(f_src, u, v, mode="zero", mask=front)
+    warped, valid = bilinear_sample(f_src, u, v, mask=front)
     return group_correlation(f_ref, warped), valid
 
 

@@ -32,9 +32,11 @@ Design notes
   is the same for a contiguous input.
   ``conv2d`` never pads its input.  For each kernel tap, a pair of (output
   slice, input slice) per axis covers just the outputs that read inside the
-  image.  It buffers whichever side of the convolution is cheaper: an im2col
-  matrix of the input for wide outputs, or the per-tap products at every
-  input texel for narrow ones (see its docstring).
+  image.  Its forward buffers whichever side of the convolution is cheaper:
+  an im2col matrix of the input for wide outputs, or the per-tap products
+  at every input texel for narrow ones.  Its one backward gathers on the
+  output side from the input and weights alone, so neither forward buffer
+  stays on the tape (see its docstring).
 """
 
 from __future__ import annotations
@@ -608,7 +610,7 @@ def gather2d(a: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def bilinear_sample(grid: Tensor, x, y, mode: str = "zero",
+def bilinear_sample(grid: Tensor, x, y,
                     mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Sample a [C, H, W] grid, or a batch [B, C, H, W] of grids, at
     fractional coordinates.
@@ -619,12 +621,9 @@ def bilinear_sample(grid: Tensor, x, y, mode: str = "zero",
             with a batched grid their leading axis is B and entry b samples
             map b.  Differentiable in both the grid and (if Tensors) the
             coordinates.
-        mode: "zero" returns 0 outside [0, W-1] x [0, H-1] and flags those
-            points invalid; "edge" clamps to the border and everything is
-            valid.
         mask: optional bool array of the coordinates' shape; a point where
-            it is False is invalid in either mode: it samples 0 and passes
-            no gradient.
+            it is False is invalid like one outside [0, W-1] x [0, H-1]: it
+            samples 0 and passes no gradient.
 
     Returns:
         (samples [C, *coord_shape], valid bool mask [*coord_shape]).
@@ -632,8 +631,6 @@ def bilinear_sample(grid: Tensor, x, y, mode: str = "zero",
     grid = _wrap(grid)
     if grid.ndim not in (3, 4):
         raise ShapeError(f"bilinear_sample needs [C, H, W] or [B, C, H, W], got {grid.shape}")
-    if mode not in ("zero", "edge"):
-        raise ContractError(f"unknown sampling mode {mode!r}")
     b, c, h, w = grid.shape if grid.ndim == 4 else (1,) + grid.shape
     xt = x if isinstance(x, Tensor) else None
     yt = y if isinstance(y, Tensor) else None
@@ -647,8 +644,7 @@ def bilinear_sample(grid: Tensor, x, y, mode: str = "zero",
     xf = xd.ravel()
     yf = yd.ravel()
 
-    inside = (xf >= 0) & (xf <= w - 1) & (yf >= 0) & (yf <= h - 1)
-    valid = np.ones_like(inside) if mode == "edge" else inside
+    valid = (xf >= 0) & (xf <= w - 1) & (yf >= 0) & (yf <= h - 1)
     if mask is not None:
         valid = valid & np.asarray(mask).ravel()
     # an invalid point has all its interpolation weights zeroed
@@ -682,13 +678,12 @@ def bilinear_sample(grid: Tensor, x, y, mode: str = "zero",
         if grid.requires_grad:
             gs = (s.T @ g2.T).reshape(b, h * w, c)
             _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape))
-        # d/dx and d/dy of the blend share S's indices; a clamped coordinate
-        # gets no gradient
+        # d/dx and d/dy of the blend share S's indices; an invalid point,
+        # which includes every clamped one, gets no gradient
         flat = texels() if any(t is not None and t.requires_grad for t in (xt, yt)) else None
-        for ct, cf, cc, dw in ((xt, xf, xc, (-ey, ey, -fy, fy)),
-                               (yt, yf, yc, (-ex, -fx, ex, fx))):
+        for ct, dw in ((xt, (-ey, ey, -fy, fy)), (yt, (-ex, -fx, ex, fx))):
             if ct is not None and ct.requires_grad:
-                dw = np.hstack(dw) * keep * (cf == cc)[:, None]
+                dw = np.hstack(dw) * keep
                 sd = sp.csr_matrix((dw.ravel(), s.indices, s.indptr), shape=s.shape)
                 _accum(ct, ((sd @ flat) * g2.T).sum(axis=1).reshape(cshape))
 
@@ -752,14 +747,14 @@ def _tap_slices(n_in: int, n_out: int, tap: int, stride: int,
     return slice(lo, hi + 1), slice(lo * stride + off, hi * stride + off + 1, stride)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+           padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding.
 
     Args:
         x: input, [C, H, W] or [B, C, H, W].
         weight: [C_out, C_in, k, k] with odd k.
-        bias: optional [C_out].
+        bias: [C_out].
         stride: 1 or 2.
         padding: symmetric zero padding; (k-1)//2 gives same-size output at
             stride 1.
@@ -768,17 +763,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         [C_out, H', W'] or [B, C_out, H', W'] matching the input rank, with
         H' = (H + 2*padding - k) // stride + 1.
 
-    Two paths compute the same sums; each buffers one side of the layer.
+    Two forward paths compute the same sums; each buffers one side of the
+    layer, and neither buffer outlives the forward.
 
     * Input side (im2col): copy the k² shifted input windows into a
       [k²·C_in, B·H'·W'] matrix and run one GEMM with the [C_out, k²·C_in]
-      weights.  Backward multiplies the same matrix for the weight gradient
-      and scatters the column gradient back onto the input.
+      weights.
     * Output side: run one GEMM ``[k²·C_out, C_in] @ [C_in, H·W]`` per
       batch item on the input as it is, giving every tap's products at
       every input texel, then add the k² shifted slices into the output.
-      Backward gathers those slices of the output gradient into dZ, then
-      takes ``dW = dZ @ xᵀ`` and ``dx = W_tapᵀ @ dZ``.
 
     The output side runs when ``2·C_out·H·W <= C_in·H'·W'``: its
     [k²·C_out, B·H·W] buffer is at most half the im2col one.  The factor 2
@@ -786,11 +779,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     cost more per element than im2col's plain copies: with equal buffers
     (C_out = C_in at stride 1) its forward is 1.2-1.3x slower.  Comparing
     the input grid with the output grid accounts for the stride.
+
+    One backward serves both paths, on the output side: it gathers the k²
+    slices of the output gradient at the texels each tap read into dZ
+    [B, k²·C_out, H·W], then takes ``dW = Σ_b dZ_b @ x_bᵀ`` and
+    ``dx = W_tapᵀ @ dZ`` from the input and the weights alone.
     """
-    x = _wrap(x)
-    weight = _wrap(weight)
-    if bias is not None:
-        bias = _wrap(bias)
+    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
         raise ShapeError(f"weight must be [C_out, C_in, k, k], got {weight.shape}")
     k = weight.shape[2]
@@ -818,31 +813,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     taps = [(i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
             for j, (ox, ix) in enumerate(xs)]
 
+    def tap_weights():  # [k²·C_out, C_in], tap-major rows
+        return weight.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+
     if 2 * c_out * h * w <= c_in * h_out * w_out:
         # output side: every tap of every output channel at every input texel
         # in one GEMM, z[b, i, j] = W[:, :, i, j] @ x[b], then the k² shifted
         # slices of z summed into the output
-        xmat = xd.reshape(b_n, c_in, h * w)
-        wtap = weight.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
-        z = (wtap @ xmat).reshape(b_n, k, k, c_out, h, w)
+        z = (tap_weights() @ xd.reshape(b_n, c_in, h * w)).reshape(b_n, k, k, c_out, h, w)
         res = np.zeros((b_n, c_out, h_out, w_out), dtype=z.dtype)
         for i, j, oy, ox, iy, ix in taps:
             res[:, :, oy, ox] += z[:, i, j, :, iy, ix]
-
-        def bw(g):
-            g4 = g[None] if squeeze else g
-            if bias is not None and bias.requires_grad:
-                _accum(bias, g4.sum(axis=(0, 2, 3)))
-            # dz gathers g at the texels each tap read; padding reads get 0
-            dz = np.zeros((b_n, k, k, c_out, h, w), dtype=xd.dtype)
-            for i, j, oy, ox, iy, ix in taps:
-                dz[:, i, j, :, iy, ix] = g4[:, :, oy, ox]
-            dz = dz.reshape(b_n, k * k * c_out, h * w)
-            if weight.requires_grad:
-                dw = (dz @ xmat.transpose(0, 2, 1)).sum(axis=0)
-                _accum(weight, dw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
-            if x.requires_grad:
-                _accum(x, (wtap.T @ dz).reshape(x.shape))
     else:
         # input side: im2col straight from the input, channel-major; tap
         # (i, j) copies the outputs whose input texel lies inside the image
@@ -862,30 +843,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 cols[:, :, j, :, :, :ox.start] = 0
             if ox.stop < w_out:
                 cols[:, :, j, :, :, ox.stop:] = 0
-        cols2 = cols.reshape(c_in * k * k, b_n * h_out * w_out)
-        wmat = weight.data.reshape(c_out, c_in * k * k)
-        res = (wmat @ cols2).reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
+        res = weight.data.reshape(c_out, c_in * k * k) @ cols.reshape(c_in * k * k, -1)
+        res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
+    res += bias.data[:, None, None]
 
-        def bw(g):
-            g4 = g[None] if squeeze else g
-            gmat = g4.transpose(1, 0, 2, 3).reshape(c_out, b_n * h_out * w_out)
-            if bias is not None and bias.requires_grad:
-                _accum(bias, gmat.sum(axis=1))
-            if weight.requires_grad:
-                _accum(weight, (gmat @ cols2.T).reshape(weight.shape))
-            if x.requires_grad:
-                # col2im into a channel-major buffer, the layout dcols has
-                dcols = (wmat.T @ gmat).reshape(c_in, k, k, b_n, h_out, w_out)
-                gx = np.zeros((c_in, b_n, h, w), dtype=xd.dtype)
-                for i, j, oy, ox, iy, ix in taps:
-                    gx[:, :, iy, ix] += dcols[:, i, j, :, oy, ox]
-                _accum(x, gx[:, 0] if squeeze else gx.transpose(1, 0, 2, 3))
+    def bw(g):
+        g4 = g[None] if squeeze else g
+        if bias.requires_grad:
+            _accum(bias, g4.sum(axis=(0, 2, 3)))
+        # dz gathers g at the texels each tap read; padding reads get 0
+        dz = np.zeros((b_n, k, k, c_out, h, w), dtype=x.data.dtype)
+        for i, j, oy, ox, iy, ix in taps:
+            dz[:, i, j, :, iy, ix] = g4[:, :, oy, ox]
+        dz = dz.reshape(b_n, k * k * c_out, h * w)
+        if weight.requires_grad:
+            xmat = x.data.reshape(b_n, c_in, h * w)
+            dw = (dz @ xmat.transpose(0, 2, 1)).sum(axis=0)
+            _accum(weight, dw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            _accum(x, (tap_weights().T @ dz).reshape(x.shape))
 
-    if bias is not None:
-        res += bias.data[:, None, None]
-    out = Tensor(res[0] if squeeze else res)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _record(out, parents, bw)
+    return _record(Tensor(res[0] if squeeze else res), (x, weight, bias), bw)
 
 
 # ---------------------------------------------------------------------------

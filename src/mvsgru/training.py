@@ -50,13 +50,20 @@ class TrainConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check; views counts the reference
-        for name, low in (("iters", 0), ("views", 2), ("epochs", 1), ("batch", 1)):
+        for name, low in (("iters", 0), ("views", 2), ("d1", 2), ("d2", 2),
+                          ("readout_radius", 0), ("epochs", 1), ("batch", 1),
+                          ("source_pool", 1)):
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 < self.scale_lo <= self.scale_hi:
+            raise ConfigError(f"scale_lo and scale_hi need 0 < scale_lo <= scale_hi, "
+                              f"got {self.scale_lo} and {self.scale_hi}")
         if len(self.radii) != 3 or len(self.counts) != 3:
             raise ConfigError("radii and counts need exactly 3 levels each")
+        if not all(n >= 1 for n in self.counts):
+            raise ConfigError(f"counts must all be >= 1, got {self.counts}")
         if any(not lo < hi for lo, hi in zip(self.radii, self.radii[1:])):
             raise ConfigError(f"radii must grow with the level, got {self.radii}")
 

@@ -75,6 +75,20 @@ class TestExitCodes:
         assert "batch" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("d1", "1"), ("d2", "1"), ("readout_radius", "-1"), ("source_pool", "0"),
+        ("counts", "0,4,2"), ("scale_lo", "2")])
+    def test_bad_config_field_fails_before_writing(self, scene_dir, tmp_path,
+                                                   capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"iters=1\nepochs=1\n{key}={value}\n")
+        out = tmp_path / "o"
+        code = main(["train", "--scenes", str(scene_dir), "--out", str(out),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flag,value,names", [
         ("infer", "--iters", "-1", "iteration count"),
         ("infer", "--views", "0", "source count"),

@@ -266,7 +266,7 @@ class TestMultiscaleSimilarity:
             n = hyp.shape[0]
             f_ref = ref_pyr.level(l)
             xl, yl = level_coords(l, h4, h4, f_ref.shape[1], f_ref.shape[2])
-            f_ref_p, _ = T.bilinear_sample(f_ref, xl, yl, mode="edge")
+            f_ref_p, _ = T.bilinear_sample(f_ref, xl, yl)
             num = np.zeros((8, n, h4, h4))
             for i, (src, pyr) in enumerate(zip(srcs, src_pyrs)):
                 u, v, _, front = warp_points(

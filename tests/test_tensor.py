@@ -193,17 +193,30 @@ class TestConv:
         assert forward_peak < 6e6
         assert total_peak < 12e6
 
+    def test_both_paths_record_one_backward(self, rng):
+        # 4 -> 4 at stride 1 takes im2col, 8 -> 1 the output side; neither
+        # closure keeps a forward buffer
+        with Tape() as tape:
+            for c_in, c_out in ((4, 4), (8, 1)):
+                x = Tensor(rng.standard_normal((c_in, 6, 6)), requires_grad=True)
+                w = Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True)
+                T.conv2d(x, w, Tensor(rng.standard_normal(c_out)), 1, 1)
+        wide, narrow = (fn for _, _, fn in tape.entries)
+        assert wide.__code__ is narrow.__code__
+        assert not {"cols", "z", "xd"} & set(wide.__code__.co_freevars)
+
     def test_shape_errors(self, rng):
         x = Tensor(rng.standard_normal((3, 5, 5)))
+        b = Tensor(rng.standard_normal(4))
         w_even = Tensor(rng.standard_normal((4, 3, 2, 2)))
         with pytest.raises(ShapeError):
-            T.conv2d(x, w_even)
+            T.conv2d(x, w_even, b)
         w_badc = Tensor(rng.standard_normal((4, 2, 3, 3)))
         with pytest.raises(ShapeError):
-            T.conv2d(x, w_badc)
+            T.conv2d(x, w_badc, b)
         w = Tensor(rng.standard_normal((4, 3, 3, 3)))
         with pytest.raises(ContractError):
-            T.conv2d(x, w, stride=3)
+            T.conv2d(x, w, b, stride=3)
 
 
 class TestBilinear:
@@ -231,13 +244,6 @@ class TestBilinear:
         assert list(valid) == [False, False, True]
         assert np.all(out.data[:, :2] == 0.0)
 
-    def test_edge_mode_clamps(self, rng):
-        grid = rng.standard_normal((1, 4, 4))
-        out, valid = T.bilinear_sample(Tensor(grid), np.array([-2.0]), np.array([1.0]),
-                                       mode="edge")
-        assert valid.all()
-        assert np.allclose(out.data[0, 0], grid[0, 1, 0], atol=1e-6)
-
     def test_resize_matches_pointwise_sampling(self, rng):
         T.set_default_dtype(np.float64)
         grid = rng.standard_normal((2, 6, 8))
@@ -260,25 +266,23 @@ class TestBilinear:
 
 
 
-def sample_ref(grid, x, y, mode):
+def sample_ref(grid, x, y):
     """One bilinear sample and its corner weights, straight from the definition.
 
     Returns (value [C], [(row, col, weight), ...], dvalue/dx [C], dvalue/dy [C]).
     """
     c, h, w = grid.shape
-    if mode == "zero" and not (0 <= x <= w - 1 and 0 <= y <= h - 1):
+    if not (0 <= x <= w - 1 and 0 <= y <= h - 1):
         return np.zeros(c), [], np.zeros(c), np.zeros(c)
-    xc, yc = min(max(x, 0.0), w - 1.0), min(max(y, 0.0), h - 1.0)
-    x0, y0 = int(np.floor(xc)), int(np.floor(yc))
+    x0, y0 = int(np.floor(x)), int(np.floor(y))
     x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
-    fx, fy = xc - x0, yc - y0
+    fx, fy = x - x0, y - y0
     corners = [(y0, x0, (1 - fy) * (1 - fx)), (y0, x1, (1 - fy) * fx),
                (y1, x0, fy * (1 - fx)), (y1, x1, fy * fx)]
     value = sum(wt * grid[:, r, q] for r, q, wt in corners)
     dx = (1 - fy) * (grid[:, y0, x1] - grid[:, y0, x0]) + fy * (grid[:, y1, x1] - grid[:, y1, x0])
     dy = (1 - fx) * (grid[:, y1, x0] - grid[:, y0, x0]) + fx * (grid[:, y1, x1] - grid[:, y0, x1])
-    # a clamped coordinate does not move the sample
-    return value, corners, dx * (x == xc), dy * (y == yc)
+    return value, corners, dx, dy
 
 
 class TestResamplingAgainstLoops:
@@ -301,7 +305,7 @@ class TestResamplingAgainstLoops:
         xs, ys = (np.array(v, dtype=np.float64) for v in zip(*pts))
         return xs, ys
 
-    @pytest.mark.parametrize("mode", ["zero", "edge"])
+    @pytest.mark.parametrize("mode", ["zero"])
     def test_sample_and_gradients_match_loops(self, rng, mode):
         T.set_default_dtype(np.float64)
         grid = rng.standard_normal((self.C, self.H, self.W))
@@ -310,19 +314,19 @@ class TestResamplingAgainstLoops:
         g, x, y = Tensor(grid, requires_grad=True), Tensor(xs, requires_grad=True), \
             Tensor(ys, requires_grad=True)
         with Tape() as tape:
-            out, valid = T.bilinear_sample(g, x, y, mode=mode)
+            out, valid = T.bilinear_sample(g, x, y)
             loss = (out * wts).sum()
         backward(tape, loss)
 
         ggrid = np.zeros_like(grid)
         for n in range(xs.size):
-            value, corners, dx, dy = sample_ref(grid, xs[n], ys[n], mode)
+            value, corners, dx, dy = sample_ref(grid, xs[n], ys[n])
             assert np.allclose(out.data[:, n], value, atol=1e-12)
             assert np.isclose(x.grad[n], wts[:, n] @ dx, atol=1e-12)
             assert np.isclose(y.grad[n], wts[:, n] @ dy, atol=1e-12)
             for r, q, wt in corners:
                 ggrid[:, r, q] += wt * wts[:, n]
-            assert valid[n] == (mode == "edge" or bool(corners))
+            assert valid[n] == bool(corners)
         assert np.allclose(g.grad, ggrid, atol=1e-12)
 
     def test_out_of_range_gives_zero_output_and_gradient(self, rng):
@@ -339,7 +343,7 @@ class TestResamplingAgainstLoops:
         assert np.all(g.grad == 0.0)
         assert np.all(x.grad == 0.0) and np.all(y.grad == 0.0)
 
-    @pytest.mark.parametrize("mode", ["zero", "edge"])
+    @pytest.mark.parametrize("mode", ["zero"])
     def test_batched_grid_matches_separate_calls(self, rng, mode):
         T.set_default_dtype(np.float64)
         b = 3
@@ -351,7 +355,7 @@ class TestResamplingAgainstLoops:
         wts = rng.standard_normal((self.C, b, xs.size))
         g, x, y = (Tensor(v, requires_grad=True) for v in (grids, bx, by))
         with Tape() as tape:
-            out, valid = T.bilinear_sample(g, x, y, mode=mode)
+            out, valid = T.bilinear_sample(g, x, y)
             loss = (out * wts).sum()
         backward(tape, loss)
         assert out.shape == (self.C, b, xs.size)
@@ -359,7 +363,7 @@ class TestResamplingAgainstLoops:
             gk, xk, yk = (Tensor(v, requires_grad=True)
                           for v in (grids[k], bx[k], by[k]))
             with Tape() as tape:
-                outk, validk = T.bilinear_sample(gk, xk, yk, mode=mode)
+                outk, validk = T.bilinear_sample(gk, xk, yk)
                 lossk = (outk * wts[:, k]).sum()
             backward(tape, lossk)
             assert np.allclose(out.data[:, k], outk.data, atol=1e-12)
@@ -392,7 +396,7 @@ class TestResamplingAgainstLoops:
         with pytest.raises(ShapeError):
             T.bilinear_sample(g, xs[:1], ys[:1])
 
-    @pytest.mark.parametrize("mode", ["zero", "edge"])
+    @pytest.mark.parametrize("mode", ["zero"])
     def test_masked_points_are_invalid(self, rng, mode):
         T.set_default_dtype(np.float64)
         grid = rng.standard_normal((self.C, self.H, self.W)) + 3.0
@@ -403,7 +407,7 @@ class TestResamplingAgainstLoops:
         def run(m, loss_wts):
             g, x, y = (Tensor(v, requires_grad=True) for v in (grid, xs, ys))
             with Tape() as tape:
-                out, valid = T.bilinear_sample(g, x, y, mode=mode, mask=m)
+                out, valid = T.bilinear_sample(g, x, y, mask=m)
                 loss = (out * loss_wts).sum()
             backward(tape, loss)
             return out.data, valid, [g.grad, x.grad, y.grad]

@@ -265,9 +265,15 @@ class TestTrainStep:
 
     def test_backward_frees_gradients_as_it_goes(self, fixed_sample, step_peaks):
         # backward would hold ~21 MB of intermediate gradients on top of the
-        # ~39 MB forward state if it kept every entry's grad to the end
+        # ~22 MB forward state if it kept every entry's grad to the end
         forward_peak, step_peak = step_peaks(step_loss(fixed_sample))
         assert step_peak - forward_peak < 5e6
+
+    def test_forward_keeps_no_im2col_buffers(self, fixed_sample, step_peaks):
+        # about 22 MB; the im2col matrices, had the tape kept them for the
+        # weight gradients, would add about 17 MB
+        forward_peak, _ = step_peaks(step_loss(fixed_sample))
+        assert forward_peak < 30e6
 
     def test_float32_step_passes_float32_gradients(self, fixed_sample, monkeypatch):
         accum, wrong = T._accum, []
@@ -339,7 +345,9 @@ class TestConfigValidation:
         ("iters", -1), ("views", 1), ("epochs", 0), ("batch", 0), ("lr", 0.0),
         ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
         ("radii", (0.1, 0.2)), ("counts", (4, 4)), ("radii", (0.2, 0.1, 0.3)),
-        ("radii", (0.1, 0.1, 0.3))])
+        ("radii", (0.1, 0.1, 0.3)), ("d1", 1), ("d2", 1), ("readout_radius", -1),
+        ("source_pool", 0), ("counts", (0, 4, 2)), ("scale_lo", 2.0), ("scale_lo", 0.0),
+        ("scale_lo", float("nan")), ("scale_hi", 0.5)])
     def test_every_route_to_a_config_checks_it(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key):
             TrainConfig(**{key: value})
