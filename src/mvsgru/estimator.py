@@ -20,7 +20,7 @@ from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
 from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
                        multiscale_similarity, view_shares, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_resize, concat, take_depth
+from .tensor import Tensor, bilinear_resize, concat, getitem, take_depth
 from .upsample import ConvexUpsampler
 
 if TYPE_CHECKING:  # training imports this module
@@ -77,7 +77,7 @@ def predict_depth(prob: Tensor, inv_grid: np.ndarray,
 class InitState:
     h0: Tensor
     s_init: Tensor               # [D1, H/8, W/8]
-    shares_up: Tensor            # [S, H/4 * W/4] view shares, summing to 1 over S
+    shares_up: Tensor            # [S, 1, H/4 * W/4] view shares, summing to 1 over S
     inv_grid_init: np.ndarray    # [D1]
     d_init: Tensor               # [H/4, W/4]
 
@@ -142,31 +142,31 @@ class DepthEstimator(Module):
             ws.append(view_weight(self.vw_cnn, sim.reshape((GROUPS, cfg.d1, h8, w8)),
                                   valid.reshape(cfg.d1, h8, w8)))
         w = concat(ws, 0)
-        merged = integrate(concat(sims, 1), view_shares(w)).reshape((GROUPS * cfg.d1, h8, w8))
+        shares = view_shares(w).reshape((len(ws), 1, h8 * w8))
+        merged = integrate(concat(sims, 1), shares).reshape((GROUPS * cfg.d1, h8, w8))
         s_init = self.init_unet(merged) * self.init_gain
         pre = self.h0b(self.h0a(s_init).leaky_relu())
         h0 = bilinear_resize(pre, (h4, w4)).tanh()
         p_init = s_init.softmax(0)
         d_coarse = 1.0 / (p_init * inv_init[:, None, None]).sum(0)
         d_init = bilinear_resize(d_coarse, (h4, w4))
-        shares_up = view_shares(bilinear_resize(w, (h4, w4)).reshape((len(ws), h4 * w4)))
+        shares_up = view_shares(bilinear_resize(w, (h4, w4)).reshape((len(ws), 1, h4 * w4)))
         return InitState(h0, s_init, shares_up, inv_init, d_init)
 
-    def generate_hypotheses(self, eta_prev: Tensor, d_min: float,
+    def generate_hypotheses(self, eta: Tensor, d_min: float,
                             d_max: float) -> list[Tensor]:
         """Per-level hypothesis sets around the previous estimate.
 
-        eta_prev is the previous depth in normalized inverse depth, [H, W].
+        eta is the previous depth in normalized inverse depth, [1, H, W].
         N_l samples spaced evenly over [eta - R_l, eta + R_l], clamped to
-        [0, 1], then mapped back to depth.
+        [0, 1], then mapped back to depth: all N1+N2+N3 in one volume, of
+        which each level gets its slice.
         """
-        eta = eta_prev.reshape((1,) + eta_prev.shape)
-        out = []
-        for radius, count in zip(self.cfg.radii, self.cfg.counts):
-            offs = np.linspace(-radius, radius, count)
-            samples = (eta + offs[:, None, None]).clip(0.0, 1.0)
-            out.append(denormalize_inv(samples, d_min, d_max))
-        return out
+        offs = [np.linspace(-r, r, n) for r, n in zip(self.cfg.radii, self.cfg.counts)]
+        samples = (eta + np.concatenate(offs)[:, None, None]).clip(0.0, 1.0)
+        hyps = denormalize_inv(samples, d_min, d_max)
+        ends = np.cumsum(self.cfg.counts)
+        return [getitem(hyps, np.s_[end - n:end]) for n, end in zip(self.cfg.counts, ends)]
 
     def predict_probability(self, h: Tensor) -> Tensor:
         return self.prob_head(h).softmax(0)
@@ -207,11 +207,10 @@ class DepthEstimator(Module):
 
         readout(h)
         for _ in range(k):
-            eta_prev = res.etas[-1]
-            hyps = self.generate_hypotheses(eta_prev, ref.d_min, ref.d_max)
+            eta = res.etas[-1].reshape((1, h4, w4))
+            hyps = self.generate_hypotheses(eta, ref.d_min, ref.d_max)
             s_bar = multiscale_similarity(levels, hyps, init.shares_up, self.level_unets)
-            x_in = concat([eta_prev.reshape((1, h4, w4)), s_bar], 0)
-            h = gru_update(self.gru, h, x_in)
+            h = gru_update(self.gru, h, concat([eta, s_bar], 0))
             readout(h)
         if upsample:
             res.d_up = self.upsampler.upsample_depth(res.depths[-1], ref_f2)

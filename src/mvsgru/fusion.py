@@ -112,8 +112,14 @@ def fuse(views: list[CameraView], depths: list[np.ndarray],
     """Filter every view's depth map and merge the survivors.
 
     Returns the fused cloud and the per-view acceptance masks.  Duplicate
-    surface points across reference views are kept.
+    surface points across reference views are kept.  Every map must have
+    its view's image size; ``ConfigError`` names the first that does not.
     """
+    for kind, maps in (("depth", depths), ("confidence", confs or [])):
+        for i, m in enumerate(maps):
+            if m.shape != views[i].image.shape[1:]:
+                raise ConfigError(f"view {i}: {kind} map is {m.shape}, "
+                                  f"its image {views[i].image.shape[1:]}")
     xyz_parts, rgb_parts, masks = [], [], []
     for i, view in enumerate(views):
         others = [j for j in range(len(views)) if j != i]

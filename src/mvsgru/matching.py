@@ -8,8 +8,9 @@ Volumes keep the layout the warp produces, pixels flattened to P = H*W and
 last: reference features [C, P]; S stacked sources [S, C, H_l, W_l], warped
 by one ``bilinear_sample`` call to [C, S, D, P] for D hypotheses; similarity
 [G, S, D, P] with validity [S, D, P]; ``integrate`` sums S away with the
-[S, P] view shares, which ``view_shares`` normalizes once per run and
-resolution, to [G, D, P].  Only the convolutions reshape to image layout.
+[S, 1, P] view shares, which ``view_shares`` normalizes and the estimator
+shapes once per run and resolution, to [G, D, P].  Only the convolutions
+reshape to image layout.
 """
 
 from __future__ import annotations
@@ -71,14 +72,12 @@ def view_shares(weights: Tensor) -> Tensor:
 def integrate(sim: Tensor, shares: Tensor) -> Tensor:
     """Share-weighted sum over the source axis of a stacked similarity volume.
 
-    sim: [G, S, D, P]; shares: [S, P] from ``view_shares`` (an [S, H, W] map
-    with H*W = P reads the same), broadcast over the group and hypothesis
-    axes.  Returns [G, D, P].
+    sim: [G, S, D, P]; shares: [S, 1, P] from ``view_shares``, broadcast
+    over the group and hypothesis axes.  Returns [G, D, P].
     """
-    if sim.ndim != 4 or shares.shape[0] != sim.shape[1] or \
-            shares.size != sim.shape[1] * sim.shape[3]:
+    if sim.ndim != 4 or shares.shape != (sim.shape[1], 1, sim.shape[3]):
         raise ShapeError(f"shares {shares.shape} do not fit similarity {sim.shape}")
-    return (sim * shares.reshape((sim.shape[1], 1, sim.shape[3]))).sum(1)
+    return (sim * shares).sum(1)
 
 
 class AggregationUnet(Module):
@@ -184,7 +183,7 @@ def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], shar
     """Assemble the per-iteration similarity stack at 1/4 resolution.
 
     levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] depths
-    for levels 1..3; shares: [S, H/4 * W/4] view shares (``view_shares``).
+    for levels 1..3; shares: [S, 1, H/4 * W/4] view shares (``view_shares``).
     Output: [N1+N2+N3, H/4, W/4]."""
     out = []
     for (f_ref, f_src, xl, yl, k_ref, k_src, pose), hyps, unet in zip(

@@ -29,8 +29,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{name}.{i}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{name}.{i}", item
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())

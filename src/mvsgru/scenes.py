@@ -184,14 +184,9 @@ def load_scene(root) -> Scene:
         try:
             views.append(CameraView(k, r, t, d_min, d_max, image, gt))
         except ConfigError as e:
-            # blame the file the rejected value came from
-            shape = np.shape(image)
-            if len(shape) != 3 or shape[0] != 3:
-                bad = image_path
-            elif gt is not None and np.shape(gt) != shape[1:]:
-                bad = depth_path
-            else:
-                bad = cam_path
+            # blame the file the rejected value came from; load_ppm always
+            # returns [3, H, W], so that is the ground truth or the camera
+            bad = depth_path if gt is not None and gt.shape != image.shape[1:] else cam_path
             raise FileFormatError(bad, 0, f"view {i}: {e}") from None
     return Scene(views, [pairs.get(i, []) for i in range(count)])
 
@@ -284,8 +279,8 @@ def _look_at(center: np.ndarray, target: np.ndarray):
 
 
 def synth_scene(spec: SynthSpec) -> Scene:
-    if spec.size % 8:
-        raise SceneGenerationError(f"size {spec.size} not a multiple of 8")
+    if spec.size < 8 or spec.size % 8:
+        raise SceneGenerationError(f"size {spec.size} not a positive multiple of 8")
     if spec.views < 2:
         raise SceneGenerationError("need at least 2 views")
     rng = np.random.default_rng(spec.seed)

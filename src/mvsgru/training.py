@@ -176,7 +176,7 @@ def _masked_mean(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
 
 def loss_class(prob: Tensor, x_gt: np.ndarray, valid: np.ndarray) -> Tensor:
     """Cross entropy against the one-hot nearest-sample encoding."""
-    p_gt = T.take_depth(prob, x_gt[None]).reshape(x_gt.shape)
+    p_gt = T.take_depth(prob, x_gt[None])  # [1, H, W]
     return _masked_mean(p_gt.clip(LOG_EPS, None).log(), valid, -1.0)
 
 
@@ -369,12 +369,3 @@ def train(scenes: list[Scene], cfg: TrainConfig, out_dir,
             save_checkpoint(ckpt_path, params)
     return model
 
-
-def mean_eta_errors(model: DepthEstimator, views: list[CameraView],
-                    iters: int) -> np.ndarray:
-    """Per-iteration mean |eta - eta_gt| over valid pixels (inference)."""
-    ref = views[0]
-    gt = make_gt(ref.gt_depth, ref.d_min, ref.d_max, model.cfg.d2)
-    with T.no_grad():
-        run = model.run(views, iters=iters, upsample=False)
-    return np.array([np.abs(eta.data - gt.eta_q)[gt.valid_q].mean() for eta in run.etas])

@@ -139,9 +139,10 @@ class TestExitCodes:
         assert names in capsys.readouterr().err
         assert not out.exists()
 
-    def test_degenerate_scene_spec_is_validation_error(self, tmp_path,
+    @pytest.mark.parametrize("size", ["12", "4", "0", "-8"])
+    def test_degenerate_scene_spec_is_validation_error(self, size, tmp_path,
                                                        capsys):
-        code = main(["synth", "--out", str(tmp_path), "--size", "12"])
+        code = main(["synth", "--out", str(tmp_path), "--size", size])
         assert code == 1
 
     @pytest.mark.parametrize("command,flag,missing", [
@@ -317,6 +318,18 @@ class TestFuseAndEval:
                      "--depths", str(tmp_path), "--out", str(cloud)])
         assert code == 1
         assert "depth_0000.pfm" in capsys.readouterr().err
+        assert not cloud.exists()
+
+    def test_mis_sized_depth_map_is_validation_error(self, scene_dir, tmp_path,
+                                                     capsys):
+        # 8x8 depth maps for a 16 px scene
+        for i in range(3):
+            save_pfm(tmp_path / f"depth_{i:04d}.pfm", np.full((8, 8), 3.0, np.float32))
+        cloud = tmp_path / "cloud.ply"
+        code = main(["fuse", "--scene", str(scene_dir / "scene_0000"),
+                     "--depths", str(tmp_path), "--out", str(cloud)])
+        assert code == 1
+        assert "view 0: depth map is (8, 8)" in capsys.readouterr().err
         assert not cloud.exists()
 
     def test_empty_cloud_eval_is_runtime_error(self, scene_dir, trained,

@@ -165,7 +165,7 @@ class TestHypothesisGeneration:
     def test_offsets_in_normalized_inverse_depth(self):
         T.set_default_dtype(np.float64)
         d_min, d_max = 2.0, 8.0
-        hyps = self.model.generate_hypotheses(Tensor(np.full((2, 2), 0.5)), d_min, d_max)
+        hyps = self.model.generate_hypotheses(Tensor(np.full((1, 2, 2), 0.5)), d_min, d_max)
         for hyp, radius, count in zip(hyps, (2.0 ** -7, 2.0 ** -5, 2.0 ** -3),
                                       (4, 4, 2)):
             assert hyp.shape == (count, 2, 2)
@@ -175,7 +175,7 @@ class TestHypothesisGeneration:
 
     def test_clipped_at_the_range_edge(self):
         d_min, d_max = 2.0, 8.0
-        hyps = self.model.generate_hypotheses(Tensor(np.zeros((2, 2))), d_min, d_max)  # d_max
+        hyps = self.model.generate_hypotheses(Tensor(np.zeros((1, 2, 2))), d_min, d_max)  # d_max
         for hyp in hyps:
             assert (hyp.data <= d_max + 1e-9).all()
             assert (hyp.data >= d_min - 1e-9).all()
@@ -224,7 +224,7 @@ class TestEstimatorRuns:
         assert init.h0.shape == (32, 4, 4)
         assert (np.abs(init.h0.data) < 1.0).all()
         assert init.s_init.shape == (32, 2, 2)
-        assert init.shares_up.shape == (len(self.scene.views) - 1, 16)
+        assert init.shares_up.shape == (len(self.scene.views) - 1, 1, 16)
         assert (init.shares_up.data > 0).all()
         assert np.allclose(init.shares_up.data.sum(0), 1.0, atol=1e-6)
 

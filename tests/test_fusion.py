@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvsgru.errors import FileFormatError
+from mvsgru.errors import ConfigError, FileFormatError
 from mvsgru.fusion import (FuseConfig, PointCloud, backproject, fuse,
                            geometric_filter, read_ply, write_pgm, write_ply)
 from mvsgru.geometry import CameraView
@@ -192,6 +192,18 @@ class TestFuse:
         assert masks[0].all() and masks[2].all()
         assert not masks[1].any()
         assert len(pc) == 2 * 16 * 16
+
+    def test_rejects_a_depth_map_of_another_size(self):
+        views, depths = self.make_identical(2)
+        depths[1] = depths[1][:8, :8]
+        with pytest.raises(ConfigError, match=r"view 1: depth map is \(8, 8\), its image \(16, 16\)"):
+            fuse(views, depths, None, FuseConfig(n_geo=1))
+
+    def test_rejects_a_confidence_map_of_another_size(self):
+        views, depths = self.make_identical(2)
+        confs = [np.ones((16, 16)), np.ones((8, 8))]
+        with pytest.raises(ConfigError, match=r"view 1: confidence map is \(8, 8\)"):
+            fuse(views, depths, confs, FuseConfig(n_geo=1))
 
     def test_everything_filtered_gives_empty_cloud(self):
         views, depths = self.make_identical(2)

@@ -6,9 +6,10 @@ an ``ast.Name`` (a load, a decorator, an annotation or the base of an
 attribute access).  The package ``__init__.py`` is skipped: its imports are
 the re-exported API.
 
-A top-level function or class of ``src/mvsgru`` counts as referenced when
-its name appears in ``src/``, ``bench/`` or ``demos/`` as an ``ast.Name``,
-an attribute, or a string constant (``bench/tracer.py`` names its hook
+A top-level function or class of ``src/mvsgru``, or a non-dunder method
+or property of one of its classes, counts as referenced when its name
+appears in ``src/``, ``bench/`` or ``demos/`` as an ``ast.Name``, an
+attribute, or a string constant (``bench/tracer.py`` names its hook
 targets in strings).  Tests do not count: a helper only tests call is
 unused by the program.
 """
@@ -26,7 +27,6 @@ PROGRAM = sorted(p for d in ("src/mvsgru", "bench", "demos") for p in (ROOT / d)
 # defined but referenced by nothing in the program, each for a stated reason
 UNREFERENCED_OK = {
     "default_dtype": "the public getter of the numeric mode set by set_default_dtype",
-    "mean_eta_errors": "to become RunResult's per-iteration error (ROADMAP.md item 1)",
 }
 
 
@@ -66,18 +66,41 @@ def referenced_names(program: list[str]) -> set[str]:
     return names
 
 
+def definitions(defining: str):
+    """``(label, name, line)`` of each top-level function and class of
+    ``defining``, and of each non-dunder method or property of its classes,
+    labelled ``Class.method``."""
+    for node in ast.parse(defining).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node.lineno
+        for m in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__")
+                                                       and m.name.endswith("__")):
+                yield f"{node.name}.{m.name}", m.name, m.lineno
+
+
 def unreferenced(defining: str, referenced: set[str], allowed=UNREFERENCED_OK) -> list[str]:
-    """Top-level functions and classes of ``defining``, other than the
-    ``allowed`` ones, whose name is not in ``referenced``."""
-    return [f"{node.name} (line {node.lineno})" for node in ast.parse(defining).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in referenced and node.name not in allowed]
+    """The ``definitions`` of ``defining``, other than the ``allowed`` ones,
+    whose name is not in ``referenced``."""
+    return [f"{label} (line {line})" for label, name, line in definitions(defining)
+            if name not in referenced and label not in allowed]
 
 
 def test_the_check_sees_an_unreferenced_definition():
     defining = "def used(): pass\ndef unused(): pass\nclass Hooked: pass\n"
     referenced = referenced_names([defining, "used()", "HOOKS = ['Hooked']"])
     assert unreferenced(defining, referenced) == ["unused (line 2)"]
+
+
+def test_the_check_sees_an_unreferenced_method():
+    defining = ("class Net:\n"
+                "    def __call__(self): pass\n"
+                "    def used(self): pass\n"
+                "    @property\n"
+                "    def shape(self): pass\n"
+                "    def unused(self): pass\n")
+    referenced = referenced_names([defining, "Net().used()", "Net().shape"])
+    assert unreferenced(defining, referenced) == ["Net.unused (line 6)"]
 
 
 @pytest.fixture(scope="module")

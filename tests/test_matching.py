@@ -132,14 +132,14 @@ class TestViewWeight:
 class TestIntegrate:
     def test_single_source_passthrough(self, rng):
         s = Tensor(rng.standard_normal((8, 1, 4, 9)))
-        out = integrate(s, view_shares(Tensor(rng.random((1, 9)) + 0.1)))
+        out = integrate(s, view_shares(Tensor(rng.random((1, 1, 9)) + 0.1)))
         assert out.shape == (8, 4, 9)
         assert np.allclose(out.data, s.data[:, 0], atol=1e-6)
 
     def test_weight_scale_invariance(self, rng):
         T.set_default_dtype(np.float64)
         sims = Tensor(rng.standard_normal((8, 3, 4, 9)))
-        ws = Tensor(rng.random((3, 9)) + 0.1)
+        ws = Tensor(rng.random((3, 1, 9)) + 0.1)
         base = integrate(sims, view_shares(ws)).data
         scaled = integrate(sims, view_shares(ws * 7.5)).data
         assert np.allclose(base, scaled, atol=1e-12)
@@ -147,7 +147,7 @@ class TestIntegrate:
     def test_matches_weighted_mean(self, rng):
         T.set_default_dtype(np.float64)
         sims = [rng.standard_normal((2, 3, 4)) for _ in range(2)]
-        ws = [rng.random(4) + 0.1 for _ in range(2)]
+        ws = [rng.random((1, 4)) + 0.1 for _ in range(2)]
         got = integrate(Tensor(np.stack(sims, 1)), view_shares(Tensor(np.stack(ws, 0)))).data
         want = (sims[0] * ws[0] + sims[1] * ws[1]) / (ws[0] + ws[1])
         assert np.allclose(got, want, atol=1e-12)
@@ -156,10 +156,17 @@ class TestIntegrate:
         # weights for 3 sources against 2; weights over 3 pixels against 4
         with pytest.raises(ShapeError):
             integrate(Tensor(rng.random((2, 2, 3, 4))),
-                      Tensor(rng.random((3, 4))))
+                      Tensor(rng.random((3, 1, 4))))
         with pytest.raises(ShapeError):
             integrate(Tensor(rng.random((2, 2, 3, 4))),
-                      Tensor(rng.random((2, 3))))
+                      Tensor(rng.random((2, 1, 3))))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2, 2)], ids=["S,P", "S,H,W"])
+    def test_takes_only_shares_shaped_s_1_p(self, rng, shape):
+        # the right number of shares in another layout: the estimator shapes
+        # them [S, 1, P] once, so integrate reshapes nothing
+        with pytest.raises(ShapeError):
+            integrate(Tensor(rng.random((2, 2, 3, 4))), Tensor(rng.random(shape)))
 
 
 class TestLevelCoords:
@@ -259,7 +266,8 @@ class TestMultiscaleSimilarity:
             u.out.weight.data[:] = rng.standard_normal(u.out.weight.shape) * 0.1
 
         levels = lookup_levels([ref_pyr] + src_pyrs, [ref] + srcs)
-        got = multiscale_similarity(levels, hyps, view_shares(weights), unets).data
+        shares = view_shares(weights).reshape((len(srcs), 1, h4 * h4))
+        got = multiscale_similarity(levels, hyps, shares, unets).data
 
         want = []
         for l, hyp, unet in zip((1, 2, 3), hyps, unets):

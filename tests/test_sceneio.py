@@ -163,15 +163,6 @@ class TestSceneRoundtrip:
             load_scene(tmp_path / "s")
         assert "finite" in str(err.value)
 
-    def test_image_of_the_wrong_shape_names_its_file(self, tmp_path, monkeypatch):
-        # load_ppm always returns [3, H, W]; a loader that did not would be caught
-        scene = synth_scene(SynthSpec(seed=9, views=2, size=16, quads=1))
-        save_scene(scene, tmp_path / "s")
-        monkeypatch.setattr("mvsgru.scenes.load_ppm", lambda path: load_ppm(path)[:1])
-        with pytest.raises(FileFormatError, match="images/0000.ppm"):
-            load_scene(tmp_path / "s")
-
-
 
 _PIX = bytes(12)  # payload of a 2x2 PPM (and 3 of the 4 floats of a 2x2 PFM)
 
