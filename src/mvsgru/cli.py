@@ -72,14 +72,13 @@ def _cmd_train(args) -> int:
 
 
 def _load_model(args) -> tuple[DepthEstimator, TrainConfig]:
-    if args.config:
-        cfg = load_train_config(args.config)
-    else:
-        sibling = os.path.join(os.path.dirname(args.checkpoint), "model.cfg")
-        cfg = load_train_config(sibling) if os.path.exists(sibling) \
-            else TrainConfig()
+    state = load_checkpoint(args.checkpoint)
+    # without --config, the model.cfg that train() wrote next to the
+    # checkpoint, which must exist
+    sibling = os.path.join(os.path.dirname(args.checkpoint), "model.cfg")
+    cfg = load_train_config(args.config or sibling)
     model = DepthEstimator(cfg, np.random.default_rng(0))
-    model.load_state(load_checkpoint(args.checkpoint))
+    model.load_state(state)
     return model, cfg
 
 
@@ -135,11 +134,9 @@ def _cmd_fuse(args) -> int:
     depths, confs = [], []
     for i in range(len(scene.views)):
         depths.append(load_pfm(os.path.join(args.depths, f"depth_{i:04d}.pfm")))
-        conf_path = os.path.join(args.depths, f"conf_{i:04d}.pfm")
-        if not args.no_conf and os.path.exists(conf_path):
-            confs.append(load_pfm(conf_path))
-    use_confs = confs if len(confs) == len(depths) else None
-    cloud, masks = fuse(scene.views, depths, use_confs, cfg)
+        if not args.no_conf:
+            confs.append(load_pfm(os.path.join(args.depths, f"conf_{i:04d}.pfm")))
+    cloud, masks = fuse(scene.views, depths, confs or None, cfg)
     write_ply(cloud, args.out)
     kept = sum(int(m.sum()) for m in masks)
     total = sum(m.size for m in masks)

@@ -11,6 +11,12 @@ Design notes
   themselves on the innermost active tape iff any input requires
   gradients.  With no tape active, ops are forward-only, which is what
   inference wants.
+* Ops record through ``_unary`` / ``_binary``, given ``grad(g, y)`` from
+  the output gradient and array to the parents' gradients.  Only the ops
+  ``bench/tracer.py`` times backward by closure owner (its
+  ``BACKWARD_OPS``) and ``group_dot`` call ``_record`` with their own
+  closure.  ``no_grad`` is an empty slot on the tape stack: the innermost
+  slot decides whether ops record.
 * Numeric precision is a process-global mode: float32 for speed, float64 for
   finite-difference verification.  Tensors created while a mode is active are
   cast to it; see :func:`set_default_dtype` / :class:`using_dtype`.
@@ -50,8 +56,7 @@ from scipy.special import expit
 from .errors import ContractError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
-_TAPES: list["Tape"] = []
-_GRAD_ENABLED = [True]
+_TAPES: list["Tape | None"] = []  # innermost last; None is a no_grad slot
 
 _FLOAT_TYPES = (np.float32, np.float64)
 LEAKY_SLOPE = 0.01
@@ -88,14 +93,20 @@ class using_dtype:
 
 
 class no_grad:
-    """Disable tape recording inside the block (forward-only)."""
+    """Disable tape recording inside the block (forward-only).
+
+    It pushes an empty slot onto the tape stack, so no tape is active until
+    the block exits, even inside a ``Tape`` block.  The innermost slot
+    decides: a ``Tape`` opened inside ``no_grad`` records, and a nested
+    ``no_grad`` block leaves recording off when it exits.
+    """
 
     def __enter__(self):
-        _GRAD_ENABLED.append(False)
+        _TAPES.append(None)
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED.pop()
+        _TAPES.pop()
         return False
 
 
@@ -259,10 +270,29 @@ def _wrap(x) -> Tensor:
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], fn: Callable) -> Tensor:
     tape = active_tape()
-    if tape is not None and _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
+    if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         tape.record(out, parents, fn)
     return out
+
+
+def _unary(a: Tensor, data, grad: Callable) -> Tensor:
+    """Record a one-parent op with output ``data``; ``grad(g, y)`` maps the
+    output gradient and the output array to a's gradient."""
+    out = Tensor(data)
+    return _record(out, (a,), lambda g: _accum(a, grad(g, out.data)))
+
+
+def _binary(a: Tensor, b: Tensor, data, grad: Callable) -> Tensor:
+    """Record a two-parent op; ``grad(g, y)`` returns (a's, b's) gradient."""
+    out = Tensor(data)
+
+    def bw(g):
+        ga, gb = grad(g, out.data)
+        _accum(a, ga)
+        _accum(b, gb)
+
+    return _record(out, (a, b), bw)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -300,135 +330,71 @@ def _check_axis(axis: int, ndim: int) -> int:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data + b.data)
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _record(out, (a, b), bw)
+    return _binary(a, b, a.data + b.data, lambda g, y: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data - b.data)
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _record(out, (a, b), bw)
+    return _binary(a, b, a.data - b.data, lambda g, y: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data * b.data)
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _record(out, (a, b), bw)
+    return _binary(a, b, a.data * b.data, lambda g, y: (g * b.data, g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data / b.data)
-
-    def bw(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * out.data / b.data)
-
-    return _record(out, (a, b), bw)
+    return _binary(a, b, a.data / b.data, lambda g, y: (g / b.data, -g * y / b.data))
 
 
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.exp(a.data))
-
-    def bw(g):
-        _accum(a, g * out.data)
-
-    return _record(out, (a,), bw)
+    return _unary(a, np.exp(a.data), lambda g, y: g * y)
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.log(a.data))
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _record(out, (a,), bw)
+    return _unary(a, np.log(a.data), lambda g, y: g / a.data)
 
 
 def absval(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.abs(a.data))
-
-    def bw(g):
-        _accum(a, g * np.sign(a.data))
-
-    return _record(out, (a,), bw)
+    return _unary(a, np.abs(a.data), lambda g, y: g * np.sign(a.data))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(expit(a.data))
-
-    def bw(g):
-        _accum(a, g * out.data * (1.0 - out.data))
-
-    return _record(out, (a,), bw)
+    return _unary(a, expit(a.data), lambda g, y: g * y * (1.0 - y))
 
 
 def tanh(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.tanh(a.data))
-
-    def bw(g):
-        _accum(a, g * (1.0 - out.data * out.data))
-
-    return _record(out, (a,), bw)
+    return _unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y * y))
 
 
 def leaky_relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.maximum(a.data, LEAKY_SLOPE * a.data))
-
-    def bw(g):
-        _accum(a, np.where(a.data > 0, g, LEAKY_SLOPE * g))
-
-    return _record(out, (a,), bw)
+    return _unary(a, np.maximum(a.data, LEAKY_SLOPE * a.data),
+                  lambda g, y: np.where(a.data > 0, g, LEAKY_SLOPE * g))
 
 
 def clip(a: Tensor, lo=None, hi=None) -> Tensor:
     """Clamp values; gradient is passed through only inside [lo, hi]."""
     a = _wrap(a)
-    out = Tensor(np.clip(a.data, lo, hi))
     mask = np.ones_like(a.data)
     if lo is not None:
         mask *= a.data >= lo
     if hi is not None:
         mask *= a.data <= hi
-
-    def bw(g):
-        _accum(a, g * mask)
-
-    return _record(out, (a,), bw)
+    return _unary(a, np.clip(a.data, lo, hi), lambda g, y: g * mask)
 
 
 def where(cond: np.ndarray, a, b) -> Tensor:
     """Select elementwise by a constant boolean mask (not differentiable in cond)."""
     cond = np.asarray(cond, dtype=bool)
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(np.where(cond, a.data, b.data))
-
-    def bw(g):
-        _accum(a, g * cond)
-        _accum(b, g * ~cond)
-
-    return _record(out, (a, b), bw)
+    return _binary(a, b, np.where(cond, a.data, b.data), lambda g, y: (g * cond, g * ~cond))
 
 
 # ---------------------------------------------------------------------------
@@ -436,52 +402,43 @@ def where(cond: np.ndarray, a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
+def _scaled_sum(a: Tensor, axis, keepdims: bool, scale: float) -> Tensor:
+    """The body of ``tsum`` (scale 1.0, and x·1.0 is exact) and ``tmean``
+    (scale 1/n)."""
     if axis is not None:
         axis = _check_axis(axis, a.ndim)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
-    def bw(g):
+    def grad(g, y):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
+        return np.broadcast_to(g * scale, a.data.shape)
 
-    return _record(out, (a,), bw)
+    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims) * scale, grad)
+
+
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    return _scaled_sum(_wrap(a), axis, keepdims, 1.0)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    if axis is not None:
-        axis = _check_axis(axis, a.ndim)
-    scale = 1.0 / (a.size if axis is None else a.shape[axis])
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims) * scale)
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g * scale, a.data.shape))
-
-    return _record(out, (a,), bw)
+    n = a.size if axis is None else a.shape[_check_axis(axis, a.ndim)]
+    return _scaled_sum(a, axis, keepdims, 1.0 / n)
 
 
 def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis. Gradient routes to the lowest-index maximum."""
     a = _wrap(a)
     axis = _check_axis(axis, a.ndim)
-    idx = np.argmax(a.data, axis=axis)
-    idx_e = np.expand_dims(idx, axis)
+    idx_e = np.expand_dims(np.argmax(a.data, axis=axis), axis)
     vals = np.take_along_axis(a.data, idx_e, axis=axis)
-    out = Tensor(vals if keepdims else np.squeeze(vals, axis))
 
-    def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
+    def grad(g, y):
         gz = np.zeros_like(a.data)
-        np.put_along_axis(gz, idx_e, g, axis=axis)
-        _accum(a, gz)
+        np.put_along_axis(gz, idx_e, g if keepdims else np.expand_dims(g, axis), axis=axis)
+        return gz
 
-    return _record(out, (a,), bw)
+    return _unary(a, vals if keepdims else np.squeeze(vals, axis), grad)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -491,35 +448,19 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     y = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
-
-    return _record(out, (a,), bw)
+    return _unary(a, y, lambda g, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.data.reshape(shape))
-
-    def bw(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _record(out, (a,), bw)
+    return _unary(a, a.data.reshape(shape), lambda g, y: g.reshape(a.data.shape))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = _wrap(a)
     axes = tuple(axes)
     inv = np.argsort(axes)
-    out = Tensor(a.data.transpose(axes))
-
-    def bw(g):
-        _accum(a, g.transpose(inv))
-
-    return _record(out, (a,), bw)
+    return _unary(a, a.data.transpose(axes), lambda g, y: g.transpose(inv))
 
 
 def getitem(a: Tensor, idx) -> Tensor:
@@ -541,14 +482,11 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
         raise ShapeError("concat needs at least one tensor")
     axis = _check_axis(axis, ts[0].ndim)
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def bw(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
+        for t, gt in zip(ts, np.split(g, splits, axis=axis)):
+            _accum(t, gt)
 
     return _record(out, tuple(ts), bw)
 
@@ -826,23 +764,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             res[:, :, oy, ox] += z[:, i, j, :, iy, ix]
     else:
         # input side: im2col straight from the input, channel-major; tap
-        # (i, j) copies the outputs whose input texel lies inside the image
+        # (i, j) copies the outputs whose input texel lies inside the image,
+        # and the rest keep the zeros they read from padding
         xc = xd.transpose(1, 0, 2, 3)
-        cols = np.empty((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
+        cols = np.zeros((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
         for i, j, oy, ox, iy, ix in taps:
             cols[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
-        # the rest reads padding: the border rows of each tap row and the
-        # border columns of each tap column, zeroed in at most 4k calls
-        for i, (oy, _) in enumerate(ys):
-            if oy.start > 0:
-                cols[:, i, :, :, :oy.start] = 0
-            if oy.stop < h_out:
-                cols[:, i, :, :, oy.stop:] = 0
-        for j, (ox, _) in enumerate(xs):
-            if ox.start > 0:
-                cols[:, :, j, :, :, :ox.start] = 0
-            if ox.stop < w_out:
-                cols[:, :, j, :, :, ox.stop:] = 0
         res = weight.data.reshape(c_out, c_in * k * k) @ cols.reshape(c_in * k * k, -1)
         res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     res += bias.data[:, None, None]

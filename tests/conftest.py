@@ -18,6 +18,17 @@ def _reset_dtype():
     T.set_default_dtype(np.float32)
 
 
+@pytest.fixture(autouse=True)
+def _empty_tape_stack():
+    """Tests must leave no slot on the tape stack: a leaked ``no_grad``
+    slot would turn recording off for every later test, and a leaked tape
+    would record their ops."""
+    yield
+    leaked = list(T._TAPES)
+    T._TAPES.clear()
+    assert not leaked, f"the test left {leaked} on the tape stack"
+
+
 @pytest.fixture
 def step_peaks():
     """Traced peaks of one taped step: ``run(forward) -> (forward, step)``.

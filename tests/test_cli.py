@@ -116,12 +116,14 @@ class TestExitCodes:
         out = tmp_path / "o"
         scene = str(scene_dir / "scene_0000")
         if command == "fuse":
-            # ground-truth depth maps: with a valid flag this fuse succeeds
+            # ground-truth depth maps and no confidence filter: with a valid
+            # flag this fuse succeeds
             depths = tmp_path / "depths"
             depths.mkdir()
             for i, view in enumerate(load_scene(scene).views):
                 save_pfm(depths / f"depth_{i:04d}.pfm", view.gt_depth)
-            args = ["--scene", scene, "--depths", str(depths), "--out", str(out)]
+            args = ["--scene", scene, "--depths", str(depths), "--out", str(out),
+                    "--no-conf"]
         elif command == "infer":
             ckpt = request.getfixturevalue("trained") / "model.ckpt"
             args = ["--scene", scene, "--checkpoint", str(ckpt), "--out", str(out)]
@@ -268,6 +270,18 @@ class TestInferCommand:
         _write_prob_csv(path, prob, inv_grid)
         assert path.read_bytes() == want.getvalue().encode()
 
+    def test_checkpoint_without_config_is_validation_error(self, scene_dir, trained,
+                                                           tmp_path, capsys):
+        # a checkpoint copied alone: no --config and no model.cfg beside it
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((trained / "model.ckpt").read_bytes())
+        out = tmp_path / "maps"
+        code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
+                     "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 1
+        assert str(tmp_path / "model.cfg") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_ref_is_validation_error(self, scene_dir, trained,
                                                   tmp_path, capsys):
         code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
@@ -327,10 +341,28 @@ class TestFuseAndEval:
             save_pfm(tmp_path / f"depth_{i:04d}.pfm", np.full((8, 8), 3.0, np.float32))
         cloud = tmp_path / "cloud.ply"
         code = main(["fuse", "--scene", str(scene_dir / "scene_0000"),
-                     "--depths", str(tmp_path), "--out", str(cloud)])
+                     "--depths", str(tmp_path), "--out", str(cloud), "--no-conf"])
         assert code == 1
         assert "view 0: depth map is (8, 8)" in capsys.readouterr().err
         assert not cloud.exists()
+
+    def test_missing_confidence_map_is_validation_error(self, scene_dir, tmp_path,
+                                                        capsys):
+        # every depth map, but no confidence map for view 1
+        scene = load_scene(scene_dir / "scene_0000")
+        for i, view in enumerate(scene.views):
+            save_pfm(tmp_path / f"depth_{i:04d}.pfm", view.gt_depth)
+            if i != 1:
+                save_pfm(tmp_path / f"conf_{i:04d}.pfm", np.ones_like(view.gt_depth))
+        cloud = tmp_path / "cloud.ply"
+        args = ["fuse", "--scene", str(scene_dir / "scene_0000"),
+                "--depths", str(tmp_path), "--out", str(cloud), "--ngeo", "1"]
+        assert main(args) == 1
+        assert "conf_0001.pfm" in capsys.readouterr().err
+        assert not cloud.exists()
+        # without the confidence filter no confidence map is read
+        assert main(args + ["--no-conf"]) == 0
+        assert len(read_ply(cloud)) > 0
 
     def test_empty_cloud_eval_is_runtime_error(self, scene_dir, trained,
                                                tmp_path, capsys):

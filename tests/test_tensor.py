@@ -1,5 +1,8 @@
 """Tensor engine: forward oracles, tape mechanics, Adam, checkpoints."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ContractError, FileFormatError, ShapeError, TrainStepError
-from mvsgru.gradcheck import check_full_loss, check_gradients, run_suite
+from mvsgru.gradcheck import base_op_checks, check_full_loss, check_gradients, run_suite
 from mvsgru.nn import Conv2d, Module, load_checkpoint, save_checkpoint
 from mvsgru.optim import Adam
 from mvsgru.tensor import Tape, Tensor, backward
@@ -536,6 +539,22 @@ class TestTape:
                 _ = x * 2.0
         assert len(tape) == 0
 
+    def test_no_grad_is_an_empty_slot_on_the_tape_stack(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        with Tape() as tape:
+            with T.no_grad():
+                _ = x * 2.0
+                with T.no_grad():
+                    _ = x * 3.0
+                _ = x * 4.0  # the inner block's exit leaves recording off
+                assert len(tape) == 0 and T.active_tape() is None
+                with Tape() as inner:  # the innermost slot decides
+                    _ = x * 5.0
+                assert len(inner) == 1
+            y = x * 6.0  # recording resumes after the block
+        assert len(tape) == 1 and y.requires_grad
+        assert T._TAPES == []
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
@@ -730,6 +749,48 @@ class TestOpGradcheckSweep:
         assert not failed, failed
 
 
+# gradcheck names that differ from the name of the op they check
+CHECK_ALIASES = {"absval": "abs", "tsum": "sum", "tmean": "mean", "tmax": "max"}
+
+
+def taped_ops(source: str) -> list[str]:
+    """The public top-level functions of ``source`` that record on the tape:
+    they call ``_record``, ``_unary`` or ``_binary``, directly or through a
+    private top-level helper that does."""
+    calls = {node.name: {c.func.id for c in ast.walk(node)
+                         if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+             for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    recorders = {"_record", "_unary", "_binary"}
+    while more := {f for f, called in calls.items()
+                   if f.startswith("_") and called & recorders} - recorders:
+        recorders |= more
+    return sorted(f for f, called in calls.items()
+                  if not f.startswith("_") and called & recorders)
+
+
+def unchecked_ops(ops: list[str], check_names) -> list[str]:
+    """The ``ops`` that no check name starts with, as ``op`` or ``op.case``."""
+    prefixes = {name.split(".")[0] for name in check_names}
+    return [op for op in ops if CHECK_ALIASES.get(op, op) not in prefixes]
+
+
+class TestGradcheckCoverage:
+    def test_the_check_sees_an_unchecked_op(self):
+        source = ("def _helper(a): return _unary(a, a, None)\n"
+                  "def tsum(a): return _helper(a)\n"
+                  "def direct(a, b): return _binary(a, b, a, None)\n"
+                  "def forward_only(a): return a\n"
+                  "def _private(a): return _record(a, (a,), None)\n")
+        ops = taped_ops(source)
+        assert ops == ["direct", "tsum"]
+        assert unchecked_ops(ops, ["sum.all", "directly"]) == ["direct"]
+
+    def test_every_taped_op_has_a_gradcheck_entry(self):
+        ops = taped_ops(Path(T.__file__).read_text())
+        assert {"add", "tsum", "tmean", "concat", "conv2d", "group_dot"} <= set(ops)
+        assert unchecked_ops(ops, base_op_checks(np.random.default_rng(0))) == []
+
+
 class TestFullLossGradcheck:
     """The whole training loss against central differences on its parameters."""
 
@@ -738,8 +799,7 @@ class TestFullLossGradcheck:
 
     def test_catches_a_wrong_tanh_backward(self, monkeypatch):
         def tanh_missing_square(a):
-            out = Tensor(np.tanh(a.data))
-            return T._record(out, (a,), lambda g: T._accum(a, g * (1.0 - out.data)))
+            return T._unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y))
 
         monkeypatch.setattr(T, "tanh", tanh_missing_square)
         assert check_full_loss() > 1e-3

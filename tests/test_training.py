@@ -257,6 +257,25 @@ def train_step(scene) -> int:
     return entries
 
 
+def non_float32_gradients(monkeypatch, run) -> list[str]:
+    """Call ``run()``; name each backward closure that hands ``_accum`` a
+    gradient that is not float32.  The closure ``_unary`` and ``_binary``
+    share is named by the op's ``grad`` function it calls."""
+    accum, wrong = T._accum, []
+
+    def checked(t, g):
+        if np.asarray(g).dtype != np.float32:
+            frame = sys._getframe(1)
+            shared = frame.f_code.co_qualname.startswith(("_unary.", "_binary."))
+            wrong.append(frame.f_locals["grad"].__qualname__ if shared
+                         else frame.f_code.co_qualname)
+        accum(t, g)
+
+    monkeypatch.setattr(T, "_accum", checked)
+    run()
+    return wrong
+
+
 class TestTrainStep:
     def test_tape_entry_budget(self, fixed_sample):
         # 939 entries when the budget was set (988 before the hypotheses
@@ -276,16 +295,21 @@ class TestTrainStep:
         assert forward_peak < 30e6
 
     def test_float32_step_passes_float32_gradients(self, fixed_sample, monkeypatch):
-        accum, wrong = T._accum, []
+        assert non_float32_gradients(monkeypatch, lambda: train_step(fixed_sample)) == []
 
-        def checked(t, g):
-            if np.asarray(g).dtype != np.float32:
-                wrong.append(sys._getframe(1).f_code.co_qualname)
-            accum(t, g)
+    def test_a_float64_gradient_is_reported_by_its_op(self, monkeypatch):
+        def widened(a):
+            return T._unary(a, a.data * 2.0, lambda g, y: (g * 2.0).astype(np.float64))
 
-        monkeypatch.setattr(T, "_accum", checked)
-        train_step(fixed_sample)
-        assert wrong == []
+        def step():
+            x = Tensor(np.ones(3), requires_grad=True)
+            with Tape() as tape:
+                loss = widened(x).sum()
+            backward(tape, loss)
+
+        assert non_float32_gradients(monkeypatch, step) == [
+            "TestTrainStep.test_a_float64_gradient_is_reported_by_its_op"
+            ".<locals>.widened.<locals>.<lambda>"]
 
 
 class TestSchedule:
