@@ -40,13 +40,17 @@ Design notes
   slice, input slice) per axis covers just the outputs that read inside the
   image.  Its forward buffers whichever side of the convolution is cheaper:
   an im2col matrix of the input for wide outputs, or the per-tap products
-  at every input texel for narrow ones.  Its one backward gathers on the
-  output side from the input and weights alone, so neither forward buffer
-  stays on the tape (see its docstring).
+  at every input texel for narrow ones.  Its one backward reads the input
+  and weights when it runs, so neither forward buffer stays on the tape,
+  and also takes the cheaper side: it gathers the output gradient over the
+  input grid, or, for layers that widen on large planes, rebuilds the
+  im2col and adds the per-tap products back (see its docstring).  Its
+  gradients are fresh arrays, which ``_accum`` keeps without a copy.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -305,14 +309,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.  A first gradient is copied, since g may
+    be shared with another parent, a view of out.grad or a read-only
+    broadcast view, unless the closure passes ``owned=True``: g is a fresh
+    array that nothing else holds, so it becomes ``t.grad`` as it is."""
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        # a copy: g may be shared with another parent, a view of out.grad,
-        # or a read-only broadcast view
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = g if owned and g.dtype == t.data.dtype else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -685,6 +691,34 @@ def _tap_slices(n_in: int, n_out: int, tap: int, stride: int,
     return slice(lo, hi + 1), slice(lo * stride + off, hi * stride + off + 1, stride)
 
 
+@functools.lru_cache(maxsize=None)
+def _conv_taps(h: int, w: int, h_out: int, w_out: int, k: int, stride: int,
+               padding: int) -> tuple[tuple[int, int, slice, slice, slice, slice], ...]:
+    """``(i, j, oy, ox, iy, ix)`` per kernel tap, cached per geometry: tap
+    (i, j) joins the outputs oy x ox with the input texels iy x ix, and
+    every other output of that tap reads padding."""
+    ys = [_tap_slices(h, h_out, i, stride, padding) for i in range(k)]
+    xs = [_tap_slices(w, w_out, j, stride, padding) for j in range(k)]
+    return tuple((i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
+                 for j, (ox, ix) in enumerate(xs))
+
+
+def _im2col(xd: np.ndarray, taps, k: int, h_out: int, w_out: int) -> np.ndarray:
+    """The [C_in·k², B·H'·W'] im2col matrix of a [B, C_in, H, W] input,
+    channel-major.  Tap (i, j) copies the outputs whose input texel lies
+    inside the image; the rest keep the zeros they read from padding."""
+    b_n, c_in = xd.shape[:2]
+    xc = xd.transpose(1, 0, 2, 3)
+    cols = np.zeros((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
+    for i, j, oy, ox, iy, ix in taps:
+        cols[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
+    return cols.reshape(c_in * k * k, b_n * h_out * w_out)
+
+
+# buffer elements conv2d's backward must save to take its input side
+_INPUT_SIDE_MIN_SAVING = 1 << 16
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding.
@@ -718,10 +752,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     (C_out = C_in at stride 1) its forward is 1.2-1.3x slower.  Comparing
     the input grid with the output grid accounts for the stride.
 
-    One backward serves both paths, on the output side: it gathers the k²
-    slices of the output gradient at the texels each tap read into dZ
-    [B, k²·C_out, H·W], then takes ``dW = Σ_b dZ_b @ x_bᵀ`` and
-    ``dx = W_tapᵀ @ dZ`` from the input and the weights alone.
+    One backward closure serves both paths.  It captures no forward buffer
+    (it reads ``x.data`` and ``weight.data`` when it runs) and takes one of
+    two sides:
+
+    * Output side: gather the k² slices of the output gradient G at the
+      texels each tap read into dZ [k²·C_out, B·H·W], then ``dW = dZ @ xᵀ``
+      and ``dx = W_tapᵀ @ dZ``, one GEMM each over the whole batch.
+    * Input side: ``dW = G @ colsᵀ``, with G as [C_out, B·H'·W'] and the
+      im2col rebuilt from the input, and ``dx`` from the per-tap products
+      ``W_tapᵀ @ G`` (one [k²·C_in, C_out] GEMM), each added back at the
+      texels its tap read.  It fills two buffers of k²·C_in·B·H'·W' where
+      the output side fills one of k²·C_out·B·H·W, and at stride 2 it
+      does a quarter of the output side's FLOPs.
+
+    The input side runs when it saves more than ``_INPUT_SIDE_MIN_SAVING``
+    buffer elements, ``k²·B·(C_out·H·W − 2·C_in·H'·W') > 2^16``; below
+    that, its k² extra strided adds cost more than the smaller buffers
+    save.  Widening layers on large planes take it, such as the
+    probability head (32 → 256 at 16²) and the FPN's stride-2 encoders.
+
+    ``dW`` is skipped when the weights need no gradient, and ``dx`` when
+    the input needs none.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
@@ -743,13 +795,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     w_out = (w + 2 * padding - k) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {k} does not fit input {h}x{w} with padding {padding}")
-
-    # tap (i, j) joins the outputs ys[i][0] x xs[j][0] with the input texels
-    # ys[i][1] x xs[j][1]; every other output of that tap reads padding
-    ys = [_tap_slices(h, h_out, i, stride, padding) for i in range(k)]
-    xs = [_tap_slices(w, w_out, j, stride, padding) for j in range(k)]
-    taps = [(i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
-            for j, (ox, ix) in enumerate(xs)]
+    taps = _conv_taps(h, w, h_out, w_out, k, stride, padding)
 
     def tap_weights():  # [k²·C_out, C_in], tap-major rows
         return weight.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
@@ -763,32 +809,45 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         for i, j, oy, ox, iy, ix in taps:
             res[:, :, oy, ox] += z[:, i, j, :, iy, ix]
     else:
-        # input side: im2col straight from the input, channel-major; tap
-        # (i, j) copies the outputs whose input texel lies inside the image,
-        # and the rest keep the zeros they read from padding
-        xc = xd.transpose(1, 0, 2, 3)
-        cols = np.zeros((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
-        for i, j, oy, ox, iy, ix in taps:
-            cols[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
-        res = weight.data.reshape(c_out, c_in * k * k) @ cols.reshape(c_in * k * k, -1)
+        res = weight.data.reshape(c_out, c_in * k * k) @ _im2col(xd, taps, k, h_out, w_out)
         res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     res += bias.data[:, None, None]
 
     def bw(g):
+        # every gradient below is a fresh array, handed to _accum as owned
         g4 = g[None] if squeeze else g
         if bias.requires_grad:
-            _accum(bias, g4.sum(axis=(0, 2, 3)))
-        # dz gathers g at the texels each tap read; padding reads get 0
-        dz = np.zeros((b_n, k, k, c_out, h, w), dtype=x.data.dtype)
-        for i, j, oy, ox, iy, ix in taps:
-            dz[:, i, j, :, iy, ix] = g4[:, :, oy, ox]
-        dz = dz.reshape(b_n, k * k * c_out, h * w)
-        if weight.requires_grad:
-            xmat = x.data.reshape(b_n, c_in, h * w)
-            dw = (dz @ xmat.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, dw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            _accum(x, (tap_weights().T @ dz).reshape(x.shape))
+            _accum(bias, g4.sum(axis=(0, 2, 3)), owned=True)
+        xb = x.data[None] if squeeze else x.data
+        gt = g4.transpose(1, 0, 2, 3)  # [C_out, B, H', W']
+        dx = None
+        if k * k * b_n * (c_out * h * w - 2 * c_in * h_out * w_out) > _INPUT_SIDE_MIN_SAVING:
+            # input side: G [C_out, B·H'·W'] against the rebuilt im2col, and
+            # the per-tap products W_tapᵀ G added back at the texels read
+            gmat = gt.reshape(c_out, b_n * h_out * w_out)
+            if weight.requires_grad:
+                dw = gmat @ _im2col(xb, taps, k, h_out, w_out).T
+                _accum(weight, dw.reshape(weight.shape), owned=True)
+            if x.requires_grad:
+                wt = weight.data.transpose(2, 3, 1, 0).reshape(k * k * c_in, c_out)
+                dcols = (wt @ gmat).reshape(k, k, c_in, b_n, h_out, w_out)
+                dx = np.zeros((c_in, b_n, h, w), dtype=dcols.dtype)
+                for i, j, oy, ox, iy, ix in taps:
+                    dx[:, :, iy, ix] += dcols[i, j, :, :, oy, ox]
+        elif weight.requires_grad or x.requires_grad:
+            # output side: dz gathers g at the texels each tap read; padding
+            # reads get 0
+            dz = np.zeros((k, k, c_out, b_n, h, w), dtype=g.dtype)
+            for i, j, oy, ox, iy, ix in taps:
+                dz[i, j, :, :, iy, ix] = gt[:, :, oy, ox]
+            dz = dz.reshape(k * k * c_out, b_n * h * w)
+            if weight.requires_grad:
+                dw = dz @ xb.transpose(1, 0, 2, 3).reshape(c_in, b_n * h * w).T
+                _accum(weight, dw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1), owned=True)
+            if x.requires_grad:
+                dx = (tap_weights().T @ dz).reshape(c_in, b_n, h, w)
+        if dx is not None:
+            _accum(x, dx.transpose(1, 0, 2, 3).reshape(x.shape), owned=True)
 
     return _record(Tensor(res[0] if squeeze else res), (x, weight, bias), bw)
 

@@ -42,6 +42,26 @@ def conv2d_oracle(x, w, b, stride, padding):
     return out
 
 
+def conv2d_grad_oracle(x, w, gy, stride, padding):
+    """Nested-loop gradients (dx, dW, db) of ``sum(conv2d(x, w, b) * gy)``
+    for one [C_in, H, W] input: each output pixel and tap adds gy times the
+    texel it read to dW, and gy times the weights to that texel's dx."""
+    c_in, h, wd = x.shape
+    k = w.shape[2]
+    xp = np.zeros((c_in, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+    xp[:, padding:padding + h, padding:padding + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(gy.shape[1]):
+        for j in range(gy.shape[2]):
+            for ki in range(k):
+                for kj in range(k):
+                    y, xx = i * stride + ki, j * stride + kj
+                    dw[:, :, ki, kj] += np.outer(gy[:, i, j], xp[:, y, xx])
+                    dxp[:, y, xx] += w[:, :, ki, kj].T @ gy[:, i, j]
+    return dxp[:, padding:padding + h, padding:padding + wd], dw, gy.sum(axis=(1, 2))
+
+
 def softmax_oracle(x, axis):
     e = np.exp(x)
     return e / e.sum(axis=axis, keepdims=True)
@@ -54,6 +74,25 @@ def bilinear_oracle(grid, x, y):
     fx, fy = x - x0, y - y0
     return ((1 - fy) * ((1 - fx) * grid[:, y0, x0] + fx * grid[:, y0, x1])
             + fy * ((1 - fx) * grid[:, y1, x0] + fx * grid[:, y1, x1]))
+
+
+def adam_per_parameter(p0s, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as one loop over the parameters, each in its own dtype, in the
+    order of operations the optimizer uses; a None gradient is zero.
+    Returns the parameters and the two moments, per parameter."""
+    ps = [p.copy() for p in p0s]
+    ms = [np.zeros_like(p) for p in ps]
+    vs = [np.zeros_like(p) for p in ps]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, m, v, g in zip(ps, ms, vs, grads):
+            g = np.zeros_like(p) if g is None else g
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= (lr * (m / bc1) / (np.sqrt(v / bc2) + eps)).astype(p.dtype)
+    return ps, ms, vs
 
 
 def adam_oracle(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -197,16 +236,80 @@ class TestConv:
         assert total_peak < 12e6
 
     def test_both_paths_record_one_backward(self, rng):
-        # 4 -> 4 at stride 1 takes im2col, 8 -> 1 the output side; neither
-        # closure keeps a forward buffer
+        # forward: 4 -> 4 and 2 -> 64 take im2col, 8 -> 1 the output side;
+        # backward: 2 -> 64 at 12² takes the input side, the others the
+        # output side.  No closure keeps a forward buffer: the input side
+        # rebuilds its im2col when it runs
         with Tape() as tape:
-            for c_in, c_out in ((4, 4), (8, 1)):
-                x = Tensor(rng.standard_normal((c_in, 6, 6)), requires_grad=True)
+            for c_in, c_out, n in ((4, 4, 6), (8, 1, 6), (2, 64, 12)):
+                x = Tensor(rng.standard_normal((c_in, n, n)), requires_grad=True)
                 w = Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True)
                 T.conv2d(x, w, Tensor(rng.standard_normal(c_out)), 1, 1)
-        wide, narrow = (fn for _, _, fn in tape.entries)
-        assert wide.__code__ is narrow.__code__
+        wide, narrow, widening = (fn for _, _, fn in tape.entries)
+        assert wide.__code__ is narrow.__code__ is widening.__code__
         assert not {"cols", "z", "xd"} & set(wide.__code__.co_freevars)
+
+    # (x shape, c_out, stride, padding, backward side): the input side runs
+    # when k²·B·(C_out·H·W − 2·C_in·H'·W') > 2^16, the output side otherwise
+    @pytest.mark.parametrize("shape,c_out,stride,pad,side", [
+        pytest.param((2, 12, 12), 64, 1, 1, "input", id="2-64-s1-input"),
+        pytest.param((3, 5, 6), 2, 1, 1, "output", id="3-2-s1-output"),
+        pytest.param((2, 5, 6), 3, 1, 1, "output", id="2-3-s1-small-output"),
+        pytest.param((3, 17, 15), 32, 2, 1, "input", id="3-32-17x15-s2-input"),
+        pytest.param((3, 16, 16), 32, 2, 0, "input", id="3-32-s2-pad0-input"),
+        pytest.param((16, 7, 5), 2, 2, 1, "output", id="16-2-s2-output"),
+        pytest.param((12, 7, 5), 1, 2, 0, "output", id="12-1-s2-pad0-output"),
+        pytest.param((2, 2, 12, 12), 40, 1, 1, "input", id="batched-2-40-s1-input"),
+        pytest.param((2, 3, 6, 6), 2, 1, 1, "output", id="batched-3-2-s1-output"),
+        pytest.param((2, 3, 16, 16), 32, 2, 1, "input", id="batched-3-32-s2-input"),
+        pytest.param((2, 16, 7, 5), 2, 2, 1, "output", id="batched-16-2-s2-output"),
+    ])
+    def test_backward_matches_nested_loop_oracle(self, rng, shape, c_out, stride, pad, side):
+        T.set_default_dtype(np.float64)
+        c_in, h, w_ = shape[-3:]
+        h_out, w_out = (h + 2 * pad - 3) // stride + 1, (w_ + 2 * pad - 3) // stride + 1
+        saving = 9 * (shape[0] if len(shape) == 4 else 1) * (c_out * h * w_ - 2 * c_in * h_out * w_out)
+        assert (saving > 2**16) == (side == "input")
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(c_out), requires_grad=True)
+        gy = rng.standard_normal(shape[:-3] + (c_out, h_out, w_out))
+        with Tape() as tape:
+            loss = (T.conv2d(x, w, b, stride, pad) * gy).sum()
+        backward(tape, loss)
+        items = [(x.data, gy)] if len(shape) == 3 else zip(x.data, gy)
+        want = [conv2d_grad_oracle(xi, w.data, gi, stride, pad) for xi, gi in items]
+        want_dx = np.stack([dx for dx, _, _ in want]).reshape(shape)
+        assert np.abs(x.grad - want_dx).max() < 1e-12
+        assert np.abs(w.grad - sum(dw for _, dw, _ in want)).max() < 1e-12
+        assert np.abs(b.grad - sum(db for _, _, db in want)).max() < 1e-12
+
+    def test_input_that_needs_no_gradient_gets_none(self, rng):
+        # the FPN's first layer, 3 -> 16 at stride 2 on the image: the input
+        # side, and only dW and db are wanted
+        T.set_default_dtype(np.float64)
+        x = Tensor(rng.standard_normal((3, 32, 32)))
+        w = Tensor(rng.standard_normal((16, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(16), requires_grad=True)
+        gy = rng.standard_normal((16, 16, 16))
+        with Tape() as tape:
+            loss = (T.conv2d(x, w, b, 2, 1) * gy).sum()
+        backward(tape, loss)
+        assert x.grad is None
+        _, want_dw, want_db = conv2d_grad_oracle(x.data, w.data, gy, 2, 1)
+        assert np.abs(w.grad - want_dw).max() < 1e-12
+        assert np.abs(b.grad - want_db).max() < 1e-12
+
+    def test_widening_conv_backward_skips_the_output_side_buffer(self, rng, step_peaks):
+        # the probability head, 32 -> 256 at 16², takes the input side: its
+        # output-side dz would be 9·256·256 floats, 2.36 MB, on its own
+        x = Tensor(rng.standard_normal((32, 16, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((256, 32, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(256), requires_grad=True)
+        assert x.dtype == np.float32
+        _, step_peak = step_peaks(lambda: T.conv2d(x, w, b, 1, 1).sum())
+        assert step_peak < 9 * 256 * 256 * 4
+        assert x.grad is not None and w.grad is not None
 
     def test_shape_errors(self, rng):
         x = Tensor(rng.standard_normal((3, 5, 5)))
@@ -625,6 +728,48 @@ class TestAdam:
             opt.step()
         assert np.all(p.data == 0.0)  # nothing was applied
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_update_is_bit_identical_per_parameter(self, rng, dtype):
+        T.set_default_dtype(dtype)
+        shapes = [(4, 3, 3, 3), (4,), (2, 5), (7,)]
+        # parameters on the scale of the updates, so that a rounding
+        # difference in an update shows in the parameter
+        params = {f"p{i}": Tensor(rng.standard_normal(s) * 1e-3, requires_grad=True)
+                  for i, s in enumerate(shapes)}
+        p0s = [p.data.copy() for p in params.values()]
+        opt = Adam(params, lr=1e-3)
+        steps = []
+        for _ in range(3):
+            # p2 never has a gradient; the others span eight decades
+            grads = [None if i == 2 else
+                     (rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2)).astype(dtype)
+                     for i, s in enumerate(shapes)]
+            for p, g in zip(params.values(), grads):
+                p.grad = None if g is None else g.copy()
+            opt.step()
+            steps.append(grads)
+        want, ms, vs = adam_per_parameter(p0s, steps, 1e-3)
+        for p, wp in zip(params.values(), want):
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, wp)
+        assert np.array_equal(opt.state.m, np.concatenate([m.ravel() for m in ms]))
+        assert np.array_equal(opt.state.v, np.concatenate([v.ravel() for v in vs]))
+
+    def test_nan_gradient_changes_no_parameter(self, rng):
+        params = {name: Tensor(rng.standard_normal(3), requires_grad=True)
+                  for name in ("first", "middle", "last")}
+        opt = Adam(params, lr=1e-3)
+        for p in params.values():
+            p.grad = np.ones(3, dtype=np.float32)
+        opt.step()
+        before = {name: p.data.copy() for name, p in params.items()}
+        params["middle"].grad = np.array([0.0, np.nan, 0.0], dtype=np.float32)
+        with pytest.raises(TrainStepError, match="middle"):
+            opt.step()
+        assert opt.state.step == 1
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name])
+
     def test_missing_grad_is_zero_update(self):
         p = Tensor(np.ones(3), requires_grad=True)
         opt = Adam({"p": p}, lr=1e-3)
@@ -714,18 +859,18 @@ class TestGradientSpotChecks:
 
     def test_conv_gradients(self, rng):
         w = rng.standard_normal((2, 4, 4))
-        err = check_gradients(
+        margin = check_gradients(
             lambda x, k, b: (T.conv2d(x, k, b, 1, 1) * w).sum(),
             [rng.standard_normal((3, 4, 4)),
              rng.standard_normal((2, 3, 3, 3)) * 0.5,
              rng.standard_normal(2) * 0.1])
-        assert err < 1e-4
+        assert margin < 1.0
 
     def test_softmax_gradients(self, rng):
         w = rng.standard_normal((4, 5))
-        err = check_gradients(lambda a: (a.softmax(0) * w).sum(),
-                              [rng.standard_normal((4, 5))])
-        assert err < 1e-4
+        margin = check_gradients(lambda a: (a.softmax(0) * w).sum(),
+                                 [rng.standard_normal((4, 5))])
+        assert margin < 1.0
 
     def test_bilinear_sample_coord_gradients(self, rng):
         w = rng.standard_normal((2, 6))
@@ -736,8 +881,8 @@ class TestGradientSpotChecks:
             out, _ = T.bilinear_sample(grid, x, y)
             return (out * w).sum()
 
-        err = check_gradients(f, [rng.standard_normal((2, 5, 6)), xs, ys])
-        assert err < 1e-4
+        margin = check_gradients(f, [rng.standard_normal((2, 5, 6)), xs, ys])
+        assert margin < 1.0
 
 
 class TestOpGradcheckSweep:
@@ -745,7 +890,7 @@ class TestOpGradcheckSweep:
         """The exhaustive finite-difference sweep over every core op."""
         reports = run_suite(instances=10, include_model_ops=False)
         assert reports
-        failed = [(r.name, r.max_rel_err) for r in reports if not r.passed]
+        failed = [(r.name, r.margin) for r in reports if not r.passed]
         assert not failed, failed
 
 
@@ -795,11 +940,11 @@ class TestFullLossGradcheck:
     """The whole training loss against central differences on its parameters."""
 
     def test_passes(self):
-        assert check_full_loss() < 1e-3
+        assert check_full_loss() < 1.0
 
     def test_catches_a_wrong_tanh_backward(self, monkeypatch):
         def tanh_missing_square(a):
             return T._unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y))
 
         monkeypatch.setattr(T, "tanh", tanh_missing_square)
-        assert check_full_loss() > 1e-3
+        assert check_full_loss() > 1.0

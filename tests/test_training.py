@@ -263,13 +263,13 @@ def non_float32_gradients(monkeypatch, run) -> list[str]:
     share is named by the op's ``grad`` function it calls."""
     accum, wrong = T._accum, []
 
-    def checked(t, g):
+    def checked(t, g, owned=False):
         if np.asarray(g).dtype != np.float32:
             frame = sys._getframe(1)
             shared = frame.f_code.co_qualname.startswith(("_unary.", "_binary."))
             wrong.append(frame.f_locals["grad"].__qualname__ if shared
                          else frame.f_code.co_qualname)
-        accum(t, g)
+        accum(t, g, owned)
 
     monkeypatch.setattr(T, "_accum", checked)
     run()
