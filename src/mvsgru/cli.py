@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import MvsError, TrainStepError
+from .errors import ConfigError, MvsError, TrainStepError
 from .estimator import DepthEstimator
 from .fusion import (FuseConfig, fuse, read_ply, write_ply, write_pgm)
 from .gradcheck import check_full_loss, run_suite
@@ -82,19 +82,53 @@ def _load_model(args) -> tuple[DepthEstimator, TrainConfig]:
     return model, cfg
 
 
+def _extraction_plan(scene, refs: list[int],
+                     views: int) -> tuple[list[list[int]], dict[int, int]]:
+    """What each reference reads, and when each view's features can go.
+
+    Returns, per entry of refs, the view indices its run reads (the
+    reference, then its first views - 1 sources), and for every view read
+    the position in refs of the last run that reads it.  Every reference is
+    checked here, so a bad --ref or --views stops infer before it writes.
+    """
+    reads, last_reader = [], {}
+    for pos, ref in enumerate(refs):
+        if not 0 <= ref < len(scene.views):
+            raise MvsError(f"reference index {ref} out of range")
+        read = [ref] + scene.sources(ref, views - 1)
+        if len(read) < 2:
+            raise ConfigError(f"view {ref}: need a reference and at least "
+                              f"one source view")
+        reads.append(read)
+        last_reader.update(dict.fromkeys(read, pos))
+    return reads, last_reader
+
+
 def _cmd_infer(args) -> int:
+    """Depth and confidence maps for each reference.
+
+    Most views feed several references, so the feature pyramid of each view
+    is extracted once, when the first run that reads it comes up, and
+    dropped after the last one (see _extraction_plan): only the pyramids
+    that later runs still need are held, never the whole scene's.
+    """
     scene = load_scene(args.scene)
     model, cfg = _load_model(args)
     iters = cfg.iters if args.iters is None else args.iters
     views = cfg.views if args.views is None else args.views
     refs = args.ref if args.ref else list(range(len(scene.views)))
-    for ref in refs:
-        if not 0 <= ref < len(scene.views):
-            raise MvsError(f"reference index {ref} out of range")
-        srcs = scene.sources(ref, views - 1)
-        ordered = [scene.views[ref]] + [scene.views[j] for j in srcs]
+    reads, last_reader = _extraction_plan(scene, refs, views)
+    pyramids = {}
+    for pos, (ref, read) in enumerate(zip(refs, reads)):
         with no_grad():
-            run = model.run(ordered, iters=iters)
+            for j in read:
+                if j not in pyramids:
+                    pyramids[j] = model.fpn.extract(scene.views[j].image)
+            run = model.run([scene.views[j] for j in read], iters=iters,
+                            pyramids=[pyramids[j] for j in read])
+        for j in read:
+            if last_reader[j] == pos:
+                pyramids.pop(j, None)   # a pair line may list a view twice
         os.makedirs(args.out, exist_ok=True)
         save_pfm(os.path.join(args.out, f"depth_{ref:04d}.pfm"),
                  run.d_up.data.astype(np.float32))

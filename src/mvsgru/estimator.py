@@ -176,8 +176,15 @@ class DepthEstimator(Module):
         return c.reshape((h.shape[1], h.shape[2]))
 
     def run(self, views: list[CameraView], iters: int | None = None,
-            upsample: bool = True) -> RunResult:
-        """Full forward pass; views[0] is the reference."""
+            upsample: bool = True,
+            pyramids: list[FeaturePyramid] | None = None) -> RunResult:
+        """Full forward pass; views[0] is the reference.
+
+        pyramids, if given, holds one ``self.fpn.extract(v.image)`` per view,
+        in the order of views, so a caller that runs several references over
+        shared views extracts each view once; without it, run extracts every
+        view itself.  A count that differs from the views' raises ShapeError.
+        """
         cfg = self.cfg
         if len(views) < 2:
             raise ConfigError("need a reference and at least one source view")
@@ -185,10 +192,14 @@ class DepthEstimator(Module):
         if k < 0:
             raise ConfigError(f"iteration count must be >= 0, got {k}")
         ref = views[0]
-        pyramids = [self.fpn.extract(v.image) for v in views]
+        if pyramids is None:
+            pyramids = [self.fpn.extract(v.image) for v in views]
+        elif len(pyramids) != len(views):
+            raise ShapeError(f"{len(pyramids)} feature pyramids for "
+                             f"{len(views)} views")
         init = self.initialize(pyramids, views)
         inv2 = inverse_grid(ref.d_min, ref.d_max, cfg.d2)
-        # from here on the sources live only as one stacked copy per level
+        # from here on run holds the sources only as one stacked copy per level
         levels, ref_f2 = lookup_levels(pyramids, views), pyramids[0].f2
         del pyramids
         res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max,

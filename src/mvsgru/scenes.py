@@ -387,20 +387,38 @@ def build_gt_cloud(scene: Scene, stride: int = 1) -> PointCloud:
                       np.concatenate([rgb for _, rgb in parts]))
 
 
+def _tree(xyz: np.ndarray) -> cKDTree:
+    return cKDTree(xyz, balanced_tree=False, compact_nodes=False)
+
+
 def evaluate(pc: PointCloud, gt_pc: PointCloud,
              threshold: float) -> tuple[float, float, float]:
     """Accuracy / completeness / overall between two point clouds.
 
     Accuracy averages reconstruction-to-GT nearest distances, excluding
-    outliers beyond 10x the threshold; completeness averages GT-to-
-    reconstruction distances with no cap.
+    outliers beyond 10x the threshold (a distance of exactly 10x is kept);
+    completeness averages GT-to-reconstruction distances with no cap.
+
+    The nearest-neighbour search is exact (``eps=0``).  The trees are built
+    with ``balanced_tree=False, compact_nodes=False``: the build flags only
+    shape the tree, so the distances are the same as the default build's;
+    the shape can change which of two equidistant neighbours is found, and
+    no index is used here.  A reconstruction far from its ground truth
+    makes every query visit many leaves (an untrained model's median
+    nearest distance is 0.21-0.41 against a GT spacing of 0.008), so the
+    queries dominate.  On six 128 px scenes (5k-21k fused points against
+    20,480 GT points, median of 5 runs of both builds and queries) the
+    default build took 1119 ms, ``compact_nodes=False`` 685 ms, both flags
+    550 ms and ``balanced_tree=False`` alone 1681 ms, on a 2-core x86_64 VM
+    with scipy 1.17.  A rerun that timed them apart put the saving in the
+    queries (1015 → 515 ms) more than the builds (60 → 30 ms).
     """
     if not threshold > 0:
         raise ConfigError(f"threshold must be > 0, got {threshold}")
     if pc.xyz.shape[0] == 0 or gt_pc.xyz.shape[0] == 0:
         raise ContractError("cannot evaluate an empty point cloud")
-    d_acc, _ = cKDTree(gt_pc.xyz).query(pc.xyz)
-    d_comp, _ = cKDTree(pc.xyz).query(gt_pc.xyz)
+    d_acc, _ = _tree(gt_pc.xyz).query(pc.xyz)
+    d_comp, _ = _tree(pc.xyz).query(gt_pc.xyz)
     cap = 10.0 * threshold
     kept = d_acc[d_acc <= cap]
     acc = float(kept.mean()) if kept.size else float("inf")

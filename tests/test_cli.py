@@ -3,16 +3,23 @@
 import csv
 import io
 import os
+import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from mvsgru.cli import _write_prob_csv, main
+from mvsgru.estimator import DepthEstimator
+from mvsgru.features import FeatureExtractor
 from mvsgru.fusion import PointCloud, read_ply, write_ply
+from mvsgru.nn import load_checkpoint
 from mvsgru.scenes import load_pfm, load_scene, save_pfm
-from mvsgru.training import TrainConfig, save_train_config
+from mvsgru.tensor import no_grad
+from mvsgru.training import (TrainConfig, load_train_config,
+                             save_train_config)
 
 
 @pytest.fixture(scope="module")
@@ -282,12 +289,137 @@ class TestInferCommand:
         assert str(tmp_path / "model.cfg") in capsys.readouterr().err
         assert not out.exists()
 
+    def infer_refs(self, scene_dir, trained, out, refs) -> int:
+        return main(["infer", "--scene", str(scene_dir / "scene_0000"),
+                     "--checkpoint", str(trained / "model.ckpt"),
+                     "--out", str(out)]
+                    + [arg for ref in refs for arg in ("--ref", ref)])
+
     def test_out_of_range_ref_is_validation_error(self, scene_dir, trained,
                                                   tmp_path, capsys):
-        code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
-                     "--checkpoint", str(trained / "model.ckpt"),
-                     "--out", str(tmp_path / "x"), "--ref", "9"])
+        out = tmp_path / "x"
+        assert self.infer_refs(scene_dir, trained, out, ["0", "9"]) == 1
+        assert "reference index 9" in capsys.readouterr().err
+        # every reference is checked before the first map is written
+        assert not out.exists()
+
+    @pytest.mark.parametrize("refs", [["9"], ["1", "-1"]])
+    def test_any_bad_ref_fails_before_writing(self, scene_dir, trained,
+                                              tmp_path, capsys, refs):
+        out = tmp_path / "x"
+        assert self.infer_refs(scene_dir, trained, out, refs) == 1
+        assert "reference index" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reference_without_sources_fails_before_writing(
+            self, scene_dir, trained, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir / "scene_0000", scene)
+        pairs = (scene / "pair.txt").read_text().splitlines()
+        pairs[2] = "1 0"              # view 1 lists no source view
+        (scene / "pair.txt").write_text("\n".join(pairs) + "\n")
+        out = tmp_path / "x"
+        code = main(["infer", "--scene", str(scene), "--checkpoint",
+                     str(trained / "model.ckpt"), "--out", str(out)])
         assert code == 1
+        assert "view 1: need a reference" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def count_extracts(monkeypatch) -> list:
+    """Each FeatureExtractor.extract call's (image, weakref to its pyramid)."""
+    calls = []
+    inner = FeatureExtractor.extract
+
+    def extract(self, image):
+        pyramid = inner(self, image)
+        calls.append((image, weakref.ref(pyramid)))
+        return pyramid
+
+    monkeypatch.setattr(FeatureExtractor, "extract", extract)
+    return calls
+
+
+class TestInferExtractsEachViewOnce:
+    """Each view's features are extracted once per infer, and released after
+    the last reference that reads them."""
+
+    VIEWS = 3   # views per run, with the reference
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("five")
+        assert main(["synth", "--out", str(root), "--views", "5",
+                     "--size", "16", "--quads", "1", "--seed", "12"]) == 0
+        return root / "scene_0000"
+
+    def infer(self, scene, trained, out, *extra):
+        return main(["infer", "--scene", str(scene),
+                     "--checkpoint", str(trained / "model.ckpt"),
+                     "--out", str(out), "--views", str(self.VIEWS), *extra])
+
+    def test_all_references_extract_each_view_once(self, scene, trained,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        calls = count_extracts(monkeypatch)
+        assert self.infer(scene, trained, tmp_path / "maps") == 0
+        views = load_scene(scene).views
+        assert [sum(np.array_equal(image, v.image) for image, _ in calls)
+                for v in views] == [1] * 5
+
+    def test_one_reference_extracts_only_its_views(self, scene, trained,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        calls = count_extracts(monkeypatch)
+        assert self.infer(scene, trained, tmp_path / "maps", "--ref", "0") == 0
+        assert len(calls) == self.VIEWS
+
+    def test_maps_match_one_run_per_reference(self, scene, trained, tmp_path,
+                                              capsys):
+        out = tmp_path / "maps"
+        assert self.infer(scene, trained, out) == 0
+        sc = load_scene(scene)
+        cfg = load_train_config(trained / "model.cfg")
+        model = DepthEstimator(cfg, np.random.default_rng(0))
+        model.load_state(load_checkpoint(trained / "model.ckpt"))
+        for ref in range(len(sc.views)):
+            ordered = [sc.views[ref]] + [sc.views[j] for j in
+                                         sc.sources(ref, self.VIEWS - 1)]
+            with no_grad():
+                run = model.run(ordered, iters=cfg.iters)
+            for name, t in (("depth", run.d_up), ("conf", run.conf_up)):
+                want = tmp_path / f"want_{name}.pfm"
+                save_pfm(want, t.data.astype(np.float32))
+                got = out / f"{name}_{ref:04d}.pfm"
+                assert got.read_bytes() == want.read_bytes(), (name, ref)
+
+    def test_pyramids_are_released_after_their_last_reader(
+            self, scene, trained, tmp_path, monkeypatch, capsys):
+        calls = count_extracts(monkeypatch)
+        sc = load_scene(scene)
+        reads = [[ref] + sc.sources(ref, self.VIEWS - 1)
+                 for ref in range(len(sc.views))]
+        inner = DepthEstimator.run
+        alive_at_run = []
+
+        def view_index(image):
+            return next(j for j, v in enumerate(sc.views)
+                        if np.array_equal(v.image, image))
+
+        def run(self, views, *args, **kwargs):
+            alive_at_run.append({view_index(image) for image, ref in calls
+                                 if ref() is not None})
+            return inner(self, views, *args, **kwargs)
+
+        monkeypatch.setattr(DepthEstimator, "run", run)
+        assert self.infer(scene, trained, tmp_path / "maps") == 0
+        assert len(alive_at_run) == len(reads)
+        for pos, alive in enumerate(alive_at_run):
+            # held: what this run reads, and what a later run extracted
+            # earlier and still needs; nothing whose last reader has run
+            still_read = set().union(*reads[pos:])
+            assert set(reads[pos]) <= alive <= still_read, pos
+        assert all(ref() is None for _, ref in calls)
 
 
 class TestFuseAndEval:

@@ -241,6 +241,20 @@ class TestEstimatorRuns:
         with pytest.raises(ConfigError):
             self.model.run(self.scene.views[:1])
 
+    def test_given_pyramids_match_its_own_extraction(self):
+        with T.no_grad():
+            want = self.model.run(self.scene.views, iters=1)
+            pyramids = [self.model.fpn.extract(v.image) for v in self.scene.views]
+            got = self.model.run(self.scene.views, iters=1, pyramids=pyramids)
+        assert got.d_up.data.tobytes() == want.d_up.data.tobytes()
+        assert got.conf_up.data.tobytes() == want.conf_up.data.tobytes()
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_rejects_a_pyramid_count_other_than_the_views(self, count):
+        pyramid = self.model.fpn.extract(self.scene.views[0].image)
+        with pytest.raises(ShapeError, match=f"{count} feature pyramids for 3 views"):
+            self.model.run(self.scene.views, iters=0, pyramids=[pyramid] * count)
+
     def test_same_seed_same_run(self):
         a = DepthEstimator(TrainConfig(iters=1), np.random.default_rng(9))
         b = DepthEstimator(TrainConfig(iters=1), np.random.default_rng(9))

@@ -272,6 +272,68 @@ class TestMetrics:
         assert acc == 0.0              # the outlier sits beyond 10x threshold
         assert comp == 0.0             # gt->pc distances are unaffected
 
+    @staticmethod
+    def cloud(xyz) -> PointCloud:
+        xyz = np.asarray(xyz, np.float32).reshape(-1, 3)
+        return PointCloud(xyz, np.zeros((len(xyz), 3), np.uint8))
+
+    @staticmethod
+    def oracle(pc, gt, threshold):
+        """evaluate by brute force: float64 distances over all pairs."""
+        a, b = pc.xyz.astype(np.float64), gt.xyz.astype(np.float64)
+        dist = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
+        d_acc, d_comp = dist.min(1), dist.min(0)
+        kept = d_acc[d_acc <= 10.0 * threshold]
+        acc = float(kept.mean()) if kept.size else float("inf")
+        comp = float(d_comp.mean())
+        return acc, comp, (acc + comp) / 2.0
+
+    def assert_matches_oracle(self, pc, gt, threshold):
+        got = evaluate(pc, gt, threshold)
+        assert got == pytest.approx(self.oracle(pc, gt, threshold), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_clouds_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 400, size=2)
+        gt = self.cloud(rng.normal(size=(n, 3)))
+        # a shifted, wider cloud, so some points fall beyond the cap
+        pc = self.cloud(rng.normal(size=(m, 3)) * 2.0 + 0.5)
+        self.assert_matches_oracle(pc, gt, threshold=0.1)
+        self.assert_matches_oracle(gt, pc, threshold=0.1)
+
+    def test_duplicate_points_match_brute_force(self, rng):
+        base = rng.random((30, 3))
+        gt = self.cloud(np.concatenate([base, base, base[:5]]))
+        pc = self.cloud(np.concatenate([base[::2] + 0.01, base[:3], base[:3]]))
+        self.assert_matches_oracle(pc, gt, threshold=0.05)
+        self.assert_matches_oracle(gt, pc, threshold=0.05)
+
+    def test_planar_cloud_matches_brute_force(self, rng):
+        # zero extent on z: every tree split must come from x or y
+        flat = rng.random((200, 3))
+        flat[:, 2] = 0.25
+        pc = self.cloud(rng.random((150, 3)))
+        self.assert_matches_oracle(pc, self.cloud(flat), threshold=0.05)
+        self.assert_matches_oracle(self.cloud(flat), pc, threshold=0.05)
+
+    def test_one_point_cloud_matches_brute_force(self, rng):
+        one = self.cloud([[0.3, -0.2, 0.7]])
+        many = self.cloud(rng.random((100, 3)))
+        self.assert_matches_oracle(one, many, threshold=0.5)
+        self.assert_matches_oracle(many, one, threshold=0.5)
+        self.assert_matches_oracle(one, one, threshold=0.5)
+
+    def test_distance_of_exactly_ten_thresholds_is_kept(self):
+        gt = self.cloud([[0.0, 0.0, 0.0]])
+        at_cap = self.cloud([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        acc, _, _ = evaluate(at_cap, gt, threshold=0.5)
+        assert acc == 2.5
+        beyond = np.nextafter(np.float32(5.0), np.float32(6.0))
+        past_cap = self.cloud([[0.0, 0.0, 0.0], [beyond, 0.0, 0.0]])
+        acc, _, _ = evaluate(past_cap, gt, threshold=0.5)
+        assert acc == 0.0
+
     def test_empty_cloud_rejected(self):
         empty = PointCloud(np.zeros((0, 3), np.float32),
                            np.zeros((0, 3), np.uint8))
