@@ -15,12 +15,12 @@ rng = np.random.default_rng(0)
 T.set_default_dtype(np.float64)
 
 image = Tensor(rng.standard_normal((3, 12, 12)), requires_grad=True)
-conv1 = Conv2d(3, 8, 3, rng)
+conv1 = Conv2d(3, 8, 3, rng, leaky=True)  # leaky ReLU fused into the conv
 conv2 = Conv2d(8, 4, 3, rng)
 
 
 def forward():
-    h = conv1(image).leaky_relu()
+    h = conv1(image)
     return (conv2(h).softmax(0) * conv2(h)).sum()
 
 

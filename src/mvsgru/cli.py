@@ -128,7 +128,7 @@ def _cmd_infer(args) -> int:
                             pyramids=[pyramids[j] for j in read])
         for j in read:
             if last_reader[j] == pos:
-                pyramids.pop(j, None)   # a pair line may list a view twice
+                pyramids.pop(j)
         os.makedirs(args.out, exist_ok=True)
         save_pfm(os.path.join(args.out, f"depth_{ref:04d}.pfm"),
                  run.d_up.data.astype(np.float32))

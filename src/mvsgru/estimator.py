@@ -107,7 +107,7 @@ class DepthEstimator(Module):
         # correlation logits live in [-1, 1]; the gain sharpens their
         # softmax so the coarse expectation tracks the argmax from the start
         self.init_gain = Tensor(np.full((), 8.0), requires_grad=True)
-        self.h0a = Conv2d(cfg.d1, HIDDEN, 3, rng)
+        self.h0a = Conv2d(cfg.d1, HIDDEN, 3, rng, leaky=True)
         self.h0b = Conv2d(HIDDEN, HIDDEN, 3, rng)
         self.level_unets = [AggregationUnet(GROUPS * n, n, rng) for n in cfg.counts]
         self.gru = GruCell(HIDDEN, 1 + sum(cfg.counts), rng)
@@ -145,7 +145,7 @@ class DepthEstimator(Module):
         shares = view_shares(w).reshape((len(ws), 1, h8 * w8))
         merged = integrate(concat(sims, 1), shares).reshape((GROUPS * cfg.d1, h8, w8))
         s_init = self.init_unet(merged) * self.init_gain
-        pre = self.h0b(self.h0a(s_init).leaky_relu())
+        pre = self.h0b(self.h0a(s_init))
         h0 = bilinear_resize(pre, (h4, w4)).tanh()
         p_init = s_init.softmax(0)
         d_coarse = 1.0 / (p_init * inv_init[:, None, None]).sum(0)

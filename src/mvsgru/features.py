@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_resize, concat
+from .tensor import Tensor, bilinear_resize, concat, group_norm
 
 LEVEL_CHANNELS = (16, 32, 64)
 NORM_GROUPS = 8
@@ -19,20 +19,14 @@ NORM_EPS = 1e-8
 
 
 def group_normalize(f: Tensor) -> Tensor:
-    """Scale each group of channels to unit root-mean-square.
+    """Scale each of the NORM_GROUPS channel groups of f [C, H, W] to unit
+    root-mean-square at every pixel (``tensor.group_norm``).
 
     Grouped dot products of two normalized maps then land in [-1, 1], so
     downstream similarity volumes measure alignment instead of feature
-    energy.  The inverse square root goes through exp(-log/2) since the
-    tape only carries elementary transcendentals.
+    energy.
     """
-    c, h, w = f.shape
-    if c % NORM_GROUPS:
-        raise ShapeError(f"{c} channels not divisible into {NORM_GROUPS} groups")
-    g = f.reshape((NORM_GROUPS, c // NORM_GROUPS, h, w))
-    ms = (g * g).mean(1, keepdims=True) + NORM_EPS
-    inv_rms = (ms.log() * -0.5).exp()
-    return (g * inv_rms).reshape((c, h, w))
+    return group_norm(f, NORM_GROUPS, NORM_EPS)
 
 
 @dataclass
@@ -58,12 +52,12 @@ def stack_pyramids(pyramids: list[FeaturePyramid]) -> FeaturePyramid:
 class FeatureExtractor(Module):
     def __init__(self, rng: np.random.Generator):
         c1, c2, c3 = LEVEL_CHANNELS
-        self.enc1a = Conv2d(3, c1, 3, rng, stride=2)
-        self.enc1b = Conv2d(c1, c1, 3, rng)
-        self.enc2a = Conv2d(c1, c2, 3, rng, stride=2)
-        self.enc2b = Conv2d(c2, c2, 3, rng)
-        self.enc3a = Conv2d(c2, c3, 3, rng, stride=2)
-        self.enc3b = Conv2d(c3, c3, 3, rng)
+        self.enc1a = Conv2d(3, c1, 3, rng, stride=2, leaky=True)
+        self.enc1b = Conv2d(c1, c1, 3, rng, leaky=True)
+        self.enc2a = Conv2d(c1, c2, 3, rng, stride=2, leaky=True)
+        self.enc2b = Conv2d(c2, c2, 3, rng, leaky=True)
+        self.enc3a = Conv2d(c2, c3, 3, rng, stride=2, leaky=True)
+        self.enc3b = Conv2d(c3, c3, 3, rng, leaky=True)
         self.lat1 = Conv2d(c1, c1, 1, rng)
         self.lat2 = Conv2d(c2, c2, 1, rng)
         self.lat3 = Conv2d(c3, c3, 1, rng)
@@ -82,9 +76,9 @@ class FeatureExtractor(Module):
         h, w = image.shape[1], image.shape[2]
         if h % 8 or w % 8:
             raise ShapeError(f"image size {h}x{w} is not a multiple of 8")
-        c1 = self.enc1b(self.enc1a(image).leaky_relu()).leaky_relu()
-        c2 = self.enc2b(self.enc2a(c1).leaky_relu()).leaky_relu()
-        c3 = self.enc3b(self.enc3a(c2).leaky_relu()).leaky_relu()
+        c1 = self.enc1b(self.enc1a(image))
+        c2 = self.enc2b(self.enc2a(c1))
+        c3 = self.enc3b(self.enc3a(c2))
         m3 = self.lat3(c3)
         m2 = self.lat2(c2) + bilinear_resize(self.drop32(m3), (h // 4, w // 4))
         m1 = self.lat1(c1) + bilinear_resize(self.drop16(m2), (h // 2, w // 2))

@@ -157,10 +157,13 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
         lambda a: _wsum(a.abs(), w1), [_away_from(rnd(3, 4), [0.0], 0.05)]))
     simple("sigmoid", lambda: check_gradients(lambda a: _wsum(a.sigmoid(), w1), [rnd(3, 4)]))
     simple("tanh", lambda: check_gradients(lambda a: _wsum(a.tanh(), w1), [rnd(3, 4)]))
-    simple("leaky_relu", lambda: check_gradients(
-        lambda a: _wsum(a.leaky_relu(), w1), [_away_from(rnd(3, 4), [0.0], 0.05)]))
     simple("clip", lambda: check_gradients(
         lambda a: _wsum(a.clip(-0.8, 0.8), w1), [_away_from(rnd(3, 4), [-0.8, 0.8], 0.05)]))
+
+    # eps far above its default, so a backward that dropped it would show
+    wgn = rnd(8, 3, 4)
+    simple("group_norm", lambda: check_gradients(
+        lambda a: _wsum(T.group_norm(a, 2, 0.5), wgn), [rnd(8, 3, 4)]))
 
     wsm = rnd(4, 5)
     simple("softmax.ax0", lambda: check_gradients(
@@ -295,6 +298,17 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     simple("conv2d.narrow.s2", lambda: check_gradients(
         lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc9),
         [rnd(16, 7, 5), rnd(2, 16, 3, 3) * 0.3, rnd(2) * 0.1]))
+    # the leaky-ReLU epilogue on each forward path (im2col, output side)
+    # and backward side (output, input)
+    simple("conv2d.leaky", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1, leaky=True), wc1),
+        [rnd(3, 5, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
+    simple("conv2d.leaky.narrow", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1, leaky=True), wc7),
+        [rnd(8, 5, 6), rnd(1, 8, 3, 3) * 0.5, rnd(1) * 0.1]))
+    simple("conv2d.leaky.s2.wide", lambda: check_gradients(
+        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1, leaky=True), wc12),
+        [rnd(2, 16, 16), rnd(32, 2, 3, 3) * 0.5, rnd(32) * 0.1]))
     wc10 = rnd(3, 5, 5)
     simple("conv2d.narrow.k1", lambda: check_gradients(
         lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 0), wc10),

@@ -42,14 +42,14 @@ class ViewWeightCNN(Module):
     """Reduces the G similarity channels to a single visibility logit."""
 
     def __init__(self, rng: np.random.Generator):
-        self.conv1 = Conv2d(GROUPS, 16, 3, rng)
+        self.conv1 = Conv2d(GROUPS, 16, 3, rng, leaky=True)
         self.conv2 = Conv2d(16, 1, 3, rng)
 
     def logits(self, s: Tensor) -> Tensor:
         # s: [G, D, H, W]; run the depth axis as the conv batch
         d = s.shape[1]
         x = s.transpose((1, 0, 2, 3))
-        out = self.conv2(self.conv1(x).leaky_relu())
+        out = self.conv2(self.conv1(x))
         return out.reshape((d,) + tuple(s.shape[2:]))
 
 
@@ -95,11 +95,11 @@ class AggregationUnet(Module):
                              f"{out_ch} hypotheses")
         self.groups = in_ch // out_ch
         self.out_ch = out_ch
-        self.c0 = Conv2d(in_ch, 8, 3, rng)
-        self.d1 = Conv2d(8, 16, 3, rng, stride=2)
-        self.d2 = Conv2d(16, 32, 3, rng, stride=2)
-        self.u1 = Conv2d(32, 16, 3, rng)
-        self.u0 = Conv2d(16, 8, 3, rng)
+        self.c0 = Conv2d(in_ch, 8, 3, rng, leaky=True)
+        self.d1 = Conv2d(8, 16, 3, rng, stride=2, leaky=True)
+        self.d2 = Conv2d(16, 32, 3, rng, stride=2, leaky=True)
+        self.u1 = Conv2d(32, 16, 3, rng, leaky=True)
+        self.u0 = Conv2d(16, 8, 3, rng, leaky=True)
         self.out = Conv2d(8, out_ch, 3, rng)
         # zero the correction head so the fresh unit passes the averaged
         # similarity through unchanged; training grows the refinement
@@ -108,13 +108,13 @@ class AggregationUnet(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         h, w = x.shape[1], x.shape[2]
-        s0 = self.c0(x).leaky_relu()
-        s1 = self.d1(s0).leaky_relu()
-        s2 = self.d2(s1).leaky_relu()
+        s0 = self.c0(x)
+        s1 = self.d1(s0)
+        s2 = self.d2(s1)
         up1 = bilinear_resize(s2, (s1.shape[1], s1.shape[2]))
-        m1 = self.u1(up1).leaky_relu() + s1
+        m1 = self.u1(up1) + s1
         up0 = bilinear_resize(m1, (s0.shape[1], s0.shape[2]))
-        m0 = self.u0(up0).leaky_relu() + s0
+        m0 = self.u0(up0) + s0
         skip = x.reshape((self.groups, self.out_ch, h, w)).mean(0)
         return self.out(m0) + skip
 

@@ -54,12 +54,15 @@ def kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.
 
 
 class Conv2d(Module):
-    """Conv layer with learned weight/bias and same-size padding (k - 1) // 2."""
+    """Conv layer with learned weight/bias and same-size padding (k - 1) // 2;
+    with ``leaky`` its output goes through a leaky ReLU, fused into the one
+    ``conv2d`` op."""
 
     def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1):
+                 stride: int = 1, leaky: bool = False):
         self.stride = stride
         self.padding = (k - 1) // 2
+        self.leaky = leaky
         self.weight = Tensor(kaiming_conv(rng, c_out, c_in, k), requires_grad=True)
         # uniform rather than zero bias keeps pre-activations off the exact
         # leaky-relu corner when a receptive field is entirely masked out
@@ -67,7 +70,7 @@ class Conv2d(Module):
         self.bias = Tensor(rng.uniform(-bound, bound, c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, self.leaky)
 
 
 # ---------------------------------------------------------------------------

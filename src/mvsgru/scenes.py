@@ -9,7 +9,8 @@ Scene directory layout:
     images/0000.ppm ...      (binary P6)
     cams/0000_cam.txt ...
     depths_gt/0000.pfm ...   (little-endian, NaN marks invalid)
-    pair.txt                 (per line: ref_index count src_1 src_2 ...)
+    pair.txt                 (per line: ref_index count src_1 src_2 ..., the
+                              sources distinct and other than the reference)
 """
 
 from __future__ import annotations
@@ -166,8 +167,10 @@ def load_scene(root) -> Scene:
         if len(ln) < 2:
             raise FileFormatError(pair_path, 0, "short pair line")
         ref, n, *srcs = _header_ints(pair_path, 0, ln, len(ln), "pair line", lo=0)
+        # a source equal to the reference would be a zero-baseline match
         if (not 0 <= ref < count or len(srcs) != n
-                or not all(0 <= s < count for s in srcs)):
+                or not all(0 <= s < count for s in srcs)
+                or len(set(srcs + [ref])) != n + 1):
             raise FileFormatError(pair_path, 0,
                                   f"bad pair line for view {ref}")
         pairs[ref] = srcs

@@ -12,11 +12,16 @@ Design notes
   gradients.  With no tape active, ops are forward-only, which is what
   inference wants.
 * Ops record through ``_unary`` / ``_binary``, given ``grad(g, y)`` from
-  the output gradient and array to the parents' gradients.  Only the ops
-  ``bench/tracer.py`` times backward by closure owner (its
-  ``BACKWARD_OPS``) and ``group_dot`` call ``_record`` with their own
-  closure.  ``no_grad`` is an empty slot on the tape stack: the innermost
-  slot decides whether ops record.
+  the output gradient and array to the parents' gradients, and ``owned``
+  when that gradient is always a fresh array, which ``_accum`` then keeps
+  without a copy.  Only the ops ``bench/tracer.py`` times backward by
+  closure owner (its ``BACKWARD_OPS``) and ``group_dot`` call ``_record``
+  with their own closure.  ``no_grad`` is an empty slot on the tape stack:
+  the innermost slot decides whether ops record.
+* A taped op is worth a fused body: each entry costs Python and numpy
+  call overhead that does not shrink with the image.  ``conv2d`` applies
+  the network's leaky ReLU as an epilogue, and ``group_norm`` is the whole
+  per-pixel group normalization.
 * Numeric precision is a process-global mode: float32 for speed, float64 for
   finite-difference verification.  Tensors created while a mode is active are
   cast to it; see :func:`set_default_dtype` / :class:`using_dtype`.
@@ -28,7 +33,8 @@ Design notes
   Point gathers and bilinear sampling build a ``scipy.sparse`` CSR matrix
   with ``_interp_matrix`` (1 or 4 entries per row); its products sum
   repeated indices, so no backward needs a scatter-add.  The separable
-  resize uses two small dense per-axis matrices.
+  resize uses two small dense per-axis matrices, cached per size and dtype
+  and read-only.
 * Kernels compute in the layout their input already has.
   ``bilinear_sample`` returns its samples texel-major: a [C, ...] view of a
   [N, C] product.  Warped features are [C, S, D, P] (S sources, D
@@ -51,6 +57,7 @@ Design notes
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -241,9 +248,6 @@ class Tensor:
     def tanh(self):
         return tanh(self)
 
-    def leaky_relu(self):
-        return leaky_relu(self)
-
     def clip(self, lo=None, hi=None):
         return clip(self, lo, hi)
 
@@ -280,21 +284,23 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], fn: Callable) -> Tensor:
     return out
 
 
-def _unary(a: Tensor, data, grad: Callable) -> Tensor:
+def _unary(a: Tensor, data, grad: Callable, owned: bool = False) -> Tensor:
     """Record a one-parent op with output ``data``; ``grad(g, y)`` maps the
-    output gradient and the output array to a's gradient."""
+    output gradient and the output array to a's gradient.  ``owned`` says
+    that gradient is always a fresh array (see ``_accum``)."""
     out = Tensor(data)
-    return _record(out, (a,), lambda g: _accum(a, grad(g, out.data)))
+    return _record(out, (a,), lambda g: _accum(a, grad(g, out.data), owned))
 
 
-def _binary(a: Tensor, b: Tensor, data, grad: Callable) -> Tensor:
-    """Record a two-parent op; ``grad(g, y)`` returns (a's, b's) gradient."""
+def _binary(a: Tensor, b: Tensor, data, grad: Callable, owned: bool = False) -> Tensor:
+    """Record a two-parent op; ``grad(g, y)`` returns (a's, b's) gradient,
+    two distinct fresh arrays when ``owned``."""
     out = Tensor(data)
 
     def bw(g):
         ga, gb = grad(g, out.data)
-        _accum(a, ga)
-        _accum(b, gb)
+        _accum(a, ga, owned)
+        _accum(b, gb, owned)
 
     return _record(out, (a, b), bw)
 
@@ -313,12 +319,15 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` into ``t.grad``.  A first gradient is copied, since g may
     be shared with another parent, a view of out.grad or a read-only
     broadcast view, unless the closure passes ``owned=True``: g is a fresh
-    array that nothing else holds, so it becomes ``t.grad`` as it is."""
+    array that nothing else holds, so it becomes ``t.grad`` as it is.  (The
+    full reduction onto a 0-d tensor, such as a scalar gain, gives a numpy
+    scalar, which is still copied into an array.)"""
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        t.grad = g if owned and g.dtype == t.data.dtype else np.array(g, dtype=t.data.dtype)
+        keep = owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype
+        t.grad = g if keep else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -346,43 +355,39 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, a.data * b.data, lambda g, y: (g * b.data, g * a.data))
+    return _binary(a, b, a.data * b.data, lambda g, y: (g * b.data, g * a.data),
+                   owned=True)
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, a.data / b.data, lambda g, y: (g / b.data, -g * y / b.data))
+    return _binary(a, b, a.data / b.data, lambda g, y: (g / b.data, -g * y / b.data),
+                   owned=True)
 
 
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.exp(a.data), lambda g, y: g * y)
+    return _unary(a, np.exp(a.data), lambda g, y: g * y, owned=True)
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.log(a.data), lambda g, y: g / a.data)
+    return _unary(a, np.log(a.data), lambda g, y: g / a.data, owned=True)
 
 
 def absval(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.abs(a.data), lambda g, y: g * np.sign(a.data))
+    return _unary(a, np.abs(a.data), lambda g, y: g * np.sign(a.data), owned=True)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, expit(a.data), lambda g, y: g * y * (1.0 - y))
+    return _unary(a, expit(a.data), lambda g, y: g * y * (1.0 - y), owned=True)
 
 
 def tanh(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y * y))
-
-
-def leaky_relu(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    return _unary(a, np.maximum(a.data, LEAKY_SLOPE * a.data),
-                  lambda g, y: np.where(a.data > 0, g, LEAKY_SLOPE * g))
+    return _unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y * y), owned=True)
 
 
 def clip(a: Tensor, lo=None, hi=None) -> Tensor:
@@ -393,14 +398,15 @@ def clip(a: Tensor, lo=None, hi=None) -> Tensor:
         mask *= a.data >= lo
     if hi is not None:
         mask *= a.data <= hi
-    return _unary(a, np.clip(a.data, lo, hi), lambda g, y: g * mask)
+    return _unary(a, np.clip(a.data, lo, hi), lambda g, y: g * mask, owned=True)
 
 
 def where(cond: np.ndarray, a, b) -> Tensor:
     """Select elementwise by a constant boolean mask (not differentiable in cond)."""
     cond = np.asarray(cond, dtype=bool)
     a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, np.where(cond, a.data, b.data), lambda g, y: (g * cond, g * ~cond))
+    return _binary(a, b, np.where(cond, a.data, b.data), lambda g, y: (g * cond, g * ~cond),
+                   owned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +450,7 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         np.put_along_axis(gz, idx_e, g if keepdims else np.expand_dims(g, axis), axis=axis)
         return gz
 
-    return _unary(a, vals if keepdims else np.squeeze(vals, axis), grad)
+    return _unary(a, vals if keepdims else np.squeeze(vals, axis), grad, owned=True)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -454,7 +460,31 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     y = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    return _unary(a, y, lambda g, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
+    return _unary(a, y, lambda g, y: y * (g - (g * y).sum(axis=axis, keepdims=True)),
+                  owned=True)
+
+
+def group_norm(f: Tensor, groups: int, eps: float) -> Tensor:
+    """Scale each channel group of f [C, ...] to unit root-mean-square at
+    every position: with x the [groups, C/groups, ...] view,
+    y = x · inv, inv = 1/sqrt(mean(x², axis 1) + eps).
+
+    One taped op.  Its backward, with the means over the same axis, is
+    dx = (g − y·mean(g·y)) · inv, a fresh array.
+    """
+    f = _wrap(f)
+    c = f.shape[0]
+    if groups < 1 or c % groups:
+        raise ShapeError(f"{c} channels not divisible into {groups} groups")
+    gshape = (groups, c // groups) + f.shape[1:]
+    x = f.data.reshape(gshape)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=1, keepdims=True) + eps)
+
+    def grad(g, y):
+        g, y = g.reshape(gshape), y.reshape(gshape)
+        return ((g - y * (g * y).mean(axis=1, keepdims=True)) * inv).reshape(f.shape)
+
+    return _unary(f, (x * inv).reshape(f.shape), grad, owned=True)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -477,7 +507,7 @@ def getitem(a: Tensor, idx) -> Tensor:
     def bw(g):
         gz = np.zeros_like(a.data)
         gz[idx] = g
-        _accum(a, gz)
+        _accum(a, gz, owned=True)
 
     return _record(out, (a,), bw)
 
@@ -529,7 +559,7 @@ def take_depth(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor((s @ a.data.reshape(-1)).reshape(idx.shape))
 
     def bw(g):
-        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape))
+        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape), owned=True)
 
     return _record(out, (a,), bw)
 
@@ -549,7 +579,7 @@ def gather2d(a: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     out = Tensor((s @ a.data.reshape(-1)).reshape(iy.shape))
 
     def bw(g):
-        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape))
+        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape), owned=True)
 
     return _record(out, (a,), bw)
 
@@ -621,7 +651,7 @@ def bilinear_sample(grid: Tensor, x, y,
         g2 = g.reshape(c, -1)
         if grid.requires_grad:
             gs = (s.T @ g2.T).reshape(b, h * w, c)
-            _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape))
+            _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape), owned=True)
         # d/dx and d/dy of the blend share S's indices; an invalid point,
         # which includes every clamped one, gets no gradient
         flat = texels() if any(t is not None and t.requires_grad for t in (xt, yt)) else None
@@ -629,14 +659,16 @@ def bilinear_sample(grid: Tensor, x, y,
             if ct is not None and ct.requires_grad:
                 dw = np.hstack(dw) * keep
                 sd = sp.csr_matrix((dw.ravel(), s.indices, s.indptr), shape=s.shape)
-                _accum(ct, ((sd @ flat) * g2.T).sum(axis=1).reshape(cshape))
+                _accum(ct, ((sd @ flat) * g2.T).sum(axis=1).reshape(cshape), owned=True)
 
     parents = tuple(p for p in (grid, xt, yt) if p is not None)
     return _record(out, parents, bw), valid.reshape(cshape)
 
 
+@functools.lru_cache(maxsize=None)
 def _axis_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """Dense [n_out, n_in] 1-D bilinear resize matrix (pixel centers, edge clamp)."""
+    """Dense [n_out, n_in] 1-D bilinear resize matrix (pixel centers, edge
+    clamp), cached per size and dtype and therefore read-only."""
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     i0f = np.floor(src)
     frac = src - i0f
@@ -644,6 +676,7 @@ def _axis_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     m = np.zeros((n_out, n_in), dtype=dtype)
     m[rows, np.clip(i0f, 0, n_in - 1).astype(np.int64)] = 1 - frac
     m[rows, np.clip(i0f + 1, 0, n_in - 1).astype(np.int64)] += frac
+    m.flags.writeable = False
     return m
 
 
@@ -666,7 +699,7 @@ def bilinear_resize(a: Tensor, size: tuple[int, int]) -> Tensor:
     out = Tensor(ry @ (a.data @ rx.T))
 
     def bw(g):
-        _accum(a, ry.T @ (g @ rx))
+        _accum(a, ry.T @ (g @ rx), owned=True)
 
     return _record(out, (a,), bw)
 
@@ -693,23 +726,70 @@ def _tap_slices(n_in: int, n_out: int, tap: int, stride: int,
 
 @functools.lru_cache(maxsize=None)
 def _conv_taps(h: int, w: int, h_out: int, w_out: int, k: int, stride: int,
-               padding: int) -> tuple[tuple[int, int, slice, slice, slice, slice], ...]:
-    """``(i, j, oy, ox, iy, ix)`` per kernel tap, cached per geometry: tap
-    (i, j) joins the outputs oy x ox with the input texels iy x ix, and
-    every other output of that tap reads padding."""
+               padding: int) -> tuple[tuple, tuple, tuple | None]:
+    """``(taps, out_holes, in_holes)``, cached per geometry.
+
+    taps holds ``(i, j, oy, ox, iy, ix)`` per kernel tap: tap (i, j) joins
+    the outputs oy x ox with the input texels iy x ix, and every other
+    output of that tap reads padding.
+
+    The holes are what the taps' slices leave uncovered, on the output grid
+    (the outputs that read padding) and on the input grid (the texels a tap
+    never reads), each a pair ``(rows, cols)`` of border strips: rows lists
+    ``(i, s)`` for row slice s uncovered by every tap of kernel row i, cols
+    ``(j, s)`` likewise per kernel column.  in_holes is None at stride 2,
+    where a tap skips every other row and column: zeroing those three
+    quarters slice by slice took 2-3x a memset of the whole buffer.
+    """
     ys = [_tap_slices(h, h_out, i, stride, padding) for i in range(k)]
     xs = [_tap_slices(w, w_out, j, stride, padding) for j in range(k)]
-    return tuple((i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
+    taps = tuple((i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
                  for j, (ox, ix) in enumerate(xs))
 
+    def holes(slices, n, side):
+        found = []
+        for t, pair in enumerate(slices):
+            sl = pair[side]
+            strips = [slice(0, n)] if sl.start == sl.stop else [slice(0, sl.start),
+                                                                  slice(sl.stop, n)]
+            found += [(t, s) for s in strips if s.start < s.stop]
+        return tuple(found)
 
-def _im2col(xd: np.ndarray, taps, k: int, h_out: int, w_out: int) -> np.ndarray:
+    out_holes = (holes(ys, h_out, 0), holes(xs, w_out, 0))
+    in_holes = (holes(ys, h, 1), holes(xs, w, 1)) if stride == 1 else None
+    return taps, out_holes, in_holes
+
+
+# elements from which a per-tap buffer is np.empty with only its holes
+# zeroed; below it, one memset costs less than the slice assignments (about
+# 1.5 µs each)
+_EMPTY_MIN_SIZE = 1 << 17
+
+
+def _tap_buffer(shape: tuple, dtype, holes, tap_axis: int) -> np.ndarray:
+    """A buffer the taps' copies fill, with kernel row and column at axes
+    tap_axis and tap_axis + 1 and the grid's rows and columns last: the
+    ``holes`` from ``_conv_taps``, which no copy writes, are zero."""
+    if holes is None or math.prod(shape) < _EMPTY_MIN_SIZE:
+        return np.zeros(shape, dtype)
+    buf = np.empty(shape, dtype)
+    rows, cols = holes
+    lead = (slice(None),) * tap_axis
+    for i, s in rows:
+        buf[lead + (i, Ellipsis, s, slice(None))] = 0
+    for j, s in cols:
+        buf[lead + (slice(None), j, Ellipsis, s)] = 0
+    return buf
+
+
+def _im2col(xd: np.ndarray, taps, holes, k: int, h_out: int, w_out: int) -> np.ndarray:
     """The [C_in·k², B·H'·W'] im2col matrix of a [B, C_in, H, W] input,
     channel-major.  Tap (i, j) copies the outputs whose input texel lies
-    inside the image; the rest keep the zeros they read from padding."""
+    inside the image; the rest read padding and are zero (``_tap_buffer``
+    with the output-grid ``holes``)."""
     b_n, c_in = xd.shape[:2]
     xc = xd.transpose(1, 0, 2, 3)
-    cols = np.zeros((c_in, k, k, b_n, h_out, w_out), dtype=xd.dtype)
+    cols = _tap_buffer((c_in, k, k, b_n, h_out, w_out), xd.dtype, holes, 1)
     for i, j, oy, ox, iy, ix in taps:
         cols[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
     return cols.reshape(c_in * k * k, b_n * h_out * w_out)
@@ -720,8 +800,9 @@ _INPUT_SIDE_MIN_SAVING = 1 << 16
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) with zero padding.
+           padding: int = 0, leaky: bool = False) -> Tensor:
+    """2-D convolution (cross-correlation) with zero padding, optionally
+    followed by a leaky ReLU.
 
     Args:
         x: input, [C, H, W] or [B, C, H, W].
@@ -730,6 +811,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         stride: 1 or 2.
         padding: symmetric zero padding; (k-1)//2 gives same-size output at
             stride 1.
+        leaky: apply ``max(z, LEAKY_SLOPE·z)`` to the result z (after the
+            bias) in place, as an epilogue of the same taped op.
 
     Returns:
         [C_out, H', W'] or [B, C_out, H', W'] matching the input rank, with
@@ -774,6 +857,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 
     ``dW`` is skipped when the weights need no gradient, and ``dx`` when
     the input needs none.
+
+    With ``leaky``, the backward first maps the output gradient through
+    ``where(y > 0, g, LEAKY_SLOPE·g)`` with y the op's output.  The slope
+    is positive, so y has the sign of the pre-activation z and no copy of z
+    is kept.
+
+    The im2col buffer and the output side's dZ need zeros where no tap
+    copies.  From ``_EMPTY_MIN_SIZE`` elements they are ``np.empty`` with
+    only those border strips zeroed (``_tap_buffer``); smaller ones, and dZ
+    at stride 2, are ``np.zeros``.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
@@ -795,7 +888,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     w_out = (w + 2 * padding - k) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {k} does not fit input {h}x{w} with padding {padding}")
-    taps = _conv_taps(h, w, h_out, w_out, k, stride, padding)
+    taps, out_holes, in_holes = _conv_taps(h, w, h_out, w_out, k, stride, padding)
 
     def tap_weights():  # [k²·C_out, C_in], tap-major rows
         return weight.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
@@ -809,12 +902,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         for i, j, oy, ox, iy, ix in taps:
             res[:, :, oy, ox] += z[:, i, j, :, iy, ix]
     else:
-        res = weight.data.reshape(c_out, c_in * k * k) @ _im2col(xd, taps, k, h_out, w_out)
+        res = weight.data.reshape(c_out, c_in * k * k) @ _im2col(xd, taps, out_holes, k,
+                                                                 h_out, w_out)
         res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     res += bias.data[:, None, None]
+    if leaky:
+        np.maximum(res, LEAKY_SLOPE * res, out=res)
+    out = Tensor(res[0] if squeeze else res)
 
     def bw(g):
         # every gradient below is a fresh array, handed to _accum as owned
+        if leaky:
+            g = np.where(out.data > 0, g, LEAKY_SLOPE * g)
         g4 = g[None] if squeeze else g
         if bias.requires_grad:
             _accum(bias, g4.sum(axis=(0, 2, 3)), owned=True)
@@ -826,7 +925,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             # the per-tap products W_tapᵀ G added back at the texels read
             gmat = gt.reshape(c_out, b_n * h_out * w_out)
             if weight.requires_grad:
-                dw = gmat @ _im2col(xb, taps, k, h_out, w_out).T
+                dw = gmat @ _im2col(xb, taps, out_holes, k, h_out, w_out).T
                 _accum(weight, dw.reshape(weight.shape), owned=True)
             if x.requires_grad:
                 wt = weight.data.transpose(2, 3, 1, 0).reshape(k * k * c_in, c_out)
@@ -835,9 +934,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 for i, j, oy, ox, iy, ix in taps:
                     dx[:, :, iy, ix] += dcols[i, j, :, :, oy, ox]
         elif weight.requires_grad or x.requires_grad:
-            # output side: dz gathers g at the texels each tap read; padding
-            # reads get 0
-            dz = np.zeros((k, k, c_out, b_n, h, w), dtype=g.dtype)
+            # output side: dz gathers g at the texels each tap read; the
+            # texels it never reads get 0
+            dz = _tap_buffer((k, k, c_out, b_n, h, w), g.dtype, in_holes, 0)
             for i, j, oy, ox, iy, ix in taps:
                 dz[i, j, :, :, iy, ix] = gt[:, :, oy, ox]
             dz = dz.reshape(k * k * c_out, b_n * h * w)
@@ -849,7 +948,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if dx is not None:
             _accum(x, dx.transpose(1, 0, 2, 3).reshape(x.shape), owned=True)
 
-    return _record(Tensor(res[0] if squeeze else res), (x, weight, bias), bw)
+    return _record(out, (x, weight, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -882,9 +981,10 @@ def group_dot(f0: Tensor, fi: Tensor, groups: int) -> Tensor:
     def bw(g):
         gp = (g.reshape(groups, -1).T @ avg.T).reshape(a.shape)
         if fi.requires_grad:
-            _accum(fi, np.moveaxis(gp * f0t, -1, 0))
+            _accum(fi, np.moveaxis(gp * f0t, -1, 0), owned=True)
         if f0.requires_grad:
-            _accum(f0, np.einsum("dpc,dpc->cp", gp.reshape(-1, p, c), a.reshape(-1, p, c)))
+            _accum(f0, np.einsum("dpc,dpc->cp", gp.reshape(-1, p, c), a.reshape(-1, p, c)),
+                   owned=True)
 
     return _record(out, (f0, fi), bw)
 

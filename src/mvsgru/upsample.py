@@ -20,13 +20,13 @@ NEIGHBORS = 9
 
 class ConvexUpsampler(Module):
     def __init__(self, feat_ch: int, rng: np.random.Generator):
-        self.conv1 = Conv2d(feat_ch, 64, 3, rng)
+        self.conv1 = Conv2d(feat_ch, 64, 3, rng, leaky=True)
         self.conv2 = Conv2d(64, NEIGHBORS * FACTOR * FACTOR, 3, rng)
 
     def mask(self, feat: Tensor) -> Tensor:
         """Softmax-normalized weights, [9, 16, H, W]."""
         h, w = feat.shape[1], feat.shape[2]
-        logits = self.conv2(self.conv1(feat).leaky_relu())
+        logits = self.conv2(self.conv1(feat))
         logits = logits.reshape((NEIGHBORS, FACTOR * FACTOR, h, w))
         return logits.softmax(0)
 

@@ -325,6 +325,22 @@ class TestInferCommand:
         assert "view 1: need a reference" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["0 2 0 1", "0 2 1 1"], ids=["self-source", "repeated"])
+    def test_pair_line_that_matches_a_view_twice_is_a_format_error(
+            self, scene_dir, trained, tmp_path, capsys, line):
+        # the reference among its own sources would be a zero-baseline match
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir / "scene_0000", scene)
+        pairs = (scene / "pair.txt").read_text().splitlines()
+        pairs[1] = line
+        (scene / "pair.txt").write_text("\n".join(pairs) + "\n")
+        out = tmp_path / "x"
+        code = main(["infer", "--scene", str(scene), "--checkpoint",
+                     str(trained / "model.ckpt"), "--out", str(out), "--ref", "0"])
+        assert code == 1
+        assert "bad pair line for view 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def count_extracts(monkeypatch) -> list:
     """Each FeatureExtractor.extract call's (image, weakref to its pyramid)."""
@@ -519,6 +535,10 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "ok" in out
         assert "FAIL" not in out
+        for name in ("group_norm", "conv2d.leaky", "conv2d.leaky.narrow",
+                     "conv2d.leaky.s2.wide"):
+            assert f"{name} " in out
+        assert "leaky_relu" not in out
 
     def test_runs_as_python_module(self):
         src = os.path.join(os.path.dirname(os.path.dirname(

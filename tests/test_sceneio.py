@@ -183,10 +183,12 @@ _PIX = bytes(12)  # payload of a 2x2 PPM (and 3 of the 4 floats of a 2x2 PFM)
     ("pair", b"3\n7 0\n"),
     ("pair", b"3\n-1 0\n"),
     ("pair", b"three\n"),
+    ("pair", b"3\n0 2 0 1\n"),
+    ("pair", b"3\n0 2 1 1\n"),
 ], ids=["pfm-dims-word", "pfm-dims-one", "pfm-dims-negative", "pfm-scale-word",
         "pfm-scale-nan", "ppm-width", "ppm-height", "ppm-maxval", "ppm-zero-width",
         "ppm-open-comment", "pair-word-count", "pair-no-count", "pair-ref-range",
-        "pair-ref-negative", "pair-header"])
+        "pair-ref-negative", "pair-header", "pair-self-source", "pair-repeated-source"])
 def test_malformed_header_raises_file_format_error(tmp_path, kind, content):
     if kind == "pair":
         save_scene(synth_scene(SynthSpec(seed=9, views=3, size=16, quads=1)),

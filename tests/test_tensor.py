@@ -62,6 +62,27 @@ def conv2d_grad_oracle(x, w, gy, stride, padding):
     return dxp[:, padding:padding + h, padding:padding + wd], dw, gy.sum(axis=(1, 2))
 
 
+def conv2d_padded_reference(x, w, b, gy, stride, padding):
+    """``(out, dx, dW, db)`` of ``sum(conv2d(x, w, b) * gy)`` for a [B, C_in,
+    H, W] input, one kernel tap at a time on an explicitly zero-padded copy
+    of the input."""
+    k = w.shape[2]
+    h, wd = x.shape[2:]
+    h_out, w_out = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((x.shape[0], w.shape[0], h_out, w_out))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(k):
+        for j in range(k):
+            win = np.s_[:, :, i:i + stride * (h_out - 1) + 1:stride,
+                        j:j + stride * (w_out - 1) + 1:stride]
+            out += np.einsum("oc,bchw->bohw", w[:, :, i, j], xp[win])
+            dw[:, :, i, j] = np.einsum("bohw,bchw->oc", gy, xp[win])
+            dxp[win] += np.einsum("oc,bohw->bchw", w[:, :, i, j], gy)
+    dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+    return out + b[:, None, None], dx, dw, gy.sum(axis=(0, 2, 3))
+
+
 def softmax_oracle(x, axis):
     e = np.exp(x)
     return e / e.sum(axis=axis, keepdims=True)
@@ -311,6 +332,84 @@ class TestConv:
         assert step_peak < 9 * 256 * 256 * 4
         assert x.grad is not None and w.grad is not None
 
+    # (x shape, c_out, stride): the forward path and backward side each
+    # takes, by the rules above
+    @pytest.mark.parametrize("shape,c_out,stride", [
+        pytest.param((4, 6, 6), 4, 1, id="im2col-then-output-side"),
+        pytest.param((8, 6, 7), 1, 1, id="output-side-then-output-side"),
+        pytest.param((2, 12, 12), 64, 1, id="im2col-then-input-side"),
+        pytest.param((2, 16, 7, 5), 2, 2, id="batched-s2-output-side-then-output-side"),
+    ])
+    def test_leaky_epilogue_is_numpy_leaky_of_the_plain_conv(self, rng, shape, c_out, stride):
+        # float32, compared bit for bit: the epilogue is max(z, slope·z) of
+        # the plain conv's z, and its gradient maps g through the sign of z
+        x0 = rng.standard_normal(shape).astype(np.float32)
+        w0 = rng.standard_normal((c_out, shape[-3], 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(c_out).astype(np.float32)
+
+        def run(leaky, upstream):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+            with Tape() as tape:
+                y = T.conv2d(x, w, b, stride, 1, leaky=leaky)
+                loss = (y * upstream(y.data)).sum()
+            backward(tape, loss)
+            return y.data, x.grad, w.grad, b.grad
+
+        z = run(False, np.ones_like)[0]
+        gy = rng.standard_normal(z.shape).astype(np.float32)
+        plain = run(False, lambda _: np.where(z > 0, gy, T.LEAKY_SLOPE * gy))
+        fused = run(True, lambda _: gy)
+        assert (z <= 0).any() and (z > 0).any()
+        assert np.array_equal(fused[0], np.maximum(z, T.LEAKY_SLOPE * z))
+        for want, got in zip(plain[1:], fused[1:]):
+            assert got.dtype == np.float32
+            assert np.array_equal(want, got)
+
+    # n_empty: the buffers taken from np.empty (im2col forward, dZ or the
+    # input side's rebuilt im2col backward); dZ at stride 2 stays np.zeros
+    @pytest.mark.parametrize("shape,c_out,k,stride,pad,min_size,n_empty", [
+        pytest.param((1, 3, 7, 5), 4, 3, 2, 1, 0, 1, id="im2col-s2-odd"),
+        pytest.param((1, 2, 9, 6), 3, 3, 1, 1, 0, 2, id="im2col-s1"),
+        pytest.param((1, 2, 6, 9), 2, 5, 2, 2, 0, 1, id="im2col-k5-s2"),
+        pytest.param((1, 2, 1, 4), 2, 3, 1, 1, 0, 2, id="one-row"),
+        pytest.param((1, 8, 6, 7), 1, 3, 1, 1, 0, 1, id="output-side"),
+        pytest.param((2, 16, 7, 5), 2, 3, 2, 1, 0, 0, id="output-side-s2"),
+        pytest.param((2, 2, 12, 12), 40, 3, 1, 1, 0, 2, id="input-side-backward"),
+        pytest.param((1, 16, 40, 40), 16, 3, 1, 1, None, 2, id="default-size-floor"),
+    ])
+    def test_uninitialized_buffers_hold_only_what_the_taps_write(
+            self, rng, monkeypatch, shape, c_out, k, stride, pad, min_size, n_empty):
+        # np.empty hands out NaN: a cell of the im2col buffer or of dZ that
+        # no tap writes and no hole zeroes would poison the result
+        T.set_default_dtype(np.float64)
+        x0 = rng.standard_normal(shape)
+        w0 = rng.standard_normal((c_out, shape[1], k, k))
+        b0 = rng.standard_normal(c_out)
+        h_out = (shape[2] + 2 * pad - k) // stride + 1
+        w_out = (shape[3] + 2 * pad - k) // stride + 1
+        gy = rng.standard_normal((shape[0], c_out, h_out, w_out))
+        want = conv2d_padded_reference(x0, w0, b0, gy, stride, pad)
+        if min_size is not None:
+            monkeypatch.setattr(T, "_EMPTY_MIN_SIZE", min_size)
+        empty, calls = np.empty, []
+
+        def nan_empty(*args, **kwargs):
+            calls.append(args[0])
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        with Tape() as tape:
+            y = T.conv2d(x, w, b, stride, pad)
+            loss = (y * gy).sum()
+        backward(tape, loss)
+        monkeypatch.undo()
+        assert len(calls) == n_empty
+        for ref, got in zip(want, (y.data, x.grad, w.grad, b.grad)):
+            assert np.abs(got - ref).max() < 1e-10
+
     def test_shape_errors(self, rng):
         x = Tensor(rng.standard_normal((3, 5, 5)))
         b = Tensor(rng.standard_normal(4))
@@ -326,6 +425,14 @@ class TestConv:
 
 
 class TestBilinear:
+    def test_resize_matrices_are_cached_read_only(self):
+        m = T._axis_matrix(4, 8, np.dtype(np.float32))
+        assert m is T._axis_matrix(4, 8, np.dtype(np.float32))
+        assert m.dtype == np.float32 and not m.flags.writeable
+        assert np.allclose(m.sum(axis=1), 1.0)
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+
     def test_integer_coordinates_hit_texels(self, rng):
         grid = rng.standard_normal((2, 4, 5)).astype(np.float32)
         out, valid = T.bilinear_sample(Tensor(grid), np.array([3.0]), np.array([2.0]))
@@ -588,6 +695,23 @@ class TestTape:
             out = (x * x).sum()
         backward(tape, out)
         assert np.allclose(x.grad, [6.0])
+
+    def test_owned_first_gradients_share_no_memory(self):
+        # every op below hands _accum a fresh gradient, which becomes the
+        # parent's grad without a copy: no two grads may share a buffer
+        leaves = [Tensor(np.linspace(0.5, 2.0, 6).reshape(2, 3) + i, requires_grad=True)
+                  for i in range(4)]
+        a, b, c, d = leaves
+        mask = np.array([[True, False, True], [False, True, False]])
+        with Tape() as tape:
+            e = T.where(mask, a * b, a / c) + (d.exp() + c.log() + b.abs()).sigmoid()
+            f = e.tanh().clip(-0.9, 0.9).softmax(0) + d.max(1, keepdims=True)
+            loss = f.sum()
+        backward(tape, loss)
+        grads = [t.grad for t in leaves]
+        assert all(isinstance(g, np.ndarray) and g.shape == (2, 3) for g in grads)
+        assert not any(np.shares_memory(g, h) for i, g in enumerate(grads)
+                       for h in grads[i + 1:])
 
     def test_backward_consumes_the_tape(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
