@@ -31,7 +31,6 @@ from .training import TrainConfig, load_train_config, train
 
 
 def _cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     for i in range(args.scenes):
         spec = SynthSpec(seed=args.seed + i, views=args.views,
                          size=args.size, quads=args.quads,

@@ -196,6 +196,10 @@ def read_ply(path) -> PointCloud:
     rows = np.frombuffer(raw, dtype=PLY_DTYPE, count=count,
                          offset=header_end)
     xyz = np.stack([rows["x"], rows["y"], rows["z"]], axis=1)
+    bad = np.flatnonzero(~np.isfinite(xyz).all(axis=1))
+    if bad.size:
+        raise FileFormatError(path, header_end + int(bad[0]) * PLY_DTYPE.itemsize,
+                              f"vertex {bad[0]} has a non-finite coordinate")
     rgb = np.stack([rows["red"], rows["green"], rows["blue"]], axis=1)
     return PointCloud(xyz.astype(np.float32), rgb.astype(np.uint8))
 

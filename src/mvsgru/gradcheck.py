@@ -491,6 +491,8 @@ def run_suite(instances: int = 20, seed: int = 0,
     """Run every op check ``instances`` times with fresh random draws."""
     if instances < 1:
         raise ConfigError(f"need at least one instance, got {instances}")
+    if not seed >= 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     reports: list[OpReport] = []
     names: list[str] | None = None
     worst: dict[str, float] = {}

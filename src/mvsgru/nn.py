@@ -137,6 +137,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             params[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
         except ValueError:  # a zero extent beside extents numpy cannot address
             raise FileFormatError(path, off, f"bad extents {shape} for {name}") from None
+        bad = np.flatnonzero(~np.isfinite(params[name]))
+        if bad.size:
+            raise FileFormatError(path, off - 4 * n + 4 * int(bad[0]),
+                                  f"non-finite value in {name}")
     if off != len(blob):
         raise FileFormatError(path, off, "trailing bytes after last parameter")
     return params

@@ -286,6 +286,8 @@ def synth_scene(spec: SynthSpec) -> Scene:
         raise SceneGenerationError(f"size {spec.size} not a positive multiple of 8")
     if spec.views < 2:
         raise SceneGenerationError("need at least 2 views")
+    if not spec.seed >= 0:
+        raise SceneGenerationError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     surfaces: list[_Surface] = []
     if spec.background:

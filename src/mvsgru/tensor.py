@@ -12,12 +12,18 @@ Design notes
   gradients.  With no tape active, ops are forward-only, which is what
   inference wants.
 * Ops record through ``_unary`` / ``_binary``, given ``grad(g, y)`` from
-  the output gradient and array to the parents' gradients, and ``owned``
-  when that gradient is always a fresh array, which ``_accum`` then keeps
-  without a copy.  Only the ops ``bench/tracer.py`` times backward by
-  closure owner (its ``BACKWARD_OPS``) and ``group_dot`` call ``_record``
-  with their own closure.  ``no_grad`` is an empty slot on the tape stack:
-  the innermost slot decides whether ops record.
+  the output gradient and array to the parents' gradients.  Only the ops
+  ``bench/tracer.py`` times backward by closure owner (its
+  ``BACKWARD_OPS``) call ``_record`` with their own closure.  ``no_grad``
+  is an empty slot on the tape stack: the innermost slot decides whether
+  ops record.
+* One hand-off rule: a backward closure hands each parent an array that
+  nothing else reads or writes, either a fresh array or ``g`` (or a view
+  of it) for one parent only.  ``g`` is ``out.grad``, which ``backward``
+  drops once the closure has run, so ``_accum`` keeps a first gradient as
+  it is and adds later ones in place.  ``add`` copies ``g`` for its second
+  parent when both need a gradient, and ``_scaled_sum`` hands over a
+  writeable array rather than a broadcast view.
 * A taped op is worth a fused body: each entry costs Python and numpy
   call overhead that does not shrink with the image.  ``conv2d`` applies
   the network's leaky ReLU as an epilogue, and ``group_norm`` is the whole
@@ -50,8 +56,7 @@ Design notes
   and weights when it runs, so neither forward buffer stays on the tape,
   and also takes the cheaper side: it gathers the output gradient over the
   input grid, or, for layers that widen on large planes, rebuilds the
-  im2col and adds the per-tap products back (see its docstring).  Its
-  gradients are fresh arrays, which ``_accum`` keeps without a copy.
+  im2col and adds the per-tap products back (see its docstring).
 """
 
 from __future__ import annotations
@@ -284,23 +289,22 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], fn: Callable) -> Tensor:
     return out
 
 
-def _unary(a: Tensor, data, grad: Callable, owned: bool = False) -> Tensor:
+def _unary(a: Tensor, data, grad: Callable) -> Tensor:
     """Record a one-parent op with output ``data``; ``grad(g, y)`` maps the
-    output gradient and the output array to a's gradient.  ``owned`` says
-    that gradient is always a fresh array (see ``_accum``)."""
+    output gradient and the output array to a's gradient."""
     out = Tensor(data)
-    return _record(out, (a,), lambda g: _accum(a, grad(g, out.data), owned))
+    return _record(out, (a,), lambda g: _accum(a, grad(g, out.data)))
 
 
-def _binary(a: Tensor, b: Tensor, data, grad: Callable, owned: bool = False) -> Tensor:
+def _binary(a: Tensor, b: Tensor, data, grad: Callable) -> Tensor:
     """Record a two-parent op; ``grad(g, y)`` returns (a's, b's) gradient,
-    two distinct fresh arrays when ``owned``."""
+    which share no memory.  A parent that needs no gradient may get None."""
     out = Tensor(data)
 
     def bw(g):
         ga, gb = grad(g, out.data)
-        _accum(a, ga, owned)
-        _accum(b, gb, owned)
+        _accum(a, ga)
+        _accum(b, gb)
 
     return _record(out, (a, b), bw)
 
@@ -315,19 +319,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.  A first gradient is copied, since g may
-    be shared with another parent, a view of out.grad or a read-only
-    broadcast view, unless the closure passes ``owned=True``: g is a fresh
-    array that nothing else holds, so it becomes ``t.grad`` as it is.  (The
-    full reduction onto a 0-d tensor, such as a scalar gain, gives a numpy
-    scalar, which is still copied into an array.)"""
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``.  By the hand-off rule (module notes) g is
+    t's alone, so a first gradient becomes ``t.grad`` as it is.  The full
+    reduction onto a 0-d tensor, such as a scalar gain, gives a numpy
+    scalar, which ``np.asarray`` makes a 0-d array."""
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        keep = owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype
-        t.grad = g if keep else np.array(g, dtype=t.data.dtype)
+        t.grad = np.asarray(g)
     else:
         t.grad += g
 
@@ -345,7 +346,8 @@ def _check_axis(axis: int, ndim: int) -> int:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, a.data + b.data, lambda g, y: (g, g))
+    both = a.requires_grad and b.requires_grad
+    return _binary(a, b, a.data + b.data, lambda g, y: (g, g.copy() if both else g))
 
 
 def sub(a, b) -> Tensor:
@@ -355,39 +357,37 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, a.data * b.data, lambda g, y: (g * b.data, g * a.data),
-                   owned=True)
+    return _binary(a, b, a.data * b.data, lambda g, y: (g * b.data, g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, a.data / b.data, lambda g, y: (g / b.data, -g * y / b.data),
-                   owned=True)
+    return _binary(a, b, a.data / b.data, lambda g, y: (g / b.data, -g * y / b.data))
 
 
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.exp(a.data), lambda g, y: g * y, owned=True)
+    return _unary(a, np.exp(a.data), lambda g, y: g * y)
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.log(a.data), lambda g, y: g / a.data, owned=True)
+    return _unary(a, np.log(a.data), lambda g, y: g / a.data)
 
 
 def absval(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.abs(a.data), lambda g, y: g * np.sign(a.data), owned=True)
+    return _unary(a, np.abs(a.data), lambda g, y: g * np.sign(a.data))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, expit(a.data), lambda g, y: g * y * (1.0 - y), owned=True)
+    return _unary(a, expit(a.data), lambda g, y: g * y * (1.0 - y))
 
 
 def tanh(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y * y), owned=True)
+    return _unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y * y))
 
 
 def clip(a: Tensor, lo=None, hi=None) -> Tensor:
@@ -398,15 +398,14 @@ def clip(a: Tensor, lo=None, hi=None) -> Tensor:
         mask *= a.data >= lo
     if hi is not None:
         mask *= a.data <= hi
-    return _unary(a, np.clip(a.data, lo, hi), lambda g, y: g * mask, owned=True)
+    return _unary(a, np.clip(a.data, lo, hi), lambda g, y: g * mask)
 
 
 def where(cond: np.ndarray, a, b) -> Tensor:
     """Select elementwise by a constant boolean mask (not differentiable in cond)."""
     cond = np.asarray(cond, dtype=bool)
     a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, np.where(cond, a.data, b.data), lambda g, y: (g * cond, g * ~cond),
-                   owned=True)
+    return _binary(a, b, np.where(cond, a.data, b.data), lambda g, y: (g * cond, g * ~cond))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +422,7 @@ def _scaled_sum(a: Tensor, axis, keepdims: bool, scale: float) -> Tensor:
     def grad(g, y):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g * scale, a.data.shape)
+        return np.broadcast_to(g * scale, a.data.shape).copy()
 
     return _unary(a, a.data.sum(axis=axis, keepdims=keepdims) * scale, grad)
 
@@ -450,7 +449,7 @@ def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         np.put_along_axis(gz, idx_e, g if keepdims else np.expand_dims(g, axis), axis=axis)
         return gz
 
-    return _unary(a, vals if keepdims else np.squeeze(vals, axis), grad, owned=True)
+    return _unary(a, vals if keepdims else np.squeeze(vals, axis), grad)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -460,8 +459,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     y = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    return _unary(a, y, lambda g, y: y * (g - (g * y).sum(axis=axis, keepdims=True)),
-                  owned=True)
+    return _unary(a, y, lambda g, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
 
 def group_norm(f: Tensor, groups: int, eps: float) -> Tensor:
@@ -484,7 +482,7 @@ def group_norm(f: Tensor, groups: int, eps: float) -> Tensor:
         g, y = g.reshape(gshape), y.reshape(gshape)
         return ((g - y * (g * y).mean(axis=1, keepdims=True)) * inv).reshape(f.shape)
 
-    return _unary(f, (x * inv).reshape(f.shape), grad, owned=True)
+    return _unary(f, (x * inv).reshape(f.shape), grad)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -507,7 +505,7 @@ def getitem(a: Tensor, idx) -> Tensor:
     def bw(g):
         gz = np.zeros_like(a.data)
         gz[idx] = g
-        _accum(a, gz, owned=True)
+        _accum(a, gz)
 
     return _record(out, (a,), bw)
 
@@ -559,7 +557,7 @@ def take_depth(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor((s @ a.data.reshape(-1)).reshape(idx.shape))
 
     def bw(g):
-        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape), owned=True)
+        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape))
 
     return _record(out, (a,), bw)
 
@@ -579,7 +577,7 @@ def gather2d(a: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     out = Tensor((s @ a.data.reshape(-1)).reshape(iy.shape))
 
     def bw(g):
-        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape), owned=True)
+        _accum(a, (s.T @ g.reshape(-1)).reshape(a.shape))
 
     return _record(out, (a,), bw)
 
@@ -651,7 +649,7 @@ def bilinear_sample(grid: Tensor, x, y,
         g2 = g.reshape(c, -1)
         if grid.requires_grad:
             gs = (s.T @ g2.T).reshape(b, h * w, c)
-            _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape), owned=True)
+            _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape))
         # d/dx and d/dy of the blend share S's indices; an invalid point,
         # which includes every clamped one, gets no gradient
         flat = texels() if any(t is not None and t.requires_grad for t in (xt, yt)) else None
@@ -659,7 +657,7 @@ def bilinear_sample(grid: Tensor, x, y,
             if ct is not None and ct.requires_grad:
                 dw = np.hstack(dw) * keep
                 sd = sp.csr_matrix((dw.ravel(), s.indices, s.indptr), shape=s.shape)
-                _accum(ct, ((sd @ flat) * g2.T).sum(axis=1).reshape(cshape), owned=True)
+                _accum(ct, ((sd @ flat) * g2.T).sum(axis=1).reshape(cshape))
 
     parents = tuple(p for p in (grid, xt, yt) if p is not None)
     return _record(out, parents, bw), valid.reshape(cshape)
@@ -699,7 +697,7 @@ def bilinear_resize(a: Tensor, size: tuple[int, int]) -> Tensor:
     out = Tensor(ry @ (a.data @ rx.T))
 
     def bw(g):
-        _accum(a, ry.T @ (g @ rx), owned=True)
+        _accum(a, ry.T @ (g @ rx))
 
     return _record(out, (a,), bw)
 
@@ -911,12 +909,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     out = Tensor(res[0] if squeeze else res)
 
     def bw(g):
-        # every gradient below is a fresh array, handed to _accum as owned
         if leaky:
             g = np.where(out.data > 0, g, LEAKY_SLOPE * g)
         g4 = g[None] if squeeze else g
         if bias.requires_grad:
-            _accum(bias, g4.sum(axis=(0, 2, 3)), owned=True)
+            _accum(bias, g4.sum(axis=(0, 2, 3)))
         xb = x.data[None] if squeeze else x.data
         gt = g4.transpose(1, 0, 2, 3)  # [C_out, B, H', W']
         dx = None
@@ -926,7 +923,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             gmat = gt.reshape(c_out, b_n * h_out * w_out)
             if weight.requires_grad:
                 dw = gmat @ _im2col(xb, taps, out_holes, k, h_out, w_out).T
-                _accum(weight, dw.reshape(weight.shape), owned=True)
+                _accum(weight, dw.reshape(weight.shape))
             if x.requires_grad:
                 wt = weight.data.transpose(2, 3, 1, 0).reshape(k * k * c_in, c_out)
                 dcols = (wt @ gmat).reshape(k, k, c_in, b_n, h_out, w_out)
@@ -942,11 +939,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             dz = dz.reshape(k * k * c_out, b_n * h * w)
             if weight.requires_grad:
                 dw = dz @ xb.transpose(1, 0, 2, 3).reshape(c_in, b_n * h * w).T
-                _accum(weight, dw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1), owned=True)
+                _accum(weight, dw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
             if x.requires_grad:
                 dx = (tap_weights().T @ dz).reshape(c_in, b_n, h, w)
         if dx is not None:
-            _accum(x, dx.transpose(1, 0, 2, 3).reshape(x.shape), owned=True)
+            _accum(x, dx.transpose(1, 0, 2, 3).reshape(x.shape))
 
     return _record(out, (x, weight, bias), bw)
 
@@ -976,17 +973,14 @@ def group_dot(f0: Tensor, fi: Tensor, groups: int) -> Tensor:
     f0t = np.ascontiguousarray(f0.data.T)
     a = np.moveaxis(fi.data, 0, -1)
     prod = np.multiply(a, f0t, order="C").reshape(-1, c)
-    out = Tensor((avg.T @ prod.T).reshape((groups,) + fi.shape[1:]))
 
-    def bw(g):
+    def grad(g, y):
         gp = (g.reshape(groups, -1).T @ avg.T).reshape(a.shape)
-        if fi.requires_grad:
-            _accum(fi, np.moveaxis(gp * f0t, -1, 0), owned=True)
-        if f0.requires_grad:
-            _accum(f0, np.einsum("dpc,dpc->cp", gp.reshape(-1, p, c), a.reshape(-1, p, c)),
-                   owned=True)
+        g0 = (np.einsum("dpc,dpc->cp", gp.reshape(-1, p, c), a.reshape(-1, p, c))
+              if f0.requires_grad else None)
+        return g0, np.moveaxis(gp * f0t, -1, 0) if fi.requires_grad else None
 
-    return _record(out, (f0, fi), bw)
+    return _binary(f0, fi, (avg.T @ prod.T).reshape((groups,) + fi.shape[1:]), grad)
 
 
 # ---------------------------------------------------------------------------

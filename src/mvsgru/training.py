@@ -52,11 +52,12 @@ class TrainConfig:
         # written so that NaN fails every check; views counts the reference
         for name, low in (("iters", 0), ("views", 2), ("d1", 2), ("d2", 2),
                           ("readout_radius", 0), ("epochs", 1), ("batch", 1),
-                          ("source_pool", 1)):
+                          ("source_pool", 1), ("seed", 0)):
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("lr", "alpha", "gamma"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0 < self.scale_lo <= self.scale_hi:
             raise ConfigError(f"scale_lo and scale_hi need 0 < scale_lo <= scale_hi, "
                               f"got {self.scale_lo} and {self.scale_hi}")
@@ -64,6 +65,8 @@ class TrainConfig:
             raise ConfigError("radii and counts need exactly 3 levels each")
         if not all(n >= 1 for n in self.counts):
             raise ConfigError(f"counts must all be >= 1, got {self.counts}")
+        if not self.radii[0] > 0:
+            raise ConfigError(f"radii must be > 0, got {self.radii}")
         if any(not lo < hi for lo, hi in zip(self.radii, self.radii[1:])):
             raise ConfigError(f"radii must grow with the level, got {self.radii}")
 

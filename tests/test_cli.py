@@ -15,7 +15,7 @@ from mvsgru.cli import _write_prob_csv, main
 from mvsgru.estimator import DepthEstimator
 from mvsgru.features import FeatureExtractor
 from mvsgru.fusion import PointCloud, read_ply, write_ply
-from mvsgru.nn import load_checkpoint
+from mvsgru.nn import load_checkpoint, save_checkpoint
 from mvsgru.scenes import load_pfm, load_scene, save_pfm
 from mvsgru.tensor import no_grad
 from mvsgru.training import (TrainConfig, load_train_config,
@@ -84,7 +84,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("d1", "1"), ("d2", "1"), ("readout_radius", "-1"), ("source_pool", "0"),
-        ("counts", "0,4,2"), ("scale_lo", "2")])
+        ("counts", "0,4,2"), ("scale_lo", "2"), ("seed", "-2"), ("alpha", "nan"),
+        ("alpha", "0"), ("gamma", "nan"), ("gamma", "inf"), ("radii", "-0.5,0.1,0.2")])
     def test_bad_config_field_fails_before_writing(self, scene_dir, tmp_path,
                                                    capsys, key, value):
         cfg = tmp_path / "bad.cfg"
@@ -106,6 +107,9 @@ class TestExitCodes:
         ("train", "--lr", "-1", "lr"),
         ("train", "--lr", "nan", "lr"),
         ("train", "--iters", "-1", "iters"),
+        ("train", "--seed", "-1", "seed"),
+        ("synth", "--seed", "-1", "seed"),
+        ("gradcheck", "--seed", "-1", "seed"),
         ("eval", "--stride", "0", "stride"),
         ("eval", "--stride", "-1", "stride"),
         ("eval", "--threshold", "0", "threshold"),
@@ -142,6 +146,8 @@ class TestExitCodes:
             write_ply(PointCloud(np.zeros((1, 3), np.float32),
                                  np.zeros((1, 3), np.uint8)), cloud)
             args = ["--cloud", str(cloud), "--scene", scene]
+        elif command == "synth":
+            args = ["--out", str(out)]
         else:
             args = []
         assert main([command, *args, flag, value]) == 1
@@ -287,6 +293,19 @@ class TestInferCommand:
                      "--checkpoint", str(ckpt), "--out", str(out)])
         assert code == 1
         assert str(tmp_path / "model.cfg") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_is_validation_error(self, scene_dir, trained,
+                                                       tmp_path, capsys):
+        params = load_checkpoint(trained / "model.ckpt")
+        params["fpn.enc1a.weight"][0, 0, 1, 1] = np.nan
+        save_checkpoint(tmp_path / "model.ckpt", params)
+        shutil.copy(trained / "model.cfg", tmp_path / "model.cfg")
+        out = tmp_path / "maps"
+        code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
+                     "--checkpoint", str(tmp_path / "model.ckpt"), "--out", str(out)])
+        assert code == 1
+        assert "non-finite value in fpn.enc1a.weight" in capsys.readouterr().err
         assert not out.exists()
 
     def infer_refs(self, scene_dir, trained, out, refs) -> int:
@@ -511,6 +530,17 @@ class TestFuseAndEval:
         # without the confidence filter no confidence map is read
         assert main(args + ["--no-conf"]) == 0
         assert len(read_ply(cloud)) > 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cloud_eval_is_validation_error(self, scene_dir, tmp_path, capsys,
+                                                       value):
+        xyz = np.ones((3, 3), np.float32)
+        xyz[1, 2] = value
+        cloud = tmp_path / "cloud.ply"
+        write_ply(PointCloud(xyz, np.zeros((3, 3), np.uint8)), cloud)
+        code = main(["eval", "--cloud", str(cloud), "--scene", str(scene_dir / "scene_0000")])
+        assert code == 1
+        assert "vertex 1 has a non-finite coordinate" in capsys.readouterr().err
 
     def test_empty_cloud_eval_is_runtime_error(self, scene_dir, trained,
                                                tmp_path, capsys):

@@ -276,6 +276,15 @@ class TestPlyFiles:
             read_ply(tmp_path / "bad.ply")
         assert e.value.offset == raw.index(b"end_header\n") + 11
 
+    def test_non_finite_vertex_reports_its_offset(self, rng, tmp_path):
+        pc = random_cloud(rng, 5)
+        pc.xyz[3, 0] = -np.inf
+        write_ply(pc, tmp_path / "c.ply")
+        raw = (tmp_path / "c.ply").read_bytes()
+        with pytest.raises(FileFormatError, match="vertex 3 has a non-finite") as e:
+            read_ply(tmp_path / "c.ply")
+        assert e.value.offset == raw.index(b"end_header\n") + 11 + 3 * 15
+
     def test_unexpected_property_layout(self, rng, tmp_path):
         write_ply(random_cloud(rng, 2), tmp_path / "c.ply")
         raw = (tmp_path / "c.ply").read_bytes()

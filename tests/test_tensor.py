@@ -696,22 +696,49 @@ class TestTape:
         backward(tape, out)
         assert np.allclose(x.grad, [6.0])
 
-    def test_owned_first_gradients_share_no_memory(self):
-        # every op below hands _accum a fresh gradient, which becomes the
-        # parent's grad without a copy: no two grads may share a buffer
-        leaves = [Tensor(np.linspace(0.5, 2.0, 6).reshape(2, 3) + i, requires_grad=True)
-                  for i in range(4)]
-        a, b, c, d = leaves
+    def test_first_gradients_share_no_memory(self):
+        # a first gradient becomes the parent's grad as handed over, often g
+        # itself or a view of it, so every grad must be writeable, no two may
+        # share a buffer, and later in-place additions must not leak
+        rng = np.random.default_rng(7)
+        names = "abxcdrtpqsumn"
+        leaves = {n: Tensor(rng.standard_normal((2, 3)), requires_grad=True) for n in names}
+        a, b, x, c, d, r, t, p, q, s, u, m, n = leaves.values()
+        k = Tensor(np.array(1.5), requires_grad=True)
+        e = rng.standard_normal((2, 3))
+        shapes = [(2, 3)] * 4 + [(3, 2), (3, 2), (4, 3), (2, 2), (2,), (3,), (), (2, 3)]
+        w = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
         mask = np.array([[True, False, True], [False, True, False]])
+        fresh = [Tensor(np.linspace(0.5, 2.0, 6).reshape(2, 3) + i, requires_grad=True)
+                 for i in range(4)]
+        f0, f1, f2, f3 = fresh
         with Tape() as tape:
-            e = T.where(mask, a * b, a / c) + (d.exp() + c.log() + b.abs()).sigmoid()
-            f = e.tanh().clip(-0.9, 0.9).softmax(0) + d.max(1, keepdims=True)
-            loss = f.sum()
+            # a * 3.0 is recorded first, so it adds into a's gradient from
+            # the add, which b's must not share
+            terms = [a * 3.0, a + b, x + x, c - d, r.reshape((3, 2)), t.transpose((1, 0)),
+                     T.concat([p, q], 0), T.getitem(s, (slice(None), slice(1, None))),
+                     u.sum(axis=1), m.mean(axis=0), n.sum(), k * e]
+            loss = sum((term * wi).sum() for term, wi in zip(terms, w))
+            # ops whose gradients are fresh arrays
+            g = T.where(mask, f0 * f1, f0 / f2) + (f3.exp() + f2.log() + f1.abs()).sigmoid()
+            h = g.tanh().clip(-0.9, 0.9).softmax(0) + f3.max(1, keepdims=True)
+            loss = loss + h.sum()
         backward(tape, loss)
-        grads = [t.grad for t in leaves]
-        assert all(isinstance(g, np.ndarray) and g.shape == (2, 3) for g in grads)
-        assert not any(np.shares_memory(g, h) for i, g in enumerate(grads)
-                       for h in grads[i + 1:])
+        grads = [v.grad for v in leaves.values()] + [k.grad] + [v.grad for v in fresh]
+        assert all(isinstance(v, np.ndarray) and v.flags.writeable for v in grads)
+        assert [v.shape for v in grads] == [(2, 3)] * len(names) + [()] + [(2, 3)] * 4
+        assert not any(np.shares_memory(v, z) for i, v in enumerate(grads)
+                       for z in grads[i + 1:])
+        w = [wi.astype(np.float64) for wi in w]
+        gs = np.zeros((2, 3))
+        gs[:, 1:] = w[7]
+        oracle = {"a": 3.0 * w[0] + w[1], "b": w[1], "x": 2.0 * w[2], "c": w[3], "d": -w[3],
+                  "r": w[4].reshape(2, 3), "t": w[5].T, "p": w[6][:2], "q": w[6][2:],
+                  "s": gs, "u": np.repeat(w[8][:, None], 3, axis=1),
+                  "m": np.repeat(w[9][None, :] / 2.0, 2, axis=0), "n": np.full((2, 3), w[10])}
+        for name, want in oracle.items():
+            assert np.allclose(leaves[name].grad, want, rtol=1e-5, atol=1e-6), name
+        assert np.isclose(k.grad, (e.astype(np.float32) * w[11]).sum(), rtol=1e-5)
 
     def test_backward_consumes_the_tape(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -942,6 +969,16 @@ class TestCheckpoint:
         with pytest.raises(FileFormatError) as ei:
             load_checkpoint(path)
         assert ei.value.offset > 0
+
+    def test_non_finite_value_names_the_parameter(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        bad = np.zeros((2, 3), dtype=np.float32)
+        bad[1, 0] = np.nan
+        save_checkpoint(path, {"a": np.ones(4, dtype=np.float32), "b.weight": bad})
+        with pytest.raises(FileFormatError, match="non-finite value in b.weight") as ei:
+            load_checkpoint(path)
+        # header 12 bytes, "a" 2+1+1+4+16, "b.weight" 2+8+1+8, then 3 values
+        assert ei.value.offset == 12 + 24 + 19 + 3 * 4
 
     def test_float64_params_stored_as_float32(self, tmp_path):
         T.set_default_dtype(np.float64)

@@ -263,13 +263,13 @@ def non_float32_gradients(monkeypatch, run) -> list[str]:
     share is named by the op's ``grad`` function it calls."""
     accum, wrong = T._accum, []
 
-    def checked(t, g, owned=False):
+    def checked(t, g):
         if np.asarray(g).dtype != np.float32:
             frame = sys._getframe(1)
             shared = frame.f_code.co_qualname.startswith(("_unary.", "_binary."))
             wrong.append(frame.f_locals["grad"].__qualname__ if shared
                          else frame.f_code.co_qualname)
-        accum(t, g, owned)
+        accum(t, g)
 
     monkeypatch.setattr(T, "_accum", checked)
     run()
@@ -298,6 +298,20 @@ class TestTrainStep:
 
     def test_float32_step_passes_float32_gradients(self, fixed_sample, monkeypatch):
         assert non_float32_gradients(monkeypatch, lambda: train_step(fixed_sample)) == []
+
+    def test_parameter_gradients_are_writeable_and_disjoint(self, fixed_sample):
+        # _accum keeps each first gradient as handed over, so a closure that
+        # handed one array to two parents, or a read-only view, shows here
+        cfg = TrainConfig()
+        model = DepthEstimator(cfg, np.random.default_rng(3))
+        with Tape() as tape:
+            loss = sample_loss(model, fixed_sample.views, 0, [1, 2], cfg).total
+        backward(tape, loss)
+        grads = [p.grad for p in model.parameters().values()]
+        assert len(grads) == 99
+        assert all(isinstance(g, np.ndarray) and g.flags.writeable for g in grads)
+        assert not any(np.shares_memory(g, h) for i, g in enumerate(grads)
+                       for h in grads[i + 1:])
 
     def test_a_float64_gradient_is_reported_by_its_op(self, monkeypatch):
         def widened(a):
