@@ -1,8 +1,8 @@
 """Iterative multi-view-stereo depth estimation on a numpy autodiff core."""
 
 from .errors import (ConfigError, ContractError, EmptySampleError,
-                     FileFormatError, MvsError, SceneGenerationError,
-                     ShapeError, TrainStepError)
+                     FileFormatError, MvsError, NumericalError,
+                     SceneGenerationError, ShapeError, TrainStepError)
 from .estimator import DepthEstimator
 from .fusion import FuseConfig, PointCloud, fuse, read_ply, write_ply
 from .geometry import CameraView
@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CameraView", "ConfigError", "ContractError", "DepthEstimator",
-    "EmptySampleError", "FileFormatError", "FuseConfig",
-    "MvsError", "PointCloud", "Scene", "SceneGenerationError", "ShapeError",
+    "EmptySampleError", "FileFormatError", "FuseConfig", "MvsError",
+    "NumericalError", "PointCloud", "Scene", "SceneGenerationError", "ShapeError",
     "SynthSpec", "Tensor", "TrainConfig", "TrainStepError", "fuse",
     "load_scene", "read_ply", "save_scene", "synth_scene", "train",
     "write_ply", "__version__",

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, MvsError, TrainStepError
+from .errors import ConfigError, MvsError, NumericalError
 from .estimator import DepthEstimator
 from .fusion import (FuseConfig, fuse, read_ply, write_ply, write_pgm)
 from .gradcheck import check_full_loss, run_suite
@@ -128,6 +128,9 @@ def _cmd_infer(args) -> int:
         for j in read:
             if last_reader[j] == pos:
                 pyramids.pop(j)
+        for kind, m in (("depth", run.d_up.data), ("confidence", run.conf_up.data)):
+            if not np.isfinite(m).all():
+                raise NumericalError(f"view {ref:04d}: the {kind} map is not finite")
         os.makedirs(args.out, exist_ok=True)
         save_pfm(os.path.join(args.out, f"depth_{ref:04d}.pfm"),
                  run.d_up.data.astype(np.float32))
@@ -208,7 +211,7 @@ def _cmd_gradcheck(args) -> int:
         print(f"{'full_loss':<28s} {margin:10.3e}  {flag}")
         bad += flag == "FAIL"
     if bad:
-        raise TrainStepError(f"{bad} gradient checks failed")
+        raise NumericalError(f"{bad} gradient checks failed")
     return 0
 
 
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return args.func(args)
-    except TrainStepError as e:
+    except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MvsError as e:

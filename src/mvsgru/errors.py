@@ -34,7 +34,11 @@ class SceneGenerationError(MvsError):
     """A synthetic scene spec produced a degenerate scene."""
 
 
-class TrainStepError(MvsError):
+class NumericalError(MvsError):
+    """A computation went numerically bad: a runtime failure, not bad input."""
+
+
+class TrainStepError(NumericalError):
     """A training step went numerically bad (NaN gradient or loss)."""
 
 

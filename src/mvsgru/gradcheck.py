@@ -4,11 +4,15 @@ The numeric side is an independent oracle: central differences with step
 h = 1e-5 evaluated in the float64 mode, compared against taped gradients at
 relative tolerance 1e-4.  A check returns its margin: the worst
 |analytic − numeric| over the tolerance that coordinate had to meet, so it
-passes below 1 and shows how close it came.  ``run_suite`` drives one
-named check over many random instances; the ``gradcheck`` CLI command and
-the tier-1 sweep ``tests/test_tensor.py::TestOpGradcheckSweep`` both call
-it.  ``check_full_loss`` runs the whole training loss through the same
-``check_gradients``, with the model's parameters as its inputs, at
+passes below 1 and shows how close it came.
+
+A check is one line, ``add(name, op, *inputs)``, in ``base_op_checks`` (core
+ops) or ``model_op_checks`` (network modules): ``op`` maps one Tensor per
+input array to a Tensor or a tuple, and ``op_check`` sums every returned
+Tensor against fixed random weights of its own shape, so each output and
+each input is checked.  ``run_suite`` drives every check over many random
+instances.  ``check_full_loss`` runs the whole training loss through the
+same ``check_gradients``, with the model's parameters as its inputs, at
 relative tolerance 1e-3.
 
 Two practical policies keep the oracle honest but usable:
@@ -108,16 +112,40 @@ def check_gradients(forward: Callable[..., Tensor], arrays: list[np.ndarray],
     return float(worst)
 
 
-def _wsum(t: Tensor, const: np.ndarray) -> Tensor:
-    """Reduce to a scalar with fixed random weights so gradients are generic."""
-    return (t * const).sum()
-
-
 @dataclass
 class OpReport:
     name: str
     margin: float  # the worst over the instances; below 1 passes
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.margin < 1.0
+
+
+def _tensors(outs) -> list[Tensor]:
+    """The Tensors among an op's outputs, one or a tuple, in order."""
+    return [o for o in (outs if isinstance(outs, tuple) else (outs,)) if isinstance(o, Tensor)]
+
+
+def op_check(op: Callable, inputs, rng: np.random.Generator,
+             max_coords: int | None = None) -> Callable[[], float]:
+    """The gradient check of ``op`` at ``inputs``, as a closure that returns
+    its ``check_gradients`` margin.
+
+    ``op`` maps one Tensor per input array to a Tensor or a tuple; its
+    non-Tensor outputs (validity masks, indices) are ignored.  It runs once
+    here in float64, and one fixed weight array per returned Tensor is drawn
+    from ``rng`` in that Tensor's shape, so the checked scalar
+    ``Σ_k sum(w_k · out_k)`` reaches every output and every input.
+    """
+    with using_dtype(np.float64):
+        outs = _tensors(op(*[Tensor(a) for a in inputs]))
+    weights = [rng.standard_normal(t.shape) for t in outs]
+
+    def weighted(*ts):
+        return sum((t * w).sum() for t, w in zip(_tensors(op(*ts)), weights))
+
+    return lambda: check_gradients(weighted, list(inputs), max_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -141,88 +169,51 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     checks: dict[str, Callable[[], float]] = {}
 
-    def simple(name, make):
-        checks[name] = make
+    def add(name, op, *inputs):
+        checks[name] = op_check(op, inputs, rng)
 
-    w1 = rnd(3, 4)
-    simple("add", lambda: check_gradients(lambda a, b: _wsum(a + b, w1), [rnd(3, 4), rnd(4)]))
-    simple("sub", lambda: check_gradients(lambda a, b: _wsum(a - b, w1), [rnd(3, 4), rnd(3, 1)]))
-    simple("mul", lambda: check_gradients(lambda a, b: _wsum(a * b, w1), [rnd(3, 4), rnd(4)]))
-    simple("div", lambda: check_gradients(
-        lambda a, b: _wsum(a / b, w1), [rnd(3, 4), rnd(4) + np.sign(rnd(4)) * 0.5 + 1.5]))
-    simple("neg", lambda: check_gradients(lambda a: _wsum(-a, w1), [rnd(3, 4)]))
-    simple("exp", lambda: check_gradients(lambda a: _wsum(a.exp(), w1), [rnd(3, 4) * 0.5]))
-    simple("log", lambda: check_gradients(lambda a: _wsum(a.log(), w1), [np.abs(rnd(3, 4)) + 0.5]))
-    simple("abs", lambda: check_gradients(
-        lambda a: _wsum(a.abs(), w1), [_away_from(rnd(3, 4), [0.0], 0.05)]))
-    simple("sigmoid", lambda: check_gradients(lambda a: _wsum(a.sigmoid(), w1), [rnd(3, 4)]))
-    simple("tanh", lambda: check_gradients(lambda a: _wsum(a.tanh(), w1), [rnd(3, 4)]))
-    simple("clip", lambda: check_gradients(
-        lambda a: _wsum(a.clip(-0.8, 0.8), w1), [_away_from(rnd(3, 4), [-0.8, 0.8], 0.05)]))
+    add("add", lambda a, b: a + b, rnd(3, 4), rnd(4))
+    add("sub", lambda a, b: a - b, rnd(3, 4), rnd(3, 1))
+    add("mul", lambda a, b: a * b, rnd(3, 4), rnd(4))
+    add("div", lambda a, b: a / b,
+        rnd(3, 4), rng.choice([-1.0, 1.0], 4) * rng.uniform(0.5, 2.0, 4))
+    add("neg", lambda a: -a, rnd(3, 4))
+    add("log", Tensor.log, np.abs(rnd(3, 4)) + 0.5)
+    add("abs", Tensor.abs, _away_from(rnd(3, 4), [0.0], 0.05))
+    add("sigmoid", Tensor.sigmoid, rnd(3, 4))
+    add("tanh", Tensor.tanh, rnd(3, 4))
+    add("clip", lambda a: a.clip(-0.8, 0.8), _away_from(rnd(3, 4), [-0.8, 0.8], 0.05))
 
     # eps far above its default, so a backward that dropped it would show
-    wgn = rnd(8, 3, 4)
-    simple("group_norm", lambda: check_gradients(
-        lambda a: _wsum(T.group_norm(a, 2, 0.5), wgn), [rnd(8, 3, 4)]))
+    add("group_norm", lambda a: T.group_norm(a, 2, 0.5), rnd(8, 3, 4))
+    add("softmax.ax0", lambda a: a.softmax(0), rnd(4, 5))
+    add("softmax.ax1", lambda a: a.softmax(1), rnd(4, 5))
 
-    wsm = rnd(4, 5)
-    simple("softmax.ax0", lambda: check_gradients(
-        lambda a: _wsum(a.softmax(0), wsm), [rnd(4, 5)]))
-    simple("softmax.ax1", lambda: check_gradients(
-        lambda a: _wsum(a.softmax(1), wsm), [rnd(4, 5)]))
-
-    simple("sum.all", lambda: check_gradients(lambda a: a.sum(), [rnd(3, 4, 2)]))
-    w2 = rnd(3, 2)
-    simple("sum.axis", lambda: check_gradients(lambda a: _wsum(a.sum(1), w2), [rnd(3, 4, 2)]))
-    simple("mean", lambda: check_gradients(lambda a: _wsum(a.mean(1), w2), [rnd(3, 4, 2)]))
-
-    def max_input():
-        a = rnd(3, 4, 2)
-        # keep a clear margin between the top two values along axis 1
-        a[:, 0, :] += 3.0
-        return a
-    simple("max", lambda: check_gradients(lambda a: _wsum(a.max(1), w2), [max_input()]))
+    add("sum.all", Tensor.sum, rnd(3, 4, 2))
+    add("sum.axis", lambda a: a.sum(1), rnd(3, 4, 2))
+    add("mean", lambda a: a.mean(1), rnd(3, 4, 2))
+    peaked = rnd(3, 4, 2)
+    peaked[:, 0, :] += 3.0  # a clear margin between the top two values along axis 1
+    add("max", lambda a: a.max(1), peaked)
 
     mask = rng.random((3, 4)) > 0.5
-    simple("where", lambda: check_gradients(
-        lambda a, b: _wsum(T.where(mask, a, b), w1), [rnd(3, 4), rnd(3, 4)]))
-    w3 = rnd(3, 7)
-    simple("concat", lambda: check_gradients(
-        lambda a, b: _wsum(T.concat([a, b], 1), w3), [rnd(3, 4), rnd(3, 3)]))
-    w4 = rnd(12, 2)
-    simple("reshape", lambda: check_gradients(
-        lambda a: _wsum(a.reshape((12, 2)), w4), [rnd(3, 4, 2)]))
-    w5 = rnd(2, 4, 3)
-    simple("transpose", lambda: check_gradients(
-        lambda a: _wsum(a.transpose((2, 1, 0)), w5), [rnd(3, 4, 2)]))
-    w6 = rnd(2, 3)
-    simple("getitem", lambda: check_gradients(
-        lambda a: _wsum(T.getitem(a, np.s_[1:3, ::2, 1]), w6), [rnd(4, 5, 2)]))
+    add("where", lambda a, b: T.where(mask, a, b), rnd(3, 4), rnd(3, 4))
+    add("concat", lambda a, b: T.concat([a, b], 1), rnd(3, 4), rnd(3, 3))
+    add("reshape", lambda a: a.reshape((12, 2)), rnd(3, 4, 2))
+    add("transpose", lambda a: a.transpose((2, 1, 0)), rnd(3, 4, 2))
+    add("getitem", lambda a: T.getitem(a, np.s_[1:3, ::2, 1]), rnd(4, 5, 2))
 
     didx = rng.integers(0, 5, size=(3, 4, 2))
-    w7 = rnd(3, 4, 2)
-    simple("take_depth", lambda: check_gradients(
-        lambda a: _wsum(T.take_depth(a, didx), w7), [rnd(5, 4, 2)]))
-    giy = rng.integers(0, 4, size=(3, 3))
-    gix = rng.integers(0, 5, size=(3, 3))
-    w8 = rnd(3, 3)
-    simple("gather2d", lambda: check_gradients(
-        lambda a: _wsum(T.gather2d(a, giy, gix), w8), [rnd(4, 5)]))
+    add("take_depth", lambda a: T.take_depth(a, didx), rnd(5, 4, 2))
+    giy, gix = rng.integers(0, 4, size=(3, 3)), rng.integers(0, 5, size=(3, 3))
+    add("gather2d", lambda a: T.gather2d(a, giy, gix), rnd(4, 5))
 
     # sampling: fractional coords away from texel boundaries; a couple OOB
-    n_pts = 9
-    sx = rng.uniform(0.2, 5.8, n_pts)
-    sy = rng.uniform(0.2, 4.8, n_pts)
+    sx, sy = rng.uniform(0.2, 5.8, 9), rng.uniform(0.2, 4.8, 9)
     sx[0], sy[0] = -3.0, 2.0  # invalid on purpose: gradient must be zero there
     frac = lambda v: np.clip(v - np.floor(v), 0.2, 0.8) + np.floor(v)
     sx, sy = frac(sx), frac(sy)
-    w9 = rnd(3, n_pts)
-
-    def samp(grid, xs, ys):
-        out, _ = T.bilinear_sample(grid, xs, ys)
-        return _wsum(out, w9)
-
-    simple("bilinear_sample", lambda: check_gradients(samp, [rnd(3, 6, 7), sx, sy]))
+    add("bilinear_sample", T.bilinear_sample, rnd(3, 6, 7), sx, sy)
 
     # two stacked grids, coordinates [2, n]: the second grid's samples sit
     # right next to the first grid's block of the interpolation matrix; one
@@ -232,95 +223,44 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     by[0, 1] = 5.0 + 0.5  # half a row below grid 0's last row
     bmask = np.ones(bx.shape, dtype=bool)
     bmask[:, 2] = False
-    w12 = rnd(3, 2, n_pts)
+    add("bilinear_sample.batched", lambda g, x, y: T.bilinear_sample(g, x, y, mask=bmask),
+        rnd(2, 3, 6, 7), bx, by)
 
-    def samp_batch(grid, xs, ys):
-        out, _ = T.bilinear_sample(grid, xs, ys, mask=bmask)
-        return _wsum(out, w12)
+    add("bilinear_resize.up", lambda a: T.bilinear_resize(a, (6, 8)), rnd(2, 3, 4))
+    add("bilinear_resize.down", lambda a: T.bilinear_resize(a, (2, 3)), rnd(2, 5, 6))
 
-    simple("bilinear_sample.batched", lambda: check_gradients(
-        samp_batch, [rnd(2, 3, 6, 7), bx, by]))
+    def conv(name, x, c_out, k, stride, padding, scale, leaky=False):
+        add(name, lambda x, w, b: T.conv2d(x, w, b, stride, padding, leaky=leaky),
+            x, rnd(c_out, x.shape[-3], k, k) * scale, rnd(c_out) * 0.1)
 
-    w10 = rnd(2, 6, 8)
-    simple("bilinear_resize.up", lambda: check_gradients(
-        lambda a: _wsum(T.bilinear_resize(a, (6, 8)), w10), [rnd(2, 3, 4)]))
-    w11 = rnd(2, 2, 3)
-    simple("bilinear_resize.down", lambda: check_gradients(
-        lambda a: _wsum(T.bilinear_resize(a, (2, 3)), w11), [rnd(2, 5, 6)]))
-
-    wc1 = rnd(4, 5, 5)
-    simple("conv2d.s1", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1), wc1),
-        [rnd(3, 5, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
-    wc2 = rnd(4, 3, 3)
-    simple("conv2d.s2", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc2),
-        [rnd(3, 6, 6), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
-    wc3 = rnd(4, 5, 5)
-    simple("conv2d.k1", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 0), wc3),
-        [rnd(3, 5, 5), rnd(4, 3, 1, 1) * 0.5, rnd(4) * 0.1]))
-    wc4 = rnd(2, 3, 4, 4)
-    simple("conv2d.batched", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1), wc4),
-        [rnd(2, 5, 4, 4), rnd(3, 5, 3, 3) * 0.4, rnd(3) * 0.1]))
+    conv("conv2d.s1", rnd(3, 5, 5), 4, 3, 1, 1, 0.5)
+    conv("conv2d.s2", rnd(3, 6, 6), 4, 3, 2, 1, 0.5)
+    conv("conv2d.k1", rnd(3, 5, 5), 4, 1, 1, 0, 0.5)
+    conv("conv2d.batched", rnd(2, 5, 4, 4), 3, 3, 1, 1, 0.4)
     # odd, non-square input at stride 2: the last row and column of taps
     # fall off the image with padding and are dropped without it
-    wc5 = rnd(4, 4, 3)
-    simple("conv2d.s2.odd", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc5),
-        [rnd(3, 7, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
-    wc6 = rnd(4, 3, 2)
-    simple("conv2d.s2.nopad", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 0), wc6),
-        [rnd(3, 7, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
+    conv("conv2d.s2.odd", rnd(3, 7, 5), 4, 3, 2, 1, 0.5)
+    conv("conv2d.s2.nopad", rnd(3, 7, 5), 4, 3, 2, 0, 0.5)
     # widening at stride 2 on a larger plane, as the FPN's encoders:
     # conv2d's backward takes its input side here and only here
-    wc12 = rnd(32, 8, 8)
-    simple("conv2d.s2.wide", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc12),
-        [rnd(2, 16, 16), rnd(32, 2, 3, 3) * 0.5, rnd(32) * 0.1]))
-    wc11 = rnd(2, 4, 3, 3)
-    simple("conv2d.s2.batched", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc11),
-        [rnd(2, 3, 6, 6), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
+    conv("conv2d.s2.wide", rnd(2, 16, 16), 32, 3, 2, 1, 0.5)
+    conv("conv2d.s2.batched", rnd(2, 3, 6, 6), 4, 3, 2, 1, 0.5)
     # the entries above take conv2d's im2col path forward; these narrow ones pass
     # 2·C_out·H·W <= C_in·H'·W' and take the output side
-    wc7 = rnd(1, 5, 6)
-    simple("conv2d.narrow", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1), wc7),
-        [rnd(8, 5, 6), rnd(1, 8, 3, 3) * 0.5, rnd(1) * 0.1]))
-    wc8 = rnd(2, 2, 4, 4)
-    simple("conv2d.narrow.batched", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1), wc8),
-        [rnd(2, 8, 4, 4), rnd(2, 8, 3, 3) * 0.4, rnd(2) * 0.1]))
-    wc9 = rnd(2, 4, 3)
-    simple("conv2d.narrow.s2", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1), wc9),
-        [rnd(16, 7, 5), rnd(2, 16, 3, 3) * 0.3, rnd(2) * 0.1]))
+    conv("conv2d.narrow", rnd(8, 5, 6), 1, 3, 1, 1, 0.5)
+    conv("conv2d.narrow.batched", rnd(2, 8, 4, 4), 2, 3, 1, 1, 0.4)
+    conv("conv2d.narrow.s2", rnd(16, 7, 5), 2, 3, 2, 1, 0.3)
     # the leaky-ReLU epilogue on each forward path (im2col, output side)
     # and backward side (output, input)
-    simple("conv2d.leaky", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1, leaky=True), wc1),
-        [rnd(3, 5, 5), rnd(4, 3, 3, 3) * 0.5, rnd(4) * 0.1]))
-    simple("conv2d.leaky.narrow", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 1, leaky=True), wc7),
-        [rnd(8, 5, 6), rnd(1, 8, 3, 3) * 0.5, rnd(1) * 0.1]))
-    simple("conv2d.leaky.s2.wide", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 2, 1, leaky=True), wc12),
-        [rnd(2, 16, 16), rnd(32, 2, 3, 3) * 0.5, rnd(32) * 0.1]))
-    wc10 = rnd(3, 5, 5)
-    simple("conv2d.narrow.k1", lambda: check_gradients(
-        lambda x, w, b: _wsum(T.conv2d(x, w, b, 1, 0), wc10),
-        [rnd(8, 5, 5), rnd(3, 8, 1, 1) * 0.5, rnd(3) * 0.1]))
+    conv("conv2d.leaky", rnd(3, 5, 5), 4, 3, 1, 1, 0.5, leaky=True)
+    conv("conv2d.leaky.narrow", rnd(8, 5, 6), 1, 3, 1, 1, 0.5, leaky=True)
+    conv("conv2d.leaky.s2.wide", rnd(2, 16, 16), 32, 3, 2, 1, 0.5, leaky=True)
+    conv("conv2d.narrow.k1", rnd(8, 5, 5), 3, 1, 1, 0, 0.5)
 
-    wgd = rnd(2, 2, 3, 5)
-    simple("group_dot", lambda: check_gradients(
-        lambda f0, fi: _wsum(T.group_dot(f0, fi, 2), wgd), [rnd(4, 5), rnd(4, 2, 3, 5)]))
+    add("group_dot", lambda f0, fi: T.group_dot(f0, fi, 2), rnd(4, 5), rnd(4, 2, 3, 5))
     # fi as bilinear_sample leaves it: a [C, S, D, P] view of an [S, D, P, C] array
-    simple("group_dot.texel_major", lambda: check_gradients(
-        lambda f0, fi: _wsum(T.group_dot(f0, fi, 2), wgd),
-        [rnd(4, 5), np.moveaxis(rnd(2, 3, 5, 4), -1, 0)]))
+    add("group_dot.texel_major", lambda f0, fi: T.group_dot(f0, fi, 2),
+        rnd(4, 5), np.moveaxis(rnd(2, 3, 5, 4), -1, 0))
 
     # geometry: warping differentiable in depth
     from .geometry import (CameraView, denormalize_inv, normalize_inv, relative_pose,
@@ -333,36 +273,18 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     ref = CameraView(k, np.eye(3), np.zeros(3), 2.0, 6.0, img)
     src = CameraView(k, r_src, np.array([0.3, 0.05, 0.02]), 2.0, 6.0, img)
     pose = relative_pose(ref, src)
-    px = rng.uniform(2, 13, 6)
-    py = rng.uniform(2, 13, 6)
-    wwa = rnd(2, 6)
-    wwb = rnd(2, 6)
-    wwc = rnd(2, 6)
-
-    def warp_fwd(d):
-        u, v, z, _ = warp_points(px, py, d, ref.k, src.k, pose)
-        return _wsum(u, wwa) + _wsum(v, wwb) + _wsum(z, wwc)
-
-    simple("warp_points.depth", lambda: check_gradients(
-        warp_fwd, [rng.uniform(2.5, 5.5, (2, 6))]))
+    px, py = rng.uniform(2, 13, 6), rng.uniform(2, 13, 6)
+    add("warp_points.depth", lambda d: warp_points(px, py, d, ref.k, src.k, pose),
+        rng.uniform(2.5, 5.5, (2, 6)))
 
     # two sources stacked: outputs [2, D, P]
     src2 = CameraView(k, r_src.T, np.array([-0.2, 0.1, 0.05]), 2.0, 6.0, img)
     poses = relative_poses(ref, [src, src2])
-    wws = rnd(3, 2, 2, 6)
+    add("warp_points.stacked", lambda d: warp_points(px, py, d, ref.k, np.stack([k, k]), poses),
+        rng.uniform(2.5, 5.5, (2, 6)))
 
-    def warp_stacked(d):
-        u, v, z, _ = warp_points(px, py, d, ref.k, np.stack([k, k]), poses)
-        return _wsum(u, wws[0]) + _wsum(v, wws[1]) + _wsum(z, wws[2])
-
-    simple("warp_points.stacked", lambda: check_gradients(
-        warp_stacked, [rng.uniform(2.5, 5.5, (2, 6))]))
-
-    weta = rnd(4, 3)
-    simple("normalize_inv", lambda: check_gradients(
-        lambda d: _wsum(normalize_inv(d, 2.0, 6.0), weta), [rng.uniform(2.2, 5.8, (4, 3))]))
-    simple("denormalize_inv", lambda: check_gradients(
-        lambda e: _wsum(denormalize_inv(e, 2.0, 6.0), weta), [rng.uniform(0.05, 0.95, (4, 3))]))
+    add("normalize_inv", lambda d: normalize_inv(d, 2.0, 6.0), rng.uniform(2.2, 5.8, (4, 3)))
+    add("denormalize_inv", lambda e: denormalize_inv(e, 2.0, 6.0), rng.uniform(0.05, 0.95, (4, 3)))
 
     return checks
 
@@ -400,7 +322,7 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     """Gradient checks for the composite network operations."""
     from .estimator import GruCell, gru_update, predict_depth
     from .geometry import inverse_grid, normalize_inv
-    from .matching import GROUPS, AggregationUnet, group_correlation, integrate, view_shares
+    from .matching import AggregationUnet, group_correlation, integrate, view_shares
     from .training import loss_class, loss_conf, loss_regress
     from .upsample import ConvexUpsampler
 
@@ -409,62 +331,33 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     checks: dict[str, Callable[[], float]] = {}
 
-    wgc = rnd(GROUPS, 3, 6)
-    checks["group_correlation"] = lambda: check_gradients(
-        lambda f0, fi: _wsum(group_correlation(f0, fi), wgc),
-        [rnd(16, 6), rnd(16, 3, 6)], max_coords=_MODEL_COORDS)
+    def add(name, op, *inputs):
+        checks[name] = op_check(op, inputs, rng, max_coords=_MODEL_COORDS)
 
-    wint = rnd(4, 3, 10)
+    add("group_correlation", group_correlation, rnd(16, 6), rnd(16, 3, 6))
+    add("integrate", lambda sim, wv: integrate(sim, view_shares(wv.sigmoid())),
+        rnd(4, 2, 3, 10), rnd(2, 1, 10))
 
-    def integ(sim, wv):
-        return _wsum(integrate(sim, view_shares(wv.sigmoid())), wint)
-
-    checks["integrate"] = lambda: check_gradients(
-        integ, [rnd(4, 2, 3, 10), rnd(2, 1, 10)], max_coords=_MODEL_COORDS)
-
-    wun = rnd(3, 8, 8)
-    unet_fwd, unet_init = _param_forward(lambda: AggregationUnet(6, 3, np.random.default_rng(7)),
-                                         lambda unet, x: _wsum(unet(x), wun))
-    checks["aggregate_unet"] = lambda: check_gradients(
-        unet_fwd, [rnd(6, 8, 8)] + unet_init, max_coords=_MODEL_COORDS)
-
-    wgru = rnd(4, 5, 5)
-    gru_fwd, gru_init = _param_forward(lambda: GruCell(4, 3, np.random.default_rng(8)),
-                                       lambda gru, h, x: _wsum(gru_update(gru, h, x), wgru))
-    checks["gru_update"] = lambda: check_gradients(
-        gru_fwd, [np.tanh(rnd(4, 5, 5)), rnd(3, 5, 5)] + gru_init,
-        max_coords=_MODEL_COORDS)
+    unet, unet_init = _param_forward(lambda: AggregationUnet(6, 3, np.random.default_rng(7)),
+                                     lambda unet, x: unet(x))
+    add("aggregate_unet", unet, rnd(6, 8, 8), *unet_init)
+    gru, gru_init = _param_forward(lambda: GruCell(4, 3, np.random.default_rng(8)), gru_update)
+    add("gru_update", gru, np.tanh(rnd(4, 5, 5)), rnd(3, 5, 5), *gru_init)
 
     inv = inverse_grid(2.0, 8.0, 16)
-    rnd_read = rnd(4, 4)
     peaked = rnd(16, 4, 4)
     peaked[5] += 4.0  # keep the argmax stable under the FD perturbation
+    add("predict_depth", lambda logits: predict_depth(logits.softmax(0), inv, radius=2), peaked)
 
-    def readout(logits):
-        p = logits.softmax(0)
-        depth, _ = predict_depth(p, inv, radius=2)
-        return (depth * rnd_read).sum()
-
-    checks["predict_depth"] = lambda: check_gradients(readout, [peaked], max_coords=_MODEL_COORDS)
-
-    wup = rnd(16, 16)
-    ups_fwd, ups_init = _param_forward(
-        lambda: ConvexUpsampler(6, np.random.default_rng(9)),
-        lambda ups, depth, feat: _wsum(ups.upsample_depth(depth, feat), wup))
-    checks["convex_upsample"] = lambda: check_gradients(
-        ups_fwd, [rng.uniform(2, 5, (4, 4)), rnd(6, 4, 4)] + ups_init,
-        max_coords=_MODEL_COORDS)
+    ups, ups_init = _param_forward(lambda: ConvexUpsampler(6, np.random.default_rng(9)),
+                                   ConvexUpsampler.upsample_depth)
+    add("convex_upsample", ups, rng.uniform(2, 5, (4, 4)), rnd(6, 4, 4), *ups_init)
 
     d2 = 16
     x_gt = rng.integers(2, d2 - 2, size=(4, 4))
     valid = rng.random((4, 4)) > 0.2
     eta_gt = rng.uniform(0.1, 0.9, (4, 4))
-
-    def lcls(logits):
-        return loss_class(logits.softmax(0), x_gt, valid)
-
-    checks["loss_class"] = lambda: check_gradients(
-        lcls, [rnd(d2, 4, 4)], max_coords=_MODEL_COORDS)
+    add("loss_class", lambda logits: loss_class(logits.softmax(0), x_gt, valid), rnd(d2, 4, 4))
 
     def lreg(logits):
         p = logits.softmax(0)
@@ -472,42 +365,27 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
         eta = normalize_inv(depth, 2.0, 8.0)
         return loss_regress(eta, x_k, eta_gt, x_gt, valid, radius=2, beta=float(d2))
 
-    checks["loss_regress"] = lambda: check_gradients(
-        lreg, [peaked.copy()], max_coords=_MODEL_COORDS)
+    add("loss_regress", lreg, peaked)
 
     conf_gt = rng.random((4, 4)) > 0.5
-
-    def lconf(raw):
-        return loss_conf(raw.sigmoid(), conf_gt, valid)
-
-    checks["loss_conf"] = lambda: check_gradients(
-        lconf, [rnd(4, 4)], max_coords=_MODEL_COORDS)
+    add("loss_conf", lambda raw: loss_conf(raw.sigmoid(), conf_gt, valid), rnd(4, 4))
 
     return checks
 
 
-def run_suite(instances: int = 20, seed: int = 0,
-              include_model_ops: bool = True) -> list[OpReport]:
+def run_suite(instances: int = 20, seed: int = 0) -> list[OpReport]:
     """Run every op check ``instances`` times with fresh random draws."""
     if instances < 1:
         raise ConfigError(f"need at least one instance, got {instances}")
     if not seed >= 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    reports: list[OpReport] = []
-    names: list[str] | None = None
     worst: dict[str, float] = {}
     for i in range(instances):
         rng = np.random.default_rng(seed * 1000 + i)
-        checks = base_op_checks(rng)
-        if include_model_ops:
-            checks.update(model_op_checks(rng))
-        if names is None:
-            names = list(checks)
-        for name in names:
-            worst[name] = max(worst.get(name, 0.0), checks[name]())
-    for name in names or []:
-        reports.append(OpReport(name, worst[name], worst[name] < 1.0))
-    return reports
+        checks = base_op_checks(rng) | model_op_checks(rng)
+        for name, check in checks.items():
+            worst[name] = max(worst.get(name, 0.0), check())
+    return [OpReport(name, margin) for name, margin in worst.items()]
 
 
 FULL_LOSS_SIZE = 16

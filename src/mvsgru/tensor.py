@@ -238,9 +238,6 @@ class Tensor:
 
     # -- elementwise -------------------------------------------------------
 
-    def exp(self):
-        return exp(self)
-
     def log(self):
         return log(self)
 
@@ -363,11 +360,6 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     return _binary(a, b, a.data / b.data, lambda g, y: (g / b.data, -g * y / b.data))
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    return _unary(a, np.exp(a.data), lambda g, y: g * y)
 
 
 def log(a: Tensor) -> Tensor:
@@ -594,8 +586,8 @@ def bilinear_sample(grid: Tensor, x, y,
             map b.  Differentiable in both the grid and (if Tensors) the
             coordinates.
         mask: optional bool array of the coordinates' shape; a point where
-            it is False is invalid like one outside [0, W-1] x [0, H-1]: it
-            samples 0 and passes no gradient.
+            it is False is invalid like one outside [0, W-1] x [0, H-1] or
+            with a NaN coordinate: it samples 0 and passes no gradient.
 
     Returns:
         (samples [C, *coord_shape], valid bool mask [*coord_shape]).
@@ -622,8 +614,12 @@ def bilinear_sample(grid: Tensor, x, y,
     # an invalid point has all its interpolation weights zeroed
     keep = valid.astype(grid.dtype)[:, None]
 
-    xc = np.clip(xf, 0, w - 1)
-    yc = np.clip(yf, 0, h - 1)
+    # fmax/fmin take the number over a NaN, so a NaN point (invalid, as it
+    # fails every comparison above) clamps to texel 0 like any other
+    xc = np.fmax(xf, 0)
+    yc = np.fmax(yf, 0)
+    np.fmin(xc, w - 1, out=xc)
+    np.fmin(yc, h - 1, out=yc)
     x0 = np.floor(xc)
     y0 = np.floor(yc)
     fx = (xc - x0)[:, None]

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from mvsgru import tensor as T
+from mvsgru.scenes import SynthSpec, synth_scene
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def fixed_sample():
+    """The 64 px sample the tape counts are quoted on: reference 0, sources 1 and 2."""
+    return synth_scene(SynthSpec(seed=5, views=5, size=64))
 
 
 @pytest.fixture(autouse=True)

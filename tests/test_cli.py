@@ -308,6 +308,21 @@ class TestInferCommand:
         assert "non-finite value in fpn.enc1a.weight" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_map_is_runtime_error(self, scene_dir, trained, tmp_path, capsys):
+        # every weight finite, so the loader accepts it, but the probability
+        # head overflows float32 and view 1's maps come out NaN
+        params = load_checkpoint(trained / "model.ckpt")
+        params["prob_head.weight"] *= np.float32(1e38)
+        save_checkpoint(tmp_path / "model.ckpt", params)
+        shutil.copy(trained / "model.cfg", tmp_path / "model.cfg")
+        out = tmp_path / "maps"
+        with np.errstate(all="ignore"):
+            code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
+                         "--checkpoint", str(tmp_path / "model.ckpt"), "--out", str(out)])
+        assert code == 2
+        assert "view 0001: the depth map is not finite" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["conf_0000.pfm", "depth_0000.pfm"]
+
     def infer_refs(self, scene_dir, trained, out, refs) -> int:
         return main(["infer", "--scene", str(scene_dir / "scene_0000"),
                      "--checkpoint", str(trained / "model.ckpt"),

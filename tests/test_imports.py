@@ -34,9 +34,7 @@ UNREFERENCED_OK = {
     "default_dtype": "the public getter of the numeric mode set by set_default_dtype",
 }
 # default-valued parameters no call in the program passes, each for a stated reason
-UNPASSED_OK = {
-    "run_suite(include_model_ops)": "only the tier-1 sweep sets it, to keep its cost down",
-}
+UNPASSED_OK: dict[str, str] = {}
 
 
 def unused_imports(source: str) -> list[str]:

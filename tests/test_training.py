@@ -231,12 +231,6 @@ class TestLossFull:
             sample_loss(model, views, 0, [1], cfg)
 
 
-@pytest.fixture(scope="module")
-def fixed_sample():
-    """The 64 px sample the tape counts are quoted on: reference 0, sources 1 and 2."""
-    return synth_scene(SynthSpec(seed=5, views=5, size=64))
-
-
 def step_loss(scene, model_seed: int = 3):
     """The loss of one step of a fresh model on ``scene``, as a closure."""
     cfg = TrainConfig()
