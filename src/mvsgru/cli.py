@@ -31,6 +31,8 @@ from .training import TrainConfig, load_train_config, train
 
 
 def _cmd_synth(args) -> int:
+    if args.scenes < 1:
+        raise ConfigError(f"--scenes must be >= 1, got {args.scenes}")
     for i in range(args.scenes):
         spec = SynthSpec(seed=args.seed + i, views=args.views,
                          size=args.size, quads=args.quads,
@@ -119,12 +121,18 @@ def _cmd_infer(args) -> int:
     reads, last_reader = _extraction_plan(scene, refs, views)
     pyramids = {}
     for pos, (ref, read) in enumerate(zip(refs, reads)):
-        with no_grad():
-            for j in read:
-                if j not in pyramids:
-                    pyramids[j] = model.fpn.extract(scene.views[j].image)
-            run = model.run([scene.views[j] for j in read], iters=iters,
-                            pyramids=[pyramids[j] for j in read])
+        # an overflow or NaN anywhere in the forward pass fails the view
+        # before it writes, instead of leaving numpy's warning on stderr
+        try:
+            with no_grad(), np.errstate(over="raise", invalid="raise",
+                                        divide="raise"):
+                for j in read:
+                    if j not in pyramids:
+                        pyramids[j] = model.fpn.extract(scene.views[j].image)
+                run = model.run([scene.views[j] for j in read], iters=iters,
+                                pyramids=[pyramids[j] for j in read])
+        except FloatingPointError as e:
+            raise NumericalError(f"view {ref:04d}: {e} in the forward pass") from None
         for j in read:
             if last_reader[j] == pos:
                 pyramids.pop(j)

@@ -5,6 +5,13 @@ in front of a large background plane, viewed by cameras on an arc.  Ground
 truth depth comes from exact ray-plane intersection, so every rendered
 scene doubles as a verification fixture.
 
+Each view renders in two passes.  Pass 1 finds every pixel's owner, the
+nearest surface its ray hits; on a tie the earlier surface (the background,
+then the quads in order) keeps the pixel.  Pass 2 evaluates the owner's
+texture once per pixel.  The texture sums N_WAVES waves, so shading builds
+``[N_WAVES, pixels]`` float64 temporaries; it runs over SHADE_CHUNK pixels at
+a time so that they stay the same size at any resolution.
+
 Scene directory layout:
     images/0000.ppm ...      (binary P6)
     cams/0000_cam.txt ...
@@ -218,6 +225,7 @@ FREQ_BAND = (2.0, 24.0)
 IMAGE_NOISE = 0.01
 DEPTH_MARGIN = 0.05       # depth-range margin around the true extent
 N_WAVES = 24
+SHADE_CHUNK = 8192        # pixels shaded per call: [N_WAVES, chunk] float64 temporaries
 
 
 @dataclass
@@ -230,6 +238,21 @@ class _Surface:
     base: np.ndarray            # [3] per-channel base color
     amps: np.ndarray            # [3,M] channel x wave amplitudes
     waves: np.ndarray           # [M,3] per wave: (wx, wy, phase)
+
+    def intersect(self, center: np.ndarray, dirs: np.ndarray):
+        """(s, u, v), each ``[P]``: distance along each ray and the hit's
+        in-plane coordinates; s is inf where the ray misses."""
+        denom = self.n @ dirs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (self.n @ (self.p0 - center)) / denom
+        s = np.where(np.abs(denom) < 1e-9, np.inf, s)
+        s = np.where(s > 0.05, s, np.inf)
+        rel = center[:, None] + s * dirs - self.p0[:, None]
+        uu = rel.T @ self.e1 / (self.e1 @ self.e1)
+        vv = rel.T @ self.e2 / (self.e2 @ self.e2)
+        if self.bounded:
+            s = np.where((np.abs(uu) <= 1.0) & (np.abs(vv) <= 1.0), s, np.inf)
+        return s, uu, vv
 
     def colors(self, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
         raw = np.sin(self.waves[:, 0, None] * uu[None]
@@ -282,10 +305,22 @@ def _look_at(center: np.ndarray, target: np.ndarray):
 
 
 def synth_scene(spec: SynthSpec) -> Scene:
+    """Render ``spec`` into a scene with ground-truth depth and source pairs.
+
+    Pass 1 intersects every ray with every surface and keeps the nearest
+    hit; the test is a strict ``<``, so the earlier surface wins a tie.
+    Pass 2 shades each pixel once with its owner's texture, SHADE_CHUNK
+    pixels per call, which bounds the ``[N_WAVES, chunk]`` temporaries.
+    The scene is a pure function of ``spec``: the same seed gives the same
+    bytes.  Raises SceneGenerationError for a degenerate spec or when a
+    view sees empty space.
+    """
     if spec.size < 8 or spec.size % 8:
         raise SceneGenerationError(f"size {spec.size} not a positive multiple of 8")
     if spec.views < 2:
         raise SceneGenerationError("need at least 2 views")
+    if spec.quads < 0:
+        raise SceneGenerationError(f"quads must be >= 0, got {spec.quads}")
     if not spec.seed >= 0:
         raise SceneGenerationError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
@@ -313,16 +348,18 @@ def synth_scene(spec: SynthSpec) -> Scene:
     f = FOCAL_PER_PX * size
     cc = (size - 1) / 2.0
     k = np.array([[f, 0.0, cc], [0.0, f, cc], [0.0, 0.0, 1.0]])
-    k_inv = np.linalg.inv(k)
-    ys, xs = np.meshgrid(np.arange(size, dtype=np.float64),
-                         np.arange(size, dtype=np.float64), indexing="ij")
-    rays_cam = np.stack([xs.ravel(), ys.ravel(), np.ones(size * size)])
-    rays_cam = k_inv @ rays_cam                          # z component == 1
+    coord = np.arange(size, dtype=np.float64)
+    rays_cam = np.linalg.inv(k) @ np.stack([np.tile(coord, size), np.repeat(coord, size),
+                                            np.ones(size * size)])  # z == 1
 
-    angles = (np.linspace(-0.5, 0.5, spec.views) * ARC
-              if spec.views > 1 else np.zeros(1))
+    angles = np.linspace(-0.5, 0.5, spec.views) * ARC
     views: list[CameraView] = []
     centers = []
+    # work buffers that every view reuses: (depth, u, v) and the index of
+    # each pixel's owner, then its colour
+    hit = np.empty((3, size * size))
+    owner = np.empty(size * size, dtype=np.intp)
+    color = np.empty((3, size * size))
     for i in range(spec.views):
         center = CAM_RADIUS * np.array([np.sin(angles[i]),
                                          0.0, -np.cos(angles[i])])
@@ -331,31 +368,27 @@ def synth_scene(spec: SynthSpec) -> Scene:
         r = _look_at(center, target)
         t = -r @ center
         dirs_w = r.T @ rays_cam                          # [3, P]
-        depth = np.full(size * size, np.inf)
-        color = np.zeros((3, size * size))
-        for surf in surfaces:
-            denom = surf.n @ dirs_w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = (surf.n @ (surf.p0 - center)) / denom
-            s = np.where(np.abs(denom) < 1e-9, np.inf, s)
-            s = np.where(s > 0.05, s, np.inf)
-            hits = center[:, None] + s * dirs_w
-            rel = hits - surf.p0[:, None]
-            uu = rel.T @ surf.e1 / (surf.e1 @ surf.e1)
-            vv = rel.T @ surf.e2 / (surf.e2 @ surf.e2)
-            if surf.bounded:
-                inside = (np.abs(uu) <= 1.0) & (np.abs(vv) <= 1.0)
-                s = np.where(inside, s, np.inf)
-            closer = s < depth
-            if closer.any():
-                depth = np.where(closer, s, depth)
-                color[:, closer] = surf.colors(uu[closer], vv[closer])
-        if not np.isfinite(depth).all():
+        # pass 1: each pixel's owner is the nearest surface; the strict
+        # test keeps the earlier surface on a tie
+        hit[0] = np.inf
+        for idx, surf in enumerate(surfaces):
+            cand = surf.intersect(center, dirs_w)
+            closer = cand[0] < hit[0]
+            for row, val in zip(hit, cand):
+                np.copyto(row, val, where=closer)
+            owner[closer] = idx
+        if not np.isfinite(hit[0]).all():
             raise SceneGenerationError(
                 f"view {i} of seed {spec.seed} sees empty space")
+        # pass 2: shade each pixel once, a bounded chunk at a time
+        for idx, surf in enumerate(surfaces):
+            mine = np.flatnonzero(owner == idx)
+            for c in range(0, mine.size, SHADE_CHUNK):
+                px = mine[c:c + SHADE_CHUNK]
+                color[:, px] = surf.colors(hit[1, px], hit[2, px])
         img = color + rng.normal(0.0, IMAGE_NOISE, color.shape)
         img = np.clip(img, 0.0, 1.0).astype(np.float32)
-        gt = depth.reshape(size, size).astype(np.float32)
+        gt = hit[0].reshape(size, size).astype(np.float32)
         d_lo = float(gt.min()) * (1.0 - DEPTH_MARGIN)
         d_hi = float(gt.max()) * (1.0 + DEPTH_MARGIN)
         views.append(CameraView(k, r, t, d_lo, d_hi,

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -109,6 +110,9 @@ class TestExitCodes:
         ("train", "--iters", "-1", "iters"),
         ("train", "--seed", "-1", "seed"),
         ("synth", "--seed", "-1", "seed"),
+        ("synth", "--scenes", "0", "--scenes"),
+        ("synth", "--scenes", "-2", "--scenes"),
+        ("synth", "--quads", "-1", "quads"),
         ("gradcheck", "--seed", "-1", "seed"),
         ("eval", "--stride", "0", "stride"),
         ("eval", "--stride", "-1", "stride"),
@@ -308,20 +312,24 @@ class TestInferCommand:
         assert "non-finite value in fpn.enc1a.weight" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_map_is_runtime_error(self, scene_dir, trained, tmp_path, capsys):
+    def test_overflowing_forward_pass_is_runtime_error(self, scene_dir, trained,
+                                                       tmp_path, capsys):
         # every weight finite, so the loader accepts it, but the probability
-        # head overflows float32 and view 1's maps come out NaN
+        # head overflows float32 in view 0's forward pass
         params = load_checkpoint(trained / "model.ckpt")
         params["prob_head.weight"] *= np.float32(1e38)
         save_checkpoint(tmp_path / "model.ckpt", params)
         shutil.copy(trained / "model.cfg", tmp_path / "model.cfg")
         out = tmp_path / "maps"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would exit 2 as well
             code = main(["infer", "--scene", str(scene_dir / "scene_0000"),
                          "--checkpoint", str(tmp_path / "model.ckpt"), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "view 0001: the depth map is not finite" in capsys.readouterr().err
-        assert sorted(os.listdir(out)) == ["conf_0000.pfm", "depth_0000.pfm"]
+        assert "view 0000: overflow encountered" in err
+        assert "Warning" not in err
+        assert not out.exists()
 
     def infer_refs(self, scene_dir, trained, out, refs) -> int:
         return main(["infer", "--scene", str(scene_dir / "scene_0000"),

@@ -1,8 +1,11 @@
 """Scene files (PFM/PPM/cam text/pair lists), synthesis, and metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mvsgru import scenes
 from mvsgru.errors import (ContractError, FileFormatError,
                            SceneGenerationError)
 from mvsgru.fusion import PointCloud, backproject
@@ -245,6 +248,44 @@ class TestSynth:
         with pytest.raises(SceneGenerationError, match="empty space"):
             synth_scene(SynthSpec(seed=1, views=2, size=16, quads=0,
                                   background=False))
+        with pytest.raises(SceneGenerationError, match="quads"):
+            synth_scene(SynthSpec(seed=1, views=2, size=16, quads=-1))
+
+    def test_earlier_surface_wins_a_tie(self, monkeypatch):
+        # each quad is moved onto the background plane, an exact tie at
+        # every pixel it covers, or far behind it; either way the
+        # background, made first, must own every pixel
+        make_surface = scenes._make_surface
+
+        def render(offset):
+            planes = []
+
+            def make(rng, p0, n, e1, e2, bounded):
+                if bounded:
+                    p0, n = planes[0][0] + offset, planes[0][1]
+                else:
+                    planes.append((p0, n))
+                return make_surface(rng, p0, n, e1, e2, bounded)
+
+            monkeypatch.setattr(scenes, "_make_surface", make)
+            return synth_scene(SynthSpec(seed=2, views=2, size=16, quads=2))
+
+        tied, hidden = render(0.0), render(np.array([0.0, 0.0, 100.0]))
+        for a, b in zip(tied.views, hidden.views):
+            assert np.array_equal(a.image, b.image)
+            assert np.array_equal(a.gt_depth, b.gt_depth)
+
+    def test_memory_is_bounded_at_256_px(self):
+        # shading runs over SHADE_CHUNK pixels at a time; the single-pass
+        # renderer, which painted every surface over the whole image, peaked
+        # at 38-40 MB
+        tracemalloc.start()
+        try:
+            synth_scene(SynthSpec(seed=3, views=3, size=256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestMetrics:
