@@ -35,8 +35,7 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"--scenes must be >= 1, got {args.scenes}")
     for i in range(args.scenes):
         spec = SynthSpec(seed=args.seed + i, views=args.views,
-                         size=args.size, quads=args.quads,
-                         background=not args.no_background)
+                         size=args.size, quads=args.quads)
         root = os.path.join(args.out, f"scene_{i:04d}")
         save_scene(synth_scene(spec), root)
         print(f"wrote {root} (seed {spec.seed}, {spec.views} views, "
@@ -146,7 +145,7 @@ def _cmd_infer(args) -> int:
                  run.conf_up.data.astype(np.float32))
         if args.prob_csv:
             _write_prob_csv(os.path.join(args.out, f"prob_{ref:04d}.csv"),
-                            run.probs[-1].data, run.inv_grid)
+                            run.prob(-1).data, run.inv_grid)
         print(f"view {ref:04d}: depth in [{run.d_up.data.min():.4g}, "
               f"{run.d_up.data.max():.4g}], "
               f"mean confidence {run.conf_up.data.mean():.3f}")
@@ -236,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--views", type=int, default=5)
     s.add_argument("--size", type=int, default=64)
     s.add_argument("--quads", type=int, default=3)
-    s.add_argument("--no-background", action="store_true")
     s.set_defaults(func=_cmd_synth)
 
     s = sub.add_parser("train", help="fit the estimator on scene directories")

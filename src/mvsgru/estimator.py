@@ -20,7 +20,8 @@ from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
 from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
                        multiscale_similarity, view_shares, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_resize, concat, getitem, take_depth
+from .tensor import (Tensor, active_tape, bilinear_resize, concat, getitem, no_grad,
+                     take_depth, work_slices)
 from .upsample import ConvexUpsampler
 
 if TYPE_CHECKING:  # training imports this module
@@ -84,9 +85,26 @@ class InitState:
 
 @dataclass
 class RunResult:
-    """Everything the loss and the CLI need from one forward pass."""
+    """Everything the loss and the CLI need from one forward pass.
+
+    Readout k (k = 0 reads the initial hidden state, then one per GRU
+    iteration) keeps its hidden state ``hiddens[k]`` [HIDDEN, H/4, W/4],
+    depth, η, argmax index and confidence.  Its probability volume
+    [D2, H/4, W/4] is read through ``prob(k)``.
+
+    ``probs`` maps a readout to its volume where the run kept it.  A run
+    under a tape keeps every volume, since the tape holds them for backward
+    anyway.  A run with no tape keeps only the last: with HIDDEN = 32
+    channels against D2 = 256 samples, each iteration then adds an eighth
+    of a volume to the result instead of a whole one (4 MB per iteration at
+    256 px).  ``prob(k)`` rebuilds a dropped volume from ``hiddens[k]``
+    under ``no_grad`` with the estimator's probability head: the same op
+    on the same input, so the same bits as the volume the run computed,
+    as long as the weights have not changed since.
+    """
     d_init: Tensor
-    probs: list[Tensor] = field(default_factory=list)
+    hiddens: list[Tensor] = field(default_factory=list)
+    probs: dict[int, Tensor] = field(default_factory=dict)
     depths: list[Tensor] = field(default_factory=list)
     etas: list[Tensor] = field(default_factory=list)   # each depth as normalize_inv maps it
     indices: list[np.ndarray] = field(default_factory=list)
@@ -96,6 +114,15 @@ class RunResult:
     d_min: float = 0.0
     d_max: float = 0.0
     inv_grid: np.ndarray | None = None
+    estimator: DepthEstimator | None = field(default=None, repr=False)
+
+    def prob(self, k: int) -> Tensor:
+        """Readout k's probability volume; a negative k counts from the end."""
+        k = range(len(self.depths))[k]
+        if k in self.probs:
+            return self.probs[k]
+        with no_grad():
+            return self.estimator.predict_probability(self.hiddens[k])
 
 
 class DepthEstimator(Module):
@@ -131,13 +158,17 @@ class DepthEstimator(Module):
         hyp_vol = np.broadcast_to(1.0 / inv_init[:, None], (cfg.d1, h8 * w8))
         ys, xs = np.mgrid[:h8, :w8].reshape(2, -1).astype(np.float64)
         f_ref, k_ref = f3.reshape((c3, h8 * w8)), scale_intrinsics(ref.k, 3)
-        # one source at a time (S = 1): all S*D1 planes of 64 channels at once
-        # would double the peak memory of a 256 px run (correlation, view-weight CNN)
+        # one source at a time (S = 1), and its planes in chunks whose warped
+        # [C3, 1, planes, P] features fit MAX_WORK_ELEMENTS: 1/8 of 256 px
+        # takes 4 chunks of 8, and 64 or 128 px a single one
         sims, ws = [], []
         for p, v in zip(pyramids[1:], views[1:]):
-            sim, valid = warp_and_correlate(f_ref, p.f3.reshape((1, c3, h8, w8)), xs, ys, hyp_vol,
-                                            k_ref, scale_intrinsics(v.k[None], 3),
-                                            relative_poses(ref, [v]))
+            f_src = p.f3.reshape((1, c3, h8, w8))
+            k_src, pose = scale_intrinsics(v.k[None], 3), relative_poses(ref, [v])
+            parts = [warp_and_correlate(f_ref, f_src, xs, ys, hyp_vol[planes], k_ref, k_src, pose)
+                     for planes in work_slices(cfg.d1, c3 * h8 * w8)]
+            sim = concat([s for s, _ in parts], 2) if len(parts) > 1 else parts[0][0]
+            valid = np.concatenate([m for _, m in parts], 1)
             sims.append(sim)
             ws.append(view_weight(self.vw_cnn, sim.reshape((GROUPS, cfg.d1, h8, w8)),
                                   valid.reshape(cfg.d1, h8, w8)))
@@ -203,14 +234,18 @@ class DepthEstimator(Module):
         levels, ref_f2 = lookup_levels(pyramids, views), pyramids[0].f2
         del pyramids
         res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max,
-                        inv_grid=inv2)
+                        inv_grid=inv2, estimator=self)
         h = init.h0
         h4, w4 = h.shape[1], h.shape[2]
+        keep_probs = active_tape() is not None
 
         def readout(hidden: Tensor) -> None:
+            if not keep_probs:  # dropped before the next volume exists
+                res.probs.clear()
             prob = self.predict_probability(hidden)
             depth, x_best = predict_depth(prob, inv2, cfg.readout_radius)
-            res.probs.append(prob)
+            res.probs[len(res.hiddens)] = prob
+            res.hiddens.append(hidden)
             res.depths.append(depth)
             res.etas.append(normalize_inv(depth, ref.d_min, ref.d_max))
             res.indices.append(x_best)

@@ -211,7 +211,6 @@ class SynthSpec:
     views: int = 5
     size: int = 64
     quads: int = 3
-    background: bool = True
 
 
 ARC = 0.64                # total angular camera spread, radians
@@ -325,13 +324,11 @@ def synth_scene(spec: SynthSpec) -> Scene:
         raise SceneGenerationError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     surfaces: list[_Surface] = []
-    if spec.background:
-        n = np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15),
-                      -1.0])
-        n /= np.linalg.norm(n)
-        p0 = np.array([0.0, 0.0, rng.uniform(1.0, 1.5)])
-        e1, e2 = _plane_axes(rng, n)
-        surfaces.append(_make_surface(rng, p0, n, e1, e2, False))
+    n = np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15), -1.0])
+    n /= np.linalg.norm(n)
+    p0 = np.array([0.0, 0.0, rng.uniform(1.0, 1.5)])
+    e1, e2 = _plane_axes(rng, n)
+    surfaces.append(_make_surface(rng, p0, n, e1, e2, False))
     for _ in range(spec.quads):
         alpha = rng.uniform(0.0, 0.5)
         beta = rng.uniform(0.0, 2 * np.pi)

@@ -57,6 +57,10 @@ Design notes
   and also takes the cheaper side: it gathers the output gradient over the
   input grid, or, for layers that widen on large planes, rebuilds the
   im2col and adds the per-tap products back (see its docstring).
+* A forward pass fills no work buffer above ``MAX_WORK_ELEMENTS``:
+  ``conv2d`` fills and multiplies its im2col in bands, and callers split
+  other large intermediates with ``work_slices``.  Backward buffers are
+  not bounded.
 """
 
 from __future__ import annotations
@@ -76,6 +80,10 @@ _TAPES: list["Tape | None"] = []  # innermost last; None is a no_grad slot
 
 _FLOAT_TYPES = (np.float32, np.float64)
 LEAKY_SLOPE = 0.01
+
+# elements of the largest work buffer a forward pass fills at once (2 MB of
+# float32); see ``conv2d`` and ``work_slices``
+MAX_WORK_ELEMENTS = 1 << 19
 
 
 def set_default_dtype(dtype) -> None:
@@ -703,25 +711,38 @@ def bilinear_resize(a: Tensor, size: tuple[int, int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _tap_slices(n_in: int, n_out: int, tap: int, stride: int,
-                padding: int) -> tuple[slice, slice]:
-    """(output slice, input slice) of one kernel tap along one axis.
+def work_slices(n: int, unit: int) -> list[slice]:
+    """Split range(n) into the fewest near-equal slices whose items, each
+    ``unit`` work-buffer elements, fit ``MAX_WORK_ELEMENTS``; an item that
+    alone exceeds the bound gets a slice of its own."""
+    per = max(1, MAX_WORK_ELEMENTS // unit)
+    per = -(-n // -(-n // per))
+    return [slice(s, min(s + per, n)) for s in range(0, n, per)]
+
+
+def _tap_slices(n_in: int, n_out: int, tap: int, stride: int, padding: int,
+                first: int = 0) -> tuple[slice, slice]:
+    """(output slice, input slice) of one kernel tap along one axis, over
+    the outputs first .. n_out - 1; the output slice counts from first.
 
     Output o reads input o*stride + tap - padding.  The slices cover just
     the outputs whose input lies in [0, n_in); the others read padding.
     """
     off = tap - padding
-    lo = max(0, -(off // stride))
+    lo = max(first, -(off // stride))
     hi = min(n_out - 1, (n_in - 1 - off) // stride)
     if hi < lo:
         return slice(0, 0), slice(0, 0)
-    return slice(lo, hi + 1), slice(lo * stride + off, hi * stride + off + 1, stride)
+    return (slice(lo - first, hi + 1 - first),
+            slice(lo * stride + off, hi * stride + off + 1, stride))
 
 
 @functools.lru_cache(maxsize=None)
 def _conv_taps(h: int, w: int, h_out: int, w_out: int, k: int, stride: int,
-               padding: int) -> tuple[tuple, tuple, tuple | None]:
-    """``(taps, out_holes, in_holes)``, cached per geometry.
+               padding: int, first_row: int = 0) -> tuple[tuple, tuple, tuple | None]:
+    """``(taps, out_holes, in_holes)``, cached per geometry, for the output
+    rows first_row .. h_out - 1 (a band of ``conv2d``'s forward; the
+    backward takes them all).
 
     taps holds ``(i, j, oy, ox, iy, ix)`` per kernel tap: tap (i, j) joins
     the outputs oy x ox with the input texels iy x ix, and every other
@@ -735,7 +756,7 @@ def _conv_taps(h: int, w: int, h_out: int, w_out: int, k: int, stride: int,
     where a tap skips every other row and column: zeroing those three
     quarters slice by slice took 2-3x a memset of the whole buffer.
     """
-    ys = [_tap_slices(h, h_out, i, stride, padding) for i in range(k)]
+    ys = [_tap_slices(h, h_out, i, stride, padding, first_row) for i in range(k)]
     xs = [_tap_slices(w, w_out, j, stride, padding) for j in range(k)]
     taps = tuple((i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
                  for j, (ox, ix) in enumerate(xs))
@@ -749,7 +770,7 @@ def _conv_taps(h: int, w: int, h_out: int, w_out: int, k: int, stride: int,
             found += [(t, s) for s in strips if s.start < s.stop]
         return tuple(found)
 
-    out_holes = (holes(ys, h_out, 0), holes(xs, w_out, 0))
+    out_holes = (holes(ys, h_out - first_row, 0), holes(xs, w_out, 0))
     in_holes = (holes(ys, h, 1), holes(xs, w, 1)) if stride == 1 else None
     return taps, out_holes, in_holes
 
@@ -789,6 +810,34 @@ def _im2col(xd: np.ndarray, taps, holes, k: int, h_out: int, w_out: int) -> np.n
     return cols.reshape(c_in * k * k, b_n * h_out * w_out)
 
 
+def _im2col_product(wmat: np.ndarray, xd: np.ndarray, h_out: int, w_out: int, k: int,
+                    stride: int, padding: int) -> np.ndarray:
+    """``wmat @ im2col(xd)``, [C_out, B·H'·W'], with the im2col filled and
+    multiplied band by band: whole batch items while one fits
+    ``MAX_WORK_ELEMENTS``, else output rows of one item."""
+    b_n, c_in, h, w = xd.shape
+    row = c_in * k * k * w_out
+    if row * h_out <= MAX_WORK_ELEMENTS:
+        bands = [(items, slice(0, h_out)) for items in work_slices(b_n, row * h_out)]
+    else:
+        row_slices = work_slices(h_out, row)
+        bands = [(slice(b, b + 1), rows) for b in range(b_n) for rows in row_slices]
+
+    def product(items, rows, out=None):
+        taps, holes, _ = _conv_taps(h, w, rows.stop, w_out, k, stride, padding, rows.start)
+        cols = _im2col(xd[items], taps, holes, k, rows.stop - rows.start, w_out)
+        return np.matmul(wmat, cols, out=out)
+
+    if len(bands) == 1:
+        return product(*bands[0])
+    res = np.empty((wmat.shape[0], b_n * h_out * w_out), np.result_type(wmat, xd))
+    for items, rows in bands:
+        start = (items.start * h_out + rows.start) * w_out
+        size = (items.stop - items.start) * (rows.stop - rows.start) * w_out
+        product(items, rows, res[:, start:start + size])
+    return res
+
+
 # buffer elements conv2d's backward must save to take its input side
 _INPUT_SIDE_MIN_SAVING = 1 << 16
 
@@ -812,22 +861,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         [C_out, H', W'] or [B, C_out, H', W'] matching the input rank, with
         H' = (H + 2*padding - k) // stride + 1.
 
-    Two forward paths compute the same sums; each buffers one side of the
-    layer, and neither buffer outlives the forward.
+    A 1x1 convolution of one image at stride 1 without padding is one
+    GEMM ``[C_out, C_in] @ [C_in, H·W]`` on the input as it is: the GEMM
+    the im2col path runs, without its copy.  Otherwise two forward paths
+    compute the same sums; each buffers one side of the layer, and neither
+    buffer outlives the forward.
 
     * Input side (im2col): copy the k² shifted input windows into a
-      [k²·C_in, B·H'·W'] matrix and run one GEMM with the [C_out, k²·C_in]
-      weights.
+      [k²·C_in, N] matrix and run a GEMM with the [C_out, k²·C_in]
+      weights, for N output positions at a time.
     * Output side: run one GEMM ``[k²·C_out, C_in] @ [C_in, H·W]`` per
       batch item on the input as it is, giving every tap's products at
       every input texel, then add the k² shifted slices into the output.
 
-    The output side runs when ``2·C_out·H·W <= C_in·H'·W'``: its
-    [k²·C_out, B·H·W] buffer is at most half the im2col one.  The factor 2
+    The output side runs when ``2·C_out·H·W <= C_in·H'·W'``, so that its
+    [k²·C_out, B·H·W] buffer is at most half the im2col one, and one batch
+    item's k²·C_out·H·W products fit ``MAX_WORK_ELEMENTS``.  The factor 2
     pays for the output side's read-modify-write adds of k² slices, which
     cost more per element than im2col's plain copies: with equal buffers
     (C_out = C_in at stride 1) its forward is 1.2-1.3x slower.  Comparing
     the input grid with the output grid accounts for the stride.
+
+    No forward buffer exceeds ``MAX_WORK_ELEMENTS`` (2 MB of float32) while
+    one batch item's products, or one output row's im2col, fits it: the
+    output side runs over as many batch items at a time as fit, and the
+    im2col is filled and multiplied in bands of whole batch items, or of
+    output rows of one item (``_im2col_product``), each band with the tap
+    slices and border strips of its own rows.  Every output column is
+    still the dot product of the same weight row and im2col column; with
+    OpenBLAS, bands a few hundred columns wide or more give the same bits
+    as one GEMM over all columns (every layer of a 64-256 px run does),
+    while BLAS kernels for a handful of columns may sum in another order.
+    The bound keeps a 256 px forward pass from handing glibc 8-9 MB
+    blocks: freeing one raises the dynamic mmap threshold to its size,
+    after which later multi-MB arrays come from the heap, which fragments
+    and raises the peak resident memory.  At 64 px every layer fits one
+    band, so training runs exactly as it did unbanded.
 
     One backward closure serves both paths.  It captures no forward buffer
     (it reads ``x.data`` and ``weight.data`` when it runs) and takes one of
@@ -887,17 +956,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     def tap_weights():  # [k²·C_out, C_in], tap-major rows
         return weight.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
 
-    if 2 * c_out * h * w <= c_in * h_out * w_out:
+    if k == 1 and stride == 1 and padding == 0 and b_n == 1:
+        res = (weight.data.reshape(c_out, c_in) @ xd.reshape(c_in, h * w)).reshape(
+            1, c_out, h_out, w_out)
+    elif (2 * c_out * h * w <= c_in * h_out * w_out
+          and k * k * c_out * h * w <= MAX_WORK_ELEMENTS):
         # output side: every tap of every output channel at every input texel
-        # in one GEMM, z[b, i, j] = W[:, :, i, j] @ x[b], then the k² shifted
-        # slices of z summed into the output
-        z = (tap_weights() @ xd.reshape(b_n, c_in, h * w)).reshape(b_n, k, k, c_out, h, w)
-        res = np.zeros((b_n, c_out, h_out, w_out), dtype=z.dtype)
-        for i, j, oy, ox, iy, ix in taps:
-            res[:, :, oy, ox] += z[:, i, j, :, iy, ix]
+        # in one GEMM per batch item, z[b, i, j] = W[:, :, i, j] @ x[b], then
+        # the k² shifted slices of z summed into the output
+        wt = tap_weights()
+        res = np.zeros((b_n, c_out, h_out, w_out), dtype=np.result_type(wt, xd))
+        for items in work_slices(b_n, k * k * c_out * h * w):
+            xs = xd[items]
+            z = (wt @ xs.reshape(len(xs), c_in, h * w)).reshape(len(xs), k, k, c_out, h, w)
+            for i, j, oy, ox, iy, ix in taps:
+                res[items, :, oy, ox] += z[:, i, j, :, iy, ix]
     else:
-        res = weight.data.reshape(c_out, c_in * k * k) @ _im2col(xd, taps, out_holes, k,
-                                                                 h_out, w_out)
+        res = _im2col_product(weight.data.reshape(c_out, c_in * k * k), xd, h_out, w_out,
+                              k, stride, padding)
         res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     res += bias.data[:, None, None]
     if leaky:

@@ -231,9 +231,10 @@ def loss_full(run: RunResult, gt: GroundTruth, cfg: TrainConfig,
 
     During warm-up the regression and confidence terms are left out of the
     total (their values are still reported), so they contribute exactly zero
-    gradient.
+    gradient.  Volumes are read through ``run.prob(k)``: a run made without
+    a tape has its earlier ones rebuilt, one at a time.
     """
-    k_last = len(run.probs) - 1
+    k_last = len(run.depths) - 1
     alpha = cfg.alpha
     beta = cfg.beta
     eta_init = normalize_inv(run.d_init, run.d_min, run.d_max)
@@ -248,7 +249,7 @@ def loss_full(run: RunResult, gt: GroundTruth, cfg: TrainConfig,
     total = initial * alpha ** (k_last + 1) + upsample
     for k in range(k_last + 1):
         weight = alpha ** (k_last - k)
-        cls = loss_class(run.probs[k], gt.x_gt, gt.valid_q)
+        cls = loss_class(run.prob(k), gt.x_gt, gt.valid_q)
         eta_k = run.etas[k]
         reg = loss_regress(eta_k, run.indices[k], gt.eta_q, gt.x_gt,
                            gt.valid_q, cfg.readout_radius, beta)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, and format contracts."""
 
 import csv
+import hashlib
 import io
 import os
 import shutil
@@ -17,7 +18,8 @@ from mvsgru.estimator import DepthEstimator
 from mvsgru.features import FeatureExtractor
 from mvsgru.fusion import PointCloud, read_ply, write_ply
 from mvsgru.nn import load_checkpoint, save_checkpoint
-from mvsgru.scenes import load_pfm, load_scene, save_pfm
+from mvsgru.scenes import (SynthSpec, load_pfm, load_scene, save_pfm, save_scene,
+                           synth_scene)
 from mvsgru.tensor import no_grad
 from mvsgru.training import (TrainConfig, load_train_config,
                              save_train_config)
@@ -267,6 +269,23 @@ class TestInferCommand:
         # probabilities of one pixel sum to one
         total = sum(float(ln.split(",")[4]) for ln in lines[1:257])
         assert total == pytest.approx(1.0, abs=1e-4)
+
+    def test_probability_csv_is_pinned(self, tmp_path, capsys):
+        # recorded while run still kept every volume; now the CSV reads the
+        # last one through RunResult.prob.  Like the synthetic scene digests
+        # it depends on the BLAS build (scipy-openblas 0.3.31, x86_64)
+        cfg = TrainConfig(iters=2)
+        model = DepthEstimator(cfg, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.ckpt", model.parameters())
+        save_train_config(cfg, tmp_path / "model.cfg")
+        save_scene(synth_scene(SynthSpec(seed=8, views=3, size=32)), tmp_path / "scene")
+        code = main(["infer", "--scene", str(tmp_path / "scene"),
+                     "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--out", str(tmp_path / "maps"), "--ref", "1", "--prob-csv"])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "maps" / "prob_0001.csv").read_bytes())
+        assert digest.hexdigest() == (
+            "a7c7707cf787db15e45b5a1c3307efbf0d534ad867dfe1369674d339a9176589")
 
     def test_probability_csv_bytes_match_row_loop(self, tmp_path):
         # the rows csv.writer wrote one (pixel, j) at a time

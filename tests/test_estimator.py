@@ -1,5 +1,7 @@
 """Depth estimator: GRU oracle, readout algebra, hypothesis generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,9 +194,8 @@ class TestEstimatorRuns:
 
     def test_run_shapes_and_invariants(self):
         res = self.model.run(self.scene.views, iters=2)
-        assert len(res.probs) == 3
-        assert len(res.depths) == len(res.confs) == len(res.indices) == 3
-        for prob in res.probs:
+        assert len(res.hiddens) == len(res.depths) == len(res.confs) == len(res.indices) == 3
+        for prob in map(res.prob, range(3)):
             assert prob.shape == (256, 4, 4)
             assert np.allclose(prob.data.sum(axis=0), 1.0, atol=1e-5)
             assert (prob.data >= 0).all()
@@ -211,7 +212,7 @@ class TestEstimatorRuns:
 
     def test_zero_iterations_still_reads_out(self):
         res = self.model.run(self.scene.views, iters=0)
-        assert len(res.probs) == 1
+        assert len(res.depths) == 1 and res.prob(0) is res.prob(-1)
         assert res.d_up is not None
 
     def test_upsample_can_be_skipped(self):
@@ -261,6 +262,45 @@ class TestEstimatorRuns:
         ra = a.run(self.scene.views, iters=1)
         rb = b.run(self.scene.views, iters=1)
         assert ra.d_up.data.tobytes() == rb.d_up.data.tobytes()
+
+
+class TestProbabilityVolumes:
+    """A run with no tape keeps one volume and rebuilds the others."""
+
+    def test_rebuilt_volumes_are_the_taped_runs_bit_for_bit(self):
+        scene = synth_scene(SynthSpec(seed=5, views=3, size=32, quads=1))
+        model = DepthEstimator(TrainConfig(iters=3), np.random.default_rng(1))
+        with T.Tape():
+            taped = model.run(scene.views)
+        with T.no_grad():
+            free = model.run(scene.views)
+        assert sorted(taped.probs) == [0, 1, 2, 3]
+        assert list(free.probs) == [3]
+        assert len(free.hiddens) == 4
+        for k in range(-4, 4):
+            want, got = taped.prob(k), free.prob(k)
+            assert not got.requires_grad
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_memory_does_not_grow_by_a_volume_per_iteration(self):
+        # each iteration keeps a [32, 32, 32] hidden state (128 kB) and its
+        # readout's maps; its [256, 32, 32] volume (1 MB) would also stay
+        # if the run kept every volume
+        scene = synth_scene(SynthSpec(seed=5, views=3, size=128))
+        model = DepthEstimator(TrainConfig(), np.random.default_rng(0))
+
+        def peak(iters):
+            tracemalloc.start()
+            try:
+                with T.no_grad():
+                    model.run(scene.views, iters=iters)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0)  # the cached tap slices and resize matrices
+        volume = 256 * 32 * 32 * 4
+        assert peak(8) - peak(1) < volume
 
 
 class TestConfigValidation:

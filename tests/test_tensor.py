@@ -250,6 +250,92 @@ class TestConv:
             one = T.conv2d(Tensor(x[i]), Tensor(w), Tensor(b), 1, 1).data
             assert np.allclose(full[i], one, atol=1e-12)
 
+    @pytest.mark.parametrize("bound", [1, 40, 150])
+    @pytest.mark.parametrize("shape,c_out,k,stride,pad", [
+        pytest.param((1, 3, 7, 5), 4, 3, 2, 1, id="s2-odd"),
+        pytest.param((1, 2, 9, 6), 3, 3, 1, 1, id="s1"),
+        pytest.param((1, 2, 6, 9), 2, 5, 2, 2, id="k5-s2"),
+        pytest.param((1, 3, 7, 5), 2, 3, 2, 0, id="s2-pad0"),
+        pytest.param((3, 2, 7, 5), 4, 3, 2, 1, id="batched-s2"),
+        pytest.param((4, 8, 6, 7), 1, 3, 1, 1, id="batched-output-side"),
+        pytest.param((2, 3, 7, 7), 5, 1, 2, 0, id="batched-1x1-s2"),
+    ])
+    def test_bands_of_any_size_match_the_oracle(self, rng, monkeypatch, shape, c_out, k,
+                                                stride, pad, bound):
+        # a tiny bound cuts bands of one row or one item, and bands that
+        # start and end inside the padded border rows
+        T.set_default_dtype(np.float64)
+        monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", bound)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((c_out, shape[1], k, k))
+        b = rng.standard_normal(c_out)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
+        for xi, gi in zip(x, got):
+            assert np.abs(gi - conv2d_oracle(xi, w, b, stride, pad)).max() < 1e-10
+
+    # (B, C_in, C_out, k, stride, sizes): the first size's buffer
+    # (im2col, or for the output side k²·C_out·B·H·W products) fits
+    # MAX_WORK_ELEMENTS, the second's does not
+    @pytest.mark.parametrize("leaky", [False, True])
+    @pytest.mark.parametrize("b_n,c_in,c_out,k,stride,sizes", [
+        pytest.param(1, 16, 16, 3, 1, (60, 64), id="b1-k3-s1"),
+        pytest.param(1, 16, 16, 3, 2, (120, 128), id="b1-k3-s2"),
+        pytest.param(1, 128, 32, 1, 2, (126, 130), id="b1-k1-s2"),
+        pytest.param(32, 8, 16, 3, 1, (15, 16), id="b32-k3-s1"),
+        pytest.param(32, 8, 16, 3, 2, (30, 32), id="b32-k3-s2"),
+        pytest.param(32, 16, 16, 1, 2, (62, 66), id="b32-k1-s2"),
+        pytest.param(32, 16, 2, 3, 1, (30, 32), id="b32-output-side"),
+    ])
+    def test_banded_forward_is_bit_identical_to_unbanded(self, rng, monkeypatch, b_n, c_in,
+                                                         c_out, k, stride, sizes, leaky):
+        slices = T.work_slices
+        for size, over in zip(sizes, (False, True)):
+            x = Tensor(rng.standard_normal((b_n, c_in, size, size)), requires_grad=True)
+            w = Tensor(rng.standard_normal((c_out, c_in, k, k)), requires_grad=True)
+            b = Tensor(rng.standard_normal(c_out), requires_grad=True)
+            bands = []
+
+            def spy(n, unit):  # (slices, elements of the largest)
+                out = slices(n, unit)
+                bands.append((len(out), unit * max(s.stop - s.start for s in out)))
+                return out
+
+            def run():
+                bands.clear()
+                x.grad = w.grad = b.grad = None
+                with Tape() as tape:
+                    y = T.conv2d(x, w, b, stride, (k - 1) // 2, leaky)
+                    loss = (y * y).sum()
+                backward(tape, loss)
+                return y.data, x.grad, w.grad, b.grad
+
+            monkeypatch.setattr(T, "work_slices", spy)
+            banded = run()
+            n_bands, largest = map(max, zip(*bands))
+            monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", 1 << 40)
+            whole = run()
+            monkeypatch.undo()
+            assert (n_bands > 1) == over
+            assert largest <= T.MAX_WORK_ELEMENTS
+            for want, got in zip(whole, banded):
+                assert want.dtype == got.dtype == np.float32
+                assert want.tobytes() == got.tobytes()
+
+    def test_1x1_conv_is_one_gemm_on_its_input(self, rng, monkeypatch):
+        # lat1-3 and drop32/drop16 of the FPN: no tap buffer, and the same
+        # bits as the im2col GEMM they ran before
+        x = rng.standard_normal((1, 32, 24, 24)).astype(np.float32)
+        w = rng.standard_normal((16, 32, 1, 1)).astype(np.float32)
+        b = rng.standard_normal(16).astype(np.float32)
+        buffers = []
+        monkeypatch.setattr(T, "_tap_buffer", lambda *a: buffers.append(a) or np.zeros(a[0]))
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        monkeypatch.undo()
+        assert buffers == []
+        cols = T._im2col_product(w.reshape(16, 32), x, 24, 24, 1, 1, 0)
+        want = cols.reshape(1, 16, 24, 24) + b[:, None, None]
+        assert got.tobytes() == want.tobytes()
+
     def test_narrow_conv_buffers_its_output_side(self, rng, step_peaks):
         # the view-weight CNN's 16 -> 1 conv over 32 hypotheses: an im2col
         # buffer would hold 16·9·32·32·32 floats, 18.9 MB

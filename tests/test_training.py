@@ -144,7 +144,7 @@ def one_pixel_run(eta_k, conf, d_min, d_max, d2):
     depth = Tensor(depth_for_eta(np.array([[eta_k]]), d_min, d_max))
     prob = np.full((d2, 1, 1), 1.0 / d2)
     return RunResult(d_init=Tensor(depth.data.copy()),
-                     probs=[Tensor(prob)],
+                     probs={0: Tensor(prob)},
                      depths=[depth],
                      etas=[normalize_inv(depth, d_min, d_max)],
                      indices=[np.zeros((1, 1), dtype=np.int64)],
@@ -153,6 +153,23 @@ def one_pixel_run(eta_k, conf, d_min, d_max, d2):
 
 
 class TestLossFull:
+    def test_a_run_without_a_tape_gives_the_same_loss(self):
+        # its earlier volumes are rebuilt from the hidden states
+        scene = synth_scene(SynthSpec(seed=4, views=3, size=32, quads=2))
+        cfg = TrainConfig(iters=3)
+        model = DepthEstimator(cfg, np.random.default_rng(2))
+        ref = scene.views[0]
+        gt = make_gt(ref.gt_depth, ref.d_min, ref.d_max, cfg.d2)
+        with Tape():
+            taped = model.run(scene.views)
+        with T.no_grad():
+            free = model.run(scene.views)
+            got = loss_full(free, gt, cfg)
+        want = loss_full(taped, gt, cfg)
+        assert got.row() == want.row()
+        for a, b in zip(got.clas, want.clas):
+            assert a.data.tobytes() == b.data.tobytes()
+
     def test_confidence_target_boundary_is_inclusive(self):
         T.set_default_dtype(np.float64)
         d_min, d_max, d2 = 1.0, 4.0, 8
