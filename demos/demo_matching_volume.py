@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from mvsgru.estimator import DepthEstimator
+from mvsgru.features import stack_pyramids
 from mvsgru.geometry import normalize_inv
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import no_grad
@@ -24,7 +25,7 @@ def volume_errors(views):
     ref = views[0]
     with no_grad():
         pyramids = [model.fpn.extract(v.image) for v in views]
-        init = model.initialize(pyramids, views)
+        init = model.initialize(pyramids[0], stack_pyramids(pyramids[1:]), views)
     gt = ref.gt_depth[4::8, 4::8]
     eta_gt = normalize_inv(gt, ref.d_min, ref.d_max)
     best = init.s_init.data.argmax(axis=0)
@@ -45,8 +46,8 @@ def volume_errors(views):
         broken = v.image.reshape(3, -1)[:, rng.permutation(hw)]
         bad.append(replace(v, image=broken.reshape(v.image.shape)))
     with no_grad():
-        init_bad = model.initialize([model.fpn.extract(v.image) for v in bad],
-                                    bad)
+        bad_pyramids = [model.fpn.extract(v.image) for v in bad]
+        init_bad = model.initialize(bad_pyramids[0], stack_pyramids(bad_pyramids[1:]), bad)
     best_bad = init_bad.s_init.data.argmax(axis=0)
     eta_bad = normalize_inv(1.0 / init_bad.inv_grid_init[best_bad],
                             ref.d_min, ref.d_max)

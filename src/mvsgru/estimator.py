@@ -14,14 +14,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .features import LEVEL_CHANNELS, FeatureExtractor, FeaturePyramid
+from .features import LEVEL_CHANNELS, FeatureExtractor, FeaturePyramid, stack_pyramids
 from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
                        relative_poses, scale_intrinsics)
 from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
                        multiscale_similarity, view_shares, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
-from .tensor import (Tensor, active_tape, bilinear_resize, concat, getitem, no_grad,
-                     take_depth, work_slices)
+from .tensor import (Tensor, active_tape, bilinear_resize, bilinear_sample, concat, getitem,
+                     no_grad, take_depth, work_slices)
 from .upsample import ConvexUpsampler
 
 if TYPE_CHECKING:  # training imports this module
@@ -52,25 +52,39 @@ def gru_update(cell: GruCell, h: Tensor, x: Tensor) -> Tensor:
     return (1.0 - z) * h + z * candidate
 
 
-def predict_depth(prob: Tensor, inv_grid: np.ndarray,
-                  radius: int) -> tuple[Tensor, np.ndarray]:
-    """Hybrid readout: expectation in inverse depth near the argmax.
+def _lowest_argmax(v: np.ndarray) -> np.ndarray:
+    """Index of the maximum along axis 0 of v [D, ...], the lowest one where
+    several bins hold it, and 0 where a column's maximum is NaN.
 
-    prob: normalized [D, H, W].  Ties in the argmax resolve to the lowest
-    index.  The window [X-r, X+r] is intersected with [0, D-1] and the
-    probabilities renormalized inside it.
+    That index is D − max_j (D − j)·[v_j is maximal], taken in int16 (int32
+    from 2^15 bins): numpy's argmax along the leading axis of a float or
+    bool volume ran 2.5x slower on [256, 64, 64].
     """
-    d = prob.shape[0]
-    # argmax over axis 0 copies its input; the bool mask of maxima is 4-8x
-    # smaller than the volume, and its first True is the lowest-index maximum
-    x_best = np.argmax(prob.data == prob.data.max(0), axis=0)
-    offsets = np.arange(-radius, radius + 1)
-    idx = x_best[None] + offsets[:, None, None]
+    d = v.shape[0]
+    rank = np.arange(d, 0, -1, dtype=np.int16 if d < 2**15 else np.int32)
+    top = ((v == v.max(0)) * rank.reshape((d,) + (1,) * (v.ndim - 1))).max(0)
+    return (d - top.astype(np.intp)) % d
+
+
+def predict_depth(logits: Tensor, inv_grid: np.ndarray,
+                  radius: int) -> tuple[Tensor, np.ndarray]:
+    """Hybrid readout from the probability head's logits [D, H, W]: classify,
+    then regress in inverse depth near the class.
+
+    The class X is the argmax of the logits, the lowest index on a tie
+    (``_lowest_argmax``).  A softmax over the window [X-r, X+r] weighs its
+    inverse depths; window entries outside [0, D-1] get logit −inf, so
+    weight exactly 0.  That is the expectation of the D-bin softmax
+    renormalized inside the window, whose normalizer cancels, so no
+    [D, H, W] volume is normalized.
+    """
+    d = logits.shape[0]
+    x_best = _lowest_argmax(logits.data)
+    idx = x_best[None] + np.arange(-radius, radius + 1)[:, None, None]
     inside = (idx >= 0) & (idx < d)
     idx_c = np.clip(idx, 0, d - 1)
-    win = take_depth(prob, idx_c) * inside.astype(prob.dtype)
-    mass = win.sum(0)
-    inv_exp = (win * inv_grid[idx_c]).sum(0) / mass
+    win = take_depth(logits, idx_c) + np.where(inside, 0.0, -np.inf)
+    inv_exp = (win.softmax(0) * inv_grid[idx_c]).sum(0)
     return 1.0 / inv_exp, x_best
 
 
@@ -89,22 +103,23 @@ class RunResult:
 
     Readout k (k = 0 reads the initial hidden state, then one per GRU
     iteration) keeps its hidden state ``hiddens[k]`` [HIDDEN, H/4, W/4],
-    depth, η, argmax index and confidence.  Its probability volume
-    [D2, H/4, W/4] is read through ``prob(k)``.
+    depth, η, argmax index and confidence.  Its probability volume, the
+    softmax of the probability head's logits [D2, H/4, W/4], is read
+    through ``prob(k)``; the readout itself never forms it.
 
-    ``probs`` maps a readout to its volume where the run kept it.  A run
-    under a tape keeps every volume, since the tape holds them for backward
-    anyway.  A run with no tape keeps only the last: with HIDDEN = 32
-    channels against D2 = 256 samples, each iteration then adds an eighth
-    of a volume to the result instead of a whole one (4 MB per iteration at
-    256 px).  ``prob(k)`` rebuilds a dropped volume from ``hiddens[k]``
-    under ``no_grad`` with the estimator's probability head: the same op
-    on the same input, so the same bits as the volume the run computed,
-    as long as the weights have not changed since.
+    A run under a tape keeps every readout's logits in ``logits``, since
+    the tape holds them for backward anyway, and ``prob(k)`` is their
+    softmax, recorded on whatever tape is active when it is called.  A run
+    with no tape keeps no volume at all: with HIDDEN = 32 channels against
+    D2 = 256 bins, each readout adds an eighth of a volume to the result
+    (4 MB per volume at 256 px).  ``prob(k)`` then rebuilds the volume from
+    ``hiddens[k]`` under ``no_grad`` with ``DepthEstimator.predict_probability``:
+    the same ops on the same input, so the same bits as the taped run's
+    volume, as long as the weights have not changed since.
     """
     d_init: Tensor
     hiddens: list[Tensor] = field(default_factory=list)
-    probs: dict[int, Tensor] = field(default_factory=dict)
+    logits: list[Tensor] = field(default_factory=list)
     depths: list[Tensor] = field(default_factory=list)
     etas: list[Tensor] = field(default_factory=list)   # each depth as normalize_inv maps it
     indices: list[np.ndarray] = field(default_factory=list)
@@ -119,8 +134,8 @@ class RunResult:
     def prob(self, k: int) -> Tensor:
         """Readout k's probability volume; a negative k counts from the end."""
         k = range(len(self.depths))[k]
-        if k in self.probs:
-            return self.probs[k]
+        if self.logits:
+            return self.logits[k].softmax(0)
         with no_grad():
             return self.estimator.predict_probability(self.hiddens[k])
 
@@ -142,28 +157,35 @@ class DepthEstimator(Module):
         self.conf_head = Conv2d(HIDDEN, 1, 3, rng)
         self.upsampler = ConvexUpsampler(LEVEL_CHANNELS[1], rng)
 
-    def initialize(self, pyramids: list[FeaturePyramid],
+    def initialize(self, ref_pyramid: FeaturePyramid, sources: FeaturePyramid,
                    views: list[CameraView]) -> InitState:
         """Coarse plane sweep at 1/8 resolution over D1 hypotheses.
 
-        The view weights are normalized over S for the sweep and again after
-        their resize to 1/4 resolution, for every later lookup; resizing the
-        1/8 shares instead would change the values."""
+        sources stacks the source views' pyramids (``stack_pyramids``), in
+        the order of views[1:].  The view weights are normalized over S for
+        the sweep and again after their resize to 1/4 resolution, for every
+        later lookup; resizing the 1/8 shares instead would change the
+        values."""
         cfg = self.cfg
         ref = views[0]
-        f3 = pyramids[0].f3
+        f3 = ref_pyramid.f3
         c3, h8, w8 = f3.shape
         h4, w4 = h8 * 2, w8 * 2
         inv_init = inverse_grid(ref.d_min, ref.d_max, cfg.d1)
         hyp_vol = np.broadcast_to(1.0 / inv_init[:, None], (cfg.d1, h8 * w8))
         ys, xs = np.mgrid[:h8, :w8].reshape(2, -1).astype(np.float64)
-        f_ref, k_ref = f3.reshape((c3, h8 * w8)), scale_intrinsics(ref.k, 3)
+        # the reference as a [C3, P] view of [P, C3] memory, as group_dot
+        # reads it: sampled at its own texels, which bilinear_sample reads
+        # exactly
+        f_ref, _ = bilinear_sample(f3, xs, ys)
+        k_ref = scale_intrinsics(ref.k, 3)
         # one source at a time (S = 1), and its planes in chunks whose warped
         # [C3, 1, planes, P] features fit MAX_WORK_ELEMENTS: 1/8 of 256 px
-        # takes 4 chunks of 8, and 64 or 128 px a single one
+        # takes 4 chunks of 8, and 64 or 128 px a single one; every chunk
+        # samples the same texel-major map
         sims, ws = [], []
-        for p, v in zip(pyramids[1:], views[1:]):
-            f_src = p.f3.reshape((1, c3, h8, w8))
+        for i, v in enumerate(views[1:]):
+            f_src = getitem(sources.f3, np.s_[i:i + 1])
             k_src, pose = scale_intrinsics(v.k[None], 3), relative_poses(ref, [v])
             parts = [warp_and_correlate(f_ref, f_src, xs, ys, hyp_vol[planes], k_ref, k_src, pose)
                      for planes in work_slices(cfg.d1, c3 * h8 * w8)]
@@ -214,7 +236,8 @@ class DepthEstimator(Module):
         pyramids, if given, holds one ``self.fpn.extract(v.image)`` per view,
         in the order of views, so a caller that runs several references over
         shared views extracts each view once; without it, run extracts every
-        view itself.  A count that differs from the views' raises ShapeError.
+        view itself.  A count that differs from the views', or a view whose
+        image size differs from the reference's, raises ShapeError.
         """
         cfg = self.cfg
         if len(views) < 2:
@@ -223,28 +246,36 @@ class DepthEstimator(Module):
         if k < 0:
             raise ConfigError(f"iteration count must be >= 0, got {k}")
         ref = views[0]
+        for i, v in enumerate(views[1:], 1):
+            if v.image.shape != ref.image.shape:
+                raise ShapeError(f"views[{i}] is {v.image.shape[1]}x{v.image.shape[2]} px "
+                                 f"but the reference views[0] is "
+                                 f"{ref.image.shape[1]}x{ref.image.shape[2]} px")
         if pyramids is None:
             pyramids = [self.fpn.extract(v.image) for v in views]
         elif len(pyramids) != len(views):
             raise ShapeError(f"{len(pyramids)} feature pyramids for "
                              f"{len(views)} views")
-        init = self.initialize(pyramids, views)
-        inv2 = inverse_grid(ref.d_min, ref.d_max, cfg.d2)
-        # from here on run holds the sources only as one stacked copy per level
-        levels, ref_f2 = lookup_levels(pyramids, views), pyramids[0].f2
+        # from here on run holds the sources only as one stacked, texel-major
+        # copy per level, which the init sweep and every lookup sample, and
+        # after those the reference only as its level-2 map
+        ref_pyramid, sources = pyramids[0], stack_pyramids(pyramids[1:])
         del pyramids
+        init = self.initialize(ref_pyramid, sources, views)
+        levels, ref_f2 = lookup_levels(ref_pyramid, sources, views), ref_pyramid.f2
+        del ref_pyramid
+        inv2 = inverse_grid(ref.d_min, ref.d_max, cfg.d2)
         res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max,
                         inv_grid=inv2, estimator=self)
         h = init.h0
         h4, w4 = h.shape[1], h.shape[2]
-        keep_probs = active_tape() is not None
+        keep_logits = active_tape() is not None
 
         def readout(hidden: Tensor) -> None:
-            if not keep_probs:  # dropped before the next volume exists
-                res.probs.clear()
-            prob = self.predict_probability(hidden)
-            depth, x_best = predict_depth(prob, inv2, cfg.readout_radius)
-            res.probs[len(res.hiddens)] = prob
+            logits = self.prob_head(hidden)
+            depth, x_best = predict_depth(logits, inv2, cfg.readout_radius)
+            if keep_logits:
+                res.logits.append(logits)
             res.hiddens.append(hidden)
             res.depths.append(depth)
             res.etas.append(normalize_inv(depth, ref.d_min, ref.d_max))

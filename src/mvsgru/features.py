@@ -44,9 +44,18 @@ class FeaturePyramid:
 
 
 def stack_pyramids(pyramids: list[FeaturePyramid]) -> FeaturePyramid:
-    """One pyramid whose levels stack the views' maps as [V, C, H, W]."""
-    return FeaturePyramid(*(concat([p.level(l).reshape((1,) + p.level(l).shape)
-                                    for p in pyramids], 0) for l in (1, 2, 3)))
+    """One pyramid whose levels stack the views' maps as [V, C, H, W].
+
+    Each level is stored texel-major: a view of one C-order [V, H, W, C]
+    array, the layout ``bilinear_sample`` gathers from, so sampling it
+    copies no map.  Building it is the one copy per level.
+    """
+    def stack(maps: list[Tensor]) -> Tensor:
+        c, h, w = maps[0].shape
+        texels = concat([m.transpose((1, 2, 0)) for m in maps], 0)  # [V*H, W, C]
+        return texels.reshape((len(maps), h, w, c)).transpose((0, 3, 1, 2))
+
+    return FeaturePyramid(*(stack([p.level(l) for p in pyramids]) for l in (1, 2, 3)))
 
 
 class FeatureExtractor(Module):

@@ -226,6 +226,13 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     add("bilinear_sample.batched", lambda g, x, y: T.bilinear_sample(g, x, y, mask=bmask),
         rnd(2, 3, 6, 7), bx, by)
 
+    # the grids texel-major, as ``stack_pyramids`` stores the sources: a
+    # [B, C, H, W] view of the C-order [B, H, W, C] array concat writes
+    add("bilinear_sample.texel_major",
+        lambda g, x, y: T.bilinear_sample(
+            T.concat([g.transpose((0, 2, 3, 1))], 0).transpose((0, 3, 1, 2)), x, y, mask=bmask),
+        rnd(2, 3, 6, 7), bx, by)
+
     add("bilinear_resize.up", lambda a: T.bilinear_resize(a, (6, 8)), rnd(2, 3, 4))
     add("bilinear_resize.down", lambda a: T.bilinear_resize(a, (2, 3)), rnd(2, 5, 6))
 
@@ -347,7 +354,11 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     inv = inverse_grid(2.0, 8.0, 16)
     peaked = rnd(16, 4, 4)
     peaked[5] += 4.0  # keep the argmax stable under the FD perturbation
-    add("predict_depth", lambda logits: predict_depth(logits.softmax(0), inv, radius=2), peaked)
+    add("predict_depth", lambda logits: predict_depth(logits, inv, radius=2), peaked)
+    # the argmax at the last bin: the window's two entries past it weigh 0
+    edge = rnd(16, 4, 4)
+    edge[15] += 4.0
+    add("predict_depth.edge", lambda logits: predict_depth(logits, inv, radius=2), edge)
 
     ups, ups_init = _param_forward(lambda: ConvexUpsampler(6, np.random.default_rng(9)),
                                    ConvexUpsampler.upsample_depth)
@@ -360,8 +371,7 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     add("loss_class", lambda logits: loss_class(logits.softmax(0), x_gt, valid), rnd(d2, 4, 4))
 
     def lreg(logits):
-        p = logits.softmax(0)
-        depth, x_k = predict_depth(p, inv, radius=2)
+        depth, x_k = predict_depth(logits, inv, radius=2)
         eta = normalize_inv(depth, 2.0, 8.0)
         return loss_regress(eta, x_k, eta_gt, x_gt, valid, radius=2, beta=float(d2))
 

@@ -11,6 +11,13 @@ by one ``bilinear_sample`` call to [C, S, D, P] for D hypotheses; similarity
 [S, 1, P] view shares, which ``view_shares`` normalizes and the estimator
 shapes once per run and resolution, to [G, D, P].  Only the convolutions
 reshape to image layout.
+
+What does not change during a run is laid out once per run, channels
+last: ``stack_pyramids`` stores the stacked sources as views of
+[S, H_l, W_l, C] memory, and ``lookup_levels`` samples the reference at
+every level, which leaves [C, P] views of [P, C] memory.  So no lookup
+copies a source map into ``bilinear_sample``'s texel table, and
+``group_dot`` transposes the reference for free.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .features import FeaturePyramid, stack_pyramids
+from .features import FeaturePyramid
 from .geometry import (CameraView, RelativePose, relative_poses, scale_intrinsics,
                        warp_points)
 from .nn import Conv2d, Module
@@ -134,26 +141,26 @@ def level_coords(l: int, h4: int, w4: int,
     return np.clip(xs, 0.0, w_l - 1.0), np.clip(ys, 0.0, h_l - 1.0)
 
 
-def lookup_levels(pyramids: list[FeaturePyramid],
+def lookup_levels(ref: FeaturePyramid, sources: FeaturePyramid,
                   views: list[CameraView]) -> list[tuple]:
     """What every GRU iteration's lookup at levels 1..3 shares, per level:
     reference features [C, P] at the level positions (xl, yl) [P] of the
-    P = H/4 * W/4 pixels, the sources' features stacked [S, C, H_l, W_l],
-    xl, yl, level intrinsics of the reference and of the sources [S, 3, 3],
-    and the poses.  pyramids and views list the reference first.
+    P = H/4 * W/4 pixels, the sources' stacked features [S, C, H_l, W_l]
+    (``stack_pyramids``), xl, yl, level intrinsics of the reference and of
+    the sources [S, 3, 3], and the poses.  views lists the reference first.
+
+    The reference features are sampled at every level, at level 2 on its
+    own texels, which ``bilinear_sample`` reads exactly, so all are
+    texel-major views as the stacked sources are.
     """
-    ref, src = pyramids[0], stack_pyramids(pyramids[1:])
     h4, w4 = ref.f2.shape[1], ref.f2.shape[2]
     k_src, pose = np.stack([v.k for v in views[1:]]), relative_poses(views[0], views[1:])
     levels = []
     for l in (1, 2, 3):
         f_ref = ref.level(l)
         xl, yl = (c.ravel() for c in level_coords(l, h4, w4, f_ref.shape[1], f_ref.shape[2]))
-        if l == 2:  # the 1/4-res grid itself
-            f_ref = f_ref.reshape((f_ref.shape[0], h4 * w4))
-        else:
-            f_ref, _ = bilinear_sample(f_ref, xl, yl)
-        levels.append((f_ref, src.level(l), xl, yl, scale_intrinsics(views[0].k, l),
+        f_ref, _ = bilinear_sample(f_ref, xl, yl)
+        levels.append((f_ref, sources.level(l), xl, yl, scale_intrinsics(views[0].k, l),
                        scale_intrinsics(k_src, l), pose))
     return levels
 

@@ -57,6 +57,18 @@ Design notes
   and also takes the cheaper side: it gathers the output gradient over the
   input grid, or, for layers that widen on large planes, rebuilds the
   im2col and adds the per-tap products back (see its docstring).
+* ``bilinear_sample`` gathers from the texel table [B·H·W, C] of its grid.
+  On a texel-major grid, a [B, C, H, W] view of C-order [B, H, W, C]
+  memory, that table is a free reshape; a channel-major grid is copied to
+  it on every call, forward and again in backward.  So a grid sampled more
+  than once is stored texel-major once (``features.stack_pyramids``), and
+  ``concat`` writes C order, which numpy's concatenate would not do for
+  transposed inputs.  Outputs and gradients are the same bits on either
+  layout.  Its interpolation matrix takes a [N, 4] corner table that is
+  built in place in the matrix's index type (int32 unless the indices need
+  more), and the four weights go into one [N, 4] buffer.  Every temporary
+  keeps the grid's float dtype: numpy 2 computes int32 − float32 in
+  float64, at twice the bytes.
 * A forward pass fills no work buffer above ``MAX_WORK_ELEMENTS``:
   ``conv2d`` fills and multiplies its im2col in bands, and callers split
   other large intermediates with ``work_slices``.  Backward buffers are
@@ -515,7 +527,11 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     if not ts:
         raise ShapeError("concat needs at least one tensor")
     axis = _check_axis(axis, ts[0].ndim)
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
+    # C order whatever the inputs' layout: numpy would follow theirs
+    shape = list(ts[0].shape)
+    shape[axis] = sum(t.shape[axis] for t in ts)
+    res = np.empty(shape, functools.reduce(np.promote_types, (t.dtype for t in ts)))
+    out = Tensor(np.concatenate([t.data for t in ts], axis=axis, out=res))
     splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def bw(g):
@@ -540,10 +556,15 @@ def _interp_matrix(cols: np.ndarray, weights: np.ndarray, n_src: int) -> sp.csr_
     n, k = cols.shape
     if cols.size and (cols.min() < 0 or cols.max() >= n_src):
         raise ContractError(f"interpolation index outside [0, {n_src})")
-    # scipy checks and narrows int64 indices on every build; hand it int32
-    itype = np.int32 if max(n_src, n * k) < 2**31 else np.int64
-    return sp.csr_matrix((weights.ravel(), cols.ravel().astype(itype),
+    itype = _index_type(n_src, n * k)
+    return sp.csr_matrix((weights.ravel(), cols.ravel().astype(itype, copy=False),
                           np.arange(0, n * k + 1, k, dtype=itype)), shape=(n, n_src))
+
+
+def _index_type(n_src: int, nnz: int):
+    """The index dtype of an interpolation matrix: scipy checks and narrows
+    int64 indices on every build, so int32 wherever they fit."""
+    return np.int32 if max(n_src, nnz) < 2**31 else np.int64
 
 
 def take_depth(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -630,21 +651,34 @@ def bilinear_sample(grid: Tensor, x, y,
     np.fmin(yc, h - 1, out=yc)
     x0 = np.floor(xc)
     y0 = np.floor(yc)
-    fx = (xc - x0)[:, None]
-    fy = (yc - y0)[:, None]
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    # corners in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1); grid b's
-    # texels are columns b*H*W .. (b+1)*H*W - 1 of one interpolation matrix
-    cols = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=1)
+    fx = np.subtract(xc, x0, out=xc)[:, None]
+    fy = np.subtract(yc, y0, out=yc)[:, None]
+    # the corner table [N, 4], built in place in the index type the matrix
+    # takes: (y0, x0), (y0, x1), (y1, x0), (y1, x1), with x1 = x0 + [x0 < W-1];
+    # grid b's texels are columns b*H*W .. (b+1)*H*W - 1 of one matrix
+    cols = np.empty((xf.size, 4), _index_type(b * h * w, 4 * xf.size))
+    top, right, bottom = cols[:, 0], cols[:, 1], cols[:, 2]
+    top[:] = y0
+    top *= w
+    right[:] = x0
+    top += right
     if b > 1:
-        cols += np.repeat(np.arange(b) * (h * w), xf.size // b)[:, None]
+        top += np.repeat(np.arange(b, dtype=cols.dtype) * (h * w), xf.size // b)
+    np.less(x0, w - 1, out=right)
+    np.less(y0, h - 1, out=bottom)
+    bottom *= w
+    bottom += top
+    np.add(bottom, right, out=cols[:, 3])
+    right += top
+    # the four weights, each product as written and then masked, in one buffer
     ex, ey = 1 - fx, 1 - fy
-    s = _interp_matrix(cols, np.hstack([ey * ex, ey * fx, fy * ex, fy * fx]) * keep, b * h * w)
+    weights = np.empty((xf.size, 4), grid.dtype)
+    for col, (a, e) in enumerate(((ey, ex), (ey, fx), (fy, ex), (fy, fx))):
+        np.multiply(a[:, 0], e[:, 0], out=weights[:, col])
+    weights *= keep
+    s = _interp_matrix(cols, weights, b * h * w)
 
-    def texels():  # the source texel-major, [B*H*W, C]; not kept for backward
+    def texels():  # the source texel-major, [B*H*W, C]; free on a texel-major grid
         return np.moveaxis(grid.data.reshape(b, c, h * w), 1, 2).reshape(b * h * w, c)
 
     out = Tensor((s @ texels()).T.reshape((c,) + cshape))
@@ -810,31 +844,29 @@ def _im2col(xd: np.ndarray, taps, holes, k: int, h_out: int, w_out: int) -> np.n
     return cols.reshape(c_in * k * k, b_n * h_out * w_out)
 
 
-def _im2col_product(wmat: np.ndarray, xd: np.ndarray, h_out: int, w_out: int, k: int,
-                    stride: int, padding: int) -> np.ndarray:
+def _im2col_product(wmat: np.ndarray, xd: np.ndarray, taps, holes, h_out: int, w_out: int,
+                    k: int, stride: int, padding: int) -> np.ndarray:
     """``wmat @ im2col(xd)``, [C_out, B·H'·W'], with the im2col filled and
     multiplied band by band: whole batch items while one fits
-    ``MAX_WORK_ELEMENTS``, else output rows of one item."""
+    ``MAX_WORK_ELEMENTS``, else output rows of one item.  An im2col that
+    fits whole is one product with ``conv2d``'s own ``taps`` and output
+    ``holes``."""
     b_n, c_in, h, w = xd.shape
     row = c_in * k * k * w_out
+    if b_n * row * h_out <= MAX_WORK_ELEMENTS:
+        return wmat @ _im2col(xd, taps, holes, k, h_out, w_out)
     if row * h_out <= MAX_WORK_ELEMENTS:
         bands = [(items, slice(0, h_out)) for items in work_slices(b_n, row * h_out)]
     else:
         row_slices = work_slices(h_out, row)
         bands = [(slice(b, b + 1), rows) for b in range(b_n) for rows in row_slices]
-
-    def product(items, rows, out=None):
-        taps, holes, _ = _conv_taps(h, w, rows.stop, w_out, k, stride, padding, rows.start)
-        cols = _im2col(xd[items], taps, holes, k, rows.stop - rows.start, w_out)
-        return np.matmul(wmat, cols, out=out)
-
-    if len(bands) == 1:
-        return product(*bands[0])
     res = np.empty((wmat.shape[0], b_n * h_out * w_out), np.result_type(wmat, xd))
     for items, rows in bands:
+        band_taps, band_holes, _ = _conv_taps(h, w, rows.stop, w_out, k, stride, padding,
+                                              rows.start)
+        cols = _im2col(xd[items], band_taps, band_holes, k, rows.stop - rows.start, w_out)
         start = (items.start * h_out + rows.start) * w_out
-        size = (items.stop - items.start) * (rows.stop - rows.start) * w_out
-        product(items, rows, res[:, start:start + size])
+        np.matmul(wmat, cols, out=res[:, start:start + cols.shape[1]])
     return res
 
 
@@ -972,8 +1004,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             for i, j, oy, ox, iy, ix in taps:
                 res[items, :, oy, ox] += z[:, i, j, :, iy, ix]
     else:
-        res = _im2col_product(weight.data.reshape(c_out, c_in * k * k), xd, h_out, w_out,
-                              k, stride, padding)
+        res = _im2col_product(weight.data.reshape(c_out, c_in * k * k), xd, taps, out_holes,
+                              h_out, w_out, k, stride, padding)
         res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     res += bias.data[:, None, None]
     if leaky:

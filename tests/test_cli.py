@@ -18,7 +18,7 @@ from mvsgru.estimator import DepthEstimator
 from mvsgru.features import FeatureExtractor
 from mvsgru.fusion import PointCloud, read_ply, write_ply
 from mvsgru.nn import load_checkpoint, save_checkpoint
-from mvsgru.scenes import (SynthSpec, load_pfm, load_scene, save_pfm, save_scene,
+from mvsgru.scenes import (Scene, SynthSpec, load_pfm, load_scene, save_pfm, save_scene,
                            synth_scene)
 from mvsgru.tensor import no_grad
 from mvsgru.training import (TrainConfig, load_train_config,
@@ -271,9 +271,10 @@ class TestInferCommand:
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_probability_csv_is_pinned(self, tmp_path, capsys):
-        # recorded while run still kept every volume; now the CSV reads the
-        # last one through RunResult.prob.  Like the synthetic scene digests
-        # it depends on the BLAS build (scipy-openblas 0.3.31, x86_64)
+        # re-recorded when the readout moved to logits: against the CSV of
+        # the normalized-volume readout, every pixel kept its argmax and no
+        # probability moved by more than 1.6e-8.  Like the synthetic scene
+        # digests it depends on the BLAS build (scipy-openblas 0.3.31, x86_64)
         cfg = TrainConfig(iters=2)
         model = DepthEstimator(cfg, np.random.default_rng(0))
         save_checkpoint(tmp_path / "model.ckpt", model.parameters())
@@ -285,7 +286,7 @@ class TestInferCommand:
         assert code == 0
         digest = hashlib.sha256((tmp_path / "maps" / "prob_0001.csv").read_bytes())
         assert digest.hexdigest() == (
-            "a7c7707cf787db15e45b5a1c3307efbf0d534ad867dfe1369674d339a9176589")
+            "537c0d4e16014c6c4d2e6ffecdf79de48430f4fec7c793a490b28a2d0565e606")
 
     def test_probability_csv_bytes_match_row_loop(self, tmp_path):
         # the rows csv.writer wrote one (pixel, j) at a time
@@ -401,6 +402,36 @@ class TestInferCommand:
         assert code == 1
         assert "bad pair line for view 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMixedImageSizes:
+    """A scene whose views differ in size is bad input: exit 1, with the
+    view and both sizes named, from infer and from train."""
+
+    @pytest.fixture
+    def scenes_dir(self, tmp_path):
+        small = synth_scene(SynthSpec(seed=12, views=3, size=32, quads=1))
+        large = synth_scene(SynthSpec(seed=12, views=3, size=40, quads=1))
+        views = list(small.views)
+        views[1] = large.views[1]
+        save_scene(Scene(views, small.pairs), tmp_path / "scenes" / "mixed")
+        return tmp_path / "scenes"
+
+    def test_infer_exits_one(self, scenes_dir, trained, tmp_path, capsys):
+        code = main(["infer", "--scene", str(scenes_dir / "mixed"),
+                     "--checkpoint", str(trained / "model.ckpt"),
+                     "--out", str(tmp_path / "maps"), "--ref", "0", "--views", "3"])
+        assert code == 1
+        assert "views[1] is 40x40 px but the reference views[0] is 32x32 px" in capsys.readouterr().err
+
+    def test_train_exits_one(self, scenes_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "tiny.cfg"
+        save_train_config(TrainConfig(iters=1, views=3, epochs=1, seed=3), cfg_path)
+        code = main(["train", "--scenes", str(scenes_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "40x40 px" in err and "32x32 px" in err
 
 
 def count_extracts(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 """Depth estimator: GRU oracle, readout algebra, hypothesis generation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, ShapeError
 from mvsgru.estimator import DepthEstimator, GruCell, gru_update, predict_depth
+from mvsgru.features import stack_pyramids
 from mvsgru.geometry import inverse_grid, normalize_inv
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import Tensor
@@ -84,62 +86,78 @@ class TestGruUpdate:
 
 
 class TestPredictDepth:
+    """The readout takes the probability head's logits; log p stands for a
+    normalized volume p, whose softmax it is."""
+
     def test_one_hot_recovers_the_hypothesis(self):
         T.set_default_dtype(np.float64)
         inv = inverse_grid(2.0, 8.0, 16)
-        p = np.zeros((16, 2, 2))
-        p[7] = 1.0
-        depth, x = predict_depth(Tensor(p), inv, radius=3)
+        logits = np.zeros((16, 2, 2))
+        logits[7] = 60.0
+        depth, x = predict_depth(Tensor(logits), inv, radius=3)
         assert (x == 7).all()
         assert np.allclose(depth.data, 1.0 / inv[7], atol=1e-12)
 
-    def test_uniform_probability_over_three_samples(self):
-        T.set_default_dtype(np.float64)
-        # inverse depths over [1, 2] with 3 samples: 1, 3/4, 1/2
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uniform_probability_over_three_samples(self, dtype):
+        T.set_default_dtype(dtype)
+        # inverse depths over [1, 2] with 3 samples: 1, 3/4, 1/2; the window
+        # reaches past both ends
         inv = inverse_grid(1.0, 2.0, 3)
-        p = np.full((3, 1, 1), 1.0 / 3)
-        depth, x = predict_depth(Tensor(p), inv, radius=4)
+        depth, x = predict_depth(Tensor(np.full((3, 1, 1), -1.5)), inv, radius=4)
         assert x[0, 0] == 0  # all tied, lowest index wins
-        assert np.allclose(depth.data[0, 0], 4.0 / 3.0, atol=1e-12)
+        assert np.isclose(depth.data[0, 0], 4.0 / 3.0, rtol=1e-6 if dtype == np.float32 else 1e-12)
 
     def test_argmax_tie_takes_lowest_index(self):
         inv = inverse_grid(1.0, 4.0, 12)
-        p = np.full((12, 1, 1), 0.01)
-        p[3] = p[5] = 0.45
-        _, x = predict_depth(Tensor(p), inv, radius=1)
+        logits = np.full((12, 1, 1), -2.0)
+        logits[3] = logits[5] = 1.25
+        _, x = predict_depth(Tensor(logits), inv, radius=1)
         assert x[0, 0] == 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_argmax_matches_numpy_with_planted_ties(self, rng, dtype):
         T.set_default_dtype(dtype)
-        p = rng.random((32, 6, 7)).astype(dtype)
+        logits = rng.standard_normal((32, 6, 7)).astype(dtype)
         # copy each pixel's maximum to two random depths: exact ties
-        top = p.max(0)
+        top = logits.max(0)
         for _ in range(2):
-            np.put_along_axis(p, rng.integers(0, 32, (1, 6, 7)), top[None], axis=0)
-        p[:, 0, 0] = 1.0  # every depth tied
-        p /= p.sum(0)
-        _, x = predict_depth(Tensor(p), inverse_grid(1.0, 9.0, 32), radius=2)
-        assert np.array_equal(x, np.argmax(p, axis=0))
-        assert x[0, 0] == 0
+            np.put_along_axis(logits, rng.integers(0, 32, (1, 6, 7)), top[None], axis=0)
+        logits[:, 0, 0] = 0.5  # every depth tied
+        logits[[0, 31], 1, 0] = 3.0  # tied at both ends
+        logits[[30, 31], 1, 1] = 3.0  # tied at the top end
+        _, x = predict_depth(Tensor(logits), inverse_grid(1.0, 9.0, 32), radius=2)
+        assert np.array_equal(x, np.argmax(logits, axis=0))
+        assert x[0, 0] == 0 and x[1, 0] == 0 and x[1, 1] == 30
 
-    def test_window_truncated_at_the_low_edge(self, rng):
-        T.set_default_dtype(np.float64)
-        inv = inverse_grid(2.0, 6.0, 8)
-        p = rng.random((8, 1, 1)) + 0.01
-        p[0] += 5.0  # argmax at 0; window {0, 1, 2}
-        p /= p.sum(0)
-        depth, x = predict_depth(Tensor(p), inv, radius=2)
-        assert x[0, 0] == 0
-        want = windowed_expectation(p[:, 0, 0], inv, 0, 2)
-        assert np.allclose(depth.data[0, 0], want, atol=1e-12)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("best", [0, 1, 14, 15])
+    def test_window_at_the_range_edges(self, rng, dtype, best):
+        # window entries outside [0, D-1] weigh nothing: the depth is the
+        # loop over the truncated window, and the bins outside the window
+        # do not change a bit of it
+        T.set_default_dtype(dtype)
+        inv = inverse_grid(2.0, 6.0, 16)
+        logits = rng.standard_normal((16, 1, 1)).astype(dtype)
+        logits[best] += 6.0
+        depth, x = predict_depth(Tensor(logits), inv, radius=2)
+        assert x[0, 0] == best
+        p = np.exp(logits[:, 0, 0].astype(np.float64) - logits.max())
+        want = windowed_expectation(p, inv, best, 2)
+        assert np.isclose(depth.data[0, 0], want, rtol=1e-6 if dtype == np.float32 else 1e-12)
+        far = np.abs(np.arange(16) - best) > 2
+        moved = logits.copy()
+        moved[far] = logits[best] - 1.0 - rng.random((far.sum(), 1, 1))
+        again, _ = predict_depth(Tensor(moved), inv, radius=2)
+        assert again.data.tobytes() == depth.data.tobytes()
 
     def test_matches_loop_oracle_at_random_pixels(self, rng):
         T.set_default_dtype(np.float64)
         inv = inverse_grid(1.0, 9.0, 32)
         p = rng.random((32, 3, 4)) + 1e-3
         p /= p.sum(0)
-        depth, x = predict_depth(Tensor(p), inv, radius=4)
+        depth, x = predict_depth(Tensor(np.log(p)), inv, radius=4)
+        assert np.array_equal(x, np.argmax(p, axis=0))
         for (i, j) in [(0, 0), (1, 2), (2, 3)]:
             want = windowed_expectation(p[:, i, j], inv, int(x[i, j]), 4)
             assert np.allclose(depth.data[i, j], want, atol=1e-12)
@@ -147,17 +165,17 @@ class TestPredictDepth:
     def test_probability_outside_window_is_ignored(self, rng):
         T.set_default_dtype(np.float64)
         inv = inverse_grid(1.0, 5.0, 16)
-        p = rng.random((16, 1, 1)) * 0.01
-        p[8] = 0.9
-        base, _ = predict_depth(Tensor(p.copy()), inv, radius=2)
+        logits = rng.standard_normal((16, 1, 1))
+        logits[8] = 9.0
+        base, _ = predict_depth(Tensor(logits.copy()), inv, radius=2)
         # shuffle everything outside [6, 10]; the readout must not move
-        outside = np.concatenate([p[:6, 0, 0], p[11:, 0, 0]])
+        outside = np.concatenate([logits[:6, 0, 0], logits[11:, 0, 0]])
         shuffled = np.random.default_rng(3).permutation(outside)
-        q = p.copy()
+        q = logits.copy()
         q[:6, 0, 0] = shuffled[:6]
         q[11:, 0, 0] = shuffled[6:]
         moved, _ = predict_depth(Tensor(q), inv, radius=2)
-        assert np.allclose(base.data, moved.data, atol=1e-12)
+        assert base.data.tobytes() == moved.data.tobytes()
 
 
 class TestHypothesisGeneration:
@@ -212,7 +230,8 @@ class TestEstimatorRuns:
 
     def test_zero_iterations_still_reads_out(self):
         res = self.model.run(self.scene.views, iters=0)
-        assert len(res.depths) == 1 and res.prob(0) is res.prob(-1)
+        assert len(res.depths) == 1
+        assert res.prob(0).data.tobytes() == res.prob(-1).data.tobytes()
         assert res.d_up is not None
 
     def test_upsample_can_be_skipped(self):
@@ -221,7 +240,8 @@ class TestEstimatorRuns:
 
     def test_initial_hidden_state_is_bounded(self):
         pyramids = [self.model.fpn.extract(v.image) for v in self.scene.views]
-        init = self.model.initialize(pyramids, self.scene.views)
+        init = self.model.initialize(pyramids[0], stack_pyramids(pyramids[1:]),
+                                     self.scene.views)
         assert init.h0.shape == (32, 4, 4)
         assert (np.abs(init.h0.data) < 1.0).all()
         assert init.s_init.shape == (32, 2, 2)
@@ -264,8 +284,21 @@ class TestEstimatorRuns:
         assert ra.d_up.data.tobytes() == rb.d_up.data.tobytes()
 
 
+def kept_arrays(res):
+    """Every array a RunResult holds, the estimator's weights aside."""
+    for f in dataclasses.fields(res):
+        value = getattr(res, f.name)
+        if f.name == "estimator":
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, Tensor):
+                yield item.data
+            elif isinstance(item, np.ndarray):
+                yield item
+
+
 class TestProbabilityVolumes:
-    """A run with no tape keeps one volume and rebuilds the others."""
+    """A run with no tape keeps no volume and rebuilds each on request."""
 
     def test_rebuilt_volumes_are_the_taped_runs_bit_for_bit(self):
         scene = synth_scene(SynthSpec(seed=5, views=3, size=32, quads=1))
@@ -274,13 +307,22 @@ class TestProbabilityVolumes:
             taped = model.run(scene.views)
         with T.no_grad():
             free = model.run(scene.views)
-        assert sorted(taped.probs) == [0, 1, 2, 3]
-        assert list(free.probs) == [3]
+        assert len(taped.logits) == 4 and free.logits == []
         assert len(free.hiddens) == 4
         for k in range(-4, 4):
             want, got = taped.prob(k), free.prob(k)
             assert not got.requires_grad
             assert got.data.tobytes() == want.data.tobytes()
+
+    def test_a_run_without_a_tape_keeps_no_volume(self):
+        scene = synth_scene(SynthSpec(seed=5, views=3, size=32, quads=1))
+        model = DepthEstimator(TrainConfig(iters=2), np.random.default_rng(1))
+        with T.no_grad():
+            res = model.run(scene.views)
+        volume = model.cfg.d2 * 8 * 8
+        sizes = [a.size for a in kept_arrays(res)]
+        assert sizes and max(sizes) < volume
+        assert res.prob(-1).shape == (model.cfg.d2, 8, 8)
 
     def test_memory_does_not_grow_by_a_volume_per_iteration(self):
         # each iteration keeps a [32, 32, 32] hidden state (128 kB) and its

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ShapeError
-from mvsgru.features import FeaturePyramid
+from mvsgru.features import FeaturePyramid, stack_pyramids
 from mvsgru.geometry import (relative_pose, relative_poses, scale_intrinsics,
                              warp_points)
 from mvsgru.matching import (AggregationUnet, ViewWeightCNN, group_correlation,
@@ -244,6 +244,27 @@ class TestWarpAndCorrelate:
                                relative_pose(view, view))
 
 
+class TestLookupLevels:
+    def test_features_are_texel_major_views(self, rng):
+        # the stacked sources and the sampled reference are views of
+        # channels-last memory, so the lookups copy no map
+        views = [make_view(32, 30.0, (x, 0.0, 0.0), (0.0, 0.0, 5.0)) for x in (0.0, 0.4, -0.3)]
+        pyramids = [FeaturePyramid(*(Tensor(rng.standard_normal((c, 32 >> l, 32 >> l)))
+                                     for l, c in zip((1, 2, 3), (16, 32, 64))))
+                    for _ in views]
+        sources = stack_pyramids(pyramids[1:])
+        levels = lookup_levels(pyramids[0], sources, views)
+        for l, (f_ref, f_src, *_) in zip((1, 2, 3), levels):
+            c = f_ref.shape[0]
+            assert f_ref.shape == (c, 64) and f_ref.data.T.flags.c_contiguous
+            assert f_src.shape == (2, c, 32 >> l, 32 >> l)
+            assert np.moveaxis(f_src.data, 1, -1).flags.c_contiguous
+            for i in range(2):
+                assert np.array_equal(f_src.data[i], pyramids[i + 1].level(l).data)
+        # level 2 samples its own texels, which reads them exactly
+        assert np.array_equal(levels[1][0].data, pyramids[0].f2.data.reshape(32, 64))
+
+
 class TestMultiscaleSimilarity:
     def test_matches_per_source_loop(self, rng):
         T.set_default_dtype(np.float64)
@@ -265,7 +286,7 @@ class TestMultiscaleSimilarity:
         for u in unets:  # a non-zero head, so the unit's output mixes pixels
             u.out.weight.data[:] = rng.standard_normal(u.out.weight.shape) * 0.1
 
-        levels = lookup_levels([ref_pyr] + src_pyrs, [ref] + srcs)
+        levels = lookup_levels(ref_pyr, stack_pyramids(src_pyrs), [ref] + srcs)
         shares = view_shares(weights).reshape((len(srcs), 1, h4 * h4))
         got = multiscale_similarity(levels, hyps, shares, unets).data
 

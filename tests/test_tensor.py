@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -311,7 +312,8 @@ class TestConv:
 
             monkeypatch.setattr(T, "work_slices", spy)
             banded = run()
-            n_bands, largest = map(max, zip(*bands))
+            # an im2col that fits whole asks for no split
+            n_bands, largest = map(max, zip(*bands)) if bands else (1, 0)
             monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", 1 << 40)
             whole = run()
             monkeypatch.undo()
@@ -332,7 +334,8 @@ class TestConv:
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         monkeypatch.undo()
         assert buffers == []
-        cols = T._im2col_product(w.reshape(16, 32), x, 24, 24, 1, 1, 0)
+        taps, holes, _ = T._conv_taps(24, 24, 24, 24, 1, 1, 0)
+        cols = T._im2col_product(w.reshape(16, 32), x, taps, holes, 24, 24, 1, 1, 0)
         want = cols.reshape(1, 16, 24, 24) + b[:, None, None]
         assert got.tobytes() == want.tobytes()
 
@@ -562,6 +565,59 @@ class TestBilinear:
                     assert np.allclose(out[:, i, j], bilinear_oracle(grid, sx, sy), atol=1e-12)
                     hits += 1
         assert hits >= 25
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    def test_texel_major_grid_gives_the_same_bits(self, rng, dtype, batched):
+        # a [.., C, H, W] view of C-order [.., H, W, C] memory, as
+        # stack_pyramids stores the sources: outputs and all three gradients
+        # keep every bit of the contiguous grid's
+        T.set_default_dtype(dtype)
+        grid = rng.standard_normal((2, 5, 9, 11) if batched else (5, 9, 11)).astype(dtype)
+        texel_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(grid, -3, -1)), -1, -3)
+        assert not texel_major.flags.c_contiguous and np.array_equal(texel_major, grid)
+        cshape = (2, 3, 17) if batched else (3, 17)
+        x = rng.uniform(-1.0, 11.0, cshape)
+        y = rng.uniform(-1.0, 9.0, cshape)
+        x.flat[:4] = [0.0, 10.0, 10.0, np.nan]  # left and right border, a NaN
+        y.flat[:4] = [8.0, 0.0, 8.0, 4.0]
+        mask = rng.random(cshape) > 0.2
+        weights = rng.standard_normal((5,) + cshape)
+
+        def run(g):
+            gt, xt, yt = Tensor(g, requires_grad=True), Tensor(x, True), Tensor(y, True)
+            with Tape() as tape:
+                out, valid = T.bilinear_sample(gt, xt, yt, mask=mask)
+                loss = (out * weights).sum()
+            backward(tape, loss)
+            return out.data, valid, gt.grad, xt.grad, yt.grad
+
+        for want, got in zip(run(grid), run(texel_major)):
+            assert want.tobytes() == got.tobytes()
+
+    def test_texel_major_grid_is_sampled_without_a_copy(self, rng):
+        # a 2 MB grid and 16 points: the contiguous grid's texel table is
+        # a 2 MB copy, the texel-major one's a reshape
+        grid = rng.standard_normal((2, 16, 128, 128)).astype(np.float32)
+        texel_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(grid, 1, -1)), -1, 1)
+        x, y = rng.uniform(0.0, 127.0, (2, 2, 8)), rng.uniform(0.0, 127.0, (2, 2, 8))
+
+        def peak(g):
+            tracemalloc.start()
+            try:
+                T.bilinear_sample(Tensor(g), x, y)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(grid) > grid.nbytes > 100 * peak(texel_major)
+
+    def test_concat_writes_c_order(self, rng):
+        # numpy's concatenate follows its inputs' layout; concat does not
+        maps = [Tensor(rng.standard_normal((4, 3, 5))) for _ in range(2)]
+        out = T.concat([m.transpose((1, 2, 0)) for m in maps], 0)
+        assert out.data.flags.c_contiguous
+        assert np.array_equal(out.data, np.concatenate([m.data.transpose(1, 2, 0) for m in maps]))
 
     def test_resize_keeps_constant_maps_constant(self):
         grid = np.full((1, 4, 4), 3.25, dtype=np.float32)

@@ -142,9 +142,9 @@ class TestLossTerms:
 def one_pixel_run(eta_k, conf, d_min, d_max, d2):
     """RunResult with a single quarter-res pixel and hand-picked outputs."""
     depth = Tensor(depth_for_eta(np.array([[eta_k]]), d_min, d_max))
-    prob = np.full((d2, 1, 1), 1.0 / d2)
+    # equal logits: the uniform volume 1/d2
     return RunResult(d_init=Tensor(depth.data.copy()),
-                     probs={0: Tensor(prob)},
+                     logits=[Tensor(np.zeros((d2, 1, 1)))],
                      depths=[depth],
                      etas=[normalize_inv(depth, d_min, d_max)],
                      indices=[np.zeros((1, 1), dtype=np.int64)],
@@ -292,8 +292,12 @@ class TestTrainStep:
         # exactly, so that splitting a fused op back up shows: 939 entries
         # before the leaky ReLU became conv2d's epilogue (87 fewer) and
         # group normalization one op (72 fewer); 988 before the hypotheses
-        # took one chain for all levels and the view shares and η one shape
-        assert train_step(fixed_sample, model_seed=0) == 780
+        # took one chain for all levels and the view shares and η one shape;
+        # 780 before the readout took logits (one fewer per readout: a −inf
+        # mask and a window softmax in place of the 0/1 mask, the mass and
+        # the division by it) and the sources were stacked texel-major (a
+        # reshape and a transpose more per level)
+        assert train_step(fixed_sample, model_seed=0) == 781
 
     def test_backward_frees_gradients_as_it_goes(self, fixed_sample, step_peaks):
         # backward would hold ~21 MB of intermediate gradients on top of the
