@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, MvsError, NumericalError
 from .estimator import DepthEstimator
 from .fusion import (FuseConfig, fuse, read_ply, write_ply, write_pgm)
+from .geometry import inverse_grid
 from .gradcheck import check_full_loss, run_suite
 from .nn import load_checkpoint
 from .scenes import (SynthSpec, build_gt_cloud, evaluate, load_pfm, load_scene,
@@ -144,8 +145,9 @@ def _cmd_infer(args) -> int:
         save_pfm(os.path.join(args.out, f"conf_{ref:04d}.pfm"),
                  run.conf_up.data.astype(np.float32))
         if args.prob_csv:
-            _write_prob_csv(os.path.join(args.out, f"prob_{ref:04d}.csv"),
-                            run.prob(-1).data, run.inv_grid)
+            prob = run.prob(-1).data
+            _write_prob_csv(os.path.join(args.out, f"prob_{ref:04d}.csv"), prob,
+                            inverse_grid(run.d_min, run.d_max, prob.shape[0]))
         print(f"view {ref:04d}: depth in [{run.d_up.data.min():.4g}, "
               f"{run.d_up.data.max():.4g}], "
               f"mean confidence {run.conf_up.data.mean():.3f}")

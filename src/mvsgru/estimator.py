@@ -2,8 +2,9 @@
 
 Initializes a hidden state from coarse plane-sweep matching, then runs K
 convolutional-GRU updates at 1/4 resolution.  Each update injects fresh
-multi-scale matching evidence around the previous estimate; depth is read
-out with an argmax-windowed expectation over inverse depth.
+multi-scale matching evidence around the previous estimate, which the loop
+carries as normalized inverse depth η: an argmax-windowed expectation over
+bins evenly spaced in η reads it out, and every lookup projects η directly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .features import LEVEL_CHANNELS, FeatureExtractor, FeaturePyramid, stack_pyramids
-from .geometry import (CameraView, denormalize_inv, inverse_grid, normalize_inv,
+from .geometry import (CameraView, denormalize_inv, eta_projection, inverse_grid,
                        relative_poses, scale_intrinsics)
 from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup_levels,
                        multiscale_similarity, view_shares, view_weight, warp_and_correlate)
@@ -66,17 +67,16 @@ def _lowest_argmax(v: np.ndarray) -> np.ndarray:
     return (d - top.astype(np.intp)) % d
 
 
-def predict_depth(logits: Tensor, inv_grid: np.ndarray,
-                  radius: int) -> tuple[Tensor, np.ndarray]:
+def predict_depth(logits: Tensor, radius: int) -> tuple[Tensor, np.ndarray]:
     """Hybrid readout from the probability head's logits [D, H, W]: classify,
-    then regress in inverse depth near the class.
+    then regress in normalized inverse depth η near the class.
 
     The class X is the argmax of the logits, the lowest index on a tie
-    (``_lowest_argmax``).  A softmax over the window [X-r, X+r] weighs its
-    inverse depths; window entries outside [0, D-1] get logit −inf, so
-    weight exactly 0.  That is the expectation of the D-bin softmax
-    renormalized inside the window, whose normalizer cancels, so no
-    [D, H, W] volume is normalized.
+    (``_lowest_argmax``).  A softmax over the window [X-r, X+r] weighs the
+    bins' η values j/(D-1), those of ``inverse_grid``; window entries outside
+    [0, D-1] get logit −inf, so weight exactly 0.  That is the expectation of
+    the D-bin softmax renormalized inside the window, whose normalizer
+    cancels, so no [D, H, W] volume is normalized.
     """
     d = logits.shape[0]
     x_best = _lowest_argmax(logits.data)
@@ -84,8 +84,7 @@ def predict_depth(logits: Tensor, inv_grid: np.ndarray,
     inside = (idx >= 0) & (idx < d)
     idx_c = np.clip(idx, 0, d - 1)
     win = take_depth(logits, idx_c) + np.where(inside, 0.0, -np.inf)
-    inv_exp = (win.softmax(0) * inv_grid[idx_c]).sum(0)
-    return 1.0 / inv_exp, x_best
+    return (win.softmax(0) * (idx_c / (d - 1.0))).sum(0), x_best
 
 
 @dataclass
@@ -103,9 +102,10 @@ class RunResult:
 
     Readout k (k = 0 reads the initial hidden state, then one per GRU
     iteration) keeps its hidden state ``hiddens[k]`` [HIDDEN, H/4, W/4],
-    depth, η, argmax index and confidence.  Its probability volume, the
-    softmax of the probability head's logits [D2, H/4, W/4], is read
-    through ``prob(k)``; the readout itself never forms it.
+    η, depth (η over [d_min, d_max]), argmax index and confidence.  Its
+    probability volume over ``inverse_grid(d_min, d_max, D2)``, the softmax
+    of the probability head's logits [D2, H/4, W/4], is read through
+    ``prob(k)``; the readout itself never forms it.
 
     A run under a tape keeps every readout's logits in ``logits``, since
     the tape holds them for backward anyway, and ``prob(k)`` is their
@@ -120,15 +120,14 @@ class RunResult:
     d_init: Tensor
     hiddens: list[Tensor] = field(default_factory=list)
     logits: list[Tensor] = field(default_factory=list)
-    depths: list[Tensor] = field(default_factory=list)
-    etas: list[Tensor] = field(default_factory=list)   # each depth as normalize_inv maps it
+    depths: list[Tensor] = field(default_factory=list)  # each η as denormalize_inv maps it
+    etas: list[Tensor] = field(default_factory=list)
     indices: list[np.ndarray] = field(default_factory=list)
     confs: list[Tensor] = field(default_factory=list)
     d_up: Tensor | None = None
     conf_up: Tensor | None = None
     d_min: float = 0.0
     d_max: float = 0.0
-    inv_grid: np.ndarray | None = None
     estimator: DepthEstimator | None = field(default=None, repr=False)
 
     def prob(self, k: int) -> Tensor:
@@ -172,23 +171,25 @@ class DepthEstimator(Module):
         c3, h8, w8 = f3.shape
         h4, w4 = h8 * 2, w8 * 2
         inv_init = inverse_grid(ref.d_min, ref.d_max, cfg.d1)
-        hyp_vol = np.broadcast_to(1.0 / inv_init[:, None], (cfg.d1, h8 * w8))
+        planes = np.linspace(0.0, 1.0, cfg.d1)[:, None]  # inv_init's η values, [D1, 1]
         ys, xs = np.mgrid[:h8, :w8].reshape(2, -1).astype(np.float64)
         # the reference as a [C3, P] view of [P, C3] memory, as group_dot
         # reads it: sampled at its own texels, which bilinear_sample reads
         # exactly
         f_ref, _ = bilinear_sample(f3, xs, ys)
-        k_ref = scale_intrinsics(ref.k, 3)
+        a, b = eta_projection(xs, ys, scale_intrinsics(ref.k, 3),
+                              scale_intrinsics(np.stack([v.k for v in views[1:]]), 3),
+                              relative_poses(ref, views[1:]), ref.d_min, ref.d_max)
         # one source at a time (S = 1), and its planes in chunks whose warped
         # [C3, 1, planes, P] features fit MAX_WORK_ELEMENTS: 1/8 of 256 px
         # takes 4 chunks of 8, and 64 or 128 px a single one; every chunk
         # samples the same texel-major map
         sims, ws = [], []
-        for i, v in enumerate(views[1:]):
-            f_src = getitem(sources.f3, np.s_[i:i + 1])
-            k_src, pose = scale_intrinsics(v.k[None], 3), relative_poses(ref, [v])
-            parts = [warp_and_correlate(f_ref, f_src, xs, ys, hyp_vol[planes], k_ref, k_src, pose)
-                     for planes in work_slices(cfg.d1, c3 * h8 * w8)]
+        for i in range(len(views) - 1):
+            src = np.s_[i:i + 1]
+            f_src = getitem(sources.f3, src)
+            parts = [warp_and_correlate(f_ref, f_src, planes[chunk], a[src], b[src])
+                     for chunk in work_slices(cfg.d1, c3 * h8 * w8)]
             sim = concat([s for s, _ in parts], 2) if len(parts) > 1 else parts[0][0]
             valid = np.concatenate([m for _, m in parts], 1)
             sims.append(sim)
@@ -206,18 +207,15 @@ class DepthEstimator(Module):
         shares_up = view_shares(bilinear_resize(w, (h4, w4)).reshape((len(ws), 1, h4 * w4)))
         return InitState(h0, s_init, shares_up, inv_init, d_init)
 
-    def generate_hypotheses(self, eta: Tensor, d_min: float,
-                            d_max: float) -> list[Tensor]:
+    def generate_hypotheses(self, eta: Tensor) -> list[Tensor]:
         """Per-level hypothesis sets around the previous estimate.
 
-        eta is the previous depth in normalized inverse depth, [1, H, W].
-        N_l samples spaced evenly over [eta - R_l, eta + R_l], clamped to
-        [0, 1], then mapped back to depth: all N1+N2+N3 in one volume, of
-        which each level gets its slice.
+        eta is the previous estimate, [1, H, W].  N_l samples spaced evenly
+        over [eta - R_l, eta + R_l], clamped to [0, 1]: all N1+N2+N3 in one
+        volume, of which each level gets its slice.
         """
         offs = [np.linspace(-r, r, n) for r, n in zip(self.cfg.radii, self.cfg.counts)]
-        samples = (eta + np.concatenate(offs)[:, None, None]).clip(0.0, 1.0)
-        hyps = denormalize_inv(samples, d_min, d_max)
+        hyps = (eta + np.concatenate(offs)[:, None, None]).clip(0.0, 1.0)
         ends = np.cumsum(self.cfg.counts)
         return [getitem(hyps, np.s_[end - n:end]) for n, end in zip(self.cfg.counts, ends)]
 
@@ -264,28 +262,26 @@ class DepthEstimator(Module):
         init = self.initialize(ref_pyramid, sources, views)
         levels, ref_f2 = lookup_levels(ref_pyramid, sources, views), ref_pyramid.f2
         del ref_pyramid
-        inv2 = inverse_grid(ref.d_min, ref.d_max, cfg.d2)
-        res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max,
-                        inv_grid=inv2, estimator=self)
+        res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max, estimator=self)
         h = init.h0
         h4, w4 = h.shape[1], h.shape[2]
         keep_logits = active_tape() is not None
 
         def readout(hidden: Tensor) -> None:
             logits = self.prob_head(hidden)
-            depth, x_best = predict_depth(logits, inv2, cfg.readout_radius)
+            eta, x_best = predict_depth(logits, cfg.readout_radius)
             if keep_logits:
                 res.logits.append(logits)
             res.hiddens.append(hidden)
-            res.depths.append(depth)
-            res.etas.append(normalize_inv(depth, ref.d_min, ref.d_max))
+            res.etas.append(eta)
+            res.depths.append(denormalize_inv(eta, ref.d_min, ref.d_max))
             res.indices.append(x_best)
             res.confs.append(self.predict_confidence(hidden))
 
         readout(h)
         for _ in range(k):
             eta = res.etas[-1].reshape((1, h4, w4))
-            hyps = self.generate_hypotheses(eta, ref.d_min, ref.d_max)
+            hyps = self.generate_hypotheses(eta)
             s_bar = multiscale_similarity(levels, hyps, init.shares_up, self.level_unets)
             h = gru_update(self.gru, h, concat([eta, s_bar], 0))
             readout(h)

@@ -1,8 +1,7 @@
 """Depth-map filtering and fusion into colored point clouds.
 
 Pure numpy: runs on finished depth/confidence maps, no gradients involved.
-Every pinhole projection goes through the ndarray path of
-``geometry.warp_points``, the same projection the matching volume uses.
+Every pinhole projection is ``geometry.warp_points``, in float64 and depth.
 """
 
 from __future__ import annotations

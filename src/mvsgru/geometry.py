@@ -1,8 +1,10 @@
-"""Pinhole cameras, relative poses, differentiable warping, inverse-depth maps.
+"""Pinhole cameras, relative poses, projection, inverse-depth maps.
 
 Conventions: x_cam = R @ x_world + t, z is the viewing axis, pixel (0, 0) is
 the center of the top-left pixel.  Intrinsics are upper-triangular with
-K[2, 2] = 1.
+K[2, 2] = 1.  ``warp_points`` projects depths for fusion; the estimator
+``project``s normalized inverse depth η, in which a pixel is a ratio of
+two functions linear in η whose coefficients a run computes once.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FileFormatError
-from .tensor import Tensor, where
+from .tensor import Tensor, mul, where
 
-_ZEYE = 1e-8  # points with camera-frame z below this count as behind the camera
+_ZEYE = 1e-8  # warp_points counts points with camera-frame z below this as behind the camera
 
 
 @dataclass
@@ -96,45 +98,48 @@ def scale_intrinsics(k: np.ndarray, level: int) -> np.ndarray:
     return out
 
 
-def warp_points(x: np.ndarray, y: np.ndarray, depth, k_ref: np.ndarray,
+def _rays(x, y, k_ref, k_src, pose) -> tuple[np.ndarray, np.ndarray]:
+    """K_s R K_r⁻¹ (x, y, 1) [(S,) 3, P] and K_s t [(S,) 3, 1], in float64."""
+    m = k_src @ pose.r @ np.linalg.inv(k_ref)
+    return m @ np.stack([x, y, np.ones_like(x)]).astype(np.float64), k_src @ pose.t[..., None]
+
+
+def warp_points(x: np.ndarray, y: np.ndarray, depth: np.ndarray, k_ref: np.ndarray,
                 k_src: np.ndarray, pose: RelativePose):
-    """Warp reference pixels into one or several source views at given depths.
-
-    Args:
-        x, y: pixel coordinates in the reference image, arrays of shape [P].
-        depth: depths along the reference rays; Tensor or ndarray whose last
-            axis is P (leading axes broadcast, e.g. [D, P] hypotheses).
-        k_ref: reference intrinsics at the working resolution.
-        k_src, pose: one source's intrinsics [3, 3] and relative pose, or S
-            sources stacked (k_src [S, 3, 3], pose from ``relative_poses``);
-            the stacked form puts a leading S axis on every output.
-
-    Returns:
-        (u, v, z, valid): source pixel coordinates and camera-frame depth,
-        same type as ``depth``; ``valid`` is a bool ndarray flagging points
-        that land in front of the source camera.  Differentiable in depth.
-    """
-    a = k_src @ pose.r @ np.linalg.inv(k_ref)           # [(S,) 3, 3]
-    b = (k_src @ pose.t[..., None])[..., 0]             # [(S,) 3]
-    p_h = np.stack([x, y, np.ones_like(x)]).astype(np.float64)
-    base = a @ p_h                                      # [(S,) 3, P]
-    lead = base.shape[:-2]
-    extra = (1,) * (np.ndim(depth.data if isinstance(depth, Tensor) else depth) - 1)
-    # per row: source view axes, then the depth's broadcast axes, then P
-    rows = [base[..., i, :].reshape(lead + extra + (base.shape[-1],)) for i in range(3)]
-    offs = [b[..., i].reshape(lead + extra + (1,)) for i in range(3)]
-
-    if isinstance(depth, Tensor):
-        hx, hy, hz = (depth * r + o for r, o in zip(rows, offs))
-        valid = hz.data > _ZEYE
-        z_safe = where(valid, hz, np.ones_like(hz.data))
-        return hx / z_safe, hy / z_safe, hz, valid
-
+    """Warp reference pixels x, y [P] into one source at depths whose last
+    axis is P (leading axes broadcast), in float64: fusion's projection and
+    ``project``'s test oracle.  Returns the source pixels u, v, the
+    camera-frame depth z and ``valid``, z > 1e-8."""
+    base, kt = _rays(x, y, k_ref, k_src, pose)
     d = np.asarray(depth, dtype=np.float64)
-    hx, hy, hz = (d * r + o for r, o in zip(rows, offs))
+    hx, hy, hz = (d * base[i] + kt[i] for i in range(3))
     valid = hz > _ZEYE
     z_safe = np.where(valid, hz, 1.0)
     return hx / z_safe, hy / z_safe, hz, valid
+
+
+def eta_projection(x: np.ndarray, y: np.ndarray, k_ref: np.ndarray, k_src: np.ndarray,
+                   pose: RelativePose, d_min: float, d_max: float):
+    """The run-constant (a, b) with which ``project`` maps reference pixels
+    x, y [P] at normalized inverse depth η into S stacked sources (k_src
+    [S, 3, 3], pose from ``relative_poses``).  With ρ = 1/d = 1/d_max +
+    η (1/d_min − 1/d_max), K_s (d R K_r⁻¹ p + t) = d (a + b η) for
+    a = K_s R K_r⁻¹ p + K_s t / d_max [S, 3, P], b = K_s t (1/d_min − 1/d_max)
+    [S, 3, 1]."""
+    base, kt = _rays(x, y, k_ref, k_src, pose)
+    return base + kt / d_max, kt * (1.0 / d_min - 1.0 / d_max)
+
+
+def project(eta, a: np.ndarray, b: np.ndarray):
+    """Source pixels u = h_x / h_z, v = h_y / h_z of h = a + b η, [S, D, P]
+    per row, for η [D, P] (a Tensor or an array) or [D, 1] planes;
+    differentiable in η.  ``front`` is h_z > 0, which is camera-frame z > 0
+    as h_z = z ρ: in the estimator it replaces ``warp_points``' z > 1e-8.
+    Behind the camera u and v are h_x and h_y, which only fill masked samples."""
+    hx, hy, hz = (mul(eta, b[:, i, None]) + a[:, i, None] for i in range(3))
+    front = hz.data > 0
+    z = where(front, hz, 1.0)
+    return hx / z, hy / z, front
 
 
 # ---------------------------------------------------------------------------

@@ -269,26 +269,16 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     add("group_dot.texel_major", lambda f0, fi: T.group_dot(f0, fi, 2),
         rnd(4, 5), np.moveaxis(rnd(2, 3, 5, 4), -1, 0))
 
-    # geometry: warping differentiable in depth
-    from .geometry import (CameraView, denormalize_inv, normalize_inv, relative_pose,
-                           relative_poses, warp_points)
+    # geometry: projection differentiable in η, into two stacked sources
+    from .geometry import RelativePose, denormalize_inv, eta_projection, normalize_inv, project
 
     k = np.array([[20.0, 0.0, 7.5], [0.0, 20.0, 7.5], [0.0, 0.0, 1.0]])
     ang = 0.15
     r_src = np.array([[np.cos(ang), 0, np.sin(ang)], [0, 1, 0], [-np.sin(ang), 0, np.cos(ang)]])
-    img = np.zeros((3, 16, 16), dtype=np.float32)
-    ref = CameraView(k, np.eye(3), np.zeros(3), 2.0, 6.0, img)
-    src = CameraView(k, r_src, np.array([0.3, 0.05, 0.02]), 2.0, 6.0, img)
-    pose = relative_pose(ref, src)
-    px, py = rng.uniform(2, 13, 6), rng.uniform(2, 13, 6)
-    add("warp_points.depth", lambda d: warp_points(px, py, d, ref.k, src.k, pose),
-        rng.uniform(2.5, 5.5, (2, 6)))
-
-    # two sources stacked: outputs [2, D, P]
-    src2 = CameraView(k, r_src.T, np.array([-0.2, 0.1, 0.05]), 2.0, 6.0, img)
-    poses = relative_poses(ref, [src, src2])
-    add("warp_points.stacked", lambda d: warp_points(px, py, d, ref.k, np.stack([k, k]), poses),
-        rng.uniform(2.5, 5.5, (2, 6)))
+    t_src = np.array([[0.3, 0.05, 0.02], [-0.2, 0.1, 0.05]])
+    a, b = eta_projection(rng.uniform(2, 13, 6), rng.uniform(2, 13, 6), k, np.stack([k, k]),
+                          RelativePose(np.stack([r_src, r_src.T]), t_src), 2.0, 6.0)
+    add("project", lambda eta: project(eta, a, b), rng.uniform(0.05, 0.95, (2, 6)))
 
     add("normalize_inv", lambda d: normalize_inv(d, 2.0, 6.0), rng.uniform(2.2, 5.8, (4, 3)))
     add("denormalize_inv", lambda e: denormalize_inv(e, 2.0, 6.0), rng.uniform(0.05, 0.95, (4, 3)))
@@ -328,7 +318,6 @@ _MODEL_COORDS = 48
 def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     """Gradient checks for the composite network operations."""
     from .estimator import GruCell, gru_update, predict_depth
-    from .geometry import inverse_grid, normalize_inv
     from .matching import AggregationUnet, group_correlation, integrate, view_shares
     from .training import loss_class, loss_conf, loss_regress
     from .upsample import ConvexUpsampler
@@ -351,14 +340,13 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     gru, gru_init = _param_forward(lambda: GruCell(4, 3, np.random.default_rng(8)), gru_update)
     add("gru_update", gru, np.tanh(rnd(4, 5, 5)), rnd(3, 5, 5), *gru_init)
 
-    inv = inverse_grid(2.0, 8.0, 16)
     peaked = rnd(16, 4, 4)
     peaked[5] += 4.0  # keep the argmax stable under the FD perturbation
-    add("predict_depth", lambda logits: predict_depth(logits, inv, radius=2), peaked)
+    add("predict_depth", lambda logits: predict_depth(logits, radius=2), peaked)
     # the argmax at the last bin: the window's two entries past it weigh 0
     edge = rnd(16, 4, 4)
     edge[15] += 4.0
-    add("predict_depth.edge", lambda logits: predict_depth(logits, inv, radius=2), edge)
+    add("predict_depth.edge", lambda logits: predict_depth(logits, radius=2), edge)
 
     ups, ups_init = _param_forward(lambda: ConvexUpsampler(6, np.random.default_rng(9)),
                                    ConvexUpsampler.upsample_depth)
@@ -371,8 +359,7 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     add("loss_class", lambda logits: loss_class(logits.softmax(0), x_gt, valid), rnd(d2, 4, 4))
 
     def lreg(logits):
-        depth, x_k = predict_depth(logits, inv, radius=2)
-        eta = normalize_inv(depth, 2.0, 8.0)
+        eta, x_k = predict_depth(logits, radius=2)
         return loss_regress(eta, x_k, eta_gt, x_gt, valid, radius=2, beta=float(d2))
 
     add("loss_regress", lreg, peaked)

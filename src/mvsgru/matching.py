@@ -6,7 +6,8 @@ assembly of the multi-scale similarity stack consumed by the update GRU.
 
 Volumes keep the layout the warp produces, pixels flattened to P = H*W and
 last: reference features [C, P]; S stacked sources [S, C, H_l, W_l], warped
-by one ``bilinear_sample`` call to [C, S, D, P] for D hypotheses; similarity
+by one ``bilinear_sample`` call to [C, S, D, P] for D hypotheses in
+normalized inverse depth η; similarity
 [G, S, D, P] with validity [S, D, P]; ``integrate`` sums S away with the
 [S, 1, P] view shares, which ``view_shares`` normalizes and the estimator
 shapes once per run and resolution, to [G, D, P].  Only the convolutions
@@ -15,8 +16,9 @@ reshape to image layout.
 What does not change during a run is laid out once per run, channels
 last: ``stack_pyramids`` stores the stacked sources as views of
 [S, H_l, W_l, C] memory, and ``lookup_levels`` samples the reference at
-every level, which leaves [C, P] views of [P, C] memory.  So no lookup
-copies a source map into ``bilinear_sample``'s texel table, and
+every level, which leaves [C, P] views of [P, C] memory, with the level's
+``eta_projection``.  So no lookup copies a source map into
+``bilinear_sample``'s texel table or redoes camera algebra, and
 ``group_dot`` transposes the reference for free.
 """
 
@@ -26,8 +28,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .features import FeaturePyramid
-from .geometry import (CameraView, RelativePose, relative_poses, scale_intrinsics,
-                       warp_points)
+from .geometry import CameraView, eta_projection, project, relative_poses, scale_intrinsics
 from .nn import Conv2d, Module
 from .tensor import Tensor, bilinear_resize, bilinear_sample, concat, group_dot
 
@@ -144,10 +145,10 @@ def level_coords(l: int, h4: int, w4: int,
 def lookup_levels(ref: FeaturePyramid, sources: FeaturePyramid,
                   views: list[CameraView]) -> list[tuple]:
     """What every GRU iteration's lookup at levels 1..3 shares, per level:
-    reference features [C, P] at the level positions (xl, yl) [P] of the
-    P = H/4 * W/4 pixels, the sources' stacked features [S, C, H_l, W_l]
-    (``stack_pyramids``), xl, yl, level intrinsics of the reference and of
-    the sources [S, 3, 3], and the poses.  views lists the reference first.
+    reference features [C, P] at the level positions of the P = H/4 * W/4
+    pixels, the sources' stacked features [S, C, H_l, W_l]
+    (``stack_pyramids``) and the positions' ``eta_projection`` (a, b) into
+    the sources.  views lists the reference first.
 
     The reference features are sampled at every level, at level 2 on its
     own texels, which ``bilinear_sample`` reads exactly, so all are
@@ -160,26 +161,25 @@ def lookup_levels(ref: FeaturePyramid, sources: FeaturePyramid,
         f_ref = ref.level(l)
         xl, yl = (c.ravel() for c in level_coords(l, h4, w4, f_ref.shape[1], f_ref.shape[2]))
         f_ref, _ = bilinear_sample(f_ref, xl, yl)
-        levels.append((f_ref, sources.level(l), xl, yl, scale_intrinsics(views[0].k, l),
-                       scale_intrinsics(k_src, l), pose))
+        a, b = eta_projection(xl, yl, scale_intrinsics(views[0].k, l), scale_intrinsics(k_src, l),
+                              pose, views[0].d_min, views[0].d_max)
+        levels.append((f_ref, sources.level(l), a, b))
     return levels
 
 
-def warp_and_correlate(f_ref: Tensor, f_src: Tensor, x: np.ndarray, y: np.ndarray,
-                       depths: Tensor | np.ndarray, k_ref_l: np.ndarray, k_src_l: np.ndarray,
-                       pose: RelativePose) -> tuple[Tensor, np.ndarray]:
+def warp_and_correlate(f_ref: Tensor, f_src: Tensor, eta: Tensor | np.ndarray,
+                       a: np.ndarray, b: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Similarity of S stacked source views against reference features.
 
-    f_ref: [C, P] reference features at the level positions (x, y), each
-    [P].  f_src, k_src_l, pose: the S sources stacked ([S, C, H_l, W_l],
-    [S, 3, 3], ``relative_poses``).  depths: [D, P] hypotheses shared by
-    all sources.  Returns the similarity [G, S, D, P], 0 where the point
-    left the source image or fell behind its camera, and that validity mask
-    [S, D, P].
+    f_ref: [C, P] reference features; f_src: S stacked sources [S, C, H_l,
+    W_l]; eta: [D, P] hypotheses shared by all sources, or [D, 1] planes,
+    which ``project`` maps with a, b.  Returns the similarity [G, S, D, P],
+    0 where the point left the source image or fell behind its camera, and
+    that validity mask [S, D, P].
     """
     if f_src.ndim != 4:
         raise ShapeError(f"sources must be stacked [S, C, H, W], got {f_src.shape}")
-    u, v, _, front = warp_points(x, y, depths, k_ref_l, k_src_l, pose)
+    u, v, front = project(eta, a, b)
     # [C, S, D, P]; invalid points sample 0, so their similarity is 0 too
     warped, valid = bilinear_sample(f_src, u, v, mask=front)
     return group_correlation(f_ref, warped), valid
@@ -189,13 +189,11 @@ def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], shar
                           unets: list[Module]) -> Tensor:
     """Assemble the per-iteration similarity stack at 1/4 resolution.
 
-    levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] depths
-    for levels 1..3; shares: [S, 1, H/4 * W/4] view shares (``view_shares``).
+    levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] η for
+    levels 1..3; shares: [S, 1, H/4 * W/4] view shares (``view_shares``).
     Output: [N1+N2+N3, H/4, W/4]."""
     out = []
-    for (f_ref, f_src, xl, yl, k_ref, k_src, pose), hyps, unet in zip(
-            levels, hyps_by_level, unets):
-        sim, _ = warp_and_correlate(f_ref, f_src, xl, yl, hyps.reshape((hyps.shape[0], -1)),
-                                    k_ref, k_src, pose)
+    for (f_ref, f_src, a, b), hyps, unet in zip(levels, hyps_by_level, unets):
+        sim, _ = warp_and_correlate(f_ref, f_src, hyps.reshape((hyps.shape[0], -1)), a, b)
         out.append(unet(integrate(sim, shares).reshape((-1,) + hyps.shape[1:])))
     return concat(out, 0)

@@ -17,12 +17,14 @@ Scene directory layout:
     cams/0000_cam.txt ...
     depths_gt/0000.pfm ...   (little-endian, NaN marks invalid)
     pair.txt                 (per line: ref_index count src_1 src_2 ..., the
-                              sources distinct and other than the reference)
+                              sources distinct and other than the reference;
+                              at most one line per reference)
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,21 +167,24 @@ def load_scene(root) -> Scene:
     root = str(root)
     pair_path = os.path.join(root, "pair.txt")
     with open(pair_path, "rb") as f:  # bytes: _header_ints parses them, no decoding
-        lines = [ln.split() for ln in f if ln.strip()]
-    (count,) = _header_ints(pair_path, 0, lines[0] if lines else [], 1, "pair.txt header")
+        # (byte offset, fields) of each non-blank line
+        lines = [(m.start(), m[0].split()) for m in re.finditer(rb"[^\n]*\S[^\n]*", f.read())]
+    head_off, head = lines[0] if lines else (0, [])
+    (count,) = _header_ints(pair_path, head_off, head, 1, "pair.txt header")
     # a dict until the views load: a corrupt count fails at the first
     # missing camera instead of allocating a list that long
     pairs: dict[int, list[int]] = {}
-    for ln in lines[1:]:
+    for off, ln in lines[1:]:
         if len(ln) < 2:
-            raise FileFormatError(pair_path, 0, "short pair line")
-        ref, n, *srcs = _header_ints(pair_path, 0, ln, len(ln), "pair line", lo=0)
+            raise FileFormatError(pair_path, off, "short pair line")
+        ref, n, *srcs = _header_ints(pair_path, off, ln, len(ln), "pair line", lo=0)
         # a source equal to the reference would be a zero-baseline match
         if (not 0 <= ref < count or len(srcs) != n
                 or not all(0 <= s < count for s in srcs)
                 or len(set(srcs + [ref])) != n + 1):
-            raise FileFormatError(pair_path, 0,
-                                  f"bad pair line for view {ref}")
+            raise FileFormatError(pair_path, off, f"bad pair line for view {ref}")
+        if ref in pairs:
+            raise FileFormatError(pair_path, off, f"a second pair line for view {ref}")
         pairs[ref] = srcs
     views = []
     for i in range(count):

@@ -63,8 +63,8 @@ class TrainConfig:
                               f"got {self.scale_lo} and {self.scale_hi}")
         if len(self.radii) != 3 or len(self.counts) != 3:
             raise ConfigError("radii and counts need exactly 3 levels each")
-        if not all(n >= 1 for n in self.counts):
-            raise ConfigError(f"counts must all be >= 1, got {self.counts}")
+        if not all(n >= 2 for n in self.counts):  # to span each level's [η−R, η+R]
+            raise ConfigError(f"counts must all be >= 2, got {self.counts}")
         if not self.radii[0] > 0:
             raise ConfigError(f"radii must be > 0, got {self.radii}")
         if any(not lo < hi for lo, hi in zip(self.radii, self.radii[1:])):

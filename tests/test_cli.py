@@ -273,8 +273,11 @@ class TestInferCommand:
     def test_probability_csv_is_pinned(self, tmp_path, capsys):
         # re-recorded when the readout moved to logits: against the CSV of
         # the normalized-volume readout, every pixel kept its argmax and no
-        # probability moved by more than 1.6e-8.  Like the synthetic scene
-        # digests it depends on the BLAS build (scipy-openblas 0.3.31, x86_64)
+        # probability moved by more than 1.6e-8.  Re-recorded again when the
+        # loop came to carry η end to end: every argmax and the inverse-depth
+        # column the same, no probability moved by more than 2.4e-8.  Like
+        # the synthetic scene digests it depends on the BLAS build
+        # (scipy-openblas 0.3.31, x86_64)
         cfg = TrainConfig(iters=2)
         model = DepthEstimator(cfg, np.random.default_rng(0))
         save_checkpoint(tmp_path / "model.ckpt", model.parameters())
@@ -286,7 +289,7 @@ class TestInferCommand:
         assert code == 0
         digest = hashlib.sha256((tmp_path / "maps" / "prob_0001.csv").read_bytes())
         assert digest.hexdigest() == (
-            "537c0d4e16014c6c4d2e6ffecdf79de48430f4fec7c793a490b28a2d0565e606")
+            "a818c1c275cd25c9e0ad657596f5f664268891f63b1209045d28fcdf9384a541")
 
     def test_probability_csv_bytes_match_row_loop(self, tmp_path):
         # the rows csv.writer wrote one (pixel, j) at a time

@@ -10,7 +10,7 @@ from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, ShapeError
 from mvsgru.estimator import DepthEstimator, GruCell, gru_update, predict_depth
 from mvsgru.features import stack_pyramids
-from mvsgru.geometry import inverse_grid, normalize_inv
+from mvsgru.geometry import denormalize_inv, inverse_grid
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import Tensor
 from mvsgru.training import TrainConfig
@@ -37,14 +37,15 @@ def gru_oracle(cell, h, x):
     return (1.0 - z) * h + z * cand
 
 
-def windowed_expectation(p, inv, x, radius):
-    """Renormalized inverse-depth expectation around the argmax, by loops."""
+def windowed_expectation(p, x, radius):
+    """Renormalized expectation of the bins' η values j/(D-1) around the
+    argmax, by loops."""
     d = len(p)
     num = den = 0.0
     for j in range(max(0, x - radius), min(d - 1, x + radius) + 1):
-        num += p[j] * inv[j]
+        num += p[j] * j / (d - 1)
         den += p[j]
-    return 1.0 / (num / den)
+    return num / den
 
 
 class TestGruUpdate:
@@ -91,28 +92,35 @@ class TestPredictDepth:
 
     def test_one_hot_recovers_the_hypothesis(self):
         T.set_default_dtype(np.float64)
-        inv = inverse_grid(2.0, 8.0, 16)
         logits = np.zeros((16, 2, 2))
         logits[7] = 60.0
-        depth, x = predict_depth(Tensor(logits), inv, radius=3)
+        eta, x = predict_depth(Tensor(logits), radius=3)
         assert (x == 7).all()
-        assert np.allclose(depth.data, 1.0 / inv[7], atol=1e-12)
+        assert np.allclose(eta.data, 7 / 15, atol=1e-12)
+
+    def test_bins_are_the_inverse_grid_normalized(self):
+        # bin j's η maps to inverse_grid's j-th depth
+        T.set_default_dtype(np.float64)
+        inv = inverse_grid(2.0, 8.0, 16)
+        for j in (0, 5, 15):
+            logits = np.zeros((16, 1, 1))
+            logits[j] = 60.0
+            eta, _ = predict_depth(Tensor(logits), radius=2)
+            assert np.isclose(denormalize_inv(eta.data[0, 0], 2.0, 8.0), 1.0 / inv[j],
+                              rtol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_uniform_probability_over_three_samples(self, dtype):
         T.set_default_dtype(dtype)
-        # inverse depths over [1, 2] with 3 samples: 1, 3/4, 1/2; the window
-        # reaches past both ends
-        inv = inverse_grid(1.0, 2.0, 3)
-        depth, x = predict_depth(Tensor(np.full((3, 1, 1), -1.5)), inv, radius=4)
+        # η over 3 bins: 0, 1/2, 1; the window reaches past both ends
+        eta, x = predict_depth(Tensor(np.full((3, 1, 1), -1.5)), radius=4)
         assert x[0, 0] == 0  # all tied, lowest index wins
-        assert np.isclose(depth.data[0, 0], 4.0 / 3.0, rtol=1e-6 if dtype == np.float32 else 1e-12)
+        assert np.isclose(eta.data[0, 0], 0.5, rtol=1e-6 if dtype == np.float32 else 1e-12)
 
     def test_argmax_tie_takes_lowest_index(self):
-        inv = inverse_grid(1.0, 4.0, 12)
         logits = np.full((12, 1, 1), -2.0)
         logits[3] = logits[5] = 1.25
-        _, x = predict_depth(Tensor(logits), inv, radius=1)
+        _, x = predict_depth(Tensor(logits), radius=1)
         assert x[0, 0] == 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -126,55 +134,52 @@ class TestPredictDepth:
         logits[:, 0, 0] = 0.5  # every depth tied
         logits[[0, 31], 1, 0] = 3.0  # tied at both ends
         logits[[30, 31], 1, 1] = 3.0  # tied at the top end
-        _, x = predict_depth(Tensor(logits), inverse_grid(1.0, 9.0, 32), radius=2)
+        _, x = predict_depth(Tensor(logits), radius=2)
         assert np.array_equal(x, np.argmax(logits, axis=0))
         assert x[0, 0] == 0 and x[1, 0] == 0 and x[1, 1] == 30
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("best", [0, 1, 14, 15])
     def test_window_at_the_range_edges(self, rng, dtype, best):
-        # window entries outside [0, D-1] weigh nothing: the depth is the
-        # loop over the truncated window, and the bins outside the window
-        # do not change a bit of it
+        # window entries outside [0, D-1] weigh nothing: η is the loop over
+        # the truncated window, and the bins outside the window do not
+        # change a bit of it
         T.set_default_dtype(dtype)
-        inv = inverse_grid(2.0, 6.0, 16)
         logits = rng.standard_normal((16, 1, 1)).astype(dtype)
         logits[best] += 6.0
-        depth, x = predict_depth(Tensor(logits), inv, radius=2)
+        eta, x = predict_depth(Tensor(logits), radius=2)
         assert x[0, 0] == best
         p = np.exp(logits[:, 0, 0].astype(np.float64) - logits.max())
-        want = windowed_expectation(p, inv, best, 2)
-        assert np.isclose(depth.data[0, 0], want, rtol=1e-6 if dtype == np.float32 else 1e-12)
+        want = windowed_expectation(p, best, 2)
+        assert np.isclose(eta.data[0, 0], want, rtol=1e-6 if dtype == np.float32 else 1e-12)
         far = np.abs(np.arange(16) - best) > 2
         moved = logits.copy()
         moved[far] = logits[best] - 1.0 - rng.random((far.sum(), 1, 1))
-        again, _ = predict_depth(Tensor(moved), inv, radius=2)
-        assert again.data.tobytes() == depth.data.tobytes()
+        again, _ = predict_depth(Tensor(moved), radius=2)
+        assert again.data.tobytes() == eta.data.tobytes()
 
     def test_matches_loop_oracle_at_random_pixels(self, rng):
         T.set_default_dtype(np.float64)
-        inv = inverse_grid(1.0, 9.0, 32)
         p = rng.random((32, 3, 4)) + 1e-3
         p /= p.sum(0)
-        depth, x = predict_depth(Tensor(np.log(p)), inv, radius=4)
+        eta, x = predict_depth(Tensor(np.log(p)), radius=4)
         assert np.array_equal(x, np.argmax(p, axis=0))
         for (i, j) in [(0, 0), (1, 2), (2, 3)]:
-            want = windowed_expectation(p[:, i, j], inv, int(x[i, j]), 4)
-            assert np.allclose(depth.data[i, j], want, atol=1e-12)
+            want = windowed_expectation(p[:, i, j], int(x[i, j]), 4)
+            assert np.allclose(eta.data[i, j], want, atol=1e-12)
 
     def test_probability_outside_window_is_ignored(self, rng):
         T.set_default_dtype(np.float64)
-        inv = inverse_grid(1.0, 5.0, 16)
         logits = rng.standard_normal((16, 1, 1))
         logits[8] = 9.0
-        base, _ = predict_depth(Tensor(logits.copy()), inv, radius=2)
+        base, _ = predict_depth(Tensor(logits.copy()), radius=2)
         # shuffle everything outside [6, 10]; the readout must not move
         outside = np.concatenate([logits[:6, 0, 0], logits[11:, 0, 0]])
         shuffled = np.random.default_rng(3).permutation(outside)
         q = logits.copy()
         q[:6, 0, 0] = shuffled[:6]
         q[11:, 0, 0] = shuffled[6:]
-        moved, _ = predict_depth(Tensor(q), inv, radius=2)
+        moved, _ = predict_depth(Tensor(q), radius=2)
         assert base.data.tobytes() == moved.data.tobytes()
 
 
@@ -184,24 +189,20 @@ class TestHypothesisGeneration:
 
     def test_offsets_in_normalized_inverse_depth(self):
         T.set_default_dtype(np.float64)
-        d_min, d_max = 2.0, 8.0
-        hyps = self.model.generate_hypotheses(Tensor(np.full((1, 2, 2), 0.5)), d_min, d_max)
+        hyps = self.model.generate_hypotheses(Tensor(np.full((1, 2, 2), 0.5)))
         for hyp, radius, count in zip(hyps, (2.0 ** -7, 2.0 ** -5, 2.0 ** -3),
                                       (4, 4, 2)):
             assert hyp.shape == (count, 2, 2)
-            eta = normalize_inv(hyp.data, d_min, d_max)
             want = 0.5 + np.linspace(-radius, radius, count)
-            assert np.allclose(eta[:, 0, 0], want, atol=1e-12)
+            assert np.allclose(hyp.data[:, 0, 0], want, atol=1e-12)
 
     def test_clipped_at_the_range_edge(self):
-        d_min, d_max = 2.0, 8.0
-        hyps = self.model.generate_hypotheses(Tensor(np.zeros((1, 2, 2))), d_min, d_max)  # d_max
+        hyps = self.model.generate_hypotheses(Tensor(np.zeros((1, 2, 2))))  # η = 0, d_max
         for hyp in hyps:
-            assert (hyp.data <= d_max + 1e-9).all()
-            assert (hyp.data >= d_min - 1e-9).all()
-        # the low half of each window collapses onto eta = 0, i.e. d_max
-        assert np.allclose(hyps[0].data[0], d_max, atol=1e-9)
-        assert np.allclose(hyps[0].data[1], d_max, atol=1e-9)
+            assert (hyp.data >= 0.0).all() and (hyp.data <= 1.0).all()
+        # the low half of each window collapses onto η = 0
+        assert (hyps[0].data[:2] == 0.0).all()
+        assert (hyps[0].data[2:] > 0.0).all()
 
 
 class TestEstimatorRuns:
@@ -226,7 +227,6 @@ class TestEstimatorRuns:
             assert (conf.data > 0).all() and (conf.data < 1).all()
         assert res.d_up.shape == (16, 16)
         assert res.conf_up.shape == (16, 16)
-        assert res.inv_grid.shape == (256,)
 
     def test_zero_iterations_still_reads_out(self):
         res = self.model.run(self.scene.views, iters=0)
@@ -249,14 +249,14 @@ class TestEstimatorRuns:
         assert (init.shares_up.data > 0).all()
         assert np.allclose(init.shares_up.data.sum(0), 1.0, atol=1e-6)
 
-    def test_each_eta_is_its_depth_normalized(self):
+    def test_each_depth_is_its_eta_denormalized(self):
         T.set_default_dtype(np.float64)
         model = DepthEstimator(TrainConfig(iters=2), np.random.default_rng(1))
         res = model.run(self.scene.views, iters=2)
         assert len(res.etas) == len(res.depths) == 3
         for eta, depth in zip(res.etas, res.depths):
-            want = normalize_inv(depth, res.d_min, res.d_max)
-            assert eta.data.tobytes() == want.data.tobytes()
+            want = denormalize_inv(eta, res.d_min, res.d_max)
+            assert depth.data.tobytes() == want.data.tobytes()
 
     def test_rejects_single_view(self):
         with pytest.raises(ConfigError):

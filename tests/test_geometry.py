@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError
-from mvsgru.geometry import (CameraView, denormalize_inv, inverse_grid,
-                             load_cam_text, normalize_inv, relative_pose,
-                             save_cam_text, scale_intrinsics,
+from mvsgru.geometry import (CameraView, denormalize_inv, eta_projection, inverse_grid,
+                             load_cam_text, normalize_inv, project, relative_pose,
+                             relative_poses, save_cam_text, scale_intrinsics,
                              warp_points)
 from mvsgru.tensor import Tensor
 
@@ -134,19 +134,51 @@ class TestWarp:
         assert z[0] > 0 and (z[1:] < 0).all()
         assert np.isfinite(u).all() and np.isfinite(v).all()
 
-    def test_tensor_depth_path_matches_numpy(self, rng):
-        ref = make_view()
-        src = make_view(t=np.array([-0.5, 0.0, 0.0]))
-        pose = relative_pose(ref, src)
-        x = rng.uniform(0, 15, 8)
-        y = rng.uniform(0, 15, 8)
-        d = rng.uniform(2, 6, (2, 8))
-        un, vn, zn, _ = warp_points(x, y, d, ref.k, src.k, pose)
+class TestProject:
+    """``project`` of ``eta_projection`` against ``warp_points`` at the depth
+    each η denormalizes to, one source at a time, in float64."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_warp_points(self, seed):
+        rng = np.random.default_rng(seed)
+        ref = make_view(r=rot_y(rng.uniform(-0.1, 0.1)), t=rng.normal(0.0, 0.3, 3),
+                        d_min=0.5, d_max=8.0)
+        srcs = [make_view(r=rot_y(a), t=rng.normal(0.0, 0.2, 3), f=rng.uniform(20, 60),
+                          d_min=0.5, d_max=8.0)
+                for a in rng.uniform(-0.3, 0.3, 2)]
+        # one more at the reference's centre, looking sideways across its
+        # rays, so that some points fall behind it
+        turn = rot_y(np.pi / 2)
+        srcs.append(make_view(r=turn, t=turn @ ref.r.T @ ref.t, d_min=0.5, d_max=8.0))
+        x, y = rng.uniform(0, 15, 40), rng.uniform(0, 15, 40)
+        eta = rng.uniform(0.0, 1.0, (3, 40))
+        a, b = eta_projection(x, y, ref.k, np.stack([s.k for s in srcs]),
+                              relative_poses(ref, srcs), ref.d_min, ref.d_max)
         with T.using_dtype(np.float64):
-            ut, vt, zt, _ = warp_points(x, y, Tensor(d), ref.k, src.k, pose)
-        assert np.abs(ut.data - un).max() < 1e-9
-        assert np.abs(vt.data - vn).max() < 1e-9
-        assert np.abs(zt.data - zn).max() < 1e-9
+            u, v, front = project(Tensor(eta), a, b)
+        assert u.shape == v.shape == front.shape == (3, 3, 40)
+        depth = denormalize_inv(eta, ref.d_min, ref.d_max)
+        for i, src in enumerate(srcs):
+            uw, vw, z, valid = warp_points(x, y, depth, ref.k, src.k, relative_pose(ref, src))
+            assert np.array_equal(front[i], valid)
+            # near the source's focal plane both blow up; compare where
+            # a point lands within 1000 px of the image
+            near = valid & (np.abs(uw) < 1e3) & (np.abs(vw) < 1e3)
+            assert np.abs(u.data[i] - uw)[near].max() < 1e-9
+            assert np.abs(v.data[i] - vw)[near].max() < 1e-9
+        assert front[2].any() and not front[2].all()
+
+    def test_constant_planes_broadcast_over_pixels(self, rng):
+        ref, src = make_view(), make_view(r=rot_y(0.1), t=np.array([-0.5, 0.0, 0.1]))
+        x, y = rng.uniform(0, 15, 6), rng.uniform(0, 15, 6)
+        a, b = eta_projection(x, y, ref.k, src.k[None], relative_poses(ref, [src]), 2.0, 6.0)
+        planes = np.linspace(0.0, 1.0, 4)
+        with T.using_dtype(np.float64):
+            u, v, front = project(planes[:, None], a, b)
+            u_full, v_full, _ = project(np.repeat(planes[:, None], 6, 1), a, b)
+        assert u.shape == (1, 4, 6) and front.all()
+        assert u.data.tobytes() == u_full.data.tobytes()
+        assert v.data.tobytes() == v_full.data.tobytes()
 
 
 class TestInverseDepth:

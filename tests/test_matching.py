@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mvsgru import tensor as T
 from mvsgru.errors import ShapeError
 from mvsgru.features import FeaturePyramid, stack_pyramids
-from mvsgru.geometry import (relative_pose, relative_poses, scale_intrinsics,
-                             warp_points)
+from mvsgru.geometry import (denormalize_inv, eta_projection, relative_pose, relative_poses,
+                             scale_intrinsics, warp_points)
 from mvsgru.matching import (AggregationUnet, ViewWeightCNN, group_correlation,
                              integrate, level_coords, lookup_levels,
                              multiscale_similarity, view_shares, view_weight,
@@ -204,11 +204,10 @@ class TestWarpAndCorrelate:
         view = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         feats = Tensor(rng.standard_normal((16, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
-        depths = np.full((3, 64), 4.0)
-        sim, valid = warp_and_correlate(feats.reshape((16, 64)),
-                                        feats.reshape((1, 16, 8, 8)), xl.ravel(),
-                                        yl.ravel(), depths, view.k, view.k[None],
-                                        relative_poses(view, [view]))
+        a, b = eta_projection(xl.ravel(), yl.ravel(), view.k, view.k[None],
+                              relative_poses(view, [view]), view.d_min, view.d_max)
+        sim, valid = warp_and_correlate(feats.reshape((16, 64)), feats.reshape((1, 16, 8, 8)),
+                                        np.full((3, 64), 0.7), a, b)
         assert sim.shape == (8, 1, 3, 64) and valid.shape == (1, 3, 64)
         sim, valid = Tensor(sim.data.reshape(8, 3, 8, 8)), valid.reshape(3, 8, 8)
         # border pixels may round a hair outside and get masked; the
@@ -225,11 +224,10 @@ class TestWarpAndCorrelate:
         src = make_view(8, 10.0, (100.0, 0.0, 0.0), (200.0, 0.0, 0.0))
         feats = Tensor(rng.standard_normal((16, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
-        depths = np.full((2, 64), 4.0)
-        sim, valid = warp_and_correlate(feats.reshape((16, 64)),
-                                        feats.reshape((1, 16, 8, 8)), xl.ravel(),
-                                        yl.ravel(), depths, ref.k, src.k[None],
-                                        relative_poses(ref, [src]))
+        a, b = eta_projection(xl.ravel(), yl.ravel(), ref.k, src.k[None],
+                              relative_poses(ref, [src]), ref.d_min, ref.d_max)
+        sim, valid = warp_and_correlate(feats.reshape((16, 64)), feats.reshape((1, 16, 8, 8)),
+                                        np.full((2, 64), 0.7), a, b)
         assert sim.shape == (8, 1, 2, 64) and valid.shape == (1, 2, 64)
         assert not valid.any()
         assert np.allclose(sim.data, 0.0)
@@ -238,10 +236,10 @@ class TestWarpAndCorrelate:
         view = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         feats = Tensor(rng.standard_normal((16, 8, 8)))
         xl, yl = level_coords(2, 8, 8, 8, 8)
+        a, b = eta_projection(xl.ravel(), yl.ravel(), view.k, view.k[None],
+                              relative_poses(view, [view]), view.d_min, view.d_max)
         with pytest.raises(ShapeError):
-            warp_and_correlate(feats.reshape((16, 64)), feats, xl.ravel(), yl.ravel(),
-                               np.full((2, 64), 4.0), view.k, view.k,
-                               relative_pose(view, view))
+            warp_and_correlate(feats.reshape((16, 64)), feats, np.full((2, 64), 0.7), a, b)
 
 
 class TestLookupLevels:
@@ -254,7 +252,8 @@ class TestLookupLevels:
                     for _ in views]
         sources = stack_pyramids(pyramids[1:])
         levels = lookup_levels(pyramids[0], sources, views)
-        for l, (f_ref, f_src, *_) in zip((1, 2, 3), levels):
+        for l, (f_ref, f_src, a, b) in zip((1, 2, 3), levels):
+            assert a.shape == (2, 3, 64) and b.shape == (2, 3, 1)
             c = f_ref.shape[0]
             assert f_ref.shape == (c, 64) and f_ref.data.T.flags.c_contiguous
             assert f_src.shape == (2, c, 32 >> l, 32 >> l)
@@ -279,7 +278,7 @@ class TestMultiscaleSimilarity:
 
         ref_pyr, src_pyrs = pyramid(), [pyramid() for _ in srcs]
         h4 = size // 4
-        hyps = [Tensor(rng.uniform(2.0, 8.0, (n, h4, h4))) for n in counts]
+        hyps = [Tensor(rng.uniform(0.0, 1.0, (n, h4, h4))) for n in counts]  # η
         weights = Tensor(rng.random((len(srcs), h4, h4)) + 0.1)
         unets = [AggregationUnet(8 * n, n, np.random.default_rng(n))
                  for n in counts]
@@ -298,10 +297,10 @@ class TestMultiscaleSimilarity:
             f_ref_p, _ = T.bilinear_sample(f_ref, xl, yl)
             num = np.zeros((8, n, h4, h4))
             for i, (src, pyr) in enumerate(zip(srcs, src_pyrs)):
+                depth = denormalize_inv(hyp.data.reshape(n, -1), ref.d_min, ref.d_max)
                 u, v, _, front = warp_points(
-                    xl.ravel(), yl.ravel(), hyp.data.reshape(n, -1),
-                    scale_intrinsics(ref.k, l), scale_intrinsics(src.k, l),
-                    relative_pose(ref, src))
+                    xl.ravel(), yl.ravel(), depth, scale_intrinsics(ref.k, l),
+                    scale_intrinsics(src.k, l), relative_pose(ref, src))
                 warped, inside = T.bilinear_sample(pyr.level(l), u, v)
                 mask = (front & inside).reshape(n, h4, h4)
                 sim = group_correlation_oracle(

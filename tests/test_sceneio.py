@@ -188,10 +188,12 @@ _PIX = bytes(12)  # payload of a 2x2 PPM (and 3 of the 4 floats of a 2x2 PFM)
     ("pair", b"three\n"),
     ("pair", b"3\n0 2 0 1\n"),
     ("pair", b"3\n0 2 1 1\n"),
+    ("pair", b"3\n0 2 1 2\n0 1 2\n"),
 ], ids=["pfm-dims-word", "pfm-dims-one", "pfm-dims-negative", "pfm-scale-word",
         "pfm-scale-nan", "ppm-width", "ppm-height", "ppm-maxval", "ppm-zero-width",
         "ppm-open-comment", "pair-word-count", "pair-no-count", "pair-ref-range",
-        "pair-ref-negative", "pair-header", "pair-self-source", "pair-repeated-source"])
+        "pair-ref-negative", "pair-header", "pair-self-source", "pair-repeated-source",
+        "pair-duplicate-ref"])
 def test_malformed_header_raises_file_format_error(tmp_path, kind, content):
     if kind == "pair":
         save_scene(synth_scene(SynthSpec(seed=9, views=3, size=16, quads=1)),
@@ -204,6 +206,20 @@ def test_malformed_header_raises_file_format_error(tmp_path, kind, content):
     path.write_bytes(content)
     with pytest.raises(FileFormatError):
         (load_pfm if kind == "pfm" else load_ppm)(path)
+
+
+@pytest.mark.parametrize("content, offset, message", [
+    (b"3\n0 2 1 2\n0 1 2\n", 10, "a second pair line for view 0"),
+    (b"\n3\n\n1 2 0 2\n2 1 5\n", 12, "bad pair line for view 2"),
+    (b"3\n1 2 0 x\n", 2, "bad pair line"),
+    (b"\n\nthree\n", 2, "bad pair.txt header"),
+], ids=["duplicate-ref", "ref-range", "word-source", "header"])
+def test_pair_error_gives_the_line_offset(tmp_path, content, offset, message):
+    save_scene(synth_scene(SynthSpec(seed=9, views=3, size=16, quads=1)), tmp_path / "s")
+    (tmp_path / "s" / "pair.txt").write_bytes(content)
+    with pytest.raises(FileFormatError, match=message) as err:
+        load_scene(tmp_path / "s")
+    assert err.value.offset == offset
 
 
 class TestSynth:

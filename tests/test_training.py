@@ -10,7 +10,7 @@ import pytest
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, EmptySampleError
 from mvsgru.estimator import DepthEstimator, RunResult
-from mvsgru.geometry import normalize_inv
+from mvsgru.geometry import denormalize_inv
 from mvsgru.optim import Adam
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import Tape, Tensor, backward
@@ -141,12 +141,13 @@ class TestLossTerms:
 
 def one_pixel_run(eta_k, conf, d_min, d_max, d2):
     """RunResult with a single quarter-res pixel and hand-picked outputs."""
-    depth = Tensor(depth_for_eta(np.array([[eta_k]]), d_min, d_max))
+    eta = Tensor(np.array([[eta_k]]))
+    depth = denormalize_inv(eta, d_min, d_max)
     # equal logits: the uniform volume 1/d2
     return RunResult(d_init=Tensor(depth.data.copy()),
                      logits=[Tensor(np.zeros((d2, 1, 1)))],
                      depths=[depth],
-                     etas=[normalize_inv(depth, d_min, d_max)],
+                     etas=[eta],
                      indices=[np.zeros((1, 1), dtype=np.int64)],
                      confs=[Tensor(np.array([[conf]]))],
                      d_up=None, d_min=d_min, d_max=d_max)
@@ -297,7 +298,9 @@ class TestTrainStep:
         # mask and a window softmax in place of the 0/1 mask, the mass and
         # the division by it) and the sources were stacked texel-major (a
         # reshape and a transpose more per level)
-        assert train_step(fixed_sample, model_seed=0) == 781
+        # 781 before the loop carried η end to end (three fewer per
+        # iteration in generate_hypotheses, one fewer per readout)
+        assert train_step(fixed_sample, model_seed=0) == 764
 
     def test_backward_frees_gradients_as_it_goes(self, fixed_sample, step_peaks):
         # backward would hold ~21 MB of intermediate gradients on top of the
@@ -401,7 +404,8 @@ class TestConfigValidation:
         ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
         ("radii", (0.1, 0.2)), ("counts", (4, 4)), ("radii", (0.2, 0.1, 0.3)),
         ("radii", (0.1, 0.1, 0.3)), ("d1", 1), ("d2", 1), ("readout_radius", -1),
-        ("source_pool", 0), ("counts", (0, 4, 2)), ("scale_lo", 2.0), ("scale_lo", 0.0),
+        ("source_pool", 0), ("counts", (0, 4, 2)), ("counts", (1, 4, 2)), ("scale_lo", 2.0),
+        ("scale_lo", 0.0),
         ("scale_lo", float("nan")), ("scale_hi", 0.5)])
     def test_every_route_to_a_config_checks_it(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key):
