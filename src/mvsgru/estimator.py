@@ -102,7 +102,9 @@ class RunResult:
 
     Readout k (k = 0 reads the initial hidden state, then one per GRU
     iteration) keeps its hidden state ``hiddens[k]`` [HIDDEN, H/4, W/4],
-    η, depth (η over [d_min, d_max]), argmax index and confidence.  Its
+    η, depth (η over [d_min, d_max], off any tape: the losses read η, and
+    ``d_up`` maps the last η to depth again on the tape), argmax index and
+    confidence.  Its
     probability volume over ``inverse_grid(d_min, d_max, D2)``, the softmax
     of the probability head's logits [D2, H/4, W/4], is read through
     ``prob(k)``; the readout itself never forms it.
@@ -274,7 +276,8 @@ class DepthEstimator(Module):
                 res.logits.append(logits)
             res.hiddens.append(hidden)
             res.etas.append(eta)
-            res.depths.append(denormalize_inv(eta, ref.d_min, ref.d_max))
+            with no_grad():  # no loss reads these depths
+                res.depths.append(denormalize_inv(eta, ref.d_min, ref.d_max))
             res.indices.append(x_best)
             res.confs.append(self.predict_confidence(hidden))
 
@@ -286,6 +289,7 @@ class DepthEstimator(Module):
             h = gru_update(self.gru, h, concat([eta, s_bar], 0))
             readout(h)
         if upsample:
-            res.d_up = self.upsampler.upsample_depth(res.depths[-1], ref_f2)
+            d_last = denormalize_inv(res.etas[-1], ref.d_min, ref.d_max)
+            res.d_up = self.upsampler.upsample_depth(d_last, ref_f2)
             res.conf_up = bilinear_resize(res.confs[-1], (h4 * 4, w4 * 4))
         return res

@@ -6,11 +6,12 @@ Every pinhole projection is ``geometry.warp_points``, in float64 and depth.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError, FileFormatError, header_number
 from .geometry import CameraView, relative_pose, warp_points
 
 PLY_DTYPE = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
@@ -167,20 +168,17 @@ def read_ply(path) -> PointCloud:
         header_end = raw.index(b"end_header\n") + len(b"end_header\n")
     except ValueError:
         raise FileFormatError(path, len(raw), "unterminated header") from None
-    lines = raw[:header_end].split(b"\n")
-    if lines[1] != b"format binary_little_endian 1.0":
-        raise FileFormatError(path, 4, f"unsupported format {lines[1]!r}")
+    # (byte offset, bytes) of each header line
+    lines = [(m.start(), m[1]) for m in re.finditer(rb"([^\n]*)\n", raw[:header_end])]
+    if lines[1][1] != b"format binary_little_endian 1.0":
+        raise FileFormatError(path, 4, f"unsupported format {lines[1][1]!r}")
     count = None
     props = []
-    for ln in lines[2:]:
+    for off, ln in lines[2:]:
         if ln.startswith(b"element vertex "):
-            try:
-                count = int(ln.split()[-1])
-            except ValueError:
-                raise FileFormatError(path, raw.index(ln), f"bad vertex count {ln!r}") from None
+            count = header_number(path, (off, ln.split()[-1]), int, "vertex count", lo=0)
         elif ln.startswith(b"element "):
-            raise FileFormatError(path, raw.index(ln),
-                                  f"unsupported element {ln!r}")
+            raise FileFormatError(path, off, f"unsupported element {ln!r}")
         elif ln.startswith(b"property "):
             props.append(ln)
     if count is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError, FileFormatError, header_number, header_tokens
 from .tensor import Tensor, mul, where
 
 _ZEYE = 1e-8  # warp_points counts points with camera-frame z below this as behind the camera
@@ -177,16 +177,20 @@ def denormalize_inv(eta, d_min: float, d_max: float):
 # camera text files
 # ---------------------------------------------------------------------------
 #
-# Text layout (whitespace separated):
+# Text layout, 31 tokens separated by ASCII whitespace:
 #   extrinsic
 #   <4 x 4 row-major world-to-camera matrix>
 #   intrinsic
 #   <3 x 3 K>
 #   d_min d_interval d_count d_max
 #
-# d_interval and d_count are carried for compatibility and ignored on read.
+# Every value must be a finite float.  d_interval and d_count are carried for
+# compatibility and ignored on read; tokens after the 31st are ignored.  Any
+# other byte (a UTF-8 no-break space, say) is part of a token.  A
+# FileFormatError gives the offset of the first token at fault.
 
 CAM_D_COUNT = 256
+_CAM_WORDS = {0: b"extrinsic", 17: b"intrinsic"}  # token index -> the word there
 
 
 def save_cam_text(path, view: CameraView) -> None:
@@ -209,31 +213,16 @@ def load_cam_text(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, floa
     """Parse a camera file; returns (K, R, t, d_min, d_max)."""
     with open(path, "rb") as f:
         raw = f.read()
-    text = raw.decode("utf-8", errors="replace")
-    tokens = []
-    offset = 0
-    for tok in text.split():
-        pos = text.index(tok, offset)
-        tokens.append((tok, pos))
-        offset = pos + len(tok)
-
-    def fail(i, msg):
-        off = tokens[i][1] if i < len(tokens) else len(raw)
-        raise FileFormatError(path, off, msg)
-
-    if not tokens or tokens[0][0] != "extrinsic":
-        fail(0, "expected 'extrinsic'")
-    if len(tokens) < 1 + 16 + 1 + 9 + 4:
-        fail(len(tokens), "file too short")
-    try:
-        ext = np.array([float(tokens[1 + i][0]) for i in range(16)]).reshape(4, 4)
-    except ValueError:
-        fail(1, "bad extrinsic value")
-    if tokens[17][0] != "intrinsic":
-        fail(17, "expected 'intrinsic'")
-    try:
-        k = np.array([float(tokens[18 + i][0]) for i in range(9)]).reshape(3, 3)
-        d_min, _, _, d_max = (float(tokens[27 + i][0]) for i in range(4))
-    except ValueError:
-        fail(18, "bad intrinsic or depth-range value")
-    return k, ext[:3, :3], ext[:3, 3], d_min, d_max
+    toks, _ = header_tokens(raw, 1 + 16 + 1 + 9 + 4)
+    vals = []
+    for i, tok in enumerate(toks):  # in file order, so the first fault is reported
+        if i in _CAM_WORDS:
+            if tok[1] != _CAM_WORDS[i]:
+                raise FileFormatError(path, tok[0], f"expected {_CAM_WORDS[i].decode()!r}")
+        else:
+            vals.append(header_number(path, tok, float, "camera value"))
+            if not np.isfinite(vals[-1]):
+                raise FileFormatError(path, tok[0], "non-finite camera value")
+    ext = np.reshape(vals[:16], (4, 4))
+    d_min, _, _, d_max = vals[25:]
+    return np.reshape(vals[16:25], (3, 3)), ext[:3, :3], ext[:3, 3], d_min, d_max

@@ -19,6 +19,13 @@ Scene directory layout:
     pair.txt                 (per line: ref_index count src_1 src_2 ..., the
                               sources distinct and other than the reference;
                               at most one line per reference)
+
+The loaders read bytes and never decode them.  PPM, PFM and camera headers
+are whitespace-separated tokens, read by ``errors.header_tokens`` (PPM also
+skips ``#`` comments), and each number by ``errors.header_number``; a
+FileFormatError gives the byte offset of the first token at fault, or the
+file's length when the header is cut short.  ``pair.txt`` errors give the
+offset of the line at fault.
 """
 
 from __future__ import annotations
@@ -30,24 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, ContractError, FileFormatError, SceneGenerationError
+from .errors import (ConfigError, ContractError, FileFormatError, SceneGenerationError,
+                     header_number, header_tokens)
 from .fusion import PointCloud, backproject
 from .geometry import CameraView, load_cam_text, save_cam_text
 
 # ---------------------------------------------------------------------------
 # image / depth file formats
-
-
-def _header_ints(path, offset: int, fields, count: int, what: str,
-                 lo: int = 1) -> list[int]:
-    """Parse ``count`` integer header fields, each >= lo, or raise FileFormatError."""
-    try:
-        vals = [int(v) for v in fields]
-    except ValueError:
-        vals = []
-    if len(vals) != count or min(vals) < lo:
-        raise FileFormatError(path, offset, f"bad {what}")
-    return vals
 
 
 def save_pfm(path, depth: np.ndarray) -> None:
@@ -65,22 +61,20 @@ def load_pfm(path) -> np.ndarray:
         raw = f.read()
     if not raw.startswith(b"Pf\n"):
         raise FileFormatError(path, 0, "not a single-channel PFM")
-    try:
-        dims_end = raw.index(b"\n", 3)
-        scale_end = raw.index(b"\n", dims_end + 1)
-    except ValueError:
-        raise FileFormatError(path, len(raw), "truncated PFM header") from None
-    w, h = _header_ints(path, 3, raw[3:dims_end].split(), 2, "PFM dimension line")
-    try:
-        scale = float(raw[dims_end + 1:scale_end])
-    except ValueError:
-        raise FileFormatError(path, dims_end + 1, "bad PFM scale line") from None
+    (_, w, h, s), end = header_tokens(raw, 4)
+    # the lines 'Pf', 'width height' and the scale: each token's value,
+    # then its line, so that the first token at fault is the one reported
+    vals = []
+    for tok, line, cast, lo in ((w, 1, int, 1), (h, 1, int, 1), (s, 2, float, None)):
+        vals.append(header_number(path, tok, cast, "PFM header value", lo))
+        if raw.count(b"\n", 0, tok[0]) != line:
+            raise FileFormatError(path, tok[0], "bad PFM dimension line")
+    w, h, scale = vals
     if not np.isfinite(scale):
-        raise FileFormatError(path, dims_end + 1, f"bad PFM scale {scale}")
+        raise FileFormatError(path, s[0], f"bad PFM scale {scale}")
     if scale >= 0:
-        raise FileFormatError(path, dims_end + 1,
-                              "big-endian PFM not supported")
-    start = scale_end + 1
+        raise FileFormatError(path, s[0], "big-endian PFM not supported")
+    start = min(end + 1, len(raw))  # one whitespace byte ends the header
     need = w * h * 4
     if len(raw) - start != need:
         raise FileFormatError(path, start,
@@ -102,33 +96,18 @@ def save_ppm(path, image: np.ndarray) -> None:
 def load_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
-    if not raw.startswith(b"P6"):
+    if not (raw.startswith(b"P6") and raw[2:3].isspace()):
         raise FileFormatError(path, 0, "not a binary PPM")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            pos = raw.find(b"\n", pos) + 1
-            if pos == 0:
-                raise FileFormatError(path, len(raw), "truncated PPM header")
-            continue
-        end = pos
-        while end < len(raw) and not raw[end:end + 1].isspace():
-            end += 1
-        if end == pos:
-            raise FileFormatError(path, pos, "truncated PPM header")
-        fields.append(raw[pos:end])
-        pos = end
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = _header_ints(path, 2, fields, 3, "PPM header")
+    (_, w, h, m), end = header_tokens(raw, 4, comments=True)
+    w, h = (header_number(path, t, int, "PPM dimension", lo=1) for t in (w, h))
+    maxval = header_number(path, m, int, "PPM maxval")
     if maxval != 255:
-        raise FileFormatError(path, 2, f"unsupported maxval {maxval}")
+        raise FileFormatError(path, m[0], f"unsupported maxval {maxval}")
+    start = min(end + 1, len(raw))  # one whitespace byte ends the header
     need = w * h * 3
-    if len(raw) - pos < need:
-        raise FileFormatError(path, pos, "truncated PPM payload")
-    pix = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos)
+    if len(raw) - start < need:
+        raise FileFormatError(path, start, "truncated PPM payload")
+    pix = np.frombuffer(raw, dtype=np.uint8, count=need, offset=start)
     return pix.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float32) / 255.0
 
 
@@ -166,18 +145,20 @@ def save_scene(scene: Scene, root) -> None:
 def load_scene(root) -> Scene:
     root = str(root)
     pair_path = os.path.join(root, "pair.txt")
-    with open(pair_path, "rb") as f:  # bytes: _header_ints parses them, no decoding
-        # (byte offset, fields) of each non-blank line
-        lines = [(m.start(), m[0].split()) for m in re.finditer(rb"[^\n]*\S[^\n]*", f.read())]
-    head_off, head = lines[0] if lines else (0, [])
-    (count,) = _header_ints(pair_path, head_off, head, 1, "pair.txt header")
+    with open(pair_path, "rb") as f:  # bytes: header_number parses them, no decoding
+        # (byte offset, bytes) of each non-blank line
+        lines = [(m.start(), m[0]) for m in re.finditer(rb"[^\n]*\S[^\n]*", f.read())]
+    # the header line holds one number, so it is read whole
+    count = header_number(pair_path, lines[0] if lines else (0, b""), int,
+                          "pair.txt header", lo=1)
     # a dict until the views load: a corrupt count fails at the first
     # missing camera instead of allocating a list that long
     pairs: dict[int, list[int]] = {}
     for off, ln in lines[1:]:
-        if len(ln) < 2:
+        fields = [header_number(pair_path, (off, v), int, "pair line", lo=0) for v in ln.split()]
+        if len(fields) < 2:
             raise FileFormatError(pair_path, off, "short pair line")
-        ref, n, *srcs = _header_ints(pair_path, off, ln, len(ln), "pair line", lo=0)
+        ref, n, *srcs = fields
         # a source equal to the reference would be a zero-baseline match
         if (not 0 <= ref < count or len(srcs) != n
                 or not all(0 <= s < count for s in srcs)

@@ -8,7 +8,7 @@ import pytest
 from mvsgru import scenes
 from mvsgru.errors import (ContractError, FileFormatError,
                            SceneGenerationError)
-from mvsgru.fusion import PointCloud, backproject
+from mvsgru.fusion import PointCloud, backproject, read_ply
 from mvsgru.geometry import load_cam_text, save_cam_text
 from mvsgru.scenes import (Scene, SynthSpec, build_gt_cloud, evaluate,
                            load_pfm, load_ppm, load_scene, save_pfm,
@@ -219,6 +219,32 @@ def test_pair_error_gives_the_line_offset(tmp_path, content, offset, message):
     (tmp_path / "s" / "pair.txt").write_bytes(content)
     with pytest.raises(FileFormatError, match=message) as err:
         load_scene(tmp_path / "s")
+    assert err.value.offset == offset
+
+
+_CAM = (b"extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\n"
+        b"intrinsic\n100 0 32\n0 100 32\n0 0 1\n\n1 0.4 256 5\n")
+_BAD_D_MAX = _CAM.replace(b" 5\n", b" five\n")  # "five" starts at byte 88
+
+
+@pytest.mark.parametrize("load, content, offset", [
+    (load_ppm, b"P6\n2 y\n255\n", 5),
+    (load_ppm, b"P6\n# c\n2 2\n257\n", 11),
+    (load_ppm, b"P6\n1 1\n255", 10),  # the payload would start past the end
+    (load_pfm, b"Pf\n2 x\n-1.0\n", 5),
+    (load_cam_text, _BAD_D_MAX, 88),
+    # a no-break space is two bytes of the token "1\u00a00", not whitespace
+    (load_cam_text, _BAD_D_MAX.replace(b"1 0", "1\u00a00".encode(), 1), 10),
+    (load_cam_text, _CAM.replace(b"\n1 0.4", b"\nnan 0.4"), 78),
+    (read_ply, b"ply\nformat binary_little_endian 1.0\n"
+               b"comment element vertex x\nelement vertex x\nend_header\n", 61),
+], ids=["ppm-height", "ppm-maxval-after-comment", "ppm-no-payload", "pfm-height", "cam-d-max",
+        "cam-no-break-space", "cam-nan-d-min", "ply-vertex-count-after-comment"])
+def test_error_gives_the_offset_of_the_first_token_at_fault(tmp_path, load, content, offset):
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    with pytest.raises(FileFormatError) as err:
+        load(path)
     assert err.value.offset == offset
 
 
