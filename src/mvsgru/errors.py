@@ -69,12 +69,13 @@ def header_tokens(raw: bytes, count: int,
 def header_number(path, token: tuple[int, bytes], cast, what: str, lo=None):
     """``cast`` of a ``(byte offset, token)`` pair, or FileFormatError there.
 
-    ``lo``, if given, is the smallest value accepted.
+    ``lo``, if given, is the smallest value accepted.  A ``_`` fails: no
+    header format has the digit groups ``int`` and ``float`` accept.
     """
     offset, text = token
     try:
         value = cast(text)
-        if lo is None or value >= lo:
+        if b"_" not in text and (lo is None or value >= lo):
             return value
     except ValueError:
         pass

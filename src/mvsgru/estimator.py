@@ -5,6 +5,8 @@ convolutional-GRU updates at 1/4 resolution.  Each update injects fresh
 multi-scale matching evidence around the previous estimate, which the loop
 carries as normalized inverse depth η: an argmax-windowed expectation over
 bins evenly spaced in η reads it out, and every lookup projects η directly.
+Lookups take η as a constant, as RAFT's take their coordinates: the loss
+reaches η through the GRU input only.
 """
 
 from __future__ import annotations
@@ -104,10 +106,9 @@ class RunResult:
     iteration) keeps its hidden state ``hiddens[k]`` [HIDDEN, H/4, W/4],
     η, depth (η over [d_min, d_max], off any tape: the losses read η, and
     ``d_up`` maps the last η to depth again on the tape), argmax index and
-    confidence.  Its
-    probability volume over ``inverse_grid(d_min, d_max, D2)``, the softmax
-    of the probability head's logits [D2, H/4, W/4], is read through
-    ``prob(k)``; the readout itself never forms it.
+    confidence.  Its probability volume over ``inverse_grid(d_min, d_max,
+    D2)``, the softmax of the probability head's logits [D2, H/4, W/4], is
+    read through ``prob(k)``; the readout itself never forms it.
 
     A run under a tape keeps every readout's logits in ``logits``, since
     the tape holds them for backward anyway, and ``prob(k)`` is their
@@ -209,17 +210,17 @@ class DepthEstimator(Module):
         shares_up = view_shares(bilinear_resize(w, (h4, w4)).reshape((len(ws), 1, h4 * w4)))
         return InitState(h0, s_init, shares_up, inv_init, d_init)
 
-    def generate_hypotheses(self, eta: Tensor) -> list[Tensor]:
+    def generate_hypotheses(self, eta: np.ndarray) -> list[np.ndarray]:
         """Per-level hypothesis sets around the previous estimate.
 
-        eta is the previous estimate, [1, H, W].  N_l samples spaced evenly
-        over [eta - R_l, eta + R_l], clamped to [0, 1]: all N1+N2+N3 in one
-        volume, of which each level gets its slice.
+        eta is the previous estimate [1, H, W], a constant array as in RAFT.
+        N_l samples spaced evenly over [eta - R_l, eta + R_l], clamped to
+        [0, 1]: all N1+N2+N3 in one volume, of which each level gets its slice.
         """
         offs = [np.linspace(-r, r, n) for r, n in zip(self.cfg.radii, self.cfg.counts)]
-        hyps = (eta + np.concatenate(offs)[:, None, None]).clip(0.0, 1.0)
+        hyps = np.clip(eta + np.concatenate(offs).astype(eta.dtype)[:, None, None], 0.0, 1.0)
         ends = np.cumsum(self.cfg.counts)
-        return [getitem(hyps, np.s_[end - n:end]) for n, end in zip(self.cfg.counts, ends)]
+        return [hyps[end - n:end] for n, end in zip(self.cfg.counts, ends)]
 
     def predict_probability(self, h: Tensor) -> Tensor:
         return self.prob_head(h).softmax(0)
@@ -284,7 +285,7 @@ class DepthEstimator(Module):
         readout(h)
         for _ in range(k):
             eta = res.etas[-1].reshape((1, h4, w4))
-            hyps = self.generate_hypotheses(eta)
+            hyps = self.generate_hypotheses(eta.data)
             s_bar = multiscale_similarity(levels, hyps, init.shares_up, self.level_unets)
             h = gru_update(self.gru, h, concat([eta, s_bar], 0))
             readout(h)

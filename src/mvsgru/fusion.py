@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -177,14 +178,19 @@ def read_ply(path) -> PointCloud:
     for off, ln in lines[2:]:
         if ln.startswith(b"element vertex "):
             count = header_number(path, (off, ln.split()[-1]), int, "vertex count", lo=0)
+            prop_end = off + len(ln) + 1  # where the next property line would start
         elif ln.startswith(b"element "):
             raise FileFormatError(path, off, f"unsupported element {ln!r}")
         elif ln.startswith(b"property "):
-            props.append(ln)
+            props.append((off, ln))
+            prop_end = off + len(ln) + 1
     if count is None:
         raise FileFormatError(path, header_end, "no vertex element")
-    if props != _PLY_PROPS:
-        raise FileFormatError(path, header_end, "unexpected vertex layout")
+    # the first property line at fault, or where a missing one would start;
+    # an extra line meets the fill value, which no line equals
+    for want, (off, got) in zip_longest(_PLY_PROPS, props, fillvalue=(prop_end, None)):
+        if got != want:
+            raise FileFormatError(path, off, "unexpected vertex layout")
     need = count * PLY_DTYPE.itemsize
     if len(raw) - header_end != need:
         raise FileFormatError(path, header_end,

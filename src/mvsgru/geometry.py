@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FileFormatError, header_number, header_tokens
-from .tensor import Tensor, mul, where
+from .tensor import Tensor, default_dtype
 
 _ZEYE = 1e-8  # warp_points counts points with camera-frame z below this as behind the camera
 
@@ -125,20 +125,23 @@ def eta_projection(x: np.ndarray, y: np.ndarray, k_ref: np.ndarray, k_src: np.nd
     [S, 3, 3], pose from ``relative_poses``).  With ρ = 1/d = 1/d_max +
     η (1/d_min − 1/d_max), K_s (d R K_r⁻¹ p + t) = d (a + b η) for
     a = K_s R K_r⁻¹ p + K_s t / d_max [S, 3, P], b = K_s t (1/d_min − 1/d_max)
-    [S, 3, 1]."""
+    [S, 3, 1], computed in float64 and cast to the default dtype."""
     base, kt = _rays(x, y, k_ref, k_src, pose)
-    return base + kt / d_max, kt * (1.0 / d_min - 1.0 / d_max)
+    return ((base + kt / d_max).astype(default_dtype()),
+            (kt * (1.0 / d_min - 1.0 / d_max)).astype(default_dtype()))
 
 
-def project(eta, a: np.ndarray, b: np.ndarray):
+def project(eta: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Source pixels u = h_x / h_z, v = h_y / h_z of h = a + b η, [S, D, P]
-    per row, for η [D, P] (a Tensor or an array) or [D, 1] planes;
-    differentiable in η.  ``front`` is h_z > 0, which is camera-frame z > 0
-    as h_z = z ρ: in the estimator it replaces ``warp_points``' z > 1e-8.
-    Behind the camera u and v are h_x and h_y, which only fill masked samples."""
-    hx, hy, hz = (mul(eta, b[:, i, None]) + a[:, i, None] for i in range(3))
-    front = hz.data > 0
-    z = where(front, hz, 1.0)
+    per row, for an array η [D, P] or [D, 1] planes, cast to a's dtype:
+    lookups take η as a constant, as RAFT's do.  ``front`` is h_z > 0, which
+    is camera-frame z > 0 as h_z = z ρ: in the estimator it replaces
+    ``warp_points``' z > 1e-8.  Behind the camera u and v are h_x and h_y,
+    which only fill masked samples."""
+    eta = np.asarray(eta, dtype=a.dtype)
+    hx, hy, hz = (eta * b[:, i, None] + a[:, i, None] for i in range(3))
+    front = hz > 0
+    z = np.where(front, hz, 1.0)
     return hx / z, hy / z, front
 
 

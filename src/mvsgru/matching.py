@@ -167,15 +167,16 @@ def lookup_levels(ref: FeaturePyramid, sources: FeaturePyramid,
     return levels
 
 
-def warp_and_correlate(f_ref: Tensor, f_src: Tensor, eta: Tensor | np.ndarray,
+def warp_and_correlate(f_ref: Tensor, f_src: Tensor, eta: np.ndarray,
                        a: np.ndarray, b: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Similarity of S stacked source views against reference features.
 
     f_ref: [C, P] reference features; f_src: S stacked sources [S, C, H_l,
     W_l]; eta: [D, P] hypotheses shared by all sources, or [D, 1] planes,
-    which ``project`` maps with a, b.  Returns the similarity [G, S, D, P],
-    0 where the point left the source image or fell behind its camera, and
-    that validity mask [S, D, P].
+    which ``project`` maps with a, b.  η is a constant array, as RAFT's
+    lookup coordinates are.  Returns the similarity [G, S, D, P], 0 where
+    the point left the source image or fell behind its camera, and that
+    validity mask [S, D, P].
     """
     if f_src.ndim != 4:
         raise ShapeError(f"sources must be stacked [S, C, H, W], got {f_src.shape}")
@@ -185,12 +186,12 @@ def warp_and_correlate(f_ref: Tensor, f_src: Tensor, eta: Tensor | np.ndarray,
     return group_correlation(f_ref, warped), valid
 
 
-def multiscale_similarity(levels: list[tuple], hyps_by_level: list[Tensor], shares: Tensor,
-                          unets: list[Module]) -> Tensor:
+def multiscale_similarity(levels: list[tuple], hyps_by_level: list[np.ndarray],
+                          shares: Tensor, unets: list[Module]) -> Tensor:
     """Assemble the per-iteration similarity stack at 1/4 resolution.
 
-    levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] η for
-    levels 1..3; shares: [S, 1, H/4 * W/4] view shares (``view_shares``).
+    levels: from ``lookup_levels``; hyps_by_level: [N_l, H/4, W/4] η arrays
+    for levels 1..3; shares: [S, 1, H/4 * W/4] view shares (``view_shares``).
     Output: [N1+N2+N3, H/4, W/4]."""
     out = []
     for (f_ref, f_src, a, b), hyps, unet in zip(levels, hyps_by_level, unets):

@@ -34,8 +34,8 @@ Design notes
 * Everything is single-threaded numpy, so identical inputs and seeds give
   bitwise-identical results.
 * Every resampling op (``take_depth``, ``gather2d``, ``bilinear_sample``,
-  ``bilinear_resize``) is a linear map given by an interpolation matrix S
-  built from constant indices: forward applies S, backward applies S.T.
+  ``bilinear_resize``) is a linear map of its grid with constant indices
+  and weights, an interpolation matrix S: forward applies S, backward S.T.
   Point gathers and bilinear sampling build a ``scipy.sparse`` CSR matrix
   with ``_interp_matrix`` (1 or 4 entries per row); its products sum
   repeated indices, so no backward needs a scatter-add.  The separable
@@ -60,15 +60,14 @@ Design notes
 * ``bilinear_sample`` gathers from the texel table [B·H·W, C] of its grid.
   On a texel-major grid, a [B, C, H, W] view of C-order [B, H, W, C]
   memory, that table is a free reshape; a channel-major grid is copied to
-  it on every call, forward and again in backward.  So a grid sampled more
-  than once is stored texel-major once (``features.stack_pyramids``), and
-  ``concat`` writes C order, which numpy's concatenate would not do for
-  transposed inputs.  Outputs and gradients are the same bits on either
-  layout.  Its interpolation matrix takes a [N, 4] corner table that is
-  built in place in the matrix's index type (int32 unless the indices need
-  more), and the four weights go into one [N, 4] buffer.  Every temporary
-  keeps the grid's float dtype: numpy 2 computes int32 − float32 in
-  float64, at twice the bytes.
+  it on every call.  So a grid sampled more than once is stored texel-major
+  once (``features.stack_pyramids``), and ``concat`` writes C order, which
+  numpy's concatenate would not do for transposed inputs.  Outputs and
+  gradients are the same bits on either layout.  Its interpolation matrix
+  takes a [N, 4] corner table that is built in place in the matrix's index
+  type (int32 unless the indices need more), and the four weights go into
+  one [N, 4] buffer.  Every temporary keeps the grid's float dtype: numpy 2
+  computes int32 − float32 in float64, at twice the bytes.
 * A forward pass fills no work buffer above ``MAX_WORK_ELEMENTS``:
   ``conv2d`` fills and multiplies its im2col in bands, and callers split
   other large intermediates with ``work_slices``.  Backward buffers are
@@ -603,17 +602,17 @@ def gather2d(a: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def bilinear_sample(grid: Tensor, x, y,
+def bilinear_sample(grid: Tensor, x: np.ndarray, y: np.ndarray,
                     mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Sample a [C, H, W] grid, or a batch [B, C, H, W] of grids, at
     fractional coordinates.
 
     Args:
         grid: feature map, [C, H, W], or B maps stacked as [B, C, H, W].
-        x, y: coordinates in pixel units, Tensor or ndarray of equal shape;
-            with a batched grid their leading axis is B and entry b samples
-            map b.  Differentiable in both the grid and (if Tensors) the
-            coordinates.
+        x, y: coordinates in pixel units, arrays of equal shape; with a
+            batched grid their leading axis is B and entry b samples map b.
+            They are constants, as the lookups' η is (as in RAFT), so the
+            op is differentiable in the grid only.
         mask: optional bool array of the coordinates' shape; a point where
             it is False is invalid like one outside [0, W-1] x [0, H-1] or
             with a NaN coordinate: it samples 0 and passes no gradient.
@@ -625,10 +624,8 @@ def bilinear_sample(grid: Tensor, x, y,
     if grid.ndim not in (3, 4):
         raise ShapeError(f"bilinear_sample needs [C, H, W] or [B, C, H, W], got {grid.shape}")
     b, c, h, w = grid.shape if grid.ndim == 4 else (1,) + grid.shape
-    xt = x if isinstance(x, Tensor) else None
-    yt = y if isinstance(y, Tensor) else None
-    xd = np.asarray(x.data if xt is not None else x, dtype=grid.dtype)
-    yd = np.asarray(y.data if yt is not None else y, dtype=grid.dtype)
+    xd = np.asarray(x, dtype=grid.dtype)
+    yd = np.asarray(y, dtype=grid.dtype)
     if xd.shape != yd.shape:
         raise ShapeError(f"coordinate shapes differ: {xd.shape} vs {yd.shape}")
     if grid.ndim == 4 and xd.shape[:1] != (b,):
@@ -640,8 +637,6 @@ def bilinear_sample(grid: Tensor, x, y,
     valid = (xf >= 0) & (xf <= w - 1) & (yf >= 0) & (yf <= h - 1)
     if mask is not None:
         valid = valid & np.asarray(mask).ravel()
-    # an invalid point has all its interpolation weights zeroed
-    keep = valid.astype(grid.dtype)[:, None]
 
     # fmax/fmin take the number over a NaN, so a NaN point (invalid, as it
     # fails every comparison above) clamps to texel 0 like any other
@@ -651,8 +646,8 @@ def bilinear_sample(grid: Tensor, x, y,
     np.fmin(yc, h - 1, out=yc)
     x0 = np.floor(xc)
     y0 = np.floor(yc)
-    fx = np.subtract(xc, x0, out=xc)[:, None]
-    fy = np.subtract(yc, y0, out=yc)[:, None]
+    fx = np.subtract(xc, x0, out=xc)
+    fy = np.subtract(yc, y0, out=yc)
     # the corner table [N, 4], built in place in the index type the matrix
     # takes: (y0, x0), (y0, x1), (y1, x0), (y1, x1), with x1 = x0 + [x0 < W-1];
     # grid b's texels are columns b*H*W .. (b+1)*H*W - 1 of one matrix
@@ -670,35 +665,22 @@ def bilinear_sample(grid: Tensor, x, y,
     bottom += top
     np.add(bottom, right, out=cols[:, 3])
     right += top
-    # the four weights, each product as written and then masked, in one buffer
+    # the four weights in one buffer, each product as written; 0 at an invalid point
     ex, ey = 1 - fx, 1 - fy
     weights = np.empty((xf.size, 4), grid.dtype)
     for col, (a, e) in enumerate(((ey, ex), (ey, fx), (fy, ex), (fy, fx))):
-        np.multiply(a[:, 0], e[:, 0], out=weights[:, col])
-    weights *= keep
+        np.multiply(a, e, out=weights[:, col])
+    weights *= valid[:, None]
     s = _interp_matrix(cols, weights, b * h * w)
-
-    def texels():  # the source texel-major, [B*H*W, C]; free on a texel-major grid
-        return np.moveaxis(grid.data.reshape(b, c, h * w), 1, 2).reshape(b * h * w, c)
-
-    out = Tensor((s @ texels()).T.reshape((c,) + cshape))
+    # the grid texel-major, [B*H*W, C]: free on a texel-major grid
+    texels = np.moveaxis(grid.data.reshape(b, c, h * w), 1, 2).reshape(b * h * w, c)
+    out = Tensor((s @ texels).T.reshape((c,) + cshape))
 
     def bw(g):
-        g2 = g.reshape(c, -1)
-        if grid.requires_grad:
-            gs = (s.T @ g2.T).reshape(b, h * w, c)
-            _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape))
-        # d/dx and d/dy of the blend share S's indices; an invalid point,
-        # which includes every clamped one, gets no gradient
-        flat = texels() if any(t is not None and t.requires_grad for t in (xt, yt)) else None
-        for ct, dw in ((xt, (-ey, ey, -fy, fy)), (yt, (-ex, -fx, ex, fx))):
-            if ct is not None and ct.requires_grad:
-                dw = np.hstack(dw) * keep
-                sd = sp.csr_matrix((dw.ravel(), s.indices, s.indptr), shape=s.shape)
-                _accum(ct, ((sd @ flat) * g2.T).sum(axis=1).reshape(cshape))
+        gs = (s.T @ g.reshape(c, -1).T).reshape(b, h * w, c)
+        _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape))
 
-    parents = tuple(p for p in (grid, xt, yt) if p is not None)
-    return _record(out, parents, bw), valid.reshape(cshape)
+    return _record(out, (grid,), bw), valid.reshape(cshape)
 
 
 @functools.lru_cache(maxsize=None)

@@ -287,9 +287,14 @@ class TestInferCommand:
                      "--checkpoint", str(tmp_path / "model.ckpt"),
                      "--out", str(tmp_path / "maps"), "--ref", "1", "--prob-csv"])
         assert code == 0
-        digest = hashlib.sha256((tmp_path / "maps" / "prob_0001.csv").read_bytes())
-        assert digest.hexdigest() == (
-            "a818c1c275cd25c9e0ad657596f5f664268891f63b1209045d28fcdf9384a541")
+        # the depth and confidence maps of the same call are pinned with it
+        digests = {name: hashlib.sha256((tmp_path / "maps" / name).read_bytes()).hexdigest()
+                   for name in ("prob_0001.csv", "depth_0001.pfm", "conf_0001.pfm")}
+        assert digests == {
+            "prob_0001.csv": "a818c1c275cd25c9e0ad657596f5f664268891f63b1209045d28fcdf9384a541",
+            "depth_0001.pfm": "eccd218f25a3a9ef4ba798dba65b85a11c809b838bc5b006af88d7d9c6936326",
+            "conf_0001.pfm": "dbeb94d5a1e5be613bb9934219fc5765bcdfd89b2024c81c2921ffe8f346d64f",
+        }
 
     def test_probability_csv_bytes_match_row_loop(self, tmp_path):
         # the rows csv.writer wrote one (pixel, j) at a time

@@ -189,20 +189,21 @@ class TestHypothesisGeneration:
 
     def test_offsets_in_normalized_inverse_depth(self):
         T.set_default_dtype(np.float64)
-        hyps = self.model.generate_hypotheses(Tensor(np.full((1, 2, 2), 0.5)))
+        hyps = self.model.generate_hypotheses(np.full((1, 2, 2), 0.5))
         for hyp, radius, count in zip(hyps, (2.0 ** -7, 2.0 ** -5, 2.0 ** -3),
                                       (4, 4, 2)):
             assert hyp.shape == (count, 2, 2)
             want = 0.5 + np.linspace(-radius, radius, count)
-            assert np.allclose(hyp.data[:, 0, 0], want, atol=1e-12)
+            assert np.allclose(hyp[:, 0, 0], want, atol=1e-12)
 
     def test_clipped_at_the_range_edge(self):
-        hyps = self.model.generate_hypotheses(Tensor(np.zeros((1, 2, 2))))  # η = 0, d_max
+        hyps = self.model.generate_hypotheses(np.zeros((1, 2, 2), np.float32))  # η = 0, d_max
         for hyp in hyps:
-            assert (hyp.data >= 0.0).all() and (hyp.data <= 1.0).all()
+            assert hyp.dtype == np.float32
+            assert (hyp >= 0.0).all() and (hyp <= 1.0).all()
         # the low half of each window collapses onto η = 0
-        assert (hyps[0].data[:2] == 0.0).all()
-        assert (hyps[0].data[2:] > 0.0).all()
+        assert (hyps[0][:2] == 0.0).all()
+        assert (hyps[0][2:] > 0.0).all()
 
 
 class TestEstimatorRuns:

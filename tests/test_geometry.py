@@ -152,10 +152,10 @@ class TestProject:
         srcs.append(make_view(r=turn, t=turn @ ref.r.T @ ref.t, d_min=0.5, d_max=8.0))
         x, y = rng.uniform(0, 15, 40), rng.uniform(0, 15, 40)
         eta = rng.uniform(0.0, 1.0, (3, 40))
-        a, b = eta_projection(x, y, ref.k, np.stack([s.k for s in srcs]),
-                              relative_poses(ref, srcs), ref.d_min, ref.d_max)
         with T.using_dtype(np.float64):
-            u, v, front = project(Tensor(eta), a, b)
+            a, b = eta_projection(x, y, ref.k, np.stack([s.k for s in srcs]),
+                                  relative_poses(ref, srcs), ref.d_min, ref.d_max)
+            u, v, front = project(eta, a, b)
         assert u.shape == v.shape == front.shape == (3, 3, 40)
         depth = denormalize_inv(eta, ref.d_min, ref.d_max)
         for i, src in enumerate(srcs):
@@ -164,21 +164,21 @@ class TestProject:
             # near the source's focal plane both blow up; compare where
             # a point lands within 1000 px of the image
             near = valid & (np.abs(uw) < 1e3) & (np.abs(vw) < 1e3)
-            assert np.abs(u.data[i] - uw)[near].max() < 1e-9
-            assert np.abs(v.data[i] - vw)[near].max() < 1e-9
+            assert np.abs(u[i] - uw)[near].max() < 1e-9
+            assert np.abs(v[i] - vw)[near].max() < 1e-9
         assert front[2].any() and not front[2].all()
 
     def test_constant_planes_broadcast_over_pixels(self, rng):
         ref, src = make_view(), make_view(r=rot_y(0.1), t=np.array([-0.5, 0.0, 0.1]))
         x, y = rng.uniform(0, 15, 6), rng.uniform(0, 15, 6)
-        a, b = eta_projection(x, y, ref.k, src.k[None], relative_poses(ref, [src]), 2.0, 6.0)
         planes = np.linspace(0.0, 1.0, 4)
         with T.using_dtype(np.float64):
+            a, b = eta_projection(x, y, ref.k, src.k[None], relative_poses(ref, [src]), 2.0, 6.0)
             u, v, front = project(planes[:, None], a, b)
             u_full, v_full, _ = project(np.repeat(planes[:, None], 6, 1), a, b)
         assert u.shape == (1, 4, 6) and front.all()
-        assert u.data.tobytes() == u_full.data.tobytes()
-        assert v.data.tobytes() == v_full.data.tobytes()
+        assert u.tobytes() == u_full.tobytes()
+        assert v.tobytes() == v_full.tobytes()
 
 
 class TestInverseDepth:

@@ -278,7 +278,7 @@ class TestMultiscaleSimilarity:
 
         ref_pyr, src_pyrs = pyramid(), [pyramid() for _ in srcs]
         h4 = size // 4
-        hyps = [Tensor(rng.uniform(0.0, 1.0, (n, h4, h4))) for n in counts]  # η
+        hyps = [rng.uniform(0.0, 1.0, (n, h4, h4)) for n in counts]  # η
         weights = Tensor(rng.random((len(srcs), h4, h4)) + 0.1)
         unets = [AggregationUnet(8 * n, n, np.random.default_rng(n))
                  for n in counts]
@@ -297,7 +297,7 @@ class TestMultiscaleSimilarity:
             f_ref_p, _ = T.bilinear_sample(f_ref, xl, yl)
             num = np.zeros((8, n, h4, h4))
             for i, (src, pyr) in enumerate(zip(srcs, src_pyrs)):
-                depth = denormalize_inv(hyp.data.reshape(n, -1), ref.d_min, ref.d_max)
+                depth = denormalize_inv(hyp.reshape(n, -1), ref.d_min, ref.d_max)
                 u, v, _, front = warp_points(
                     xl.ravel(), yl.ravel(), depth, scale_intrinsics(ref.k, l),
                     scale_intrinsics(src.k, l), relative_pose(ref, src))

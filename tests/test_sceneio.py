@@ -225,6 +225,7 @@ def test_pair_error_gives_the_line_offset(tmp_path, content, offset, message):
 _CAM = (b"extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\n"
         b"intrinsic\n100 0 32\n0 100 32\n0 0 1\n\n1 0.4 256 5\n")
 _BAD_D_MAX = _CAM.replace(b" 5\n", b" five\n")  # "five" starts at byte 88
+_PLY_HEAD = b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"  # 53 bytes
 
 
 @pytest.mark.parametrize("load, content, offset", [
@@ -238,8 +239,16 @@ _BAD_D_MAX = _CAM.replace(b" 5\n", b" five\n")  # "five" starts at byte 88
     (load_cam_text, _CAM.replace(b"\n1 0.4", b"\nnan 0.4"), 78),
     (read_ply, b"ply\nformat binary_little_endian 1.0\n"
                b"comment element vertex x\nelement vertex x\nend_header\n", 61),
+    # int() and float() read "1_0" as 10; no header format has digit groups
+    (load_ppm, b"P6\n1_0 1\n255\n", 3),
+    (load_cam_text, _CAM.replace(b"100 0 32", b"1_00 0 32", 1), 53),
+    # the first property line at fault, and a missing one where it should start
+    (read_ply, _PLY_HEAD + b"property float x\nproperty double y\nend_header\n", 70),
+    (read_ply, _PLY_HEAD + b"property float x\nproperty float y\nproperty float z\n"
+                           b"property uchar red\nproperty uchar green\nend_header\n", 144),
 ], ids=["ppm-height", "ppm-maxval-after-comment", "ppm-no-payload", "pfm-height", "cam-d-max",
-        "cam-no-break-space", "cam-nan-d-min", "ply-vertex-count-after-comment"])
+        "cam-no-break-space", "cam-nan-d-min", "ply-vertex-count-after-comment",
+        "ppm-digit-group", "cam-digit-group", "ply-wrong-property", "ply-missing-property"])
 def test_error_gives_the_offset_of_the_first_token_at_fault(tmp_path, load, content, offset):
     path = tmp_path / "bad"
     path.write_bytes(content)

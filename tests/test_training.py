@@ -301,7 +301,9 @@ class TestTrainStep:
         # 781 before the loop carried η end to end (three fewer per
         # iteration in generate_hypotheses, one fewer per readout)
         # 764 before only the last readout's depth was converted on the tape
-        assert train_step(fixed_sample, model_seed=0) == 752
+        # 752 before the lookups took η as a constant (no taped projection,
+        # hypotheses or coordinate gradient: 140 fewer)
+        assert train_step(fixed_sample, model_seed=0) == 612
 
     def test_backward_frees_gradients_as_it_goes(self, fixed_sample, step_peaks):
         # backward would hold ~21 MB of intermediate gradients on top of the
