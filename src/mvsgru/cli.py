@@ -116,9 +116,12 @@ def _cmd_infer(args) -> int:
     scene = load_scene(args.scene)
     model, cfg = _load_model(args)
     iters = cfg.iters if args.iters is None else args.iters
+    if iters < 0:  # as run would, but before --out is made
+        raise ConfigError(f"iteration count must be >= 0, got {iters}")
     views = cfg.views if args.views is None else args.views
     refs = args.ref if args.ref else list(range(len(scene.views)))
     reads, last_reader = _extraction_plan(scene, refs, views)
+    os.makedirs(args.out, exist_ok=True)
     pyramids = {}
     for pos, (ref, read) in enumerate(zip(refs, reads)):
         # an overflow or NaN anywhere in the forward pass fails the view
@@ -139,13 +142,12 @@ def _cmd_infer(args) -> int:
         for kind, m in (("depth", run.d_up.data), ("confidence", run.conf_up.data)):
             if not np.isfinite(m).all():
                 raise NumericalError(f"view {ref:04d}: the {kind} map is not finite")
-        os.makedirs(args.out, exist_ok=True)
         save_pfm(os.path.join(args.out, f"depth_{ref:04d}.pfm"),
                  run.d_up.data.astype(np.float32))
         save_pfm(os.path.join(args.out, f"conf_{ref:04d}.pfm"),
                  run.conf_up.data.astype(np.float32))
         if args.prob_csv:
-            prob = run.prob(-1).data
+            prob = model.predict_probability(run.hiddens[-1]).data
             _write_prob_csv(os.path.join(args.out, f"prob_{ref:04d}.csv"), prob,
                             inverse_grid(run.d_min, run.d_max, prob.shape[0]))
         print(f"view {ref:04d}: depth in [{run.d_up.data.min():.4g}, "
@@ -311,7 +313,7 @@ def main(argv=None) -> int:
     except MvsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, NotADirectoryError) as e:
+    except (FileNotFoundError, NotADirectoryError, FileExistsError) as e:
         print(f"error: {e.strerror.lower()}: {e.filename}", file=sys.stderr)
         return 1
     except Exception as e:  # pragma: no cover - last-resort exit mapping

@@ -106,19 +106,17 @@ class RunResult:
     iteration) keeps its hidden state ``hiddens[k]`` [HIDDEN, H/4, W/4],
     η, depth (η over [d_min, d_max], off any tape: the losses read η, and
     ``d_up`` maps the last η to depth again on the tape), argmax index and
-    confidence.  Its probability volume over ``inverse_grid(d_min, d_max,
-    D2)``, the softmax of the probability head's logits [D2, H/4, W/4], is
-    read through ``prob(k)``; the readout itself never forms it.
+    confidence logits [H/4, W/4].  Its probability head's logits [D2, H/4,
+    W/4] are read through ``logit(k)``; only ``predict_probability`` forms
+    their softmax, the volume over ``inverse_grid(d_min, d_max, D2)``.
 
     A run under a tape keeps every readout's logits in ``logits``, since
-    the tape holds them for backward anyway, and ``prob(k)`` is their
-    softmax, recorded on whatever tape is active when it is called.  A run
-    with no tape keeps no volume at all: with HIDDEN = 32 channels against
-    D2 = 256 bins, each readout adds an eighth of a volume to the result
-    (4 MB per volume at 256 px).  ``prob(k)`` then rebuilds the volume from
-    ``hiddens[k]`` under ``no_grad`` with ``DepthEstimator.predict_probability``:
-    the same ops on the same input, so the same bits as the taped run's
-    volume, as long as the weights have not changed since.
+    the tape holds them for backward anyway.  A run with no tape keeps no
+    volume at all: with HIDDEN = 32 channels against D2 = 256 bins, each
+    readout adds an eighth of a volume to the result (4 MB per volume at
+    256 px).  ``logit(k)`` then rebuilds them as ``prob_head(hiddens[k])``
+    under ``no_grad``: the same op on the same input, so the same bits as
+    the taped run's, as long as the weights have not changed since.
     """
     d_init: Tensor
     hiddens: list[Tensor] = field(default_factory=list)
@@ -126,20 +124,20 @@ class RunResult:
     depths: list[Tensor] = field(default_factory=list)  # each η as denormalize_inv maps it
     etas: list[Tensor] = field(default_factory=list)
     indices: list[np.ndarray] = field(default_factory=list)
-    confs: list[Tensor] = field(default_factory=list)
+    conf_logits: list[Tensor] = field(default_factory=list)
     d_up: Tensor | None = None
     conf_up: Tensor | None = None
     d_min: float = 0.0
     d_max: float = 0.0
     estimator: DepthEstimator | None = field(default=None, repr=False)
 
-    def prob(self, k: int) -> Tensor:
-        """Readout k's probability volume; a negative k counts from the end."""
+    def logit(self, k: int) -> Tensor:
+        """Readout k's probability-head logits; a negative k counts from the end."""
         k = range(len(self.depths))[k]
         if self.logits:
-            return self.logits[k].softmax(0)
+            return self.logits[k]
         with no_grad():
-            return self.estimator.predict_probability(self.hiddens[k])
+            return self.estimator.prob_head(self.hiddens[k])
 
 
 class DepthEstimator(Module):
@@ -223,11 +221,12 @@ class DepthEstimator(Module):
         return [hyps[end - n:end] for n, end in zip(self.cfg.counts, ends)]
 
     def predict_probability(self, h: Tensor) -> Tensor:
+        """The probability volume [D2, H, W] of a hidden state."""
         return self.prob_head(h).softmax(0)
 
     def predict_confidence(self, h: Tensor) -> Tensor:
-        c = self.conf_head(h).sigmoid()
-        return c.reshape((h.shape[1], h.shape[2]))
+        """The confidence logits [H, W] of a hidden state."""
+        return self.conf_head(h).reshape((h.shape[1], h.shape[2]))
 
     def run(self, views: list[CameraView], iters: int | None = None,
             upsample: bool = True,
@@ -280,7 +279,7 @@ class DepthEstimator(Module):
             with no_grad():  # no loss reads these depths
                 res.depths.append(denormalize_inv(eta, ref.d_min, ref.d_max))
             res.indices.append(x_best)
-            res.confs.append(self.predict_confidence(hidden))
+            res.conf_logits.append(self.predict_confidence(hidden))
 
         readout(h)
         for _ in range(k):
@@ -292,5 +291,5 @@ class DepthEstimator(Module):
         if upsample:
             d_last = denormalize_inv(res.etas[-1], ref.d_min, ref.d_max)
             res.d_up = self.upsampler.upsample_depth(d_last, ref_f2)
-            res.conf_up = bilinear_resize(res.confs[-1], (h4 * 4, w4 * 4))
+            res.conf_up = bilinear_resize(res.conf_logits[-1].sigmoid(), (h4 * 4, w4 * 4))
         return res

@@ -257,9 +257,6 @@ class Tensor:
 
     # -- elementwise -------------------------------------------------------
 
-    def log(self):
-        return log(self)
-
     def abs(self):
         return absval(self)
 
@@ -268,9 +265,6 @@ class Tensor:
 
     def tanh(self):
         return tanh(self)
-
-    def clip(self, lo=None, hi=None):
-        return clip(self, lo, hi)
 
     # -- reductions / shape ------------------------------------------------
 
@@ -381,11 +375,6 @@ def div(a, b) -> Tensor:
     return _binary(a, b, a.data / b.data, lambda g, y: (g / b.data, -g * y / b.data))
 
 
-def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    return _unary(a, np.log(a.data), lambda g, y: g / a.data)
-
-
 def absval(a: Tensor) -> Tensor:
     a = _wrap(a)
     return _unary(a, np.abs(a.data), lambda g, y: g * np.sign(a.data))
@@ -401,22 +390,10 @@ def tanh(a: Tensor) -> Tensor:
     return _unary(a, np.tanh(a.data), lambda g, y: g * (1.0 - y * y))
 
 
-def clip(a: Tensor, lo=None, hi=None) -> Tensor:
-    """Clamp values; gradient is passed through only inside [lo, hi]."""
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^a), exact in both tails; its gradient is sigmoid(a)."""
     a = _wrap(a)
-    mask = np.ones_like(a.data)
-    if lo is not None:
-        mask *= a.data >= lo
-    if hi is not None:
-        mask *= a.data <= hi
-    return _unary(a, np.clip(a.data, lo, hi), lambda g, y: g * mask)
-
-
-def where(cond: np.ndarray, a, b) -> Tensor:
-    """Select elementwise by a constant boolean mask (not differentiable in cond)."""
-    cond = np.asarray(cond, dtype=bool)
-    a, b = _wrap(a), _wrap(b)
-    return _binary(a, b, np.where(cond, a.data, b.data), lambda g, y: (g * cond, g * ~cond))
+    return _unary(a, np.logaddexp(0.0, a.data), lambda g, y: g * expit(a.data))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +448,16 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return _unary(a, y, lambda g, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+
+def logsumexp(a: Tensor, axis: int) -> Tensor:
+    """log Σ exp(a) along one axis, kept at length 1.  Its gradient, g times
+    the softmax exp(a − y), is formed in backward: the tape holds no volume."""
+    a = _wrap(a)
+    axis = _check_axis(axis, a.ndim)
+    m = a.data.max(axis=axis, keepdims=True)
+    y = np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True)) + m
+    return _unary(a, y, lambda g, y: np.exp(a.data - y) * g)
 
 
 def group_norm(f: Tensor, groups: int, eps: float) -> Tensor:

@@ -1,9 +1,10 @@
 """Loss functions, ground-truth preparation and the training loop.
 
-The composite loss mixes a classification term on the sampled probability
-volume, a gated regression term in normalized inverse depth, a confidence
-term, and absolute-error terms on the coarse initialization and the final
-upsampled map.  Early iterations are downweighted geometrically.
+The composite loss mixes a classification term (cross entropy on the
+probability head's logits), a gated regression term in normalized inverse
+depth, a confidence term (binary cross entropy on the confidence head's
+logits), and absolute-error terms on the coarse initialization and the
+final upsampled map.  Early iterations are downweighted geometrically.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .nn import save_checkpoint
 from .optim import Adam
 from .scenes import Scene
 from .tensor import Tape, Tensor, backward
-
-LOG_EPS = 1e-12
 
 
 @dataclass
@@ -177,10 +176,10 @@ def _masked_mean(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
     return (x * mask.astype(x.dtype)).sum() * (scale / n)
 
 
-def loss_class(prob: Tensor, x_gt: np.ndarray, valid: np.ndarray) -> Tensor:
-    """Cross entropy against the one-hot nearest-sample encoding."""
-    p_gt = T.take_depth(prob, x_gt[None])  # [1, H, W]
-    return _masked_mean(p_gt.clip(LOG_EPS, None).log(), valid, -1.0)
+def loss_class(logits: Tensor, x_gt: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Cross entropy of the logits [D, H, W] against the one-hot
+    nearest-sample encoding: −log softmax(L)[x_gt] = logsumexp(L) − L[x_gt]."""
+    return _masked_mean(T.logsumexp(logits, 0) - T.take_depth(logits, x_gt[None]), valid)
 
 
 def loss_regress(eta_k: Tensor, x_k: np.ndarray, eta_gt: np.ndarray,
@@ -194,10 +193,10 @@ def loss_regress(eta_k: Tensor, x_k: np.ndarray, eta_gt: np.ndarray,
     return eta_mae(eta_k, eta_gt, valid & (np.abs(x_gt - x_k) <= radius), beta)
 
 
-def loss_conf(conf: Tensor, target: np.ndarray, valid: np.ndarray) -> Tensor:
-    """Binary cross entropy against the boolean near-ground-truth indicator."""
-    p_target = T.where(target, conf, 1.0 - conf)
-    return _masked_mean(p_target.clip(LOG_EPS, None).log(), valid, -1.0)
+def loss_conf(z: Tensor, target: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Binary cross entropy of the confidence logits z against the boolean
+    near-ground-truth indicator: −log sigmoid(±z) = softplus(∓z)."""
+    return _masked_mean(T.softplus(z * (1.0 - 2.0 * target)), valid)
 
 
 def eta_mae(eta: Tensor, eta_gt: np.ndarray, valid: np.ndarray,
@@ -231,8 +230,8 @@ def loss_full(run: RunResult, gt: GroundTruth, cfg: TrainConfig,
 
     During warm-up the regression and confidence terms are left out of the
     total (their values are still reported), so they contribute exactly zero
-    gradient.  Volumes are read through ``run.prob(k)``: a run made without
-    a tape has its earlier ones rebuilt, one at a time.
+    gradient.  Logits are read through ``run.logit(k)``: a run made without
+    a tape has them rebuilt from its hidden states, one readout at a time.
     """
     k_last = len(run.depths) - 1
     alpha = cfg.alpha
@@ -249,12 +248,12 @@ def loss_full(run: RunResult, gt: GroundTruth, cfg: TrainConfig,
     total = initial * alpha ** (k_last + 1) + upsample
     for k in range(k_last + 1):
         weight = alpha ** (k_last - k)
-        cls = loss_class(run.prob(k), gt.x_gt, gt.valid_q)
+        cls = loss_class(run.logit(k), gt.x_gt, gt.valid_q)
         eta_k = run.etas[k]
         reg = loss_regress(eta_k, run.indices[k], gt.eta_q, gt.x_gt,
                            gt.valid_q, cfg.readout_radius, beta)
         near_gt = np.abs(gt.eta_q - eta_k.data) <= cfg.gamma
-        cnf = loss_conf(run.confs[k], near_gt, gt.valid_q)
+        cnf = loss_conf(run.conf_logits[k], near_gt, gt.valid_q)
         out.clas.append(cls)
         out.regress.append(reg)
         out.conf.append(cnf)

@@ -194,6 +194,30 @@ class TestExitCodes:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["infer", "fuse", "train"])
+    def test_output_directory_that_is_a_file_is_validation_error(
+            self, command, scene_dir, trained, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        scene = str(scene_dir / "scene_0000")
+        for i, v in enumerate(load_scene(scene).views):
+            save_pfm(tmp_path / f"depth_{i:04d}.pfm", v.gt_depth)
+        extracts = count_extracts(monkeypatch)
+        args = {
+            "infer": ["--scene", scene, "--checkpoint", str(trained / "model.ckpt"),
+                      "--out", str(taken)],
+            # the masks directory is made after the cloud is written
+            "fuse": ["--scene", scene, "--depths", str(tmp_path), "--no-conf",
+                     "--ngeo", "1", "--out", str(tmp_path / "cloud.ply"),
+                     "--masks", str(taken)],
+            "train": ["--scenes", scene, "--out", str(taken), "--epochs", "1",
+                      "--iters", "1"],
+        }[command]
+        assert main([command, *args]) == 1
+        assert f"file exists: {taken}" in capsys.readouterr().err
+        if command == "infer":  # before the first forward pass
+            assert extracts == []
+
 
 class TestSynth:
     def test_writes_scene_directories(self, scene_dir):
@@ -357,7 +381,8 @@ class TestInferCommand:
         assert code == 2
         assert "view 0000: overflow encountered" in err
         assert "Warning" not in err
-        assert not out.exists()
+        # --out is made before the first forward pass, and holds no map
+        assert list(out.iterdir()) == []
 
     def infer_refs(self, scene_dir, trained, out, refs) -> int:
         return main(["infer", "--scene", str(scene_dir / "scene_0000"),

@@ -214,8 +214,9 @@ class TestEstimatorRuns:
 
     def test_run_shapes_and_invariants(self):
         res = self.model.run(self.scene.views, iters=2)
-        assert len(res.hiddens) == len(res.depths) == len(res.confs) == len(res.indices) == 3
-        for prob in map(res.prob, range(3)):
+        assert len(res.hiddens) == len(res.depths) == len(res.conf_logits) == len(res.indices) == 3
+        for h in res.hiddens:
+            prob = self.model.predict_probability(h)
             assert prob.shape == (256, 4, 4)
             assert np.allclose(prob.data.sum(axis=0), 1.0, atol=1e-5)
             assert (prob.data >= 0).all()
@@ -223,16 +224,17 @@ class TestEstimatorRuns:
             v = self.scene.views[0]
             assert (depth.data >= v.d_min - 1e-4).all()
             assert (depth.data <= v.d_max + 1e-4).all()
-        for conf in res.confs:
-            assert conf.shape == (4, 4)
-            assert (conf.data > 0).all() and (conf.data < 1).all()
+        for z in res.conf_logits:
+            assert z.shape == (4, 4)
+            conf = z.sigmoid().data
+            assert (conf > 0).all() and (conf < 1).all()
         assert res.d_up.shape == (16, 16)
         assert res.conf_up.shape == (16, 16)
 
     def test_zero_iterations_still_reads_out(self):
         res = self.model.run(self.scene.views, iters=0)
         assert len(res.depths) == 1
-        assert res.prob(0).data.tobytes() == res.prob(-1).data.tobytes()
+        assert res.logit(0).data.tobytes() == res.logit(-1).data.tobytes()
         assert res.d_up is not None
 
     def test_upsample_can_be_skipped(self):
@@ -311,7 +313,7 @@ class TestProbabilityVolumes:
         assert len(taped.logits) == 4 and free.logits == []
         assert len(free.hiddens) == 4
         for k in range(-4, 4):
-            want, got = taped.prob(k), free.prob(k)
+            want, got = taped.logit(k), free.logit(k)
             assert not got.requires_grad
             assert got.data.tobytes() == want.data.tobytes()
 
@@ -323,7 +325,7 @@ class TestProbabilityVolumes:
         volume = model.cfg.d2 * 8 * 8
         sizes = [a.size for a in kept_arrays(res)]
         assert sizes and max(sizes) < volume
-        assert res.prob(-1).shape == (model.cfg.d2, 8, 8)
+        assert res.logit(-1).shape == (model.cfg.d2, 8, 8)
 
     def test_memory_does_not_grow_by_a_volume_per_iteration(self):
         # each iteration keeps a [32, 32, 32] hidden state (128 kB) and its

@@ -876,7 +876,6 @@ class TestTape:
         e = rng.standard_normal((2, 3))
         shapes = [(2, 3)] * 4 + [(3, 2), (3, 2), (4, 3), (2, 2), (2,), (3,), (), (2, 3)]
         w = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
-        mask = np.array([[True, False, True], [False, True, False]])
         fresh = [Tensor(np.linspace(0.5, 2.0, 6).reshape(2, 3) + i, requires_grad=True)
                  for i in range(4)]
         f0, f1, f2, f3 = fresh
@@ -888,8 +887,8 @@ class TestTape:
                      u.sum(axis=1), m.mean(axis=0), n.sum(), k * e]
             loss = sum((term * wi).sum() for term, wi in zip(terms, w))
             # ops whose gradients are fresh arrays
-            g = T.where(mask, f0 * f1, f0 / f2) + (f3.tanh() + f2.log() + f1.abs()).sigmoid()
-            h = g.tanh().clip(-0.9, 0.9).softmax(0) + f3.max(1, keepdims=True)
+            g = T.softplus(f0 * f1) + f0 / f2 + (f3.tanh() + T.logsumexp(f2, 0) + f1.abs()).sigmoid()
+            h = g.tanh().softmax(0) + f3.max(1, keepdims=True)
             loss = loss + h.sum()
         backward(tape, loss)
         grads = [v.grad for v in leaves.values()] + [k.grad] + [v.grad for v in fresh]
@@ -1312,7 +1311,7 @@ class TestOpsInUse:
             a = Tensor(np.ones(2))
             matching.concat([a + 1.0, a], 0)  # through the name matching imported
 
-        assert uncalled_ops(monkeypatch, ["add", "concat", "log"], run) == ["log"]
+        assert uncalled_ops(monkeypatch, ["add", "concat", "softplus"], run) == ["softplus"]
 
     def test_a_training_step_calls_every_taped_op(self, fixed_sample, monkeypatch):
         # an op that no step calls is dead code, however well its gradcheck passes

@@ -65,18 +65,19 @@ class TestMakeGt:
 class TestLossTerms:
     def test_uniform_probability_costs_log_d2(self):
         T.set_default_dtype(np.float64)
-        prob = Tensor(np.full((256, 3, 3), 1.0 / 256))
+        logits = Tensor(np.zeros((256, 3, 3)))
         x_gt = np.zeros((3, 3), dtype=np.int64)
         valid = np.ones((3, 3), dtype=bool)
-        got = loss_class(prob, x_gt, valid).data
+        got = loss_class(logits, x_gt, valid).data
         assert np.allclose(got, np.log(256.0), atol=1e-9)
 
     def test_perfect_prediction_costs_zero(self):
-        p = np.zeros((8, 2, 2))
-        p[3] = 1.0
+        # every other bin 1000 nats below: its exp underflows to 0
+        logits = np.full((8, 2, 2), -1000.0)
+        logits[3] = 0.0
         x_gt = np.full((2, 2), 3, dtype=np.int64)
         valid = np.ones((2, 2), dtype=bool)
-        assert loss_class(Tensor(p), x_gt, valid).data == 0.0
+        assert loss_class(Tensor(logits), x_gt, valid).data == 0.0
 
     def test_class_ignores_invalid_pixels(self, rng):
         T.set_default_dtype(np.float64)
@@ -84,7 +85,7 @@ class TestLossTerms:
         p /= p.sum(0)
         x_gt = np.zeros((2, 2), dtype=np.int64)
         valid = np.array([[True, False], [False, False]])
-        got = loss_class(Tensor(p), x_gt, valid).data
+        got = loss_class(Tensor(np.log(p) + 3.0), x_gt, valid).data
         assert np.allclose(got, -np.log(p[0, 0, 0]), atol=1e-12)
 
     def test_regress_single_pixel_value(self):
@@ -115,10 +116,10 @@ class TestLossTerms:
 
     def test_conf_half_costs_log_two(self):
         T.set_default_dtype(np.float64)
-        conf = Tensor(np.full((2, 2), 0.5))
-        target = np.array([[1, 0], [0, 1]])
+        z = Tensor(np.zeros((2, 2)))
+        target = np.array([[1, 0], [0, 1]], dtype=bool)
         valid = np.ones((2, 2), dtype=bool)
-        assert np.allclose(loss_conf(conf, target, valid).data, np.log(2.0),
+        assert np.allclose(loss_conf(z, target, valid).data, np.log(2.0),
                            atol=1e-12)
 
     def test_conf_matches_bce_formula(self, rng):
@@ -127,20 +128,55 @@ class TestLossTerms:
         t = (rng.random((3, 3)) > 0.5)
         valid = rng.random((3, 3)) > 0.3
         valid[0, 0] = True
-        got = loss_conf(Tensor(c), t, valid).data
+        got = loss_conf(Tensor(np.log(c / (1 - c))), t, valid).data
         bce = -(t * np.log(c) + (1 - t) * np.log(1 - c))
         assert np.allclose(got, bce[valid].mean(), atol=1e-12)
 
+    def test_far_from_the_target_both_losses_pass_a_gradient(self):
+        # the ground-truth bin 40 nats below the argmax, and a confidence
+        # logit of −40 against target 1: probabilities near e^-40 ≈ 4e-18,
+        # below any clip of the probability before its log
+        T.set_default_dtype(np.float64)
+        one = np.ones((1, 1), dtype=bool)
+        logits = Tensor(np.zeros((8, 1, 1)), requires_grad=True)
+        logits.data[5] = 40.0
+        z = Tensor(np.full((1, 1), -40.0), requires_grad=True)
+        for loss, leaf in ((lambda: loss_class(logits, np.zeros((1, 1), np.int64), one), logits),
+                           (lambda: loss_conf(z, one, one), z)):
+            with Tape() as tape:
+                value = loss()
+            backward(tape, value)
+            assert value.data == pytest.approx(40.0)
+            assert leaf.grad.reshape(-1)[0] == pytest.approx(-1.0)
+
+    def test_both_losses_equal_the_clipped_formulas_above_the_clip(self, rng):
+        # the clipped cross entropies, −log max(p, 1e-12) of the softmax and
+        # of the sigmoid, wherever p >= 1e-12
+        T.set_default_dtype(np.float64)
+        logits = rng.standard_normal((16, 5, 5)) * 4.0
+        x_gt = rng.integers(0, 16, size=(5, 5))
+        prob = np.exp(logits - logits.max(0))
+        prob /= prob.sum(0)
+        p_gt = np.take_along_axis(prob, x_gt[None], 0)[0]
+        z = rng.standard_normal((5, 5)) * 4.0
+        target = rng.random((5, 5)) > 0.5
+        p_target = 1.0 / (1.0 + np.exp(np.where(target, -z, z)))
+        for got, p in ((loss_class(Tensor(logits), x_gt, p_gt >= 1e-12), p_gt),
+                       (loss_conf(Tensor(z), target, p_target >= 1e-12), p_target)):
+            want = -np.log(np.maximum(p, 1e-12))[p >= 1e-12].mean()
+            assert got.data == pytest.approx(want, rel=1e-12)
+
     def test_empty_masks_give_zero(self):
         none = np.zeros((2, 2), dtype=bool)
-        assert loss_class(Tensor(np.full((4, 2, 2), 0.25)),
+        assert loss_class(Tensor(np.zeros((4, 2, 2))),
                           np.zeros((2, 2), np.int64), none).data == 0.0
-        assert loss_conf(Tensor(np.full((2, 2), 0.5)),
-                         np.zeros((2, 2)), none).data == 0.0
+        assert loss_conf(Tensor(np.zeros((2, 2))),
+                         np.zeros((2, 2), dtype=bool), none).data == 0.0
 
 
 def one_pixel_run(eta_k, conf, d_min, d_max, d2):
-    """RunResult with a single quarter-res pixel and hand-picked outputs."""
+    """RunResult with a single quarter-res pixel and hand-picked outputs;
+    conf is the confidence, whose logit the run holds."""
     eta = Tensor(np.array([[eta_k]]))
     depth = denormalize_inv(eta, d_min, d_max)
     # equal logits: the uniform volume 1/d2
@@ -149,13 +185,13 @@ def one_pixel_run(eta_k, conf, d_min, d_max, d2):
                      depths=[depth],
                      etas=[eta],
                      indices=[np.zeros((1, 1), dtype=np.int64)],
-                     confs=[Tensor(np.array([[conf]]))],
+                     conf_logits=[Tensor(np.array([[np.log(conf / (1 - conf))]]))],
                      d_up=None, d_min=d_min, d_max=d_max)
 
 
 class TestLossFull:
     def test_a_run_without_a_tape_gives_the_same_loss(self):
-        # its earlier volumes are rebuilt from the hidden states
+        # its logits are rebuilt from the hidden states
         scene = synth_scene(SynthSpec(seed=4, views=3, size=32, quads=2))
         cfg = TrainConfig(iters=3)
         model = DepthEstimator(cfg, np.random.default_rng(2))
@@ -303,7 +339,9 @@ class TestTrainStep:
         # 764 before only the last readout's depth was converted on the tape
         # 752 before the lookups took η as a constant (no taped projection,
         # hypotheses or coordinate gradient: 140 fewer)
-        assert train_step(fixed_sample, model_seed=0) == 612
+        # 612 before the losses read logits (per readout, one fewer in the
+        # cross entropy and three in the BCE; one sigmoid more for conf_up)
+        assert train_step(fixed_sample, model_seed=0) == 593
 
     def test_backward_frees_gradients_as_it_goes(self, fixed_sample, step_peaks):
         # backward would hold ~21 MB of intermediate gradients on top of the

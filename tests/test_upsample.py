@@ -115,7 +115,7 @@ class TestUpsampleConfidence:
         views = [replace(v, image=np.concatenate([v.image, v.image], 2), gt_depth=None)
                  for v in scene.views]
         res = DepthEstimator(TrainConfig(iters=1), np.random.default_rng(2)).run(views)
-        conf, up = res.confs[-1].data, res.conf_up.data
+        conf, up = res.conf_logits[-1].sigmoid().data, res.conf_up.data
         assert conf.shape == (4, 8) and up.shape == (16, 32)
         probe_rng = np.random.default_rng(17)
         for _ in range(25):
