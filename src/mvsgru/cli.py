@@ -177,6 +177,8 @@ def _write_prob_csv(path, prob: np.ndarray, inv_grid: np.ndarray) -> None:
 def _cmd_fuse(args) -> int:
     cfg = FuseConfig(tau=args.tau, delta=args.delta, eps=args.eps,
                      n_geo=args.ngeo)
+    if args.masks:  # first, so a --masks that names a file fails before --out is written
+        os.makedirs(args.masks, exist_ok=True)
     scene = load_scene(args.scene)
     depths, confs = [], []
     for i in range(len(scene.views)):
@@ -191,7 +193,6 @@ def _cmd_fuse(args) -> int:
           f"({100.0 * kept / max(total, 1):.1f}%), "
           f"wrote {len(cloud)} points to {args.out}")
     if args.masks:
-        os.makedirs(args.masks, exist_ok=True)
         for i, m in enumerate(masks):
             write_pgm(os.path.join(args.masks, f"mask_{i:04d}.pgm"), m)
     return 0

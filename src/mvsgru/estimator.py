@@ -24,7 +24,7 @@ from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup
                        multiscale_similarity, view_shares, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
 from .tensor import (Tensor, active_tape, bilinear_resize, bilinear_sample, concat, getitem,
-                     no_grad, take_depth, work_slices)
+                     no_grad, take_depth)
 from .upsample import ConvexUpsampler
 
 if TYPE_CHECKING:  # training imports this module
@@ -169,30 +169,24 @@ class DepthEstimator(Module):
         cfg = self.cfg
         ref = views[0]
         f3 = ref_pyramid.f3
-        c3, h8, w8 = f3.shape
+        h8, w8 = f3.shape[1:]
         h4, w4 = h8 * 2, w8 * 2
         inv_init = inverse_grid(ref.d_min, ref.d_max, cfg.d1)
         planes = np.linspace(0.0, 1.0, cfg.d1)[:, None]  # inv_init's η values, [D1, 1]
         ys, xs = np.mgrid[:h8, :w8].reshape(2, -1).astype(np.float64)
-        # the reference as a [C3, P] view of [P, C3] memory, as group_dot
+        # the reference as a [C3, P] view of [P, C3] memory, as the lookup
         # reads it: sampled at its own texels, which bilinear_sample reads
         # exactly
         f_ref, _ = bilinear_sample(f3, xs, ys)
         a, b = eta_projection(xs, ys, scale_intrinsics(ref.k, 3),
                               scale_intrinsics(np.stack([v.k for v in views[1:]]), 3),
                               relative_poses(ref, views[1:]), ref.d_min, ref.d_max)
-        # one source at a time (S = 1), and its planes in chunks whose warped
-        # [C3, 1, planes, P] features fit MAX_WORK_ELEMENTS: 1/8 of 256 px
-        # takes 4 chunks of 8, and 64 or 128 px a single one; every chunk
-        # samples the same texel-major map
+        # one source at a time (S = 1), each a texel-major view of the stack
         sims, ws = [], []
         for i in range(len(views) - 1):
             src = np.s_[i:i + 1]
-            f_src = getitem(sources.f3, src)
-            parts = [warp_and_correlate(f_ref, f_src, planes[chunk], a[src], b[src])
-                     for chunk in work_slices(cfg.d1, c3 * h8 * w8)]
-            sim = concat([s for s, _ in parts], 2) if len(parts) > 1 else parts[0][0]
-            valid = np.concatenate([m for _, m in parts], 1)
+            sim, valid = warp_and_correlate(f_ref, getitem(sources.f3, src), planes,
+                                            a[src], b[src])
             sims.append(sim)
             ws.append(view_weight(self.vw_cnn, sim.reshape((GROUPS, cfg.d1, h8, w8)),
                                   valid.reshape(cfg.d1, h8, w8)))

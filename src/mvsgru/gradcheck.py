@@ -197,6 +197,10 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     peaked[:, 0, :] += 3.0  # a clear margin between the top two values along axis 1
     add("max", lambda a: a.max(1), peaked)
 
+    add("weighted_sum", lambda a, w: T.weighted_sum(a, w, 1), rnd(3, 2, 4, 5), rnd(2, 1, 5))
+    # neither input spans the product [3, 4]
+    add("weighted_sum.broadcast", lambda a, w: T.weighted_sum(a, w, 0), rnd(3, 1), rnd(1, 4))
+
     add("concat", lambda a, b: T.concat([a, b], 1), rnd(3, 4), rnd(3, 3))
     add("reshape", lambda a: a.reshape((12, 2)), rnd(3, 4, 2))
     add("transpose", lambda a: a.transpose((2, 1, 0)), rnd(3, 4, 2))
@@ -228,10 +232,24 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
 
     # the grids texel-major, as ``stack_pyramids`` stores the sources: a
     # [B, C, H, W] view of the C-order [B, H, W, C] array concat writes
+    def texel_major(g):
+        return T.concat([g.transpose((0, 2, 3, 1))], 0).transpose((0, 3, 1, 2))
+
     add("bilinear_sample.texel_major",
-        lambda g: T.bilinear_sample(
-            T.concat([g.transpose((0, 2, 3, 1))], 0).transpose((0, 3, 1, 2)), bx, by, mask=bmask),
-        rnd(2, 3, 6, 7))
+        lambda g: T.bilinear_sample(texel_major(g), bx, by, mask=bmask), rnd(2, 3, 6, 7))
+
+    # the lookup: f0 [C, P] against two stacked grids, sampled at [S, D, P]
+    # points, in two channel groups; one point per grid is masked out and
+    # one lies out of range
+    lx, ly = frac(rng.uniform(0.2, 5.8, (2, 3, 4))), frac(rng.uniform(0.2, 4.8, (2, 3, 4)))
+    lx[0, 1, 2] = -3.0
+    lmask = np.ones(lx.shape, dtype=bool)
+    lmask[:, 2, 1] = False
+    add("sampled_group_dot", lambda f0, g: T.sampled_group_dot(f0, g, lx, ly, lmask, 2),
+        rnd(4, 4), rnd(2, 4, 6, 7))
+    add("sampled_group_dot.texel_major",
+        lambda f0, g: T.sampled_group_dot(f0, texel_major(g), lx, ly, lmask, 2),
+        rnd(4, 4), rnd(2, 4, 6, 7))
 
     add("bilinear_resize.up", lambda a: T.bilinear_resize(a, (6, 8)), rnd(2, 3, 4))
     add("bilinear_resize.down", lambda a: T.bilinear_resize(a, (2, 3)), rnd(2, 5, 6))
@@ -263,11 +281,6 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     conv("conv2d.leaky.narrow", rnd(8, 5, 6), 1, 3, 1, 1, 0.5, leaky=True)
     conv("conv2d.leaky.s2.wide", rnd(2, 16, 16), 32, 3, 2, 1, 0.5, leaky=True)
     conv("conv2d.narrow.k1", rnd(8, 5, 5), 3, 1, 1, 0, 0.5)
-
-    add("group_dot", lambda f0, fi: T.group_dot(f0, fi, 2), rnd(4, 5), rnd(4, 2, 3, 5))
-    # fi as bilinear_sample leaves it: a [C, S, D, P] view of an [S, D, P, C] array
-    add("group_dot.texel_major", lambda f0, fi: T.group_dot(f0, fi, 2),
-        rnd(4, 5), np.moveaxis(rnd(2, 3, 5, 4), -1, 0))
 
     from .geometry import denormalize_inv, normalize_inv
 
@@ -321,7 +334,12 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     def add(name, op, *inputs):
         checks[name] = op_check(op, inputs, rng, max_coords=_MODEL_COORDS)
 
-    add("group_correlation", group_correlation, rnd(16, 6), rnd(16, 3, 6))
+    # two stacked sources, three hypotheses each; one is behind the camera
+    cu, cv = rng.uniform(0.2, 3.8, (2, 3, 6)), rng.uniform(0.2, 4.8, (2, 3, 6))
+    front = np.ones(cu.shape, dtype=bool)
+    front[1, 0] = False
+    add("group_correlation", lambda f_ref, f_src: group_correlation(f_ref, f_src, cu, cv, front),
+        rnd(16, 6), rnd(2, 16, 6, 5))
     add("integrate", lambda sim, wv: integrate(sim, view_shares(wv.sigmoid())),
         rnd(4, 2, 3, 10), rnd(2, 1, 10))
 

@@ -1,25 +1,26 @@
 """Similarity computation between reference and source views.
 
-Covers group-wise correlation of warped features, pixel-wise view weights,
-weighted multi-view integration, per-level neighborhood aggregation and the
-assembly of the multi-scale similarity stack consumed by the update GRU.
+Covers group-wise correlation of sampled source features, pixel-wise view
+weights, weighted multi-view integration, per-level neighborhood aggregation
+and the assembly of the multi-scale similarity stack consumed by the update
+GRU.
 
-Volumes keep the layout the warp produces, pixels flattened to P = H*W and
-last: reference features [C, P]; S stacked sources [S, C, H_l, W_l], warped
-by one ``bilinear_sample`` call to [C, S, D, P] for D hypotheses in
-normalized inverse depth η; similarity
-[G, S, D, P] with validity [S, D, P]; ``integrate`` sums S away with the
-[S, 1, P] view shares, which ``view_shares`` normalizes and the estimator
-shapes once per run and resolution, to [G, D, P].  Only the convolutions
-reshape to image layout.
+Volumes keep pixels flattened to P = H*W and last: reference features
+[C, P]; S stacked sources [S, C, H_l, W_l], which ``group_correlation``
+samples at the [S, D, P] source pixels of D hypotheses in normalized
+inverse depth η and correlates in one op, to similarity [G, S, D, P] with
+validity [S, D, P].  No [C, S, D, P] warped-feature volume is kept: the op
+works in slabs of the hypotheses that fit ``tensor.MAX_WORK_ELEMENTS``.
+``integrate`` sums S away with the [S, 1, P] view shares, which
+``view_shares`` normalizes and the estimator shapes once per run and
+resolution, to [G, D, P].  Only the convolutions reshape to image layout.
 
 What does not change during a run is laid out once per run, channels
 last: ``stack_pyramids`` stores the stacked sources as views of
 [S, H_l, W_l, C] memory, and ``lookup_levels`` samples the reference at
 every level, which leaves [C, P] views of [P, C] memory, with the level's
-``eta_projection``.  So no lookup copies a source map into
-``bilinear_sample``'s texel table or redoes camera algebra, and
-``group_dot`` transposes the reference for free.
+``eta_projection``.  So no lookup copies a source map into a texel table,
+transposes the reference or redoes camera algebra.
 """
 
 from __future__ import annotations
@@ -30,20 +31,24 @@ from .errors import ShapeError
 from .features import FeaturePyramid
 from .geometry import CameraView, eta_projection, project, relative_poses, scale_intrinsics
 from .nn import Conv2d, Module
-from .tensor import Tensor, bilinear_resize, bilinear_sample, concat, group_dot
+from .tensor import (Tensor, bilinear_resize, bilinear_sample, concat, sampled_group_dot,
+                     weighted_sum)
 
 GROUPS = 8
 
 
-def group_correlation(f0: Tensor, fi: Tensor) -> Tensor:
-    """Group-wise dot products over the GROUPS channel groups, scaled by GROUPS/C.
+def group_correlation(f_ref: Tensor, f_src: Tensor, u: np.ndarray, v: np.ndarray,
+                      front: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Group-wise correlation of reference features with stacked sources
+    sampled at source pixels: the mean over each of the GROUPS channel
+    groups of the per-channel products, i.e. (G/C)·<f_ref^g, f_src^g>.
 
-    That is the mean over each group's channels of the per-channel products.
-    f0: [C, P] reference features.
-    fi: [C, ..., P] warped source features, e.g. [C, S, D, P].
-    Returns [GROUPS, ..., P].
+    f_ref: [C, P] reference features; f_src: S stacked sources [S, C, H, W];
+    u, v, front: [S, D, P] from ``project``.  Returns the similarity
+    [GROUPS, S, D, P], 0 where the point left the source image or fell
+    behind its camera (front False), and that validity mask [S, D, P].
     """
-    return group_dot(f0, fi, GROUPS)
+    return sampled_group_dot(f_ref, f_src, u, v, front, GROUPS)
 
 
 class ViewWeightCNN(Module):
@@ -85,7 +90,7 @@ def integrate(sim: Tensor, shares: Tensor) -> Tensor:
     """
     if sim.ndim != 4 or shares.shape != (sim.shape[1], 1, sim.shape[3]):
         raise ShapeError(f"shares {shares.shape} do not fit similarity {sim.shape}")
-    return (sim * shares).sum(1)
+    return weighted_sum(sim, shares, 1)
 
 
 class AggregationUnet(Module):
@@ -173,17 +178,15 @@ def warp_and_correlate(f_ref: Tensor, f_src: Tensor, eta: np.ndarray,
 
     f_ref: [C, P] reference features; f_src: S stacked sources [S, C, H_l,
     W_l]; eta: [D, P] hypotheses shared by all sources, or [D, 1] planes,
-    which ``project`` maps with a, b.  η is a constant array, as RAFT's
+    which ``project`` maps with a, b to the source pixels that
+    ``group_correlation`` samples.  η is a constant array, as RAFT's
     lookup coordinates are.  Returns the similarity [G, S, D, P], 0 where
     the point left the source image or fell behind its camera, and that
     validity mask [S, D, P].
     """
     if f_src.ndim != 4:
         raise ShapeError(f"sources must be stacked [S, C, H, W], got {f_src.shape}")
-    u, v, front = project(eta, a, b)
-    # [C, S, D, P]; invalid points sample 0, so their similarity is 0 too
-    warped, valid = bilinear_sample(f_src, u, v, mask=front)
-    return group_correlation(f_ref, warped), valid
+    return group_correlation(f_ref, f_src, *project(eta, a, b))
 
 
 def multiscale_similarity(levels: list[tuple], hyps_by_level: list[np.ndarray],

@@ -26,8 +26,9 @@ Design notes
   writeable array rather than a broadcast view.
 * A taped op is worth a fused body: each entry costs Python and numpy
   call overhead that does not shrink with the image.  ``conv2d`` applies
-  the network's leaky ReLU as an epilogue, and ``group_norm`` is the whole
-  per-pixel group normalization.
+  the network's leaky ReLU as an epilogue, ``group_norm`` is the whole
+  per-pixel group normalization, and ``sampled_group_dot`` the whole
+  lookup from coordinates to grouped similarity.
 * Numeric precision is a process-global mode: float32 for speed, float64 for
   finite-difference verification.  Tensors created while a mode is active are
   cast to it; see :func:`set_default_dtype` / :class:`using_dtype`.
@@ -43,11 +44,11 @@ Design notes
   and read-only.
 * Kernels compute in the layout their input already has.
   ``bilinear_sample`` returns its samples texel-major: a [C, ...] view of a
-  [N, C] product.  Warped features are [C, S, D, P] (S sources, D
-  hypotheses, P pixels) and stay in that layout: ``group_dot`` moves C
-  last, which is free on such a view, multiplies in [S, D, P, C] order and
-  reduces each channel group with one matmul to [G, S, D, P].  The result
-  is the same for a contiguous input.
+  [N, C] product.  The lookup never forms its warped features [C, S, D, P]
+  (S sources, D hypotheses, P pixels): ``sampled_group_dot`` gathers them
+  texel-major, [n, C], a slab of rows at a time, multiplies by the
+  reference's [P, C] and reduces each channel group with one matmul to
+  [G, S, D, P]; its backward rebuilds them from the interpolation matrix.
   ``conv2d`` never pads its input.  For each kernel tap, a pair of (output
   slice, input slice) per axis covers just the outputs that read inside the
   image.  Its forward buffers whichever side of the convolution is cheaper:
@@ -57,21 +58,22 @@ Design notes
   and also takes the cheaper side: it gathers the output gradient over the
   input grid, or, for layers that widen on large planes, rebuilds the
   im2col and adds the per-tap products back (see its docstring).
-* ``bilinear_sample`` gathers from the texel table [B·H·W, C] of its grid.
-  On a texel-major grid, a [B, C, H, W] view of C-order [B, H, W, C]
-  memory, that table is a free reshape; a channel-major grid is copied to
-  it on every call.  So a grid sampled more than once is stored texel-major
-  once (``features.stack_pyramids``), and ``concat`` writes C order, which
-  numpy's concatenate would not do for transposed inputs.  Outputs and
-  gradients are the same bits on either layout.  Its interpolation matrix
-  takes a [N, 4] corner table that is built in place in the matrix's index
+* ``bilinear_sample`` and ``sampled_group_dot`` gather from the texel
+  table [B·H·W, C] of their grid.  On a texel-major grid, a [B, C, H, W]
+  view of C-order [B, H, W, C] memory, that table is a free reshape; a
+  channel-major grid is copied to it on every call.  So a grid sampled
+  more than once is stored texel-major once (``features.stack_pyramids``),
+  and ``concat`` writes C order, which numpy's concatenate would not do for
+  transposed inputs.  Outputs and gradients are the same bits on either
+  layout.  Their interpolation matrix (``_sampling_matrix``) takes a [N, 4]
+  corner table that is built in place in the matrix's index
   type (int32 unless the indices need more), and the four weights go into
   one [N, 4] buffer.  Every temporary keeps the grid's float dtype: numpy 2
   computes int32 − float32 in float64, at twice the bytes.
 * A forward pass fills no work buffer above ``MAX_WORK_ELEMENTS``:
-  ``conv2d`` fills and multiplies its im2col in bands, and callers split
-  other large intermediates with ``work_slices``.  Backward buffers are
-  not bounded.
+  ``conv2d`` fills and multiplies its im2col in bands, and
+  ``sampled_group_dot`` gathers its warped features in slabs, both split
+  with ``work_slices``.  Backward buffers are not bounded.
 """
 
 from __future__ import annotations
@@ -460,6 +462,21 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
     return _unary(a, y, lambda g, y: np.exp(a.data - y) * g)
 
 
+def weighted_sum(a: Tensor, w: Tensor, axis: int) -> Tensor:
+    """Σ a·w along one axis of their broadcast product.  One taped op: its
+    backward reads a and w, so the product is not kept."""
+    a, w = _wrap(a), _wrap(w)
+    prod = a.data * w.data
+    axis = _check_axis(axis, prod.ndim)
+    shape = prod.shape
+
+    def grad(g, y):
+        g = np.broadcast_to(np.expand_dims(g, axis), shape)
+        return g * w.data, g * a.data
+
+    return _binary(a, w, prod.sum(axis), grad)
+
+
 def group_norm(f: Tensor, groups: int, eps: float) -> Tensor:
     """Scale each channel group of f [C, ...] to unit root-mean-square at
     every position: with x the [groups, C/groups, ...] view,
@@ -589,25 +606,12 @@ def gather2d(a: Tensor, iy: np.ndarray, ix: np.ndarray) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def bilinear_sample(grid: Tensor, x: np.ndarray, y: np.ndarray,
-                    mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Sample a [C, H, W] grid, or a batch [B, C, H, W] of grids, at
-    fractional coordinates.
-
-    Args:
-        grid: feature map, [C, H, W], or B maps stacked as [B, C, H, W].
-        x, y: coordinates in pixel units, arrays of equal shape; with a
-            batched grid their leading axis is B and entry b samples map b.
-            They are constants, as the lookups' η is (as in RAFT), so the
-            op is differentiable in the grid only.
-        mask: optional bool array of the coordinates' shape; a point where
-            it is False is invalid like one outside [0, W-1] x [0, H-1] or
-            with a NaN coordinate: it samples 0 and passes no gradient.
-
-    Returns:
-        (samples [C, *coord_shape], valid bool mask [*coord_shape]).
-    """
-    grid = _wrap(grid)
+def _sampling_matrix(grid: Tensor, x, y, mask) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The interpolation matrix S [N, B·H·W] of bilinear samples of a [C, H,
+    W] or [B, C, H, W] grid at the N points (x, y), the grid's texel table
+    [B·H·W, C] and the points' validity mask, of the coordinates' shape;
+    ``bilinear_sample`` documents the arguments.  S weighs an invalid point
+    0, so ``S @ texels`` is the [N, C] samples."""
     if grid.ndim not in (3, 4):
         raise ShapeError(f"bilinear_sample needs [C, H, W] or [B, C, H, W], got {grid.shape}")
     b, c, h, w = grid.shape if grid.ndim == 4 else (1,) + grid.shape
@@ -618,6 +622,8 @@ def bilinear_sample(grid: Tensor, x: np.ndarray, y: np.ndarray,
     if grid.ndim == 4 and xd.shape[:1] != (b,):
         raise ShapeError(f"{b} grids but coordinates of shape {xd.shape}")
     cshape = xd.shape
+    if mask is not None and np.shape(mask) != cshape:
+        raise ShapeError(f"mask of shape {np.shape(mask)} for coordinates of shape {cshape}")
     xf = xd.ravel()
     yf = yd.ravel()
 
@@ -661,13 +667,42 @@ def bilinear_sample(grid: Tensor, x: np.ndarray, y: np.ndarray,
     s = _interp_matrix(cols, weights, b * h * w)
     # the grid texel-major, [B*H*W, C]: free on a texel-major grid
     texels = np.moveaxis(grid.data.reshape(b, c, h * w), 1, 2).reshape(b * h * w, c)
-    out = Tensor((s @ texels).T.reshape((c,) + cshape))
+    return s, texels, valid.reshape(cshape)
+
+
+def _grid_grad(grid: Tensor, gs: np.ndarray) -> np.ndarray:
+    """A texel-major gradient [B·H·W, C] as the grid's [(B,) C, H, W]."""
+    c, h, w = grid.shape[-3:]
+    return np.moveaxis(gs.reshape(grid.shape[:-3] + (h, w, c)), -1, -3)
+
+
+def bilinear_sample(grid: Tensor, x: np.ndarray, y: np.ndarray,
+                    mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Sample a [C, H, W] grid, or a batch [B, C, H, W] of grids, at
+    fractional coordinates.
+
+    Args:
+        grid: feature map, [C, H, W], or B maps stacked as [B, C, H, W].
+        x, y: coordinates in pixel units, arrays of equal shape; with a
+            batched grid their leading axis is B and entry b samples map b.
+            They are constants, as the lookups' η is (as in RAFT), so the
+            op is differentiable in the grid only.
+        mask: optional bool array of the coordinates' shape; a point where
+            it is False is invalid like one outside [0, W-1] x [0, H-1] or
+            with a NaN coordinate: it samples 0 and passes no gradient.
+
+    Returns:
+        (samples [C, *coord_shape], valid bool mask [*coord_shape]).
+    """
+    grid = _wrap(grid)
+    s, texels, valid = _sampling_matrix(grid, x, y, mask)
+    c = texels.shape[1]
+    out = Tensor((s @ texels).T.reshape((c,) + valid.shape))
 
     def bw(g):
-        gs = (s.T @ g.reshape(c, -1).T).reshape(b, h * w, c)
-        _accum(grid, np.moveaxis(gs, 2, 1).reshape(grid.shape))
+        _accum(grid, _grid_grad(grid, s.T @ g.reshape(c, -1).T))
 
-    return _record(out, (grid,), bw), valid.reshape(cshape)
+    return _record(out, (grid,), bw), valid
 
 
 @functools.lru_cache(maxsize=None)
@@ -1022,38 +1057,58 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# group correlation
+# sampled group correlation
 # ---------------------------------------------------------------------------
 
 
-def group_dot(f0: Tensor, fi: Tensor, groups: int) -> Tensor:
-    """Group-wise mean of channel products: out[g, ..., p] is the mean over
-    group g's C/groups channels of f0[c, p] * fi[c, ..., p].
+def sampled_group_dot(f0: Tensor, grid: Tensor, x: np.ndarray, y: np.ndarray,
+                      mask: np.ndarray | None, groups: int) -> tuple[Tensor, np.ndarray]:
+    """Group-wise mean of channel products between f0 [C, P] and the grid
+    sampled at (x, y): out[g, ..., p] is the mean over group g's C/groups
+    channels of f0[c, p] · bilinear_sample(grid, x, y, mask)[c, ..., p].
 
-    f0: [C, P]; fi: [C, ..., P], e.g. [C, S, D, P] for S sources of D
-    hypotheses; returns [groups, ..., P].  Works texel-major ([..., P, C]),
-    the layout ``bilinear_sample`` produces fi in, and sums each group's
-    channels with one matmul against a [C, groups] averaging matrix.
+    grid, x, y and mask are as ``bilinear_sample`` takes them, with the P
+    points last in the coordinates, e.g. [S, D, P] for D hypotheses on S
+    stacked grids.  Returns (similarity [groups, *coord_shape], valid).
+
+    One taped op that keeps no warped features.  Forward runs over slabs of
+    rows of P points whose warped features fit ``MAX_WORK_ELEMENTS``: each
+    slab gathers ``S[rows] @ texels`` [n, C], multiplies it by f0ᵀ in place
+    and sums each channel group with one matmul against a [C, groups]
+    averaging matrix.  Backward keeps S, f0 and the grid: it rebuilds the
+    warped features ``S @ texels`` once, whole, for f0's gradient, and gives
+    the grid ``S.T @ (gp·f0ᵀ)``, with gp the output gradient spread back over
+    the channels.  With P > 1 the slabs give the bits of one product over
+    all points; numpy hands a one-column product to BLAS's matrix-vector
+    kernel, which sums in another order.
     """
-    f0, fi = _wrap(f0), _wrap(fi)
-    if f0.ndim != 2 or fi.ndim < 3 or (fi.shape[0], fi.shape[-1]) != f0.shape:
-        raise ShapeError(f"group_dot needs [C, P] and [C, ..., P], got {f0.shape} / {fi.shape}")
+    f0, grid = _wrap(f0), _wrap(grid)
+    if f0.ndim != 2 or grid.ndim not in (3, 4) or (grid.shape[-3],) + np.shape(x)[-1:] != f0.shape:
+        raise ShapeError(f"sampled_group_dot needs f0 [C, P], a grid of C channels and "
+                         f"coordinates [..., P], got {f0.shape} / {grid.shape} / {np.shape(x)}")
     c, p = f0.shape
     if groups < 1 or c % groups:
         raise ShapeError(f"{c} channels not divisible into {groups} groups")
+    s, texels, valid = _sampling_matrix(grid, x, y, mask)
     # [C, groups]: channel c contributes groups/C to its group c // (C/groups)
-    avg = np.repeat(np.eye(groups, dtype=fi.dtype), c // groups, axis=0) * (groups / c)
+    avg = np.repeat(np.eye(groups, dtype=texels.dtype), c // groups, axis=0) * (groups / c)
     f0t = np.ascontiguousarray(f0.data.T)
-    a = np.moveaxis(fi.data, 0, -1)
-    prod = np.multiply(a, f0t, order="C").reshape(-1, c)
+    res = np.empty((groups, valid.size), texels.dtype)
+    for rows in work_slices(valid.size // p, p * c):
+        pts = slice(rows.start * p, rows.stop * p)
+        warped = (s[pts] @ texels).reshape(-1, p, c)
+        np.multiply(warped, f0t, out=warped)
+        np.matmul(avg.T, warped.reshape(-1, c).T, out=res[:, pts])
+        del warped  # before the next slab is gathered
 
     def grad(g, y):
-        gp = (g.reshape(groups, -1).T @ avg.T).reshape(a.shape)
-        g0 = (np.einsum("dpc,dpc->cp", gp.reshape(-1, p, c), a.reshape(-1, p, c))
+        gp = (g.reshape(groups, -1).T @ avg.T).reshape(-1, p, c)
+        g0 = (np.einsum("dpc,dpc->cp", gp, (s @ texels).reshape(-1, p, c))
               if f0.requires_grad else None)
-        return g0, np.moveaxis(gp * f0t, -1, 0) if fi.requires_grad else None
+        gg = _grid_grad(grid, s.T @ (gp * f0t).reshape(-1, c)) if grid.requires_grad else None
+        return g0, gg
 
-    return _binary(f0, fi, (avg.T @ prod.T).reshape((groups,) + fi.shape[1:]), grad)
+    return _binary(f0, grid, res.reshape((groups,) + valid.shape), grad), valid
 
 
 # ---------------------------------------------------------------------------

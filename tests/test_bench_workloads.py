@@ -4,8 +4,8 @@
 run whose operations fail their checks reports no timing at all.  Here each
 workload is set up once, its warm-up operation must pass its own check, and
 one operation under ``bench/tracer.py``'s hooks must pass it too, with no
-hook absent or unreadable.  Both bench modules are loaded from their files
-and used as they are.
+hook absent or unreadable and with time in both lookup spans.  Both bench
+modules are loaded from their files and used as they are.
 """
 
 import importlib.util
@@ -57,3 +57,6 @@ def test_workload_passes_its_checks_traced_and_untraced(bench, name, tmp_path):
     metrics = traced.metrics(overhead_ratio=0.0)
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["tensor.conv2d_n"] > 0
+    # a hook whose target still resolves but is no longer called reads 0
+    assert metrics["matching.warp_and_correlate_s"] > 0
+    assert metrics["matching.group_correlation_s"] > 0

@@ -206,7 +206,6 @@ class TestExitCodes:
         args = {
             "infer": ["--scene", scene, "--checkpoint", str(trained / "model.ckpt"),
                       "--out", str(taken)],
-            # the masks directory is made after the cloud is written
             "fuse": ["--scene", scene, "--depths", str(tmp_path), "--no-conf",
                      "--ngeo", "1", "--out", str(tmp_path / "cloud.ply"),
                      "--masks", str(taken)],
@@ -217,6 +216,8 @@ class TestExitCodes:
         assert f"file exists: {taken}" in capsys.readouterr().err
         if command == "infer":  # before the first forward pass
             assert extracts == []
+        if command == "fuse":  # before the cloud is written
+            assert not (tmp_path / "cloud.ply").exists()
 
 
 class TestSynth:

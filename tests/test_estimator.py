@@ -329,8 +329,10 @@ class TestProbabilityVolumes:
 
     def test_memory_does_not_grow_by_a_volume_per_iteration(self):
         # each iteration keeps a [32, 32, 32] hidden state (128 kB) and its
-        # readout's maps; its [256, 32, 32] volume (1 MB) would also stay
-        # if the run kept every volume
+        # readout's maps, about 151 kB; its [256, 32, 32] volume (1 MB)
+        # would also stay if the run kept every volume.  Four iterations
+        # keep 0.6 MB: seven, from 1 to 8, keep 1.06 MB, which the init
+        # sweep's transient peak hid while it held a warped volume
         scene = synth_scene(SynthSpec(seed=5, views=3, size=128))
         model = DepthEstimator(TrainConfig(), np.random.default_rng(0))
 
@@ -345,7 +347,7 @@ class TestProbabilityVolumes:
 
         peak(0)  # the cached tap slices and resize matrices
         volume = 256 * 32 * 32 * 4
-        assert peak(8) - peak(1) < volume
+        assert peak(8) - peak(4) < volume
 
 
 class TestConfigValidation:

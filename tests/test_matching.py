@@ -49,64 +49,80 @@ def make_view(size, f, center, target):
     return CameraView(k=k, r=r, t=t, d_min=1.0, d_max=10.0, image=img)
 
 
+def stacked_lookup(rng, c=16, s=2, d=3, p=12, h=6, w=7):
+    """Reference features [C, P], S stacked sources [S, C, H, W] and [S, D, P]
+    source pixels inside them, every point in front."""
+    f0 = rng.standard_normal((c, p))
+    f_src = rng.standard_normal((s, c, h, w))
+    u, v = rng.uniform(0, w - 1, (s, d, p)), rng.uniform(0, h - 1, (s, d, p))
+    return f0, f_src, u, v, np.ones((s, d, p), dtype=bool)
+
+
 class TestGroupCorrelation:
-    def test_all_ones_gives_unit_similarity(self):
-        f0 = Tensor(np.ones((16, 15)))
-        fi = Tensor(np.ones((16, 2, 4, 15)))
-        s = group_correlation(f0, fi)
-        assert s.shape == (8, 2, 4, 15)
+    def test_all_ones_gives_unit_similarity(self, rng):
+        _, _, u, v, front = stacked_lookup(rng, d=4, p=15)
+        s, valid = group_correlation(Tensor(np.ones((16, 15))), Tensor(np.ones((2, 16, 6, 7))),
+                                     u, v, front)
+        assert s.shape == (8, 2, 4, 15) and valid.all()
         assert np.allclose(s.data, 1.0, atol=1e-6)
 
     def test_zero_source_gives_zero(self, rng):
-        f0 = Tensor(rng.standard_normal((16, 15)))
-        fi = Tensor(np.zeros((16, 2, 4, 15)))
-        s = group_correlation(f0, fi)
+        f0, _, u, v, front = stacked_lookup(rng)
+        s, _ = group_correlation(Tensor(f0), Tensor(np.zeros((2, 16, 6, 7))), u, v, front)
         assert np.allclose(s.data, 0.0)
 
-    def test_matches_loop_oracle(self, rng):
-        # two sources of five hypotheses each, checked as 10 hypotheses
+    def test_matches_loop_oracle_on_the_sampled_sources(self, rng):
+        # two sources of three hypotheses each, checked as 6 hypotheses
         T.set_default_dtype(np.float64)
-        f0 = rng.standard_normal((16, 12))
-        fi = rng.standard_normal((16, 2, 5, 12))
-        s = group_correlation(Tensor(f0), Tensor(fi))
-        assert s.shape == (8, 2, 5, 12)
-        assert np.allclose(s.data.reshape(8, 10, 12),
-                           group_correlation_oracle(f0, fi.reshape(16, 10, 12), 8),
+        f0, f_src, u, v, front = stacked_lookup(rng)
+        s, _ = group_correlation(Tensor(f0), Tensor(f_src), u, v, front)
+        warped, _ = T.bilinear_sample(Tensor(f_src), u, v)
+        assert s.shape == (8, 2, 3, 12)
+        assert np.allclose(s.data.reshape(8, 6, 12),
+                           group_correlation_oracle(f0, warped.data.reshape(16, 6, 12), 8),
                            atol=1e-12)
 
     def test_bilinear_in_each_argument(self, rng):
         T.set_default_dtype(np.float64)
-        f0a = rng.standard_normal((16, 4))
-        f0b = rng.standard_normal((16, 4))
-        fi = rng.standard_normal((16, 2, 3, 4))
-        left = group_correlation(Tensor(f0a + 2.0 * f0b), Tensor(fi)).data
-        right = (group_correlation(Tensor(f0a), Tensor(fi)).data
-                 + 2.0 * group_correlation(Tensor(f0b), Tensor(fi)).data)
-        assert np.allclose(left, right, atol=1e-12)
+        f0a, f_src, u, v, front = stacked_lookup(rng)
+        f0b, f_srcb = rng.standard_normal(f0a.shape), rng.standard_normal(f_src.shape)
 
-    def test_layout_of_the_warped_features_does_not_matter(self, rng):
-        # bilinear_sample leaves its samples texel-major: for two stacked
-        # grids, a [C, S, D, P] view of a [S*D*P, C] product
-        grid = Tensor(rng.standard_normal((2, 16, 6, 7)))
-        xs, ys = rng.uniform(0, 6, (2, 3, 20)), rng.uniform(0, 5, (2, 3, 20))
-        warped, _ = T.bilinear_sample(grid, xs, ys)
-        assert warped.shape == (16, 2, 3, 20)
-        assert not warped.data.flags.c_contiguous
-        f0 = Tensor(rng.standard_normal((16, 20)))
-        got = group_correlation(f0, warped).data
-        want = group_correlation(f0, Tensor(np.ascontiguousarray(warped.data))).data
-        assert np.abs(got - want).max() < 1e-6
+        def corr(f0, fs):
+            return group_correlation(Tensor(f0), Tensor(fs), u, v, front)[0].data
+
+        assert np.allclose(corr(f0a + 2.0 * f0b, f_src),
+                           corr(f0a, f_src) + 2.0 * corr(f0b, f_src), atol=1e-12)
+        assert np.allclose(corr(f0a, f_src + 2.0 * f_srcb),
+                           corr(f0a, f_src) + 2.0 * corr(f0a, f_srcb), atol=1e-12)
+
+    def test_layout_of_the_sources_does_not_matter(self, rng):
+        # stack_pyramids stores the sources texel-major: a [S, C, H, W]
+        # view of [S, H, W, C] memory, which the lookup reads without a copy
+        f0, f_src, u, v, front = stacked_lookup(rng)
+        texel_major = Tensor(np.ascontiguousarray(f_src.transpose(0, 2, 3, 1))).transpose(
+            (0, 3, 1, 2))
+        assert not texel_major.data.flags.c_contiguous
+        got, _ = group_correlation(Tensor(f0), texel_major, u, v, front)
+        want, _ = group_correlation(Tensor(f0), Tensor(f_src), u, v, front)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_points_behind_or_outside_are_invalid_and_zero(self, rng):
+        f0, f_src, u, v, front = stacked_lookup(rng)
+        front[0, 1] = False
+        u[1, 2, :4] = 7.5  # past the last column
+        s, valid = group_correlation(Tensor(f0), Tensor(f_src), u, v, front)
+        assert not valid[0, 1].any() and not valid[1, 2, :4].any()
+        assert valid.sum() == valid.size - 12 - 4
+        assert np.array_equal(s.data[:, ~valid], np.zeros((8, 16)))
 
     def test_rejects_channel_mismatch_and_bad_groups(self, rng):
-        with pytest.raises(ShapeError):
-            group_correlation(Tensor(rng.random((16, 4))),
-                              Tensor(rng.random((8, 3, 4))))
-        with pytest.raises(ShapeError):
-            group_correlation(Tensor(rng.random((12, 4))),
-                              Tensor(rng.random((12, 3, 4))))
+        f0, f_src, u, v, front = stacked_lookup(rng)
+        with pytest.raises(ShapeError):  # 16 reference channels, 8 source ones
+            group_correlation(Tensor(f0), Tensor(f_src[:, :8]), u, v, front)
+        with pytest.raises(ShapeError):  # 12 channels in 8 groups
+            group_correlation(Tensor(f0[:12]), Tensor(f_src[:, :12]), u, v, front)
         with pytest.raises(ShapeError):  # pixel counts differ
-            group_correlation(Tensor(rng.random((16, 4))),
-                              Tensor(rng.random((16, 3, 5))))
+            group_correlation(Tensor(f0[:, :5]), Tensor(f_src), u, v, front)
 
 
 class TestViewWeight:

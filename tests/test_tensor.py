@@ -191,6 +191,23 @@ class TestReductions:
                            x.sum(1, keepdims=True), atol=1e-6)
         assert np.allclose(Tensor(x).mean().data, x.mean(), atol=1e-6)
 
+    def test_weighted_sum_is_mul_then_sum_bit_for_bit(self, rng):
+        # integrate's [G, S, D, P] similarity against [S, 1, P] shares
+        a0, w0 = rng.standard_normal((4, 2, 3, 5)), rng.random((2, 1, 5))
+        loss_wts = rng.standard_normal((4, 3, 5))
+
+        def run(op):
+            a, w = Tensor(a0, requires_grad=True), Tensor(w0, requires_grad=True)
+            with Tape() as tape:
+                out = op(a, w)
+                loss = (out * loss_wts).sum()
+            backward(tape, loss)
+            return out.data, a.grad, w.grad
+
+        for want, got in zip(run(lambda a, w: (a * w).sum(1)),
+                             run(lambda a, w: T.weighted_sum(a, w, 1))):
+            assert want.shape == got.shape and want.tobytes() == got.tobytes()
+
 
 # square inputs with "same" padding (k-1)//2: (c_in, c_out, size, k, stride)
 # conv2d takes the output side when 2·C_out·H·W <= C_in·H'·W', else im2col;
@@ -803,6 +820,21 @@ class TestResamplingAgainstLoops:
         assert np.array_equal(out[:, mask], out_all[:, mask])
         assert np.allclose(grad, grad_all, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), (1, 2)])
+    @pytest.mark.parametrize("op", ["bilinear_sample", "sampled_group_dot"])
+    def test_mask_of_another_shape_is_rejected(self, rng, op, shape):
+        # for [1, 3] coordinates a (1,) mask would broadcast over every
+        # point, a (3, 1) one has their size and a (1, 2) one has neither
+        grid = Tensor(rng.standard_normal((self.C, self.H, self.W)))
+        xs, ys = np.full((1, 3), 1.5), np.full((1, 3), 2.5)
+        mask = np.ones(shape, dtype=bool)
+        with pytest.raises(ShapeError, match="mask"):
+            if op == "bilinear_sample":
+                T.bilinear_sample(grid, xs, ys, mask=mask)
+            else:
+                T.sampled_group_dot(Tensor(rng.standard_normal((self.C, 3))), grid, xs, ys,
+                                    mask, 1)
+
     def test_take_depth_clipped_repeats_match_loops(self, rng):
         # predict_depth's window at the ends of the depth range: the argmax
         # sits on sample 0 or D-1 and the clipped window repeats it
@@ -845,6 +877,102 @@ class TestResamplingAgainstLoops:
             T.take_depth(a, np.full((1, 2, 2), 3))
         with pytest.raises(ContractError):
             T.gather2d(Tensor(rng.random((2, 2))), np.array([0, -1]), np.array([0, 0]))
+
+
+def sampling_then_group_means(f0, grid, x, y, mask, groups):
+    """``sampled_group_dot`` composed of other ops: ``bilinear_sample``, the
+    per-channel products and the mean over each group's channels."""
+    warped, valid = T.bilinear_sample(grid, x, y, mask=mask)
+    c, p = f0.shape
+    prod = warped.reshape((c, -1, p)) * f0.reshape((c, 1, p))
+    return prod.reshape((groups, c // groups, -1)).mean(1).reshape((groups,) + valid.shape), valid
+
+
+def texel_major_tensor(a: np.ndarray) -> Tensor:
+    """A [B, C, H, W] tensor viewing [B, H, W, C] memory, as the stacked sources do."""
+    return Tensor(np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, -1)), -1, 1))
+
+
+class TestSampledGroupDot:
+    """The lookup as one op: sampling and group correlation without a warped volume."""
+
+    def lookup(self, rng, c=16, s=2, d=5, p=24, h=9, w=11):
+        f0 = rng.standard_normal((c, p))
+        grid = rng.standard_normal((s, c, h, w))
+        x, y = rng.uniform(-1.0, w, (s, d, p)), rng.uniform(-1.0, h, (s, d, p))
+        return f0, grid, x, y, rng.random((s, d, p)) > 0.2
+
+    def test_matches_sampling_then_group_means(self, rng):
+        T.set_default_dtype(np.float64)
+        f0_0, grid_0, x, y, mask = self.lookup(rng)
+        loss_wts = rng.standard_normal((4,) + x.shape)
+
+        def run(op):
+            f0, grid = Tensor(f0_0, requires_grad=True), Tensor(grid_0, requires_grad=True)
+            with Tape() as tape:
+                out, valid = op(f0, grid, x, y, mask, 4)
+                loss = (out * loss_wts).sum()
+            backward(tape, loss)
+            return [out.data, valid, f0.grad, grid.grad]
+
+        got, want = run(T.sampled_group_dot), run(sampling_then_group_means)
+        valid = got.pop(1)
+        assert np.array_equal(valid, want.pop(1)) and 0 < valid.sum() < valid.size
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.allclose(g, w, atol=1e-12)
+
+    @pytest.mark.parametrize("bound", [3 * 24 * 16, 1])
+    def test_slabs_give_the_bits_of_one_product(self, rng, monkeypatch, bound):
+        # 10 rows of 24 points: slabs of 3, 3, 3 and 1 rows, or one row each
+        f0_0, grid_0, x, y, mask = self.lookup(rng)
+        loss_wts = rng.standard_normal((4,) + x.shape)
+        slabs = []
+
+        def run():
+            f0, grid = Tensor(f0_0, requires_grad=True), texel_major_tensor(grid_0)
+            grid.requires_grad = True
+            with Tape() as tape:
+                out, valid = T.sampled_group_dot(f0, grid, x, y, mask, 4)
+                loss = (out * loss_wts).sum()
+            backward(tape, loss)
+            return out.data, valid, f0.grad, grid.grad
+
+        whole = run()
+        slices = T.work_slices
+
+        def spy(n, unit):
+            slabs.append(slices(n, unit))
+            return slabs[-1]
+
+        monkeypatch.setattr(T, "work_slices", spy)
+        monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", bound)
+        sliced = run()
+        assert len(slabs[0]) == (4 if bound > 1 else 10)
+        for want, got in zip(whole, sliced):
+            assert want.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_keeps_no_warped_volume(self, rng, taped):
+        # a level-3 lookup at 256 px: 64 channels, 2 sources, 8 hypotheses,
+        # 4096 points; its warped features are 16.8 MB, 8x MAX_WORK_ELEMENTS
+        c, s, d, p = 64, 2, 8, 4096
+        f0 = Tensor(np.ascontiguousarray(rng.standard_normal((p, c))).T, requires_grad=taped)
+        grid = texel_major_tensor(rng.standard_normal((s, c, 64, 64)))
+        grid.requires_grad = taped
+        x, y = (rng.uniform(0.0, 63.0, (s, d, p)).astype(np.float32) for _ in range(2))
+        volume = c * s * d * p * 4
+        assert volume >= 8 * T.MAX_WORK_ELEMENTS * 4
+        tracemalloc.start()
+        try:
+            with Tape() if taped else T.no_grad():
+                out, _ = T.sampled_group_dot(f0, grid, x, y, None, 8)
+                held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # no_grad: one 2 MB slab at a time; under a tape, the interpolation
+        # matrix and the output stay, not the samples
+        assert (held if taped else peak) < volume / 2
 
 
 class TestTape:
@@ -1282,7 +1410,8 @@ class TestGradcheckCoverage:
 
     def test_every_taped_op_has_a_gradcheck_entry(self):
         ops = taped_ops(Path(T.__file__).read_text())
-        assert {"add", "tsum", "tmean", "concat", "conv2d", "group_dot"} <= set(ops)
+        assert {"add", "tsum", "tmean", "concat", "conv2d", "sampled_group_dot",
+                "weighted_sum"} <= set(ops)
         assert unchecked_ops(ops, base_op_checks(np.random.default_rng(0))) == []
 
 

@@ -341,7 +341,9 @@ class TestTrainStep:
         # hypotheses or coordinate gradient: 140 fewer)
         # 612 before the losses read logits (per readout, one fewer in the
         # cross entropy and three in the BCE; one sigmoid more for conf_up)
-        assert train_step(fixed_sample, model_seed=0) == 593
+        # 593 before each lookup sampled and correlated in one op and
+        # integrate became one op (one fewer each: 14 lookups, 13 integrates)
+        assert train_step(fixed_sample, model_seed=0) == 566
 
     def test_backward_frees_gradients_as_it_goes(self, fixed_sample, step_peaks):
         # backward would hold ~21 MB of intermediate gradients on top of the
