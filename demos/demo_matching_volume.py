@@ -12,7 +12,7 @@ import numpy as np
 
 from mvsgru.estimator import DepthEstimator
 from mvsgru.features import stack_pyramids
-from mvsgru.geometry import normalize_inv
+from mvsgru.geometry import inverse_grid, normalize_inv
 from mvsgru.scenes import SynthSpec, synth_scene
 from mvsgru.tensor import no_grad
 from mvsgru.training import TrainConfig
@@ -28,13 +28,13 @@ def volume_errors(views):
         init = model.initialize(pyramids[0], stack_pyramids(pyramids[1:]), views)
     gt = ref.gt_depth[4::8, 4::8]
     eta_gt = normalize_inv(gt, ref.d_min, ref.d_max)
+    inv_init = inverse_grid(ref.d_min, ref.d_max, model.cfg.d1)  # the sweep's planes
     best = init.s_init.data.argmax(axis=0)
-    eta_wta = normalize_inv(1.0 / init.inv_grid_init[best],
-                            ref.d_min, ref.d_max)
+    eta_wta = normalize_inv(1.0 / inv_init[best], ref.d_min, ref.d_max)
     # the coarse expectation that d_init upsamples, in numpy
     p_init = np.exp(init.s_init.data - init.s_init.data.max(axis=0))
     p_init /= p_init.sum(axis=0)
-    d_coarse = 1.0 / (p_init * init.inv_grid_init[:, None, None]).sum(axis=0)
+    d_coarse = 1.0 / (p_init * inv_init[:, None, None]).sum(axis=0)
     eta_exp = normalize_inv(d_coarse, ref.d_min, ref.d_max)
 
     # shuffled source images destroy the ranking, so the score is really
@@ -49,7 +49,7 @@ def volume_errors(views):
         bad_pyramids = [model.fpn.extract(v.image) for v in bad]
         init_bad = model.initialize(bad_pyramids[0], stack_pyramids(bad_pyramids[1:]), bad)
     best_bad = init_bad.s_init.data.argmax(axis=0)
-    eta_bad = normalize_inv(1.0 / init_bad.inv_grid_init[best_bad],
+    eta_bad = normalize_inv(1.0 / inv_init[best_bad],
                             ref.d_min, ref.d_max)
     err = lambda e: float(np.abs(e - eta_gt).mean())
     return err(eta_wta), err(eta_exp), err(eta_bad)

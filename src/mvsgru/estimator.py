@@ -24,7 +24,7 @@ from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup
                        multiscale_similarity, view_shares, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
 from .tensor import (Tensor, active_tape, bilinear_resize, bilinear_sample, concat, getitem,
-                     no_grad, take_depth)
+                     no_grad, take_depth, weighted_sum)
 from .upsample import ConvexUpsampler
 
 if TYPE_CHECKING:  # training imports this module
@@ -86,7 +86,7 @@ def predict_depth(logits: Tensor, radius: int) -> tuple[Tensor, np.ndarray]:
     inside = (idx >= 0) & (idx < d)
     idx_c = np.clip(idx, 0, d - 1)
     win = take_depth(logits, idx_c) + np.where(inside, 0.0, -np.inf)
-    return (win.softmax(0) * (idx_c / (d - 1.0))).sum(0), x_best
+    return weighted_sum(win.softmax(0), idx_c / (d - 1.0), 0), x_best
 
 
 @dataclass
@@ -94,7 +94,6 @@ class InitState:
     h0: Tensor
     s_init: Tensor               # [D1, H/8, W/8]
     shares_up: Tensor            # [S, 1, H/4 * W/4] view shares, summing to 1 over S
-    inv_grid_init: np.ndarray    # [D1]
     d_init: Tensor               # [H/4, W/4]
 
 
@@ -162,10 +161,11 @@ class DepthEstimator(Module):
         """Coarse plane sweep at 1/8 resolution over D1 hypotheses.
 
         sources stacks the source views' pyramids (``stack_pyramids``), in
-        the order of views[1:].  The view weights are normalized over S for
-        the sweep and again after their resize to 1/4 resolution, for every
-        later lookup; resizing the 1/8 shares instead would change the
-        values."""
+        the order of views[1:].  One lookup correlates all sources; the
+        view-weight CNN runs per source (tensor notes).  The view weights
+        are normalized over S for the sweep and again after their resize to
+        1/4 resolution, for every later lookup; resizing the 1/8 shares
+        instead would change the values."""
         cfg = self.cfg
         ref = views[0]
         f3 = ref_pyramid.f3
@@ -181,26 +181,21 @@ class DepthEstimator(Module):
         a, b = eta_projection(xs, ys, scale_intrinsics(ref.k, 3),
                               scale_intrinsics(np.stack([v.k for v in views[1:]]), 3),
                               relative_poses(ref, views[1:]), ref.d_min, ref.d_max)
-        # one source at a time (S = 1), each a texel-major view of the stack
-        sims, ws = [], []
-        for i in range(len(views) - 1):
-            src = np.s_[i:i + 1]
-            sim, valid = warp_and_correlate(f_ref, getitem(sources.f3, src), planes,
-                                            a[src], b[src])
-            sims.append(sim)
-            ws.append(view_weight(self.vw_cnn, sim.reshape((GROUPS, cfg.d1, h8, w8)),
-                                  valid.reshape(cfg.d1, h8, w8)))
-        w = concat(ws, 0)
-        shares = view_shares(w).reshape((len(ws), 1, h8 * w8))
-        merged = integrate(concat(sims, 1), shares).reshape((GROUPS * cfg.d1, h8, w8))
+        sim, valid = warp_and_correlate(f_ref, sources.f3, planes, a, b)
+        n_src = len(views) - 1
+        w = concat([view_weight(self.vw_cnn,
+                                getitem(sim, np.s_[:, i]).reshape((GROUPS, cfg.d1, h8, w8)),
+                                valid[i].reshape(cfg.d1, h8, w8)) for i in range(n_src)], 0)
+        shares = view_shares(w).reshape((n_src, 1, h8 * w8))
+        merged = integrate(sim, shares).reshape((GROUPS * cfg.d1, h8, w8))
         s_init = self.init_unet(merged) * self.init_gain
         pre = self.h0b(self.h0a(s_init))
         h0 = bilinear_resize(pre, (h4, w4)).tanh()
         p_init = s_init.softmax(0)
-        d_coarse = 1.0 / (p_init * inv_init[:, None, None]).sum(0)
+        d_coarse = 1.0 / weighted_sum(p_init, inv_init[:, None, None], 0)
         d_init = bilinear_resize(d_coarse, (h4, w4))
-        shares_up = view_shares(bilinear_resize(w, (h4, w4)).reshape((len(ws), 1, h4 * w4)))
-        return InitState(h0, s_init, shares_up, inv_init, d_init)
+        shares_up = view_shares(bilinear_resize(w, (h4, w4)).reshape((n_src, 1, h4 * w4)))
+        return InitState(h0, s_init, shares_up, d_init)
 
     def generate_hypotheses(self, eta: np.ndarray) -> list[np.ndarray]:
         """Per-level hypothesis sets around the previous estimate.

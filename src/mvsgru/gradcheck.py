@@ -200,6 +200,7 @@ def base_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     add("weighted_sum", lambda a, w: T.weighted_sum(a, w, 1), rnd(3, 2, 4, 5), rnd(2, 1, 5))
     # neither input spans the product [3, 4]
     add("weighted_sum.broadcast", lambda a, w: T.weighted_sum(a, w, 0), rnd(3, 1), rnd(1, 4))
+    add("weighted_sum.all", lambda a, w: T.weighted_sum(a, w, None), rnd(1, 3, 4), rnd(3, 4))
 
     add("concat", lambda a, b: T.concat([a, b], 1), rnd(3, 4), rnd(3, 3))
     add("reshape", lambda a: a.reshape((12, 2)), rnd(3, 4, 2))
@@ -322,7 +323,8 @@ _MODEL_COORDS = 48
 def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
     """Gradient checks for the composite network operations."""
     from .estimator import GruCell, gru_update, predict_depth
-    from .matching import AggregationUnet, group_correlation, integrate, view_shares
+    from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, group_correlation,
+                           integrate, view_shares, view_weight)
     from .training import loss_class, loss_conf, loss_regress
     from .upsample import ConvexUpsampler
 
@@ -342,6 +344,13 @@ def model_op_checks(rng: np.random.Generator) -> dict[str, Callable[[], float]]:
         rnd(16, 6), rnd(2, 16, 6, 5))
     add("integrate", lambda sim, wv: integrate(sim, view_shares(wv.sigmoid())),
         rnd(4, 2, 3, 10), rnd(2, 1, 10))
+
+    # one pixel's hypotheses all invalid: its logits are zero, its weight 1/D
+    vw_valid = rng.random((4, 3, 3)) > 0.3
+    vw_valid[:, 1, 2] = False
+    vw, vw_init = _param_forward(lambda: ViewWeightCNN(np.random.default_rng(10)),
+                                 lambda cnn, s: view_weight(cnn, s, vw_valid))
+    add("view_weight", vw, rnd(GROUPS, 4, 3, 3), *vw_init)
 
     unet, unet_init = _param_forward(lambda: AggregationUnet(6, 3, np.random.default_rng(7)),
                                      lambda unet, x: unet(x))

@@ -28,7 +28,8 @@ Design notes
   call overhead that does not shrink with the image.  ``conv2d`` applies
   the network's leaky ReLU as an epilogue, ``group_norm`` is the whole
   per-pixel group normalization, and ``sampled_group_dot`` the whole
-  lookup from coordinates to grouped similarity.
+  lookup from coordinates to grouped similarity.  ``weighted_sum`` is the
+  model's one weighted reduction: no call site multiplies, then sums.
 * Numeric precision is a process-global mode: float32 for speed, float64 for
   finite-difference verification.  Tensors created while a mode is active are
   cast to it; see :func:`set_default_dtype` / :class:`using_dtype`.
@@ -73,7 +74,9 @@ Design notes
 * A forward pass fills no work buffer above ``MAX_WORK_ELEMENTS``:
   ``conv2d`` fills and multiplies its im2col in bands, and
   ``sampled_group_dot`` gathers its warped features in slabs, both split
-  with ``work_slices``.  Backward buffers are not bounded.
+  with ``work_slices``, each dropped before the next is filled.  Backward
+  buffers are not bounded, so the init sweep's view-weight CNN runs per
+  source: over all S·D1 hypotheses, its backward buffer raised the peak.
 """
 
 from __future__ import annotations
@@ -462,17 +465,17 @@ def logsumexp(a: Tensor, axis: int) -> Tensor:
     return _unary(a, y, lambda g, y: np.exp(a.data - y) * g)
 
 
-def weighted_sum(a: Tensor, w: Tensor, axis: int) -> Tensor:
-    """Σ a·w along one axis of their broadcast product.  One taped op: its
-    backward reads a and w, so the product is not kept."""
+def weighted_sum(a: Tensor, w: Tensor, axis: int | None) -> Tensor:
+    """Σ a·w along one axis of their broadcast product, or all with axis None.
+    One taped op that keeps no product; a parent needing no gradient gets None."""
     a, w = _wrap(a), _wrap(w)
     prod = a.data * w.data
-    axis = _check_axis(axis, prod.ndim)
+    axis = None if axis is None else _check_axis(axis, prod.ndim)
     shape = prod.shape
 
     def grad(g, y):
-        g = np.broadcast_to(np.expand_dims(g, axis), shape)
-        return g * w.data, g * a.data
+        g = np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
+        return g * w.data if a.requires_grad else None, g * a.data if w.requires_grad else None
 
     return _binary(a, w, prod.sum(axis), grad)
 
@@ -871,6 +874,7 @@ def _im2col_product(wmat: np.ndarray, xd: np.ndarray, taps, holes, h_out: int, w
         cols = _im2col(xd[items], band_taps, band_holes, k, rows.stop - rows.start, w_out)
         start = (items.start * h_out + rows.start) * w_out
         np.matmul(wmat, cols, out=res[:, start:start + cols.shape[1]])
+        del cols  # before the next band is filled
     return res
 
 
@@ -1007,6 +1011,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             z = (wt @ xs.reshape(len(xs), c_in, h * w)).reshape(len(xs), k, k, c_out, h, w)
             for i, j, oy, ox, iy, ix in taps:
                 res[items, :, oy, ox] += z[:, i, j, :, iy, ix]
+            del z  # before the next items' products
     else:
         res = _im2col_product(weight.data.reshape(c_out, c_in * k * k), xd, taps, out_holes,
                               h_out, w_out, k, stride, padding)

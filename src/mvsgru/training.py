@@ -173,7 +173,7 @@ def _masked_mean(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
     n = int(mask.sum())
     if n == 0:
         return Tensor(np.zeros(()))
-    return (x * mask.astype(x.dtype)).sum() * (scale / n)
+    return T.weighted_sum(x, mask.astype(x.dtype), None) * (scale / n)
 
 
 def loss_class(logits: Tensor, x_gt: np.ndarray, valid: np.ndarray) -> Tensor:

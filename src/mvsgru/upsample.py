@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .nn import Conv2d, Module
-from .tensor import Tensor, gather2d
+from .tensor import Tensor, gather2d, weighted_sum
 
 FACTOR = 4
 NEIGHBORS = 9
@@ -44,7 +44,7 @@ class ConvexUpsampler(Module):
         iy = np.clip(ys + dy, 0, h - 1)
         ix = np.clip(xs + dx, 0, w - 1)
         neighborhood = gather2d(depth, iy, ix).reshape((NEIGHBORS, 1, h, w))
-        fine = (weights * neighborhood).sum(0)
+        fine = weighted_sum(weights, neighborhood, 0)
         # [16, H, W] -> subpixel rows/cols interleaved into [4H, 4W]
         fine = fine.reshape((FACTOR, FACTOR, h, w))
         fine = fine.transpose((2, 0, 3, 1))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvsgru import matching
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, ShapeError
 from mvsgru.estimator import DepthEstimator, GruCell, gru_update, predict_depth
@@ -251,6 +252,22 @@ class TestEstimatorRuns:
         assert init.shares_up.shape == (len(self.scene.views) - 1, 1, 16)
         assert (init.shares_up.data > 0).all()
         assert np.allclose(init.shares_up.data.sum(0), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("n_views", [3, 4])
+    def test_init_sweep_looks_up_every_source_in_one_call(self, monkeypatch, n_views):
+        scene = synth_scene(SynthSpec(seed=5, views=n_views, size=16, quads=1))
+        pyramids = [self.model.fpn.extract(v.image) for v in scene.views]
+        calls = []
+
+        def counted(f_ref, f_src, *args):
+            calls.append(f_src.shape[0])
+            return correlate(f_ref, f_src, *args)
+
+        correlate = matching.group_correlation
+        monkeypatch.setattr(matching, "group_correlation", counted)
+        init = self.model.initialize(pyramids[0], stack_pyramids(pyramids[1:]), scene.views)
+        assert calls == [n_views - 1]
+        assert init.shares_up.shape[0] == n_views - 1
 
     def test_each_depth_is_its_eta_denormalized(self):
         T.set_default_dtype(np.float64)

@@ -191,22 +191,40 @@ class TestReductions:
                            x.sum(1, keepdims=True), atol=1e-6)
         assert np.allclose(Tensor(x).mean().data, x.mean(), atol=1e-6)
 
-    def test_weighted_sum_is_mul_then_sum_bit_for_bit(self, rng):
-        # integrate's [G, S, D, P] similarity against [S, 1, P] shares
-        a0, w0 = rng.standard_normal((4, 2, 3, 5)), rng.random((2, 1, 5))
-        loss_wts = rng.standard_normal((4, 3, 5))
+    # integrate's [G, S, D, P] similarity against [S, 1, P] shares, and a
+    # masked loss mean's [1, H, W] values against an [H, W] mask
+    @pytest.mark.parametrize("a_shape,w_shape,axis", [((4, 2, 3, 5), (2, 1, 5), 1),
+                                                      ((1, 3, 5), (3, 5), None)],
+                             ids=["integrate", "masked-mean"])
+    @pytest.mark.parametrize("w_grad", [True, False], ids=["w-taped", "w-constant"])
+    def test_weighted_sum_is_mul_then_sum_bit_for_bit(self, rng, a_shape, w_shape, axis,
+                                                      w_grad):
+        a0, w0 = rng.standard_normal(a_shape), rng.random(w_shape)
+        loss_wts = rng.standard_normal(np.broadcast_shapes(a_shape, w_shape)).sum(axis)
 
         def run(op):
-            a, w = Tensor(a0, requires_grad=True), Tensor(w0, requires_grad=True)
+            a, w = Tensor(a0, requires_grad=True), Tensor(w0, requires_grad=w_grad)
             with Tape() as tape:
                 out = op(a, w)
                 loss = (out * loss_wts).sum()
             backward(tape, loss)
             return out.data, a.grad, w.grad
 
-        for want, got in zip(run(lambda a, w: (a * w).sum(1)),
-                             run(lambda a, w: T.weighted_sum(a, w, 1))):
-            assert want.shape == got.shape and want.tobytes() == got.tobytes()
+        want = run(lambda a, w: (a * w).sum(axis))
+        got = run(lambda a, w: T.weighted_sum(a, w, axis))
+        for x, y in zip(want, got):
+            assert x is y is None or (x.shape == y.shape and x.tobytes() == y.tobytes())
+
+    def test_weighted_sum_forms_no_gradient_for_a_constant(self, monkeypatch):
+        # a mask, bin values or a depth grid: backward hands that parent None
+        a, w = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)))
+        handed = []
+        accum = T._accum
+        monkeypatch.setattr(T, "_accum", lambda t, g: handed.append((t, g)) or accum(t, g))
+        with Tape() as tape:
+            loss = T.weighted_sum(a, w, 0).sum()
+        backward(tape, loss)
+        assert [g is None for t, g in handed if t is w] == [True]
 
 
 # square inputs with "same" padding (k-1)//2: (c_in, c_out, size, k, stride)
@@ -355,6 +373,31 @@ class TestConv:
         cols = T._im2col_product(w.reshape(16, 32), x, taps, holes, 24, 24, 1, 1, 0)
         want = cols.reshape(1, 16, 24, 24) + b[:, None, None]
         assert got.tobytes() == want.tobytes()
+
+    # (x shape, c_out): a 16 -> 16 conv at 128² fills its im2col in bands of
+    # output rows; a 16 -> 1 conv over 128 items runs its output side over
+    # items a slab at a time
+    @pytest.mark.parametrize("shape,c_out", [((1, 16, 128, 128), 16), ((128, 16, 32, 32), 1)],
+                             ids=["im2col-bands", "output-side-items"])
+    def test_banded_forward_holds_one_band_at_a_time(self, rng, shape, c_out):
+        b_n, c_in, h, w = shape
+        x = Tensor(rng.standard_normal(shape))
+        wt = Tensor(rng.standard_normal((c_out, c_in, 3, 3)))
+        b = Tensor(rng.standard_normal(c_out))
+        # the output side buffers k²·C_out·H·W products per item, the
+        # im2col k²·C_in·W' elements per output row
+        n, unit = (b_n, 9 * c_out * h * w) if c_out == 1 else (h, 9 * c_in * w)
+        bands = T.work_slices(n, unit)
+        band = (bands[0].stop - bands[0].start) * unit * 4
+        assert len(bands) > 2
+        T.conv2d(x, wt, b, 1, 1)  # warm: tap geometry caches and BLAS buffers
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, wt, b, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band < peak - out.data.nbytes < 1.5 * band
 
     def test_narrow_conv_buffers_its_output_side(self, rng, step_peaks):
         # the view-weight CNN's 16 -> 1 conv over 32 hypotheses: an im2col
