@@ -111,7 +111,8 @@ def _cmd_infer(args) -> int:
     Most views feed several references, so the feature pyramid of each view
     is extracted once, when the first run that reads it comes up, and
     dropped after the last one (see _extraction_plan): only the pyramids
-    that later runs still need are held, never the whole scene's.
+    that later runs still need are held, never the whole scene's.  Each
+    run's result is dropped once its maps are written, before the next run.
     """
     scene = load_scene(args.scene)
     model, cfg = _load_model(args)
@@ -147,12 +148,13 @@ def _cmd_infer(args) -> int:
         save_pfm(os.path.join(args.out, f"conf_{ref:04d}.pfm"),
                  run.conf_up.data.astype(np.float32))
         if args.prob_csv:
-            prob = model.predict_probability(run.hiddens[-1]).data
-            _write_prob_csv(os.path.join(args.out, f"prob_{ref:04d}.csv"), prob,
-                            inverse_grid(run.d_min, run.d_max, prob.shape[0]))
+            _write_prob_csv(os.path.join(args.out, f"prob_{ref:04d}.csv"),
+                            model.predict_probability(run.hiddens[-1]).data,
+                            inverse_grid(run.d_min, run.d_max, cfg.d2))
         print(f"view {ref:04d}: depth in [{run.d_up.data.min():.4g}, "
               f"{run.d_up.data.max():.4g}], "
               f"mean confidence {run.conf_up.data.mean():.3f}")
+        del run
     return 0
 
 

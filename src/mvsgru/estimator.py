@@ -24,7 +24,7 @@ from .matching import (GROUPS, AggregationUnet, ViewWeightCNN, integrate, lookup
                        multiscale_similarity, view_shares, view_weight, warp_and_correlate)
 from .nn import Conv2d, Module
 from .tensor import (Tensor, active_tape, bilinear_resize, bilinear_sample, concat, getitem,
-                     no_grad, take_depth, weighted_sum)
+                     no_grad, take_depth, weighted_sum, work_slices)
 from .upsample import ConvexUpsampler
 
 if TYPE_CHECKING:  # training imports this module
@@ -56,16 +56,21 @@ def gru_update(cell: GruCell, h: Tensor, x: Tensor) -> Tensor:
 
 
 def _lowest_argmax(v: np.ndarray) -> np.ndarray:
-    """Index of the maximum along axis 0 of v [D, ...], the lowest one where
-    several bins hold it, and 0 where a column's maximum is NaN.
+    """Index of the maximum along axis 0 of v [D, H, ...], the lowest one
+    where several bins hold it, and 0 where a column's maximum is NaN.
 
     That index is D − max_j (D − j)·[v_j is maximal], taken in int16 (int32
     from 2^15 bins): numpy's argmax along the leading axis of a float or
-    bool volume ran 2.5x slower on [256, 64, 64].
+    bool volume ran 2.5x slower on [256, 64, 64].  Its bool and int volumes
+    are formed in bands of rows along H, split by ``work_slices``.
     """
     d = v.shape[0]
     rank = np.arange(d, 0, -1, dtype=np.int16 if d < 2**15 else np.int32)
-    top = ((v == v.max(0)) * rank.reshape((d,) + (1,) * (v.ndim - 1))).max(0)
+    rank = rank.reshape((d,) + (1,) * (v.ndim - 1))
+    top = np.empty(v.shape[1:], dtype=rank.dtype)
+    for band in work_slices(v.shape[1], v.size // v.shape[1]):
+        vb = v[:, band]
+        top[band] = ((vb == vb.max(0)) * rank).max(0)
     return (d - top.astype(np.intp)) % d
 
 
@@ -227,6 +232,14 @@ class DepthEstimator(Module):
         shared views extracts each view once; without it, run extracts every
         view itself.  A count that differs from the views', or a view whose
         image size differs from the reference's, raises ShapeError.
+
+        run holds each input only until its last reader has run: the
+        per-view pyramids until the sources are stacked, the reference's
+        until the lookup levels are built, and the stacked sources and the
+        levels until the last lookup.  The last GRU update, readout and
+        upsampler run without them; under ``no_grad``, where no tape keeps
+        them for backward, that lowers the run's peak.  A run with no tape
+        keeps no probability volume either (``RunResult``).
         """
         cfg = self.cfg
         if len(views) < 2:
@@ -247,12 +260,13 @@ class DepthEstimator(Module):
                              f"{len(views)} views")
         # from here on run holds the sources only as one stacked, texel-major
         # copy per level, which the init sweep and every lookup sample, and
-        # after those the reference only as its level-2 map
+        # after those the reference only as its level-2 map; the levels go
+        # after the last lookup
         ref_pyramid, sources = pyramids[0], stack_pyramids(pyramids[1:])
         del pyramids
         init = self.initialize(ref_pyramid, sources, views)
         levels, ref_f2 = lookup_levels(ref_pyramid, sources, views), ref_pyramid.f2
-        del ref_pyramid
+        del ref_pyramid, sources
         res = RunResult(d_init=init.d_init, d_min=ref.d_min, d_max=ref.d_max, estimator=self)
         h = init.h0
         h4, w4 = h.shape[1], h.shape[2]
@@ -271,10 +285,12 @@ class DepthEstimator(Module):
             res.conf_logits.append(self.predict_confidence(hidden))
 
         readout(h)
-        for _ in range(k):
+        for i in range(k):
             eta = res.etas[-1].reshape((1, h4, w4))
             hyps = self.generate_hypotheses(eta.data)
             s_bar = multiscale_similarity(levels, hyps, init.shares_up, self.level_unets)
+            if i == k - 1:
+                del levels
             h = gru_update(self.gru, h, concat([eta, s_bar], 0))
             readout(h)
         if upsample:

@@ -5,12 +5,12 @@ in front of a large background plane, viewed by cameras on an arc.  Ground
 truth depth comes from exact ray-plane intersection, so every rendered
 scene doubles as a verification fixture.
 
-Each view renders in two passes.  Pass 1 finds every pixel's owner, the
-nearest surface its ray hits; on a tie the earlier surface (the background,
-then the quads in order) keeps the pixel.  Pass 2 evaluates the owner's
-texture once per pixel.  The texture sums N_WAVES waves, so shading builds
-``[N_WAVES, pixels]`` float64 temporaries; it runs over SHADE_CHUNK pixels at
-a time so that they stay the same size at any resolution.
+Each view renders in two passes, RENDER_CHUNK pixels at a time, so that
+its float64 temporaries stay the same size at any resolution.  Pass 1 finds
+every pixel's owner, the nearest surface its ray hits; on a tie the earlier
+surface (the background, then the quads in order) keeps the pixel.  Pass 2
+evaluates the owner's texture once per pixel.  The texture sums N_WAVES
+waves, so shading builds ``[N_WAVES, pixels]`` temporaries.
 
 Scene directory layout:
     images/0000.ppm ...      (binary P6)
@@ -210,7 +210,7 @@ FREQ_BAND = (2.0, 24.0)
 IMAGE_NOISE = 0.01
 DEPTH_MARGIN = 0.05       # depth-range margin around the true extent
 N_WAVES = 24
-SHADE_CHUNK = 8192        # pixels shaded per call: [N_WAVES, chunk] float64 temporaries
+RENDER_CHUNK = 8192       # pixels rendered at once: [N_WAVES, chunk] float64 temporaries
 
 
 @dataclass
@@ -292,10 +292,14 @@ def _look_at(center: np.ndarray, target: np.ndarray):
 def synth_scene(spec: SynthSpec) -> Scene:
     """Render ``spec`` into a scene with ground-truth depth and source pairs.
 
+    Each view renders RENDER_CHUNK pixels at a time, from its rays on.
     Pass 1 intersects every ray with every surface and keeps the nearest
     hit; the test is a strict ``<``, so the earlier surface wins a tie.
-    Pass 2 shades each pixel once with its owner's texture, SHADE_CHUNK
-    pixels per call, which bounds the ``[N_WAVES, chunk]`` temporaries.
+    Pass 2 shades each pixel once with its owner's texture.  The colour
+    buffer is the one whole-image temporary: the noise is drawn
+    channel-major, every pixel's red before any green, so no channel of a
+    chunk can be finished before every chunk is shaded.  The noise itself
+    is drawn a chunk at a time in that order, which gives the same stream.
     The scene is a pure function of ``spec``: the same seed gives the same
     bytes.  Raises SceneGenerationError for a degenerate spec or when a
     view sees empty space.
@@ -331,17 +335,14 @@ def synth_scene(spec: SynthSpec) -> Scene:
     f = FOCAL_PER_PX * size
     cc = (size - 1) / 2.0
     k = np.array([[f, 0.0, cc], [0.0, f, cc], [0.0, 0.0, 1.0]])
+    k_inv = np.linalg.inv(k)
     coord = np.arange(size, dtype=np.float64)
-    rays_cam = np.linalg.inv(k) @ np.stack([np.tile(coord, size), np.repeat(coord, size),
-                                            np.ones(size * size)])  # z == 1
+    chunks = [slice(c, min(c + RENDER_CHUNK, size * size))
+              for c in range(0, size * size, RENDER_CHUNK)]
 
     angles = np.linspace(-0.5, 0.5, spec.views) * ARC
     views: list[CameraView] = []
     centers = []
-    # work buffers that every view reuses: (depth, u, v) and the index of
-    # each pixel's owner, then its colour
-    hit = np.empty((3, size * size))
-    owner = np.empty(size * size, dtype=np.intp)
     color = np.empty((3, size * size))
     for i in range(spec.views):
         center = CAM_RADIUS * np.array([np.sin(angles[i]),
@@ -350,28 +351,38 @@ def synth_scene(spec: SynthSpec) -> Scene:
         target = rng.uniform(-0.1, 0.1, 3)
         r = _look_at(center, target)
         t = -r @ center
-        dirs_w = r.T @ rays_cam                          # [3, P]
-        # pass 1: each pixel's owner is the nearest surface; the strict
-        # test keeps the earlier surface on a tie
-        hit[0] = np.inf
-        for idx, surf in enumerate(surfaces):
-            cand = surf.intersect(center, dirs_w)
-            closer = cand[0] < hit[0]
-            for row, val in zip(hit, cand):
-                np.copyto(row, val, where=closer)
-            owner[closer] = idx
-        if not np.isfinite(hit[0]).all():
-            raise SceneGenerationError(
-                f"view {i} of seed {spec.seed} sees empty space")
-        # pass 2: shade each pixel once, a bounded chunk at a time
-        for idx, surf in enumerate(surfaces):
-            mine = np.flatnonzero(owner == idx)
-            for c in range(0, mine.size, SHADE_CHUNK):
-                px = mine[c:c + SHADE_CHUNK]
-                color[:, px] = surf.colors(hit[1, px], hit[2, px])
-        img = color + rng.normal(0.0, IMAGE_NOISE, color.shape)
-        img = np.clip(img, 0.0, 1.0).astype(np.float32)
-        gt = hit[0].reshape(size, size).astype(np.float32)
+        gt = np.empty(size * size, dtype=np.float32)
+        for sl in chunks:
+            px = np.arange(sl.start, sl.stop)
+            rays_cam = k_inv @ np.stack([coord[px % size], coord[px // size],
+                                         np.ones(px.size)])  # z == 1
+            dirs_w = r.T @ rays_cam                          # [3, chunk]
+            # pass 1: each pixel's owner is the nearest surface; the strict
+            # test keeps the earlier surface on a tie.  hit is (depth, u, v)
+            hit = np.empty((3, px.size))
+            hit[0] = np.inf
+            owner = np.empty(px.size, dtype=np.intp)
+            for idx, surf in enumerate(surfaces):
+                cand = surf.intersect(center, dirs_w)
+                closer = cand[0] < hit[0]
+                for row, val in zip(hit, cand):
+                    np.copyto(row, val, where=closer)
+                owner[closer] = idx
+            if not np.isfinite(hit[0]).all():
+                raise SceneGenerationError(
+                    f"view {i} of seed {spec.seed} sees empty space")
+            gt[sl] = hit[0]
+            # pass 2: shade each pixel once
+            for idx, surf in enumerate(surfaces):
+                mine = np.flatnonzero(owner == idx)
+                if mine.size:
+                    color[:, sl][:, mine] = surf.colors(hit[1, mine], hit[2, mine])
+        img = np.empty((3, size * size), dtype=np.float32)
+        for c in range(3):
+            for sl in chunks:
+                noisy = color[c, sl] + rng.normal(0.0, IMAGE_NOISE, sl.stop - sl.start)
+                img[c, sl] = np.clip(noisy, 0.0, 1.0)
+        gt = gt.reshape(size, size)
         d_lo = float(gt.min()) * (1.0 - DEPTH_MARGIN)
         d_hi = float(gt.max()) * (1.0 + DEPTH_MARGIN)
         views.append(CameraView(k, r, t, d_lo, d_hi,

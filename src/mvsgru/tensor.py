@@ -74,9 +74,14 @@ Design notes
 * A forward pass fills no work buffer above ``MAX_WORK_ELEMENTS``:
   ``conv2d`` fills and multiplies its im2col in bands, and
   ``sampled_group_dot`` gathers its warped features in slabs, both split
-  with ``work_slices``, each dropped before the next is filled.  Backward
-  buffers are not bounded, so the init sweep's view-weight CNN runs per
-  source: over all S·D1 hypotheses, its backward buffer raised the peak.
+  with ``work_slices``, each dropped before the next is filled.  The
+  readout's argmax (``estimator._lowest_argmax``) forms its bool and
+  integer volumes in row bands split the same way.  A reduction whose
+  terms must be formed first fills one buffer of its input's size:
+  ``logsumexp`` exponentiates the shifted logits in place, in forward and
+  in backward.  Backward buffers are not bounded otherwise, so the init
+  sweep's view-weight CNN runs per source: over all S·D1 hypotheses, its
+  backward buffer raised the peak.
 """
 
 from __future__ import annotations
@@ -457,12 +462,22 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 def logsumexp(a: Tensor, axis: int) -> Tensor:
     """log Σ exp(a) along one axis, kept at length 1.  Its gradient, g times
-    the softmax exp(a − y), is formed in backward: the tape holds no volume."""
+    the softmax exp(a − y), is formed in backward: the tape holds no volume.
+    Forward and backward exponentiate the shifted logits in place, so each
+    fills one volume-sized buffer."""
     a = _wrap(a)
     axis = _check_axis(axis, a.ndim)
     m = a.data.max(axis=axis, keepdims=True)
-    y = np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True)) + m
-    return _unary(a, y, lambda g, y: np.exp(a.data - y) * g)
+    e = a.data - m
+    y = np.log(np.exp(e, out=e).sum(axis=axis, keepdims=True)) + m
+
+    def grad(g, y):
+        e = a.data - y
+        np.exp(e, out=e)
+        e *= g
+        return e
+
+    return _unary(a, y, grad)
 
 
 def weighted_sum(a: Tensor, w: Tensor, axis: int | None) -> Tensor:

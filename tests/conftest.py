@@ -37,6 +37,26 @@ def _empty_tape_stack():
 
 
 @pytest.fixture
+def traced():
+    """Traced memory of one call: ``run(fn) -> (result, held, peak)``.
+
+    ``held`` and ``peak`` are tracemalloc bytes since the call began: those
+    still allocated when ``fn()`` returned, its result included, and the
+    most at any point of the call.
+    """
+    def run(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, held, peak
+
+    return run
+
+
+@pytest.fixture
 def step_peaks():
     """Traced peaks of one taped step: ``run(forward) -> (forward, step)``.
 

@@ -563,6 +563,23 @@ class TestInferExtractsEachViewOnce:
             assert set(reads[pos]) <= alive <= still_read, pos
         assert all(ref() is None for _, ref in calls)
 
+    def test_each_result_is_released_before_the_next_run(
+            self, scene, trained, tmp_path, monkeypatch, capsys):
+        # a result holds every readout's hidden state and the full-size
+        # maps; the loop variable would keep it alive through the next run
+        inner = DepthEstimator.run
+        results, alive_at_run = [], []
+
+        def run(self, views, *args, **kwargs):
+            alive_at_run.append([k for k, res in enumerate(results) if res() is not None])
+            res = inner(self, views, *args, **kwargs)
+            results.append(weakref.ref(res))
+            return res
+
+        monkeypatch.setattr(DepthEstimator, "run", run)
+        assert self.infer(scene, trained, tmp_path / "maps", "--prob-csv") == 0
+        assert alive_at_run == [[]] * 5
+
 
 class TestFuseAndEval:
     def test_pipeline_to_ply_and_score(self, scene_dir, trained, tmp_path,

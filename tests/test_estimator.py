@@ -1,7 +1,6 @@
 """Depth estimator: GRU oracle, readout algebra, hypothesis generation."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ import pytest
 from mvsgru import matching
 from mvsgru import tensor as T
 from mvsgru.errors import ConfigError, ShapeError
-from mvsgru.estimator import DepthEstimator, GruCell, gru_update, predict_depth
+from mvsgru.estimator import (DepthEstimator, GruCell, _lowest_argmax, gru_update,
+                              predict_depth)
 from mvsgru.features import stack_pyramids
 from mvsgru.geometry import denormalize_inv, inverse_grid
 from mvsgru.scenes import SynthSpec, synth_scene
@@ -184,6 +184,42 @@ class TestPredictDepth:
         assert base.data.tobytes() == moved.data.tobytes()
 
 
+def whole_volume_argmax(v: np.ndarray) -> np.ndarray:
+    """``_lowest_argmax`` as one expression over the whole volume."""
+    d = v.shape[0]
+    rank = np.arange(d, 0, -1, dtype=np.int16 if d < 2**15 else np.int32)
+    top = ((v == v.max(0)) * rank.reshape((d,) + (1,) * (v.ndim - 1))).max(0)
+    return (d - top.astype(np.intp)) % d
+
+
+class TestLowestArgmaxBands:
+    """The readout's argmax runs in row bands split by ``work_slices``."""
+
+    def test_a_64_px_readout_is_one_band(self):
+        # D2 = 256 bins over a 16 x 16 readout; at 256 px, 64 x 64 is two
+        assert len(T.work_slices(16, 256 * 16)) == 1
+        assert len(T.work_slices(64, 256 * 64)) == 2
+
+    @pytest.mark.parametrize("d,h,w,rows", [(32, 7, 5, 3), (2**15 + 3, 3, 2, 2)],
+                             ids=["int16-ranks", "int32-ranks"])
+    def test_bands_match_the_whole_volume(self, rng, monkeypatch, d, h, w, rows):
+        v = rng.standard_normal((d, h, w)).astype(np.float32)
+        # copy each pixel's maximum to a random bin: exact ties
+        np.put_along_axis(v, rng.integers(0, d, (1, h, w)), v.max(0)[None], axis=0)
+        v[:, 0, 0] = 0.5  # every bin tied
+        v[[1, d - 1], 1, 0] = 9.0  # tied at the second and the last bin
+        v[d - 1, 2, 0] = 9.0  # the last bin alone: rank 1
+        v[:, -1, -1] = np.nan  # an all-NaN column reads 0
+        monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", rows * d * w)
+        bands = T.work_slices(h, d * w)
+        assert len(bands) > 1 and h % (bands[0].stop - bands[0].start)
+        got = _lowest_argmax(v)
+        assert np.array_equal(got, whole_volume_argmax(v))
+        # numpy's argmax takes the lowest index too, and the first NaN
+        assert np.array_equal(got, np.argmax(v, axis=0))
+        assert (got[0, 0], got[1, 0], got[2, 0], got[-1, -1]) == (0, 1, d - 1, 0)
+
+
 class TestHypothesisGeneration:
     def setup_method(self):
         self.model = DepthEstimator(TrainConfig(), np.random.default_rng(0))
@@ -344,7 +380,7 @@ class TestProbabilityVolumes:
         assert sizes and max(sizes) < volume
         assert res.logit(-1).shape == (model.cfg.d2, 8, 8)
 
-    def test_memory_does_not_grow_by_a_volume_per_iteration(self):
+    def test_memory_does_not_grow_by_a_volume_per_iteration(self, traced):
         # each iteration keeps a [32, 32, 32] hidden state (128 kB) and its
         # readout's maps, about 151 kB; its [256, 32, 32] volume (1 MB)
         # would also stay if the run kept every volume.  Four iterations
@@ -353,18 +389,33 @@ class TestProbabilityVolumes:
         scene = synth_scene(SynthSpec(seed=5, views=3, size=128))
         model = DepthEstimator(TrainConfig(), np.random.default_rng(0))
 
+        def run(iters):
+            with T.no_grad():
+                model.run(scene.views, iters=iters)
+
         def peak(iters):
-            tracemalloc.start()
-            try:
-                with T.no_grad():
-                    model.run(scene.views, iters=iters)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced(lambda: run(iters))[2]
 
         peak(0)  # the cached tap slices and resize matrices
         volume = 256 * 32 * 32 * 4
         assert peak(8) - peak(4) < volume
+
+    def test_peak_per_pixel_is_bounded_at_256_px(self, traced):
+        # one warm run of 3 views, 4 iterations, upsampled, peaks at 239
+        # bytes per input pixel, during the last lookup.  It peaked at 262
+        # in the last readout while the run still held the lookup levels
+        # and the argmax formed its bool and int16 volumes whole
+        size = 256
+        scene = synth_scene(SynthSpec(seed=5, views=3, size=size))
+        model = DepthEstimator(TrainConfig(), np.random.default_rng(0))
+
+        def run():
+            with T.no_grad():
+                model.run(scene.views)
+
+        run()  # the cached tap slices and resize matrices
+        per_px = traced(run)[2] / size ** 2
+        assert per_px <= 250, f"{per_px:.1f} B/px"
 
 
 class TestConfigValidation:

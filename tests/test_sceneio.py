@@ -1,7 +1,5 @@
 """Scene files (PFM/PPM/cam text/pair lists), synthesis, and metrics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -323,17 +321,24 @@ class TestSynth:
             assert np.array_equal(a.image, b.image)
             assert np.array_equal(a.gt_depth, b.gt_depth)
 
-    def test_memory_is_bounded_at_256_px(self):
-        # shading runs over SHADE_CHUNK pixels at a time; the single-pass
-        # renderer, which painted every surface over the whole image, peaked
-        # at 38-40 MB
-        tracemalloc.start()
-        try:
-            synth_scene(SynthSpec(seed=3, views=3, size=256))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20e6, f"{peak / 1e6:.1f} MB"
+    def test_memory_is_bounded_at_256_px(self, traced):
+        # rendering runs over RENDER_CHUNK pixels at a time and only the
+        # colour buffer is whole: the peak is 7.3 MB, of which 3.2 MB are
+        # the scene itself, under a bound with 1.7 MB of margin.  The
+        # single-pass renderer, which painted every surface over the whole
+        # image, peaked at 38-40 MB, and whole-image rays and hits at 15.1 MB
+        _, _, peak = traced(lambda: synth_scene(SynthSpec(seed=3, views=3, size=256)))
+        assert peak <= 9e6, f"{peak / 1e6:.1f} MB"
+
+    def test_memory_per_pixel_is_bounded_at_512_px(self, traced):
+        # bytes per pixel of the image: the scene's float32 images and
+        # depths are 16 per view and the float64 colour buffer 24, which
+        # leaves 8 for the chunk's temporaries (3.5 of them used).  Whole-
+        # image rays and hits peaked at 230, this renderer at 76.5
+        views, size = 3, 512
+        _, _, peak = traced(lambda: synth_scene(SynthSpec(seed=3, views=views, size=size)))
+        per_px = peak / size ** 2
+        assert per_px <= 16 * views + 24 + 8, f"{per_px:.1f} B/px"
 
 
 class TestMetrics:

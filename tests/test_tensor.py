@@ -2,7 +2,6 @@
 
 import ast
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -190,6 +189,21 @@ class TestReductions:
         assert np.allclose(Tensor(x).sum(1, keepdims=True).data,
                            x.sum(1, keepdims=True), atol=1e-6)
         assert np.allclose(Tensor(x).mean().data, x.mean(), atol=1e-6)
+
+    def test_logsumexp_fills_one_volume_in_forward_and_backward(self, rng, traced):
+        # the class loss over a 256 px run's [D2, H/4, W/4] logits: the
+        # shifted logits are exponentiated in place, where exp(a − m) and
+        # its argument held two volumes
+        x = Tensor(rng.standard_normal((256, 64, 64)), requires_grad=True)
+        volume = x.data.nbytes
+        with T.no_grad():
+            _, _, peak = traced(lambda: T.logsumexp(x, 0))
+        assert peak < 1.1 * volume
+        with Tape() as tape:
+            loss = T.logsumexp(x, 0).sum()
+        _, held, peak = traced(lambda: backward(tape, loss))
+        assert held >= volume  # x.grad
+        assert peak < 1.1 * volume
 
     # integrate's [G, S, D, P] similarity against [S, 1, P] shares, and a
     # masked loss mean's [1, H, W] values against an [H, W] mask
@@ -379,7 +393,7 @@ class TestConv:
     # items a slab at a time
     @pytest.mark.parametrize("shape,c_out", [((1, 16, 128, 128), 16), ((128, 16, 32, 32), 1)],
                              ids=["im2col-bands", "output-side-items"])
-    def test_banded_forward_holds_one_band_at_a_time(self, rng, shape, c_out):
+    def test_banded_forward_holds_one_band_at_a_time(self, rng, traced, shape, c_out):
         b_n, c_in, h, w = shape
         x = Tensor(rng.standard_normal(shape))
         wt = Tensor(rng.standard_normal((c_out, c_in, 3, 3)))
@@ -391,12 +405,7 @@ class TestConv:
         band = (bands[0].stop - bands[0].start) * unit * 4
         assert len(bands) > 2
         T.conv2d(x, wt, b, 1, 1)  # warm: tap geometry caches and BLAS buffers
-        tracemalloc.start()
-        try:
-            out = T.conv2d(x, wt, b, 1, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, _, peak = traced(lambda: T.conv2d(x, wt, b, 1, 1))
         assert band < peak - out.data.nbytes < 1.5 * band
 
     def test_narrow_conv_buffers_its_output_side(self, rng, step_peaks):
@@ -655,7 +664,7 @@ class TestBilinear:
         for want, got in zip(run(grid), run(texel_major)):
             assert want.tobytes() == got.tobytes()
 
-    def test_texel_major_grid_is_sampled_without_a_copy(self, rng):
+    def test_texel_major_grid_is_sampled_without_a_copy(self, rng, traced):
         # a 2 MB grid and 16 points: the contiguous grid's texel table is
         # a 2 MB copy, the texel-major one's a reshape
         grid = rng.standard_normal((2, 16, 128, 128)).astype(np.float32)
@@ -663,12 +672,7 @@ class TestBilinear:
         x, y = rng.uniform(0.0, 127.0, (2, 2, 8)), rng.uniform(0.0, 127.0, (2, 2, 8))
 
         def peak(g):
-            tracemalloc.start()
-            try:
-                T.bilinear_sample(Tensor(g), x, y)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced(lambda: T.bilinear_sample(Tensor(g), x, y))[2]
 
         assert peak(grid) > grid.nbytes > 100 * peak(texel_major)
 
@@ -996,7 +1000,7 @@ class TestSampledGroupDot:
             assert want.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("taped", [False, True])
-    def test_keeps_no_warped_volume(self, rng, taped):
+    def test_keeps_no_warped_volume(self, rng, traced, taped):
         # a level-3 lookup at 256 px: 64 channels, 2 sources, 8 hypotheses,
         # 4096 points; its warped features are 16.8 MB, 8x MAX_WORK_ELEMENTS
         c, s, d, p = 64, 2, 8, 4096
@@ -1006,13 +1010,13 @@ class TestSampledGroupDot:
         x, y = (rng.uniform(0.0, 63.0, (s, d, p)).astype(np.float32) for _ in range(2))
         volume = c * s * d * p * 4
         assert volume >= 8 * T.MAX_WORK_ELEMENTS * 4
-        tracemalloc.start()
-        try:
-            with Tape() if taped else T.no_grad():
-                out, _ = T.sampled_group_dot(f0, grid, x, y, None, 8)
-                held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ctx = Tape() if taped else T.no_grad()
+
+        def lookup():
+            with ctx:  # a tape stays referenced, so its entries are held
+                return T.sampled_group_dot(f0, grid, x, y, None, 8)
+
+        _, held, peak = traced(lookup)
         # no_grad: one 2 MB slab at a time; under a tape, the interpolation
         # matrix and the output stay, not the samples
         assert (held if taped else peak) < volume / 2
