@@ -85,13 +85,15 @@ def predict_depth(logits: Tensor, radius: int) -> tuple[Tensor, np.ndarray]:
     the D-bin softmax renormalized inside the window, whose normalizer
     cancels, so no [D, H, W] volume is normalized.
     """
-    d = logits.shape[0]
+    d, dtype = logits.shape[0], logits.dtype.type
     x_best = _lowest_argmax(logits.data)
-    idx = x_best[None] + np.arange(-radius, radius + 1)[:, None, None]
-    inside = (idx >= 0) & (idx < d)
-    idx_c = np.clip(idx, 0, d - 1)
-    win = take_depth(logits, idx_c) + np.where(inside, 0.0, -np.inf)
-    return weighted_sum(win.softmax(0), idx_c / (d - 1.0), 0), x_best
+    # the window arrays in the types the ops take: int32 indices, clipped in
+    # place, and the mask and η values in the logits' dtype
+    idx = x_best.astype(np.int32) + np.arange(-radius, radius + 1, dtype=np.int32)[:, None, None]
+    mask = np.where((idx >= 0) & (idx < d), dtype(0), dtype(-np.inf))
+    np.clip(idx, 0, d - 1, out=idx)
+    weights = (take_depth(logits, idx) + mask).softmax(0)
+    return weighted_sum(weights, (np.arange(d) / (d - 1.0)).astype(dtype)[idx], 0), x_best
 
 
 @dataclass

@@ -593,8 +593,13 @@ def take_depth(a: Tensor, idx: np.ndarray) -> Tensor:
     a = _wrap(a)
     if a.ndim != 3 or idx.ndim != 3 or idx.shape[1:] != a.shape[1:]:
         raise ShapeError(f"take_depth: bad shapes {a.shape} / {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ContractError(f"take_depth index outside [0, {a.shape[0]})")
     plane = a.shape[1] * a.shape[2]
-    cols = idx.astype(np.int64).reshape(-1, plane) * plane + np.arange(plane)
+    # the flat columns idx·plane + p, formed in place in the matrix's index type
+    cols = idx.astype(_index_type(a.size, idx.size)).reshape(-1, plane)
+    cols *= plane
+    cols += np.arange(plane, dtype=cols.dtype)
     s = _interp_matrix(cols.reshape(-1, 1), np.ones(cols.size, a.dtype), a.size)
     out = Tensor((s @ a.data.reshape(-1)).reshape(idx.shape))
 
@@ -795,88 +800,71 @@ def _tap_slices(n_in: int, n_out: int, tap: int, stride: int, padding: int,
 
 @functools.lru_cache(maxsize=None)
 def _conv_taps(h: int, w: int, h_out: int, w_out: int, k: int, stride: int,
-               padding: int, first_row: int = 0) -> tuple[tuple, tuple, tuple | None]:
-    """``(taps, out_holes, in_holes)``, cached per geometry, for the output
-    rows first_row .. h_out - 1 (a band of ``conv2d``'s forward; the
-    backward takes them all).
+               padding: int, first_row: int = 0) -> tuple[tuple, tuple]:
+    """``(taps, holes)``, cached per geometry, for the output rows
+    first_row .. h_out - 1 (a band of ``conv2d``'s forward; the backward
+    takes them all).
 
     taps holds ``(i, j, oy, ox, iy, ix)`` per kernel tap: tap (i, j) joins
     the outputs oy x ox with the input texels iy x ix, and every other
     output of that tap reads padding.
 
-    The holes are what the taps' slices leave uncovered, on the output grid
-    (the outputs that read padding) and on the input grid (the texels a tap
-    never reads), each a pair ``(rows, cols)`` of border strips: rows lists
+    The holes are the outputs the taps' slices leave uncovered, those that
+    read padding, as a pair ``(rows, cols)`` of border strips: rows lists
     ``(i, s)`` for row slice s uncovered by every tap of kernel row i, cols
-    ``(j, s)`` likewise per kernel column.  in_holes is None at stride 2,
-    where a tap skips every other row and column: zeroing those three
-    quarters slice by slice took 2-3x a memset of the whole buffer.
+    ``(j, s)`` likewise per kernel column.
     """
     ys = [_tap_slices(h, h_out, i, stride, padding, first_row) for i in range(k)]
     xs = [_tap_slices(w, w_out, j, stride, padding) for j in range(k)]
     taps = tuple((i, j, oy, ox, iy, ix) for i, (oy, iy) in enumerate(ys)
                  for j, (ox, ix) in enumerate(xs))
 
-    def holes(slices, n, side):
+    def holes(slices, n):
         found = []
-        for t, pair in enumerate(slices):
-            sl = pair[side]
+        for t, (sl, _) in enumerate(slices):
             strips = [slice(0, n)] if sl.start == sl.stop else [slice(0, sl.start),
                                                                   slice(sl.stop, n)]
             found += [(t, s) for s in strips if s.start < s.stop]
         return tuple(found)
 
-    out_holes = (holes(ys, h_out - first_row, 0), holes(xs, w_out, 0))
-    in_holes = (holes(ys, h, 1), holes(xs, w, 1)) if stride == 1 else None
-    return taps, out_holes, in_holes
+    return taps, (holes(ys, h_out - first_row), holes(xs, w_out))
 
 
-# elements from which a per-tap buffer is np.empty with only its holes
+# elements from which an im2col buffer is np.empty with only its holes
 # zeroed; below it, one memset costs less than the slice assignments (about
 # 1.5 µs each)
 _EMPTY_MIN_SIZE = 1 << 17
 
 
-def _tap_buffer(shape: tuple, dtype, holes, tap_axis: int) -> np.ndarray:
-    """A buffer the taps' copies fill, with kernel row and column at axes
-    tap_axis and tap_axis + 1 and the grid's rows and columns last: the
-    ``holes`` from ``_conv_taps``, which no copy writes, are zero."""
-    if holes is None or math.prod(shape) < _EMPTY_MIN_SIZE:
-        return np.zeros(shape, dtype)
-    buf = np.empty(shape, dtype)
-    rows, cols = holes
-    lead = (slice(None),) * tap_axis
-    for i, s in rows:
-        buf[lead + (i, Ellipsis, s, slice(None))] = 0
-    for j, s in cols:
-        buf[lead + (slice(None), j, Ellipsis, s)] = 0
-    return buf
-
-
 def _im2col(xd: np.ndarray, taps, holes, k: int, h_out: int, w_out: int) -> np.ndarray:
     """The [C_in·k², B·H'·W'] im2col matrix of a [B, C_in, H, W] input,
     channel-major.  Tap (i, j) copies the outputs whose input texel lies
-    inside the image; the rest read padding and are zero (``_tap_buffer``
-    with the output-grid ``holes``)."""
+    inside the image; the rest, the ``holes`` of ``_conv_taps``, are zero."""
     b_n, c_in = xd.shape[:2]
+    shape = (c_in, k, k, b_n, h_out, w_out)
+    if math.prod(shape) < _EMPTY_MIN_SIZE:
+        cols = np.zeros(shape, xd.dtype)
+    else:
+        cols = np.empty(shape, xd.dtype)
+        rows, columns = holes
+        for i, s in rows:
+            cols[:, i, ..., s, :] = 0
+        for j, s in columns:
+            cols[:, :, j, ..., s] = 0
     xc = xd.transpose(1, 0, 2, 3)
-    cols = _tap_buffer((c_in, k, k, b_n, h_out, w_out), xd.dtype, holes, 1)
     for i, j, oy, ox, iy, ix in taps:
         cols[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
     return cols.reshape(c_in * k * k, b_n * h_out * w_out)
 
 
-def _im2col_product(wmat: np.ndarray, xd: np.ndarray, taps, holes, h_out: int, w_out: int,
-                    k: int, stride: int, padding: int) -> np.ndarray:
+def _im2col_product(wmat: np.ndarray, xd: np.ndarray, h_out: int, w_out: int, k: int,
+                    stride: int, padding: int) -> np.ndarray:
     """``wmat @ im2col(xd)``, [C_out, B·H'·W'], with the im2col filled and
     multiplied band by band: whole batch items while one fits
     ``MAX_WORK_ELEMENTS``, else output rows of one item.  An im2col that
-    fits whole is one product with ``conv2d``'s own ``taps`` and output
-    ``holes``."""
+    fits whole is one band."""
     b_n, c_in, h, w = xd.shape
     row = c_in * k * k * w_out
-    if b_n * row * h_out <= MAX_WORK_ELEMENTS:
-        return wmat @ _im2col(xd, taps, holes, k, h_out, w_out)
     if row * h_out <= MAX_WORK_ELEMENTS:
         bands = [(items, slice(0, h_out)) for items in work_slices(b_n, row * h_out)]
     else:
@@ -884,8 +872,8 @@ def _im2col_product(wmat: np.ndarray, xd: np.ndarray, taps, holes, h_out: int, w
         bands = [(slice(b, b + 1), rows) for b in range(b_n) for rows in row_slices]
     res = np.empty((wmat.shape[0], b_n * h_out * w_out), np.result_type(wmat, xd))
     for items, rows in bands:
-        band_taps, band_holes, _ = _conv_taps(h, w, rows.stop, w_out, k, stride, padding,
-                                              rows.start)
+        band_taps, band_holes = _conv_taps(h, w, rows.stop, w_out, k, stride, padding,
+                                           rows.start)
         cols = _im2col(xd[items], band_taps, band_holes, k, rows.stop - rows.start, w_out)
         start = (items.start * h_out + rows.start) * w_out
         np.matmul(wmat, cols, out=res[:, start:start + cols.shape[1]])
@@ -918,9 +906,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 
     A 1x1 convolution of one image at stride 1 without padding is one
     GEMM ``[C_out, C_in] @ [C_in, H·W]`` on the input as it is: the GEMM
-    the im2col path runs, without its copy.  Otherwise two forward paths
-    compute the same sums; each buffers one side of the layer, and neither
-    buffer outlives the forward.
+    the im2col path runs, without its copy; without it, reconstruct-128's
+    ``op_rel_p50`` read 2.4 % higher in 9 of 10 ``bench/run.py`` pairs.
+    Otherwise two forward paths compute the same sums; each buffers one
+    side of the layer, and neither buffer outlives the forward.
 
     * Input side (im2col): copy the k² shifted input windows into a
       [k²·C_in, N] matrix and run a GEMM with the [C_out, k²·C_in]
@@ -935,7 +924,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     pays for the output side's read-modify-write adds of k² slices, which
     cost more per element than im2col's plain copies: with equal buffers
     (C_out = C_in at stride 1) its forward is 1.2-1.3x slower.  Comparing
-    the input grid with the output grid accounts for the stride.
+    the input grid with the output grid accounts for the stride.  With the
+    im2col alone, an infer-256 operation ran 1.4 % slower, slower in 19 of
+    24 rounds (in-process A/B, 2-core x86, one BLAS thread).
 
     No forward buffer exceeds ``MAX_WORK_ELEMENTS`` (2 MB of float32) while
     one batch item's products, or one output row's im2col, fits it: the
@@ -958,8 +949,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     two sides:
 
     * Output side: gather the k² slices of the output gradient G at the
-      texels each tap read into dZ [k²·C_out, B·H·W], then ``dW = dZ @ xᵀ``
-      and ``dx = W_tapᵀ @ dZ``, one GEMM each over the whole batch.
+      texels each tap read into a zero-filled dZ [k²·C_out, B·H·W], then
+      ``dW = dZ @ xᵀ`` and ``dx = W_tapᵀ @ dZ``, one GEMM each.
     * Input side: ``dW = G @ colsᵀ``, with G as [C_out, B·H'·W'] and the
       im2col rebuilt from the input, and ``dx`` from the per-tap products
       ``W_tapᵀ @ G`` (one [k²·C_in, C_out] GEMM), each added back at the
@@ -972,6 +963,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     that, its k² extra strided adds cost more than the smaller buffers
     save.  Widening layers on large planes take it, such as the
     probability head (32 → 256 at 16²) and the FPN's stride-2 encoders.
+    It pays in memory: the head's output-side dZ alone would be 2.36 MB
+    (``test_widening_conv_backward_skips_the_output_side_buffer``).
 
     ``dW`` is skipped when the weights need no gradient, and ``dx`` when
     the input needs none.
@@ -981,10 +974,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     is positive, so y has the sign of the pre-activation z and no copy of z
     is kept.
 
-    The im2col buffer and the output side's dZ need zeros where no tap
-    copies.  From ``_EMPTY_MIN_SIZE`` elements they are ``np.empty`` with
-    only those border strips zeroed (``_tap_buffer``); smaller ones, and dZ
-    at stride 2, are ``np.zeros``.
+    From ``_EMPTY_MIN_SIZE`` elements the im2col buffer is ``np.empty``
+    with only the border strips that read padding zeroed: zero-filled, an
+    infer-256 operation ran 1.0 % slower, slower in 17 of 24 rounds.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
@@ -1006,7 +998,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     w_out = (w + 2 * padding - k) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {k} does not fit input {h}x{w} with padding {padding}")
-    taps, out_holes, in_holes = _conv_taps(h, w, h_out, w_out, k, stride, padding)
+    taps, holes = _conv_taps(h, w, h_out, w_out, k, stride, padding)
 
     def tap_weights():  # [k²·C_out, C_in], tap-major rows
         return weight.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
@@ -1028,8 +1020,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 res[items, :, oy, ox] += z[:, i, j, :, iy, ix]
             del z  # before the next items' products
     else:
-        res = _im2col_product(weight.data.reshape(c_out, c_in * k * k), xd, taps, out_holes,
-                              h_out, w_out, k, stride, padding)
+        res = _im2col_product(weight.data.reshape(c_out, c_in * k * k), xd, h_out, w_out, k,
+                              stride, padding)
         res = res.reshape(c_out, b_n, h_out, w_out).transpose(1, 0, 2, 3)
     res += bias.data[:, None, None]
     if leaky:
@@ -1050,7 +1042,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             # the per-tap products W_tapᵀ G added back at the texels read
             gmat = gt.reshape(c_out, b_n * h_out * w_out)
             if weight.requires_grad:
-                dw = gmat @ _im2col(xb, taps, out_holes, k, h_out, w_out).T
+                dw = gmat @ _im2col(xb, taps, holes, k, h_out, w_out).T
                 _accum(weight, dw.reshape(weight.shape))
             if x.requires_grad:
                 wt = weight.data.transpose(2, 3, 1, 0).reshape(k * k * c_in, c_out)
@@ -1060,8 +1052,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                     dx[:, :, iy, ix] += dcols[i, j, :, :, oy, ox]
         elif weight.requires_grad or x.requires_grad:
             # output side: dz gathers g at the texels each tap read; the
-            # texels it never reads get 0
-            dz = _tap_buffer((k, k, c_out, b_n, h, w), g.dtype, in_holes, 0)
+            # texels it never reads stay 0
+            dz = np.zeros((k, k, c_out, b_n, h, w), g.dtype)
             for i, j, oy, ox, iy, ix in taps:
                 dz[i, j, :, :, iy, ix] = gt[:, :, oy, ox]
             dz = dz.reshape(k * k * c_out, b_n * h * w)

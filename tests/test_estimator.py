@@ -183,6 +183,19 @@ class TestPredictDepth:
         moved, _ = predict_depth(Tensor(q), radius=2)
         assert base.data.tobytes() == moved.data.tobytes()
 
+    def test_window_arrays_hold_the_types_the_ops_take(self, traced):
+        # int32 indices, and the mask and η values in the logits' dtype: a
+        # window of 9·128·128 float32 is 0.59 MB, and the readout's
+        # transient read 6.23 windows (10.48 with int64 indices and float64
+        # values); the bound of 7 leaves 12 % above that
+        logits = Tensor(np.random.default_rng(0).standard_normal((64, 128, 128)))
+        window = 9 * 128 * 128 * 4
+        with T.no_grad():
+            predict_depth(logits, 4)  # warm: the bins' η table and scipy
+            (eta, _), _, peak = traced(lambda: predict_depth(logits, 4))
+        assert eta.dtype == np.float32
+        assert peak < 7 * window
+
 
 def whole_volume_argmax(v: np.ndarray) -> np.ndarray:
     """``_lowest_argmax`` as one expression over the whole volume."""

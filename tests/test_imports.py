@@ -6,12 +6,13 @@ an ``ast.Name`` (a load, a decorator, an annotation or the base of an
 attribute access).  The package ``__init__.py`` is skipped: its imports are
 the re-exported API.
 
-A top-level function or class of ``src/mvsgru``, or a non-dunder method
-or property of one of its classes, counts as referenced when its name
-appears in ``src/``, ``bench/`` or ``demos/`` as an ``ast.Name``, an
-attribute, or a string constant (``bench/tracer.py`` names its hook
-targets in strings).  Tests do not count: a helper only tests call is
-unused by the program.
+A top-level function, class or non-dunder constant of ``src/mvsgru``, or a
+non-dunder method or property of one of its classes, counts as referenced
+when its name appears in ``src/``, ``bench/`` or ``demos/`` as an
+``ast.Name`` that is read, an attribute, or a string constant
+(``bench/tracer.py`` names its hook targets in strings).  An assignment is
+not a read, so a constant nothing reads is unreferenced.  Tests do not
+count: a helper only tests call is unused by the program.
 
 Likewise every default-valued parameter of a function or method of
 ``src/mvsgru`` (other than ``__init__``) is passed by some call in the
@@ -59,10 +60,10 @@ def test_no_unused_imports(path):
 
 
 def referenced_names(program: list[str]) -> set[str]:
-    """Every name the sources mention: names, attributes and string constants."""
+    """Every name the sources read: loaded names, attributes and string constants."""
     names = set()
     for node in (n for src in program for n in ast.walk(ast.parse(src))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -72,12 +73,17 @@ def referenced_names(program: list[str]) -> set[str]:
 
 
 def definitions(defining: str):
-    """``(label, name, line)`` of each top-level function and class of
-    ``defining``, and of each non-dunder method or property of its classes,
-    labelled ``Class.method``."""
+    """``(label, name, line)`` of each top-level function, class and
+    non-dunder assigned name of ``defining``, and of each non-dunder method
+    or property of its classes, labelled ``Class.method``."""
     for node in ast.parse(defining).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, node.lineno
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, name, node.lineno
         for m in node.body if isinstance(node, ast.ClassDef) else []:
             if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__")
                                                        and m.name.endswith("__")):
@@ -95,6 +101,13 @@ def test_the_check_sees_an_unreferenced_definition():
     defining = "def used(): pass\ndef unused(): pass\nclass Hooked: pass\n"
     referenced = referenced_names([defining, "used()", "HOOKS = ['Hooked']"])
     assert unreferenced(defining, referenced) == ["unused (line 2)"]
+
+
+def test_the_check_sees_an_unread_constant():
+    defining = "READ = 1\n_UNREAD: int = 2\n__all__ = []\nA, STORED = 3, 4\n"
+    program = [defining, "print(READ, A)", "def f():\n    global STORED\n    STORED = 5\n"]
+    assert unreferenced(defining, referenced_names(program)) == [
+        "_UNREAD (line 2)", "STORED (line 4)"]
 
 
 def test_the_check_sees_an_unreferenced_method():

@@ -204,6 +204,26 @@ class TestLevelCoords:
         assert xl[0, 3] == 1.0
         assert yl[3, 0] == 1.0
 
+    @pytest.mark.parametrize("l,offset", [(1, -1.0), (2, 0.0), (3, 2.0)])
+    def test_level_rays_miss_the_quarter_pixel_centre(self, l, offset):
+        # characterization of the misalignment the docstring states: the
+        # level-l lookup position, mapped through the level's pixel-centre
+        # intrinsics back to full-res pixels, lies `offset` px from quarter
+        # pixel x's centre 4x + 1.5 along each axis.  Aligning the levels
+        # changes these offsets; this test is then updated, not dropped.
+        h, w = 48, 64
+        k = np.array([[70.0, 0.0, 29.3], [0.0, 55.0, 26.1], [0.0, 0.0, 1.0]])
+        xl, yl = level_coords(l, h // 4, w // 4, h >> l, w >> l)
+        full = k @ np.linalg.inv(scale_intrinsics(k, l)) @ np.stack(
+            [xl.ravel(), yl.ravel(), np.ones(xl.size)])
+        ys, xs = np.mgrid[:h // 4, :w // 4]
+        dx = full[0].reshape(xl.shape) - (4 * xs + 1.5)
+        dy = full[1].reshape(yl.shape) - (4 * ys + 1.5)
+        # level 3 clamps its last row and column into the level rectangle
+        inner = np.s_[:-1, :-1] if l == 3 else np.s_[:, :]
+        assert np.abs(dx[inner] - offset).max() < 1e-9
+        assert np.abs(dy[inner] - offset).max() < 1e-9
+
     @given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_coords_stay_in_level_rect(self, l, h4, w4):

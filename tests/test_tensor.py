@@ -331,6 +331,8 @@ class TestConv:
         pytest.param(1, 16, 16, 3, 1, (60, 64), id="b1-k3-s1"),
         pytest.param(1, 16, 16, 3, 2, (120, 128), id="b1-k3-s2"),
         pytest.param(1, 128, 32, 1, 2, (126, 130), id="b1-k1-s2"),
+        # two items fit whole at 40 px; at 64 px one item's rows are banded
+        pytest.param(2, 16, 16, 3, 1, (40, 64), id="b2-k3-s1"),
         pytest.param(32, 8, 16, 3, 1, (15, 16), id="b32-k3-s1"),
         pytest.param(32, 8, 16, 3, 2, (30, 32), id="b32-k3-s2"),
         pytest.param(32, 16, 16, 1, 2, (62, 66), id="b32-k1-s2"),
@@ -361,7 +363,7 @@ class TestConv:
 
             monkeypatch.setattr(T, "work_slices", spy)
             banded = run()
-            # an im2col that fits whole asks for no split
+            # an im2col that fits whole is one band
             n_bands, largest = map(max, zip(*bands)) if bands else (1, 0)
             monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", 1 << 40)
             whole = run()
@@ -373,18 +375,17 @@ class TestConv:
                 assert want.tobytes() == got.tobytes()
 
     def test_1x1_conv_is_one_gemm_on_its_input(self, rng, monkeypatch):
-        # lat1-3 and drop32/drop16 of the FPN: no tap buffer, and the same
-        # bits as the im2col GEMM they ran before
+        # lat1-3 and drop32/drop16 of the FPN: no im2col, and the same
+        # bits as the im2col GEMM they would run
         x = rng.standard_normal((1, 32, 24, 24)).astype(np.float32)
         w = rng.standard_normal((16, 32, 1, 1)).astype(np.float32)
         b = rng.standard_normal(16).astype(np.float32)
-        buffers = []
-        monkeypatch.setattr(T, "_tap_buffer", lambda *a: buffers.append(a) or np.zeros(a[0]))
+        im2col, calls = T._im2col, []
+        monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a) or im2col(*a))
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-        monkeypatch.undo()
-        assert buffers == []
-        taps, holes, _ = T._conv_taps(24, 24, 24, 24, 1, 1, 0)
-        cols = T._im2col_product(w.reshape(16, 32), x, taps, holes, 24, 24, 1, 1, 0)
+        assert calls == []
+        cols = T._im2col_product(w.reshape(16, 32), x, 24, 24, 1, 1, 0)
+        assert len(calls) == 1
         want = cols.reshape(1, 16, 24, 24) + b[:, None, None]
         assert got.tobytes() == want.tobytes()
 
@@ -528,22 +529,23 @@ class TestConv:
             assert got.dtype == np.float32
             assert np.array_equal(want, got)
 
-    # n_empty: the buffers taken from np.empty (im2col forward, dZ or the
-    # input side's rebuilt im2col backward); dZ at stride 2 stays np.zeros
+    # n_empty: the buffers taken from np.empty: the im2col forward's
+    # product and its im2col, and the input side's rebuilt im2col backward;
+    # the output side's buffers and dZ are np.zeros
     @pytest.mark.parametrize("shape,c_out,k,stride,pad,min_size,n_empty", [
-        pytest.param((1, 3, 7, 5), 4, 3, 2, 1, 0, 1, id="im2col-s2-odd"),
+        pytest.param((1, 3, 7, 5), 4, 3, 2, 1, 0, 2, id="im2col-s2-odd"),
         pytest.param((1, 2, 9, 6), 3, 3, 1, 1, 0, 2, id="im2col-s1"),
-        pytest.param((1, 2, 6, 9), 2, 5, 2, 2, 0, 1, id="im2col-k5-s2"),
+        pytest.param((1, 2, 6, 9), 2, 5, 2, 2, 0, 2, id="im2col-k5-s2"),
         pytest.param((1, 2, 1, 4), 2, 3, 1, 1, 0, 2, id="one-row"),
-        pytest.param((1, 8, 6, 7), 1, 3, 1, 1, 0, 1, id="output-side"),
+        pytest.param((1, 8, 6, 7), 1, 3, 1, 1, 0, 0, id="output-side"),
         pytest.param((2, 16, 7, 5), 2, 3, 2, 1, 0, 0, id="output-side-s2"),
-        pytest.param((2, 2, 12, 12), 40, 3, 1, 1, 0, 2, id="input-side-backward"),
+        pytest.param((2, 2, 12, 12), 40, 3, 1, 1, 0, 3, id="input-side-backward"),
         pytest.param((1, 16, 40, 40), 16, 3, 1, 1, None, 2, id="default-size-floor"),
     ])
     def test_uninitialized_buffers_hold_only_what_the_taps_write(
             self, rng, monkeypatch, shape, c_out, k, stride, pad, min_size, n_empty):
-        # np.empty hands out NaN: a cell of the im2col buffer or of dZ that
-        # no tap writes and no hole zeroes would poison the result
+        # np.empty hands out NaN: a cell of the im2col buffer that no tap
+        # writes and no hole zeroes would poison the result
         T.set_default_dtype(np.float64)
         x0 = rng.standard_normal(shape)
         w0 = rng.standard_normal((c_out, shape[1], k, k))
@@ -922,6 +924,8 @@ class TestResamplingAgainstLoops:
         a = Tensor(rng.random((3, 2, 2)))
         with pytest.raises(ContractError):
             T.take_depth(a, np.full((1, 2, 2), 3))
+        with pytest.raises(ContractError):  # would wrap to index 1 in int32
+            T.take_depth(a, np.full((1, 2, 2), 2**32 + 1))
         with pytest.raises(ContractError):
             T.gather2d(Tensor(rng.random((2, 2))), np.array([0, -1]), np.array([0, 0]))
 
