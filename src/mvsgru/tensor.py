@@ -47,9 +47,11 @@ Design notes
   ``bilinear_sample`` returns its samples texel-major: a [C, ...] view of a
   [N, C] product.  The lookup never forms its warped features [C, S, D, P]
   (S sources, D hypotheses, P pixels): ``sampled_group_dot`` gathers them
-  texel-major, [n, C], a slab of rows at a time, multiplies by the
-  reference's [P, C] and reduces each channel group with one matmul to
-  [G, S, D, P]; its backward rebuilds them from the interpolation matrix.
+  texel-major, [n, C], a slab of rows at a time, each through a matrix
+  that views its rows of the one interpolation matrix
+  (``_interp_rows``), multiplies by the reference's [P, C] and reduces
+  each channel group with one matmul, [n, C] @ [C, G], into its columns
+  of [G, S, D, P]; its backward rebuilds them from the whole matrix.
   ``conv2d`` never pads its input.  For each kernel tap, a pair of (output
   slice, input slice) per axis covers just the outputs that read inside the
   image.  Its forward buffers whichever side of the convolution is cheaper:
@@ -66,11 +68,12 @@ Design notes
   more than once is stored texel-major once (``features.stack_pyramids``),
   and ``concat`` writes C order, which numpy's concatenate would not do for
   transposed inputs.  Outputs and gradients are the same bits on either
-  layout.  Their interpolation matrix (``_sampling_matrix``) takes a [N, 4]
-  corner table that is built in place in the matrix's index
-  type (int32 unless the indices need more), and the four weights go into
-  one [N, 4] buffer.  Every temporary keeps the grid's float dtype: numpy 2
-  computes int32 − float32 in float64, at twice the bytes.
+  layout.  Their interpolation matrix (``_sampling_matrix``) wraps, without
+  a copy, a [N, 4] corner table in the matrix's index type (int32 unless
+  the indices need more), each column written once from contiguous
+  arrays, and the four weights in one [N, 4] buffer.  Every float
+  temporary keeps the grid's dtype: numpy 2 computes int32 − float32 in
+  float64, at twice the bytes.
 * A forward pass fills no work buffer above ``MAX_WORK_ELEMENTS``:
   ``conv2d`` fills and multiplies its im2col in bands, and
   ``sampled_group_dot`` gathers its warped features in slabs, both split
@@ -570,16 +573,29 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 def _interp_matrix(cols: np.ndarray, weights: np.ndarray, n_src: int) -> sp.csr_matrix:
     """Sparse interpolation matrix S [N, n_src] with K entries per row.
 
-    Row i holds ``weights[i, k]`` at column ``cols[i, k]`` (both [N, K]).
-    Products sum repeated columns, so ``S @ F.T`` gathers from a [C, n_src]
-    source and ``S.T @ G.T`` scatter-adds a [C, N] gradient back onto it.
+    Row i holds ``weights[i, k]`` at column ``cols[i, k]`` (both [N, K]);
+    the caller checks or clamps the columns into [0, n_src).  S wraps
+    ``weights``, and ``cols`` if it has the index type, without a copy.  Products
+    sum repeated columns, so ``S @ F.T`` gathers from a [C, n_src] source
+    and ``S.T @ G.T`` scatter-adds a [C, N] gradient back onto it.
     """
     n, k = cols.shape
-    if cols.size and (cols.min() < 0 or cols.max() >= n_src):
-        raise ContractError(f"interpolation index outside [0, {n_src})")
     itype = _index_type(n_src, n * k)
     return sp.csr_matrix((weights.ravel(), cols.ravel().astype(itype, copy=False),
                           np.arange(0, n * k + 1, k, dtype=itype)), shape=(n, n_src))
+
+
+def _interp_rows(s: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
+    """Rows ``rows`` of an ``_interp_matrix``, as a matrix that views its
+    entries: every row holds K of them, so the rows' indptr is a prefix of
+    the whole one and no entry is copied."""
+    k = int(s.indptr[1])
+    lo, hi, n = rows.start * k, rows.stop * k, rows.stop - rows.start
+    # set after construction: scipy's constructor copies a view of less than
+    # half its array
+    out = sp.csr_matrix((n, s.shape[1]), dtype=s.dtype)
+    out.data, out.indices, out.indptr = s.data[lo:hi], s.indices[lo:hi], s.indptr[:n + 1]
+    return out
 
 
 def _index_type(n_src: int, nnz: int):
@@ -634,7 +650,9 @@ def _sampling_matrix(grid: Tensor, x, y, mask) -> tuple[sp.csr_matrix, np.ndarra
     W] or [B, C, H, W] grid at the N points (x, y), the grid's texel table
     [B·H·W, C] and the points' validity mask, of the coordinates' shape;
     ``bilinear_sample`` documents the arguments.  S weighs an invalid point
-    0, so ``S @ texels`` is the [N, C] samples."""
+    0, so ``S @ texels`` is the [N, C] samples.  S holds 4 entries per row
+    and wraps its corner table and weights, so ``_interp_rows`` views a slab
+    of its rows without a copy."""
     if grid.ndim not in (3, 4):
         raise ShapeError(f"bilinear_sample needs [C, H, W] or [B, C, H, W], got {grid.shape}")
     b, c, h, w = grid.shape if grid.ndim == 4 else (1,) + grid.shape
@@ -650,43 +668,49 @@ def _sampling_matrix(grid: Tensor, x, y, mask) -> tuple[sp.csr_matrix, np.ndarra
     xf = xd.ravel()
     yf = yd.ravel()
 
-    valid = (xf >= 0) & (xf <= w - 1) & (yf >= 0) & (yf <= h - 1)
-    if mask is not None:
-        valid = valid & np.asarray(mask).ravel()
-
-    # fmax/fmin take the number over a NaN, so a NaN point (invalid, as it
-    # fails every comparison above) clamps to texel 0 like any other
+    # fmax/fmin take the number over a NaN, so a NaN point clamps to texel 0
+    # like any other; a point is valid where clamping left it as it was:
+    # inside [0, W-1] x [0, H-1], and not NaN, which equals nothing
     xc = np.fmax(xf, 0)
     yc = np.fmax(yf, 0)
     np.fmin(xc, w - 1, out=xc)
     np.fmin(yc, h - 1, out=yc)
+    valid = xc == xf
+    valid &= yc == yf
+    if mask is not None:
+        np.logical_and(valid, np.asarray(mask).ravel(), out=valid)
     x0 = np.floor(xc)
     y0 = np.floor(yc)
     fx = np.subtract(xc, x0, out=xc)
     fy = np.subtract(yc, y0, out=yc)
-    # the corner table [N, 4], built in place in the index type the matrix
-    # takes: (y0, x0), (y0, x1), (y1, x0), (y1, x1), with x1 = x0 + [x0 < W-1];
-    # grid b's texels are columns b*H*W .. (b+1)*H*W - 1 of one matrix
-    cols = np.empty((xf.size, 4), _index_type(b * h * w, 4 * xf.size))
-    top, right, bottom = cols[:, 0], cols[:, 1], cols[:, 2]
-    top[:] = y0
+    # the corner table [N, 4] in the index type the matrix takes: (y0, x0),
+    # (y0, x1), (y1, x0), (y1, x1), with x1 = x0 + [x0 < W-1]; grid b's
+    # texels are columns b*H*W .. (b+1)*H*W - 1 of one matrix.  Each column
+    # of the table is written once, from contiguous arrays
+    itype = _index_type(b * h * w, 4 * xf.size)
+    top = y0.astype(itype)
     top *= w
-    right[:] = x0
-    top += right
+    top += x0.astype(itype)
     if b > 1:
-        top += np.repeat(np.arange(b, dtype=cols.dtype) * (h * w), xf.size // b)
-    np.less(x0, w - 1, out=right)
-    np.less(y0, h - 1, out=bottom)
-    bottom *= w
-    bottom += top
-    np.add(bottom, right, out=cols[:, 3])
-    right += top
-    # the four weights in one buffer, each product as written; 0 at an invalid point
-    ex, ey = 1 - fx, 1 - fy
+        per_grid = top.reshape(b, -1)
+        per_grid += (np.arange(b, dtype=itype) * (h * w))[:, None]
+    right = x0 < w - 1
+    down = np.less(y0, h - 1).astype(itype)
+    down *= w
+    cols = np.empty((xf.size, 4), itype)
+    cols[:, 0] = top
+    np.add(top, right, out=cols[:, 1])
+    np.add(top, down, out=cols[:, 2])
+    np.add(cols[:, 1], down, out=cols[:, 3])
+    # the four weights in one buffer, each product as written; an invalid
+    # point's y weights are 0, so all four are
+    ey = np.subtract(1, fy)
+    ex = np.subtract(1, fx)
+    ey *= valid
+    fy *= valid
     weights = np.empty((xf.size, 4), grid.dtype)
     for col, (a, e) in enumerate(((ey, ex), (ey, fx), (fy, ex), (fy, fx))):
         np.multiply(a, e, out=weights[:, col])
-    weights *= valid[:, None]
     s = _interp_matrix(cols, weights, b * h * w)
     # the grid texel-major, [B*H*W, C]: free on a texel-major grid
     texels = np.moveaxis(grid.data.reshape(b, c, h * w), 1, 2).reshape(b * h * w, c)
@@ -776,6 +800,8 @@ def work_slices(n: int, unit: int) -> list[slice]:
     """Split range(n) into the fewest near-equal slices whose items, each
     ``unit`` work-buffer elements, fit ``MAX_WORK_ELEMENTS``; an item that
     alone exceeds the bound gets a slice of its own."""
+    if n == 0:
+        return []
     per = max(1, MAX_WORK_ELEMENTS // unit)
     per = -(-n // -(-n // per))
     return [slice(s, min(s + per, n)) for s in range(0, n, per)]
@@ -1085,13 +1111,16 @@ def sampled_group_dot(f0: Tensor, grid: Tensor, x: np.ndarray, y: np.ndarray,
 
     One taped op that keeps no warped features.  Forward runs over slabs of
     rows of P points whose warped features fit ``MAX_WORK_ELEMENTS``: each
-    slab gathers ``S[rows] @ texels`` [n, C], multiplies it by f0ᵀ in place
-    and sums each channel group with one matmul against a [C, groups]
-    averaging matrix.  Backward keeps S, f0 and the grid: it rebuilds the
-    warped features ``S @ texels`` once, whole, for f0's gradient, and gives
-    the grid ``S.T @ (gp·f0ᵀ)``, with gp the output gradient spread back over
-    the channels.  With P > 1 the slabs give the bits of one product over
-    all points; numpy hands a one-column product to BLAS's matrix-vector
+    slab gathers ``S[rows] @ texels`` [n, C] through a matrix that views
+    those rows of S, multiplies it by f0ᵀ in place and sums each channel
+    group with one matmul by a [C, groups] averaging matrix on the right.
+    Backward keeps S, f0 and the grid: it rebuilds the warped features
+    ``S @ texels`` once, whole, for f0's gradient, and gives the grid
+    ``S.T @ (gp·f0ᵀ)``, with gp the output gradient spread back over the
+    channels.  Slabs give the bits of one product over all points wherever
+    BLAS runs its general kernel, as it does on every 256 px lookup.
+    OpenBLAS hands a product of fewer than 2^20 multiply-adds (at 32
+    channels in 8 groups, fewer than 4096 points) to its small-matrix
     kernel, which sums in another order.
     """
     f0, grid = _wrap(f0), _wrap(grid)
@@ -1101,6 +1130,8 @@ def sampled_group_dot(f0: Tensor, grid: Tensor, x: np.ndarray, y: np.ndarray,
     c, p = f0.shape
     if groups < 1 or c % groups:
         raise ShapeError(f"{c} channels not divisible into {groups} groups")
+    if np.size(x) == 0:
+        raise ShapeError(f"sampled_group_dot needs points, got coordinates of shape {np.shape(x)}")
     s, texels, valid = _sampling_matrix(grid, x, y, mask)
     # [C, groups]: channel c contributes groups/C to its group c // (C/groups)
     avg = np.repeat(np.eye(groups, dtype=texels.dtype), c // groups, axis=0) * (groups / c)
@@ -1108,9 +1139,9 @@ def sampled_group_dot(f0: Tensor, grid: Tensor, x: np.ndarray, y: np.ndarray,
     res = np.empty((groups, valid.size), texels.dtype)
     for rows in work_slices(valid.size // p, p * c):
         pts = slice(rows.start * p, rows.stop * p)
-        warped = (s[pts] @ texels).reshape(-1, p, c)
+        warped = (_interp_rows(s, pts) @ texels).reshape(-1, p, c)
         np.multiply(warped, f0t, out=warped)
-        np.matmul(avg.T, warped.reshape(-1, c).T, out=res[:, pts])
+        res[:, pts] = (warped.reshape(-1, c) @ avg).T
         del warped  # before the next slab is gathered
 
     def grad(g, y):

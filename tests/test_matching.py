@@ -278,6 +278,17 @@ class TestWarpAndCorrelate:
             warp_and_correlate(feats.reshape((16, 64)), feats, np.full((2, 64), 0.7), a, b)
 
 
+    def test_no_hypotheses_is_a_shape_error(self, rng):
+        view = make_view(8, 10.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        feats = Tensor(rng.standard_normal((16, 8, 8)))
+        xl, yl = level_coords(2, 8, 8, 8, 8)
+        a, b = eta_projection(xl.ravel(), yl.ravel(), view.k, view.k[None],
+                              relative_poses(view, [view]), view.d_min, view.d_max)
+        with pytest.raises(ShapeError, match="points"):
+            warp_and_correlate(feats.reshape((16, 64)), feats.reshape((1, 16, 8, 8)),
+                               np.full((0, 64), 0.7), a, b)
+
+
 class TestLookupLevels:
     def test_features_are_texel_major_views(self, rng):
         # the stacked sources and the sampled reference are views of

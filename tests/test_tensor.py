@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -973,23 +974,30 @@ class TestSampledGroupDot:
             assert g.shape == w.shape
             assert np.allclose(g, w, atol=1e-12)
 
-    @pytest.mark.parametrize("bound", [3 * 24 * 16, 1])
-    def test_slabs_give_the_bits_of_one_product(self, rng, monkeypatch, bound):
-        # 10 rows of 24 points: slabs of 3, 3, 3 and 1 rows, or one row each
-        f0_0, grid_0, x, y, mask = self.lookup(rng)
-        loss_wts = rng.standard_normal((4,) + x.shape)
+    # (MAX_WORK_ELEMENTS, lookup shape, groups, slabs): 10 rows of 24 points
+    # in slabs of 3, 3, 3 and 1 rows, or of one row each; and a level-2
+    # lookup at 256 px, 32 channels in 8 groups over 2 sources x 4
+    # hypotheses x 4096 points, in slabs of one row of 4096 points
+    @pytest.mark.parametrize("bound,shape,groups,n_slabs", [
+        pytest.param(3 * 24 * 16, {}, 4, 4, id="1152"),
+        pytest.param(1, {}, 4, 10, id="1"),
+        pytest.param(4096 * 32, dict(c=32, d=4, p=4096, h=64, w=64), 8, 8, id="256px-level2"),
+    ])
+    def test_slabs_give_the_bits_of_one_product(self, rng, monkeypatch, bound, shape, groups,
+                                                n_slabs):
+        f0_0, grid_0, x, y, mask = self.lookup(rng, **shape)
+        loss_wts = rng.standard_normal((groups,) + x.shape)
         slabs = []
 
         def run():
             f0, grid = Tensor(f0_0, requires_grad=True), texel_major_tensor(grid_0)
             grid.requires_grad = True
             with Tape() as tape:
-                out, valid = T.sampled_group_dot(f0, grid, x, y, mask, 4)
+                out, valid = T.sampled_group_dot(f0, grid, x, y, mask, groups)
                 loss = (out * loss_wts).sum()
             backward(tape, loss)
             return out.data, valid, f0.grad, grid.grad
 
-        whole = run()
         slices = T.work_slices
 
         def spy(n, unit):
@@ -997,11 +1005,57 @@ class TestSampledGroupDot:
             return slabs[-1]
 
         monkeypatch.setattr(T, "work_slices", spy)
+        monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", 1 << 40)
+        whole = run()
         monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", bound)
         sliced = run()
-        assert len(slabs[0]) == (4 if bound > 1 else 10)
+        assert [len(s) for s in slabs] == [1, n_slabs]
         for want, got in zip(whole, sliced):
             assert want.tobytes() == got.tobytes()
+
+    def test_slabs_view_the_table_the_backward_multiplies(self, rng, monkeypatch):
+        # slabs of 3, 3, 3 and 1 rows of 24 points: each slab's matrix views
+        # its rows of one corner table and weights, the backward's whole
+        # matrix wraps the same buffers, and no row is copied out of a matrix
+        f0_0, grid_0, x, y, mask = self.lookup(rng)
+        f0, grid = Tensor(f0_0, requires_grad=True), Tensor(grid_0, requires_grad=True)
+        products, row_copies = [], []
+        matmul, getitem = sp.csr_matrix.__matmul__, sp.csr_matrix.__getitem__
+
+        def spy_matmul(s, other):
+            products.append(s)
+            return matmul(s, other)
+
+        def spy_getitem(s, key):
+            row_copies.append(key)
+            return getitem(s, key)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy_matmul)
+        monkeypatch.setattr(sp.csr_matrix, "__getitem__", spy_getitem)
+        monkeypatch.setattr(T, "MAX_WORK_ELEMENTS", 3 * 24 * 16)
+        with Tape() as tape:
+            out, _ = T.sampled_group_dot(f0, grid, x, y, mask, 4)
+            loss = out.sum()
+        slabs = list(products)
+        backward(tape, loss)
+        whole = products[len(slabs):]
+        assert row_copies == []
+        assert [s.shape[0] for s in slabs] == [72, 72, 72, 24]
+        # f0's gradient rebuilds the warped features with the whole matrix
+        assert [s.shape[0] for s in whole] == [240]
+        for s in slabs:
+            assert np.shares_memory(s.indices, whole[0].indices)
+            assert np.shares_memory(s.data, whole[0].data)
+
+    def test_no_points_is_a_shape_error(self, rng):
+        # no hypotheses: coordinates [S, 0, P]
+        f0, grid, x, y, mask = self.lookup(rng, d=0)
+        with pytest.raises(ShapeError, match="points"):
+            T.sampled_group_dot(Tensor(f0), Tensor(grid), x, y, mask, 4)
+
+    @pytest.mark.parametrize("unit", [1, 24 * 16, 1 << 30])
+    def test_work_slices_split_no_items_into_none(self, unit):
+        assert T.work_slices(0, unit) == []
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_keeps_no_warped_volume(self, rng, traced, taped):
